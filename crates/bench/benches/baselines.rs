@@ -1,19 +1,18 @@
 //! Query-style baselines: the ISIS per-candidate evaluator vs the compiled
 //! relational algebra plan vs the QBE template engine (§1.1 comparators),
-//! plus the short-circuit optimizer and the index-pruned evaluator.
+//! plus the [`IndexService`] paths: index-pruned, and over a 4-wide pool.
 //!
 //! Experiment E-3: all engines return identical answers; ISIS's navigational
 //! evaluation wins on selective predicates, the RA plan pays materialisation
-//! costs, QBE's nested-loop unification sits in between; indexes and atom
-//! reordering cut the ISIS cost further.
+//! costs, QBE's nested-loop unification sits in between; indexes cut the
+//! ISIS cost further.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isis_bench::fixture;
 use isis_query::{
-    compile_subclass_predicate, encode_database, eval_plan, optimize, Cell, IndexedEvaluator,
-    QbeQuery, TemplateRow,
+    compile_subclass_predicate, encode_database, eval_plan, Cell, IndexService, QbeQuery,
+    TemplateRow,
 };
-// (parallel evaluator referenced via the crate path below)
 
 fn engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("baselines");
@@ -76,9 +75,9 @@ fn engines(c: &mut Criterion) {
         });
 
         // Index-pruned ISIS evaluation.
-        let mut indexed = IndexedEvaluator::new();
-        indexed.add_index(&f.s.db, f.s.size).unwrap();
-        indexed.add_index(&f.s.db, f.s.plays).unwrap();
+        let mut indexed = IndexService::new(&f.s.db);
+        indexed.ensure_index(&f.s.db, f.s.size).unwrap();
+        indexed.ensure_index(&f.s.db, f.s.plays).unwrap();
         g.bench_with_input(BenchmarkId::new("isis_indexed", n), &n, |b, _| {
             b.iter(|| {
                 indexed
@@ -87,34 +86,14 @@ fn engines(c: &mut Criterion) {
             })
         });
 
-        // Optimizer-reordered ISIS evaluation (reordering done once).
-        let (opt, _) = optimize(
-            &f.s.db,
-            f.s.music_groups,
-            &f.quartets,
-            Some(indexed.service()),
-        )
-        .unwrap();
-        g.bench_with_input(BenchmarkId::new("isis_optimized", n), &n, |b, _| {
-            b.iter(|| {
-                f.s.db
-                    .evaluate_derived_members(f.s.music_groups, &opt)
-                    .unwrap()
-            })
-        });
-
-        // Parallel evaluation (4 workers).
-        let cache = isis_query::ProgramCache::new();
+        // Parallel evaluation: a service with no indexes, 4 workers.
+        let parallel = IndexService::new(&f.s.db);
+        parallel.eval_pool().set_threads(4);
         g.bench_with_input(BenchmarkId::new("isis_parallel4", n), &n, |b, _| {
             b.iter(|| {
-                isis_query::evaluate_derived_members_parallel(
-                    &cache,
-                    &f.s.db,
-                    f.s.music_groups,
-                    &f.quartets,
-                    4,
-                )
-                .unwrap()
+                parallel
+                    .evaluate(&f.s.db, f.s.music_groups, &f.quartets)
+                    .unwrap()
             })
         });
     }

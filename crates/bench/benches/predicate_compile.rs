@@ -1,12 +1,11 @@
 //! Compiled predicate programs vs the per-candidate interpreter.
 //!
 //! Experiment E-5: a constant-RHS-heavy predicate (mapped constants whose
-//! images the interpreter recomputes for every candidate) evaluated four
+//! images the interpreter recomputes for every candidate) evaluated three
 //! ways: the core interpreter, the compiled program (constants hoisted
-//! once, shared lhs maps memoised), the compiled program on the persistent
-//! worker pool, and the compiled program on per-call spawned threads. The
-//! compiled arm must beat the interpreter by ≥2× at 10k entities, and the
-//! persistent pool must beat per-call spawning at equal thread counts.
+//! once, shared lhs maps memoised), and the compiled program on a
+//! persistent [`EvalPool`]. The compiled arm must beat the interpreter by
+//! ≥2× at 10k entities.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -14,9 +13,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isis_bench::fixture;
 use isis_core::{Atom, Clause, CompareOp, Map, OrderedSet, Predicate, Rhs};
-use isis_query::{
-    evaluate_derived_members_parallel, evaluate_derived_members_spawn, PredicateProgram,
-};
+use isis_query::{EvalPool, PredicateProgram};
 
 const THREADS: usize = 4;
 
@@ -81,7 +78,7 @@ fn interpreted_vs_compiled(c: &mut Criterion) {
     g.finish();
 }
 
-/// The headline report: all four arms over the same database at 10k-entity
+/// The headline report: all three arms over the same database at 10k-entity
 /// scale, written to `out/predicate_compile.md` and (machine-readable)
 /// `out/bench_predicate_compile.json`.
 fn predicate_compile_report(c: &mut Criterion) {
@@ -112,38 +109,30 @@ fn predicate_compile_report(c: &mut Criterion) {
         let prog = PredicateProgram::compile(db, parent, &pred).unwrap();
         prog.evaluate_extent(db, parent).unwrap()
     });
-    // Warm the shared pool so thread startup is excluded from the pooled
-    // arm — that persistence is exactly what the arm measures. The program
-    // cache is cleared before every call so the arms keep measuring
-    // per-call compilation, as they always have.
-    let cache = isis_query::ProgramCache::new();
-    evaluate_derived_members_parallel(&cache, db, parent, &pred, THREADS).unwrap();
-    let (pooled_total, pooled_last) = time_arm(&mut || {
-        cache.clear();
-        evaluate_derived_members_parallel(&cache, db, parent, &pred, THREADS).unwrap()
-    });
-    let (spawn_total, spawn_last) = time_arm(&mut || {
-        cache.clear();
-        evaluate_derived_members_spawn(&cache, db, parent, &pred, THREADS).unwrap()
-    });
+    // Like the serial arm, the pooled arm compiles once per round. The
+    // pool is warmed first so thread startup is excluded — that
+    // persistence is exactly what the arm measures.
+    let pool = EvalPool::new(THREADS);
+    let pooled_round = || {
+        let prog = PredicateProgram::compile(db, parent, &pred).unwrap();
+        let members: Vec<_> = db.members(parent).unwrap().iter().collect();
+        pool.evaluate(db, &prog, &members, None).unwrap()
+    };
+    pooled_round();
+    let (pooled_total, pooled_last) = time_arm(&mut || pooled_round());
 
     // Every arm must agree, in order.
     assert_eq!(interp_last.as_slice(), compiled_last.as_slice());
     assert_eq!(interp_last.as_slice(), pooled_last.as_slice());
-    assert_eq!(interp_last.as_slice(), spawn_last.as_slice());
 
     let us = |d: Duration| d.as_secs_f64() * 1e6 / rounds as f64;
-    let (interp_us, compiled_us, pooled_us, spawn_us) = (
-        us(interp_total),
-        us(compiled_total),
-        us(pooled_total),
-        us(spawn_total),
-    );
+    let (interp_us, compiled_us, pooled_us) =
+        (us(interp_total), us(compiled_total), us(pooled_total));
     let speedup = interp_us / compiled_us;
     println!(
         "predicate_compile_report: n={n} ({entities} entities, {groups} groups) \
          interpreted={interp_us:.1}us compiled={compiled_us:.1}us ({speedup:.1}x) \
-         pooled{THREADS}={pooled_us:.1}us spawn{THREADS}={spawn_us:.1}us"
+         pooled{THREADS}={pooled_us:.1}us"
     );
     if !smoke {
         assert!(
@@ -151,11 +140,6 @@ fn predicate_compile_report(c: &mut Criterion) {
             "compiled evaluation must be at least 2x the interpreter on a \
              constant-RHS-heavy predicate (interpreted {interp_us:.1}us vs \
              compiled {compiled_us:.1}us)"
-        );
-        assert!(
-            pooled_us < spawn_us,
-            "the persistent pool must beat per-call thread spawning at equal \
-             thread counts (pooled {pooled_us:.1}us vs spawn {spawn_us:.1}us)"
         );
     }
 
@@ -171,8 +155,7 @@ fn predicate_compile_report(c: &mut Criterion) {
          | --- | --- |\n\
          | interpreter (per-candidate) | {interp_us:.1} µs |\n\
          | compiled program, serial | {compiled_us:.1} µs |\n\
-         | compiled, persistent pool ({THREADS} threads) | {pooled_us:.1} µs |\n\
-         | compiled, spawn-per-call ({THREADS} threads) | {spawn_us:.1} µs |\n\n\
+         | compiled, persistent pool ({THREADS} threads) | {pooled_us:.1} µs |\n\n\
          **Compiled speedup over interpreter: {speedup:.1}×**{}.\n",
         if smoke {
             " (smoke run under `--test`)"
@@ -203,11 +186,6 @@ fn predicate_compile_report(c: &mut Criterion) {
         .result(
             "predicate_compile/report/compiled_pooled",
             pooled_us * 1e3,
-            rounds as u64,
-        )
-        .result(
-            "predicate_compile/report/compiled_spawn",
-            spawn_us * 1e3,
             rounds as u64,
         )
         .results_from(

@@ -236,16 +236,15 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
     // Converge first so both arms measure pure re-evaluation with no
     // membership writes (identical work per arm).
     maint.settle(&mut g.s.db, &affected).unwrap();
+    let serial = EvalPool::new(1);
     let settle_serial_ns = time_rounds(cfg.settle_rounds, || {
-        let (a, r) = maint.settle_with(&mut g.s.db, &affected, None).unwrap();
+        let (a, r) = maint.settle_with(&mut g.s.db, &affected, &serial).unwrap();
         assert_eq!((a, r), (0, 0));
     });
     let pool = EvalPool::new(threads);
     let members_before = g.s.db.members(derived).unwrap().clone();
     let settle_pool_ns = time_rounds(cfg.settle_rounds, || {
-        let (a, r) = maint
-            .settle_with(&mut g.s.db, &affected, Some(&pool))
-            .unwrap();
+        let (a, r) = maint.settle_with(&mut g.s.db, &affected, &pool).unwrap();
         assert_eq!((a, r), (0, 0));
     });
     assert!(

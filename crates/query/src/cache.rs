@@ -251,7 +251,7 @@ impl ProgramCache {
 
     /// Runs `f` against the compiled program for `(parent, source, pred)`,
     /// compiling (or revalidating) it first as the module-level contract
-    /// requires. `indexes` sharpens the optimizer's estimates exactly as in
+    /// requires. `indexes` sharpens the cost model's estimates exactly as in
     /// [`PredicateProgram::compile_with`]. The cache is borrowed for the
     /// duration of `f`, so `f` must not re-enter the same cache.
     pub fn with_program<R, E>(

@@ -6,9 +6,11 @@
 //! way it did: the program-cache outcome (hit / re-hoist / recompile /
 //! miss), whether the cached access plan was reused and whether the fresh
 //! one qualified for pinning, the pruned pool size, the access path chosen
-//! for every atom with the optimizer's cost/selectivity estimates in
-//! evaluation order, the parallel chunking decision the session-level
-//! parallel path would take, and per-phase wall-clock timings.
+//! for every atom with the cost model's cost/selectivity estimates in
+//! evaluation order, the chunking decision the service's [`EvalPool`]
+//! took, and per-phase wall-clock timings.
+//!
+//! [`EvalPool`]: crate::EvalPool
 //!
 //! The record renders two ways: [`ExplainRecord::to_text`] is the REPL's
 //! plan tree; [`ExplainRecord::to_json`] is the machine-readable form the
@@ -16,13 +18,14 @@
 //! record type backs both EXPLAIN and the slow-query log
 //! ([`SlowQuery`]), so a slow capture is a full plan, not just a timing.
 
-use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate, Result};
+use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate};
 use isis_obs::Json;
 
+use crate::error::QueryError;
 use crate::optimizer::estimate_atom;
 use crate::service::{AccessPath, EvalCapture, IndexService, MAX_PLAN_CANDIDATES};
 
-/// The planner's decision for one atom, with the optimizer's estimates.
+/// The planner's decision for one atom, with the cost model's estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtomPlan {
     /// Clause index in the source predicate (0-based).
@@ -35,7 +38,7 @@ pub struct AtomPlan {
     pub path: String,
     /// Why that path: the planner's reasoning, human-readable.
     pub why: String,
-    /// Estimated per-candidate cost (optimizer units).
+    /// Estimated per-candidate cost (cost-model units).
     pub cost: f64,
     /// Estimated truth probability for a random candidate.
     pub selectivity: f64,
@@ -455,7 +458,7 @@ impl IndexService {
         db: &Database,
         parent: ClassId,
         pred: &Predicate,
-    ) -> Result<(OrderedSet, ExplainRecord)> {
+    ) -> Result<(OrderedSet, ExplainRecord), QueryError> {
         let t = std::time::Instant::now();
         let mut cap = EvalCapture::default();
         let out = self.evaluate_captured(db, parent, pred, Some(&mut cap))?;
@@ -481,7 +484,7 @@ impl IndexService {
         for (ci, clause) in pred.clauses.iter().enumerate() {
             clause_plans(self, db, parent, ci, &clause.atoms, pred.form, &mut atoms);
         }
-        let threads = self.eval_threads();
+        let threads = self.eval_pool().threads();
         // Column occupancy for every attribute a single-step lhs reads,
         // deduplicated in first-use order.
         let mut columns: Vec<ColumnStat> = Vec::new();

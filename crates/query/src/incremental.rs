@@ -319,23 +319,26 @@ impl DerivedMaintainer {
     /// removes membership as needed. Returns `(added, removed)` counts.
     ///
     /// Serial convenience wrapper over
-    /// [`settle_with`](DerivedMaintainer::settle_with) for standalone
-    /// callers; the session passes the shared service's pool instead.
+    /// [`settle_with`](DerivedMaintainer::settle_with) on a width-1 pool,
+    /// for standalone callers; the session passes the shared service's
+    /// pool instead.
     pub fn settle(&self, db: &mut Database, affected: &OrderedSet) -> Result<(usize, usize)> {
-        self.settle_with(db, affected, None).map_err(|e| match e {
-            QueryError::Core(c) => c,
-            // The serial path never crosses a worker, so a panic error is
-            // unreachable; fold any other variant into a core report
-            // rather than dropping it.
-            other => isis_core::CoreError::Inconsistent(other.to_string()),
-        })
+        self.settle_with(db, affected, &EvalPool::default())
+            .map_err(|e| match e {
+                QueryError::Core(c) => c,
+                // A width-1 pool never crosses a worker, so a panic error
+                // is unreachable; fold any other variant into a core
+                // report rather than dropping it.
+                other => isis_core::CoreError::Inconsistent(other.to_string()),
+            })
     }
 
     /// Re-evaluates the predicate for the `affected` candidates and adds /
-    /// removes membership as needed, evaluating over `pool`'s workers when
-    /// one is given and the affected set is large enough to chunk (the
-    /// session hands in the [`crate::IndexService`]'s pool so refresh
-    /// rounds and queries share workers). Returns `(added, removed)`.
+    /// removes membership as needed, evaluating through `pool` — over its
+    /// workers when it is wider than one and the affected set is large
+    /// enough to chunk (the session hands in the [`crate::IndexService`]'s
+    /// pool so refresh rounds and queries share workers). Returns
+    /// `(added, removed)`.
     ///
     /// Two phases: every live affected candidate is evaluated first (no
     /// writes), then membership writes run serially in affected order, so
@@ -348,7 +351,7 @@ impl DerivedMaintainer {
         &self,
         db: &mut Database,
         affected: &OrderedSet,
-        pool: Option<&EvalPool>,
+        pool: &EvalPool,
     ) -> Result<(usize, usize), QueryError> {
         let obs = isis_obs::global();
         let _span = obs.span("query.incremental.settle");
@@ -368,18 +371,7 @@ impl DerivedMaintainer {
             .copied()
             .filter(|&e| parent_members.contains(e))
             .collect();
-        let survivors = match pool {
-            Some(p) => p.evaluate(db, &prog, &eval_list, None)?,
-            None => {
-                let mut memo = MemoTable::new(&prog);
-                let mut out = OrderedSet::new();
-                for e in prog.eval_batch(db, &eval_list, None, &mut memo)? {
-                    out.insert(e);
-                }
-                memo.flush_obs();
-                out
-            }
-        };
+        let survivors = pool.evaluate(db, &prog, &eval_list, None)?;
         // Phase 2: write, serially, in affected order.
         let mut added = 0;
         let mut removed = 0;

@@ -3,15 +3,13 @@
 //! The groupings of §2 are, operationally, inverted indexes on an attribute
 //! ("grouping G of C on A … Sₑ = { x | e ∈ A(x) }"). This module makes that
 //! explicit: an [`AttrIndex`] maps each value entity to the set of owners
-//! carrying it, and [`IndexedEvaluator`] uses such indexes to answer
+//! carrying it, and [`crate::IndexService`] uses such indexes to answer
 //! single-step constant atoms without scanning the class extent — the
 //! speed-up the grouping/index benches measure.
 
 use std::collections::HashMap;
 
-use isis_core::{Atom, AttrId, ClassId, Database, EntityId, OrderedSet, Predicate, Result};
-
-use crate::service::IndexService;
+use isis_core::{AttrId, Database, EntityId, OrderedSet, Result};
 
 /// An inverted index over one attribute: value → owners.
 #[derive(Debug, Clone)]
@@ -136,66 +134,11 @@ impl IndexLookup for HashMap<AttrId, AttrIndex> {
     }
 }
 
-/// A predicate evaluator that exploits attribute indexes for *indexable*
-/// atoms — single-step, non-negated `~` / `⊇` / `=` comparisons against a
-/// plain constant set — and falls back to per-entity evaluation otherwise.
-///
-/// Since the shared-index refactor this is a thin facade over an owned
-/// [`IndexService`]: callers that want planner statistics, explicit access
-/// paths, or delta-driven maintenance should use the service directly.
-#[derive(Debug, Default)]
-pub struct IndexedEvaluator {
-    service: IndexService,
-}
-
-impl IndexedEvaluator {
-    /// An evaluator with no indexes (pure fallback).
-    pub fn new() -> IndexedEvaluator {
-        IndexedEvaluator::default()
-    }
-
-    /// Builds and registers an index for `attr`.
-    pub fn add_index(&mut self, db: &Database, attr: AttrId) -> Result<()> {
-        self.service.ensure_index(db, attr).map(|_| ())
-    }
-
-    /// Access a registered index.
-    pub fn index(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.service.index(attr)
-    }
-
-    /// `true` if the atom can be answered from a registered index.
-    pub fn indexable(&self, atom: &Atom) -> bool {
-        self.service.indexable(atom)
-    }
-
-    /// The shared index service backing this evaluator.
-    pub fn service(&self) -> &IndexService {
-        &self.service
-    }
-
-    /// Mutable access to the backing service (refresh, more indexes).
-    pub fn service_mut(&mut self) -> &mut IndexService {
-        &mut self.service
-    }
-
-    /// Unwraps the backing service.
-    pub fn into_service(self) -> IndexService {
-        self.service
-    }
-
-    /// Evaluates a whole DNF/CNF predicate over `parent`, using indexes to
-    /// prune candidates where possible. Semantically identical to
-    /// [`Database::evaluate_derived_members`].
-    pub fn evaluate(&self, db: &Database, parent: ClassId, pred: &Predicate) -> Result<OrderedSet> {
-        self.service.evaluate(db, parent, pred)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isis_core::{Clause, CompareOp, Map, Operator, Rhs};
+    use crate::service::IndexService;
+    use isis_core::{Atom, Clause, CompareOp, Map, Operator, Predicate, Rhs};
     use isis_sample::{instrumental_music, quartets_predicate};
 
     #[test]
@@ -235,13 +178,13 @@ mod tests {
     #[test]
     fn indexed_evaluation_agrees_with_scan() {
         let mut im = instrumental_music().unwrap();
-        let mut ev = IndexedEvaluator::new();
-        ev.add_index(&im.db, im.size).unwrap();
-        ev.add_index(&im.db, im.plays).unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.size).unwrap();
+        svc.ensure_index(&im.db, im.plays).unwrap();
         let pred = quartets_predicate(&mut im);
         // Note: the quartets predicate's first clause uses a 2-step map, so
         // only the size clause is indexable — still prunes the pool.
-        let via_index = ev.evaluate(&im.db, im.music_groups, &pred).unwrap();
+        let via_index = svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
         let via_scan = im
             .db
             .evaluate_derived_members(im.music_groups, &pred)
@@ -252,8 +195,8 @@ mod tests {
     #[test]
     fn dnf_union_pruning_agrees() {
         let im = instrumental_music().unwrap();
-        let mut ev = IndexedEvaluator::new();
-        ev.add_index(&im.db, im.plays).unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
         let mk = |inst| {
             Clause::new(vec![Atom::new(
                 Map::single(im.plays),
@@ -262,7 +205,7 @@ mod tests {
             )])
         };
         let pred = Predicate::dnf(vec![mk(im.piano), mk(im.viola)]);
-        let a = ev.evaluate(&im.db, im.musicians, &pred).unwrap();
+        let a = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
         let b = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
         assert!(a.set_eq(&b));
         assert!(!a.is_empty());
@@ -271,17 +214,17 @@ mod tests {
     #[test]
     fn non_indexable_atoms_fall_back() {
         let im = instrumental_music().unwrap();
-        let mut ev = IndexedEvaluator::new();
-        ev.add_index(&im.db, im.plays).unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
         // Negated atom: not indexable, still correct.
         let atom = Atom::new(
             Map::single(im.plays),
             Operator::negated(CompareOp::Match),
             Rhs::constant(im.instruments, [im.piano]),
         );
-        assert!(!ev.indexable(&atom));
+        assert!(!svc.indexable(&atom));
         let pred = Predicate::dnf(vec![Clause::new(vec![atom])]);
-        let a = ev.evaluate(&im.db, im.musicians, &pred).unwrap();
+        let a = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
         let b = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
         assert!(a.set_eq(&b));
     }
@@ -289,15 +232,15 @@ mod tests {
     #[test]
     fn superset_intersects_posting_lists() {
         let im = instrumental_music().unwrap();
-        let mut ev = IndexedEvaluator::new();
-        ev.add_index(&im.db, im.plays).unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
         let atom = Atom::new(
             Map::single(im.plays),
             CompareOp::Superset,
             Rhs::constant(im.instruments, [im.viola, im.violin]),
         );
         let pred = Predicate::cnf(vec![Clause::new(vec![atom])]);
-        let a = ev.evaluate(&im.db, im.musicians, &pred).unwrap();
+        let a = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
         let b = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
         assert!(a.set_eq(&b));
         // Edith and Gil play both.

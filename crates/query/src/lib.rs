@@ -10,22 +10,23 @@
 //! * [`compile`] — compiles ISIS predicates into algebra plans, making the
 //!   paper's "full power of relational algebra" claim machine-checkable;
 //! * [`qbe`] — a Query-by-Example baseline, the paper's §1.1 comparator;
-//! * [`index`] — inverted attribute indexes (groupings made operational)
-//!   and an index-pruning predicate evaluator;
+//! * [`index`] — inverted attribute indexes (groupings made operational);
 //! * [`incremental`] — incremental maintenance of derived subclasses by
 //!   inverse map traversal, fed by the core delta log;
 //! * [`manager`] — an [`IndexManager`] that keeps a set of attribute
 //!   indexes current by consuming [`isis_core::ChangeSet`]s;
 //! * [`service`] — the shared [`IndexService`]: one maintained index set
-//!   serving the evaluator, the optimizer, and derived-class maintenance,
-//!   with an access-path planner and observable [`QueryStats`];
-//! * [`optimizer`] — a short-circuit atom/clause reordering optimizer with
+//!   serving the evaluator, the cost model, and derived-class maintenance,
+//!   with an index-pruning access-path planner and observable
+//!   [`QueryStats`];
+//! * [`optimizer`] — the atom cost model: per-atom cost and
 //!   index-informed selectivity estimates;
 //! * [`program`] — compiled predicate programs: constant hoisting,
 //!   shared-map memoization, and barrier-respecting atom reordering, the
-//!   artifact every serial/parallel/delta evaluation path shares;
-//! * [`parallel`] — parallel predicate evaluation over a lazily-spawned
-//!   persistent worker pool with adaptive chunking.
+//!   artifact every query and delta evaluation shares;
+//! * [`parallel`] — [`EvalPool`], the one runner of compiled programs over
+//!   candidate lists: serial at width 1, otherwise chunked over a
+//!   lazily-spawned persistent worker pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,13 +54,10 @@ pub use compile::{
 pub use error::QueryError;
 pub use explain::{AtomPlan, ColumnStat, ExplainRecord, SlowQuery};
 pub use incremental::DerivedMaintainer;
-pub use index::{AttrIndex, IndexLookup, IndexedEvaluator};
+pub use index::{AttrIndex, IndexLookup};
 pub use manager::{IndexManager, IndexStats};
-pub use optimizer::{estimate_atom, optimize, AtomEstimate, Explain};
-pub use parallel::{
-    chunk_decision, evaluate_derived_members_parallel, evaluate_derived_members_spawn,
-    evaluate_pruned_parallel, EvalPool,
-};
+pub use optimizer::{estimate_atom, AtomEstimate};
+pub use parallel::{chunk_decision, EvalPool};
 pub use program::{MemoTable, PredicateProgram, BATCH_ROWS};
 pub use qbe::{Cell, ConditionEntry, QbeQuery, TemplateRow};
 pub use relmodel::{encode_database, Relation, RelationalDb};

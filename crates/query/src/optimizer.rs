@@ -1,14 +1,16 @@
-//! A short-circuit predicate optimizer.
+//! The atom cost model.
 //!
 //! ISIS evaluates predicates per candidate entity with short-circuiting
-//! (AND stops at the first false atom, OR at the first true one). Atom
-//! order inside a clause therefore matters: cheap, selective atoms should
-//! run first. This optimizer estimates per-atom cost and selectivity —
-//! from attribute indexes when available, falling back to static defaults —
-//! and reorders atoms and clauses accordingly. Reordering within clauses
-//! and of clauses is semantics-preserving (AND/OR are commutative).
+//! (AND stops at the first false atom, OR at the first true one), so atom
+//! order inside a clause matters: cheap, selective atoms should run first.
+//! [`estimate_atom`] prices one atom — a per-candidate cost from map length
+//! and fan-out, and a truth probability from attribute indexes or grouping
+//! set sizes when the [`IndexService`] has them, falling back to
+//! operator-shaped defaults. [`crate::PredicateProgram`] orders each
+//! clause's infallible atoms by these estimates at compile time, and
+//! EXPLAIN reports them per atom.
 
-use isis_core::{Atom, ClassId, CompareOp, Database, Map, NormalForm, Predicate, Result, Rhs};
+use isis_core::{Atom, ClassId, CompareOp, Database, Map, Rhs};
 
 use crate::service::IndexService;
 
@@ -93,130 +95,11 @@ pub fn estimate_atom(
     AtomEstimate { cost, selectivity }
 }
 
-/// The per-clause estimates produced alongside an optimized predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Explain {
-    /// `(cost, selectivity)` per atom, post-reordering, per clause.
-    pub clauses: Vec<Vec<AtomEstimate>>,
-    /// Estimated truth probability per clause, post-reordering.
-    pub clause_probability: Vec<f64>,
-}
-
-/// Reorders atoms within clauses and clauses within the predicate so that
-/// short-circuit evaluation does the least expected work. Returns the new
-/// predicate and the estimates used.
-pub fn optimize(
-    db: &Database,
-    parent: ClassId,
-    pred: &Predicate,
-    indexes: Option<&IndexService>,
-) -> Result<(Predicate, Explain)> {
-    let obs = isis_obs::global();
-    let _span = obs.span("query.optimizer.optimize");
-    obs.count("query.optimizer.predicates", 1);
-    let mut clauses: Vec<(isis_core::Clause, Vec<AtomEstimate>, f64)> = Vec::new();
-    for clause in &pred.clauses {
-        let mut scored: Vec<(Atom, AtomEstimate)> = clause
-            .atoms
-            .iter()
-            .map(|a| (a.clone(), estimate_atom(db, parent, a, indexes)))
-            .collect();
-        match pred.form {
-            // AND clause: fail fast — most-selective (lowest probability
-            // of truth) per unit cost first.
-            NormalForm::Dnf => scored.sort_by(|a, b| {
-                let ka = a.1.selectivity * a.1.cost + a.1.cost * 0.01;
-                let kb = b.1.selectivity * b.1.cost + b.1.cost * 0.01;
-                ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-            }),
-            // OR clause: succeed fast — highest probability per unit cost
-            // first.
-            NormalForm::Cnf => scored.sort_by(|a, b| {
-                let ka = (1.0 - a.1.selectivity) * a.1.cost + a.1.cost * 0.01;
-                let kb = (1.0 - b.1.selectivity) * b.1.cost + b.1.cost * 0.01;
-                ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-            }),
-        }
-        let prob: f64 = match pred.form {
-            NormalForm::Dnf => scored.iter().map(|(_, e)| e.selectivity).product(),
-            NormalForm::Cnf => {
-                1.0 - scored
-                    .iter()
-                    .map(|(_, e)| 1.0 - e.selectivity)
-                    .product::<f64>()
-            }
-        };
-        let (atoms, ests): (Vec<Atom>, Vec<AtomEstimate>) = scored.into_iter().unzip();
-        clauses.push((isis_core::Clause::new(atoms), ests, prob));
-    }
-    match pred.form {
-        // OR of clauses: most-probable clause first.
-        NormalForm::Dnf => {
-            clauses.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
-        }
-        // AND of clauses: least-probable clause first.
-        NormalForm::Cnf => {
-            clauses.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
-        }
-    }
-    let explain = Explain {
-        clauses: clauses.iter().map(|(_, e, _)| e.clone()).collect(),
-        clause_probability: clauses.iter().map(|(_, _, p)| *p).collect(),
-    };
-    let optimized = Predicate {
-        form: pred.form,
-        clauses: clauses.into_iter().map(|(c, _, _)| c).collect(),
-    };
-    Ok((optimized, explain))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isis_core::{Clause, Operator};
-    use isis_sample::{instrumental_music, quartets_predicate};
-
-    #[test]
-    fn optimization_preserves_semantics() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let (opt, _) = optimize(&im.db, im.music_groups, &pred, None).unwrap();
-        let a = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap();
-        let b = im
-            .db
-            .evaluate_derived_members(im.music_groups, &opt)
-            .unwrap();
-        assert!(a.set_eq(&b));
-        assert_eq!(opt.atom_count(), pred.atom_count());
-        assert_eq!(opt.form, pred.form);
-    }
-
-    #[test]
-    fn cheap_selective_atom_moves_first_in_and_clause() {
-        let mut im = instrumental_music().unwrap();
-        let four = im.db.int(4);
-        let ints = im.db.predefined(isis_core::BaseKind::Integers);
-        // Expensive 2-hop atom first, cheap 1-hop equality second.
-        let expensive = Atom::new(
-            Map::new(vec![im.members, im.plays]),
-            CompareOp::Superset,
-            Rhs::constant(im.instruments, [im.piano]),
-        );
-        let cheap = Atom::new(
-            Map::single(im.size),
-            CompareOp::SetEq,
-            Rhs::constant(ints, [four]),
-        );
-        let pred = Predicate::dnf(vec![Clause::new(vec![expensive.clone(), cheap.clone()])]);
-        let (opt, explain) = optimize(&im.db, im.music_groups, &pred, None).unwrap();
-        assert_eq!(opt.clauses[0].atoms[0], cheap);
-        assert_eq!(opt.clauses[0].atoms[1], expensive);
-        assert_eq!(explain.clauses[0].len(), 2);
-        assert!(explain.clauses[0][0].cost <= explain.clauses[0][1].cost);
-    }
+    use isis_core::Operator;
+    use isis_sample::instrumental_music;
 
     #[test]
     fn index_statistics_sharpen_selectivity() {
@@ -259,18 +142,5 @@ mod tests {
         );
         let est = estimate_atom(&im.db, im.musicians, &atom, None);
         assert!((est.selectivity - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clause_probabilities_reported() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let (_, explain) = optimize(&im.db, im.music_groups, &pred, None).unwrap();
-        assert_eq!(explain.clause_probability.len(), 2);
-        for p in &explain.clause_probability {
-            assert!(*p >= 0.0 && *p <= 1.0);
-        }
-        // CNF: least-probable clause sorted first.
-        assert!(explain.clause_probability[0] <= explain.clause_probability[1]);
     }
 }

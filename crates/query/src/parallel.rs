@@ -8,15 +8,15 @@
 //! the same order — including *which* error surfaces first, because chunks
 //! are disjoint ordered ranges scanned in order).
 //!
-//! Every path here evaluates one shared [`PredicateProgram`] compiled once
-//! per call, and workers come from **persistent** pools ([`EvalPool`] for a
-//! service-owned pool, a process-wide registry for the free function) so
+//! [`EvalPool`] is the one runner of compiled programs over candidate
+//! lists: [`crate::IndexService::evaluate`] and
+//! [`crate::DerivedMaintainer::settle_with`] both hand it their candidates.
+//! Its workers are **persistent** — spawned on first use and reused — so
 //! repeated queries pay thread startup once, not per call. Chunking is
-//! adaptive: extents too small to amortise a handoff run serially, and
-//! larger extents are split into several chunks per worker to absorb
-//! per-candidate cost skew. A per-call spawn baseline
-//! ([`evaluate_derived_members_spawn`]) is kept for the
-//! `predicate_compile` bench to measure exactly what pooling buys.
+//! adaptive: a width of 1, or an extent too small to amortise a handoff,
+//! runs the serial [`PredicateProgram::eval_batch`] loop on the calling
+//! thread, and larger extents are split into several chunks per worker to
+//! absorb per-candidate cost skew.
 //!
 //! Worker panics are contained with `catch_unwind` and surface as
 //! [`QueryError::WorkerPanic`] instead of aborting the session.
@@ -25,14 +25,11 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
 
-use isis_core::{ClassId, CoreError, Database, EntityId, OrderedSet, Predicate};
+use isis_core::{CoreError, Database, EntityId, OrderedSet};
 
-use crate::cache::ProgramCache;
 use crate::error::QueryError;
 use crate::program::{MemoTable, PredicateProgram};
-use crate::service::IndexService;
 
 /// Smallest chunk worth handing a worker: below this the per-job handoff
 /// outweighs the evaluation itself.
@@ -76,10 +73,9 @@ fn plan_chunks(len: usize, threads: usize) -> Option<Vec<Range<usize>>> {
     )
 }
 
-/// The chunking decision [`evaluate_pruned_parallel`] would take for a
-/// candidate list of `len` under `threads` workers, summarised for
-/// EXPLAIN: `Some((chunk_count, max_chunk_size))`, or `None` for the
-/// serial fallback.
+/// The chunking decision [`EvalPool::evaluate`] takes for a candidate
+/// list of `len` under `threads` workers, summarised for EXPLAIN:
+/// `Some((chunk_count, max_chunk_size))`, or `None` for the serial path.
 pub fn chunk_decision(len: usize, threads: usize) -> Option<(usize, usize)> {
     plan_chunks(len, threads).map(|chunks| {
         let size = chunks.iter().map(|r| r.end - r.start).max().unwrap_or(0);
@@ -142,7 +138,8 @@ fn eval_chunk(
     }
 }
 
-/// Serial fallback sharing the same compiled program.
+/// The serial path (width 1, or a slice too small to split): one memo
+/// table, the batch loop on the calling thread.
 fn eval_serial(
     db: &Database,
     prog: &PredicateProgram,
@@ -180,34 +177,6 @@ fn run_on_pool(
     results
 }
 
-/// Per-call spawn baseline: same program, same chunk plan, fresh scoped OS
-/// threads every call.
-fn run_spawned(
-    db: &Database,
-    prog: &PredicateProgram,
-    members: &[EntityId],
-    source: Option<EntityId>,
-    ranges: &[Range<usize>],
-) -> Vec<Option<ChunkResult>> {
-    let mut results: Vec<Option<ChunkResult>> = ranges.iter().map(|_| None).collect();
-    let _ = crossbeam_utils::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let chunk = &members[range.clone()];
-                scope.spawn(move |_| eval_chunk(db, prog, chunk, source))
-            })
-            .collect();
-        for (slot, h) in results.iter_mut().zip(handles) {
-            *slot = Some(match h.join() {
-                Ok(r) => r,
-                Err(p) => Err(WorkerFailure::Panic(panic_message(p.as_ref()))),
-            });
-        }
-    });
-    results
-}
-
 /// Splices per-chunk survivors back in extent order. Chunks are disjoint
 /// ordered ranges scanned in order, so the first failing chunk reproduces
 /// the serial evaluator's first error.
@@ -231,7 +200,7 @@ fn splice(results: Vec<Option<ChunkResult>>) -> Result<OrderedSet, QueryError> {
 /// evaluation. The OS threads are spawned on first use and reused across
 /// queries; dropping the pool joins them. Owned by
 /// [`crate::IndexService`] (sized via `SessionBuilder::eval_threads`) and
-/// constructible standalone for benches and embedders.
+/// constructible standalone for tests, benches and embedders.
 pub struct EvalPool {
     threads: Cell<usize>,
     inner: RefCell<Option<scoped_threadpool::Pool>>,
@@ -291,16 +260,10 @@ impl EvalPool {
             .map(|p| p.thread_count() as usize)
     }
 
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut scoped_threadpool::Pool) -> R) -> R {
-        let mut guard = self.inner.borrow_mut();
-        let pool =
-            guard.get_or_insert_with(|| scoped_threadpool::Pool::new(self.threads.get() as u32));
-        f(pool)
-    }
-
     /// Evaluates a compiled program over `members` (extent order), chunking
-    /// across the pool's workers; small slices run serially. Results and
-    /// first-error behaviour are identical to the serial evaluator's.
+    /// across the pool's workers; a width of 1 or a small slice runs
+    /// serially on the calling thread. Results and first-error behaviour
+    /// are identical to the serial evaluator's.
     pub fn evaluate(
         &self,
         db: &Database,
@@ -308,158 +271,26 @@ impl EvalPool {
         members: &[EntityId],
         source: Option<EntityId>,
     ) -> Result<OrderedSet, QueryError> {
-        match plan_chunks(members.len(), self.threads.get()) {
-            None => eval_serial(db, prog, members, source),
-            Some(ranges) => {
-                splice(self.with(|pool| run_on_pool(pool, db, prog, members, source, &ranges)))
-            }
-        }
+        let Some(ranges) = plan_chunks(members.len(), self.threads.get()) else {
+            return eval_serial(db, prog, members, source);
+        };
+        let mut inner = self.inner.borrow_mut();
+        let pool =
+            inner.get_or_insert_with(|| scoped_threadpool::Pool::new(self.threads.get() as u32));
+        splice(run_on_pool(pool, db, prog, members, source, &ranges))
     }
-}
-
-/// Runs `f` against a process-wide persistent pool of exactly `threads`
-/// workers, creating it on first use. Backs the free evaluation functions,
-/// which have no service to own a pool; the mutex serialises concurrent
-/// borrowers of the same pool size.
-fn with_shared_pool<R>(threads: usize, f: impl FnOnce(&mut scoped_threadpool::Pool) -> R) -> R {
-    static POOLS: OnceLock<Mutex<Vec<scoped_threadpool::Pool>>> = OnceLock::new();
-    let mut pools = POOLS
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let pos = match pools
-        .iter()
-        .position(|p| p.thread_count() as usize == threads)
-    {
-        Some(i) => i,
-        None => {
-            pools.push(scoped_threadpool::Pool::new(threads as u32));
-            pools.len() - 1
-        }
-    };
-    f(&mut pools[pos])
-}
-
-/// How one of the entry points below sources its workers. All three share
-/// the chunk plan, the chunk evaluator, and the splice — the only
-/// differences left are the candidate slice and where threads come from.
-enum Workers<'a> {
-    /// The process-wide registry pool of the given width.
-    Registry(usize),
-    /// Fresh scoped OS threads per call (bench baseline).
-    Spawn(usize),
-    /// A caller-owned persistent pool.
-    Pool(&'a EvalPool),
-}
-
-impl Workers<'_> {
-    fn threads(&self) -> usize {
-        match self {
-            Workers::Registry(t) | Workers::Spawn(t) => *t,
-            Workers::Pool(p) => p.threads(),
-        }
-    }
-}
-
-/// The single evaluation body every entry point routes through: plan
-/// chunks over `members`, evaluate them on the chosen workers, splice in
-/// extent order (serial fallback for small slices).
-fn eval_members(
-    db: &Database,
-    prog: &PredicateProgram,
-    members: &[EntityId],
-    workers: &Workers<'_>,
-) -> Result<OrderedSet, QueryError> {
-    match plan_chunks(members.len(), workers.threads()) {
-        None => eval_serial(db, prog, members, None),
-        Some(ranges) => splice(match workers {
-            Workers::Registry(t) => with_shared_pool(*t, |pool| {
-                run_on_pool(pool, db, prog, members, None, &ranges)
-            }),
-            Workers::Spawn(_) => run_spawned(db, prog, members, None, &ranges),
-            Workers::Pool(p) => p.with(|pool| run_on_pool(pool, db, prog, members, None, &ranges)),
-        }),
-    }
-}
-
-/// Evaluates `{ e ∈ parent | P(e) }` across `threads` persistent-pool
-/// workers, compiling the predicate through `cache` (repeat queries reuse
-/// the compiled program; see [`ProgramCache`]). With `threads <= 1` (or a
-/// tiny extent) the compiled program runs serially. Results are identical
-/// to [`Database::evaluate_derived_members`], in the same order.
-pub fn evaluate_derived_members_parallel(
-    cache: &ProgramCache,
-    db: &Database,
-    parent: ClassId,
-    pred: &Predicate,
-    threads: usize,
-) -> Result<OrderedSet, QueryError> {
-    cache.with_program(db, parent, None, pred, None, |prog| {
-        let members: Vec<EntityId> = db
-            .members(parent)
-            .map_err(QueryError::Core)?
-            .iter()
-            .collect();
-        eval_members(db, prog, &members, &Workers::Registry(threads))
-    })
-}
-
-/// Per-call thread-spawn baseline for [`evaluate_derived_members_parallel`]:
-/// identical program, chunking and semantics, but fresh scoped OS threads
-/// on every call. Kept public so the `predicate_compile` bench can measure
-/// exactly what the persistent pool buys.
-pub fn evaluate_derived_members_spawn(
-    cache: &ProgramCache,
-    db: &Database,
-    parent: ClassId,
-    pred: &Predicate,
-    threads: usize,
-) -> Result<OrderedSet, QueryError> {
-    cache.with_program(db, parent, None, pred, None, |prog| {
-        let members: Vec<EntityId> = db
-            .members(parent)
-            .map_err(QueryError::Core)?
-            .iter()
-            .collect();
-        eval_members(db, prog, &members, &Workers::Spawn(threads))
-    })
-}
-
-/// Index-pruned parallel evaluation: the shared [`IndexService`] planner
-/// first shrinks the candidate pool (index probe / grouping-range scan),
-/// then the surviving candidates are evaluated through one program from
-/// the service's [`ProgramCache`] on the service's persistent pool.
-/// Results are identical to [`IndexService::evaluate`], in the same order.
-pub fn evaluate_pruned_parallel(
-    service: &IndexService,
-    db: &Database,
-    parent: ClassId,
-    pred: &Predicate,
-    threads: usize,
-) -> Result<OrderedSet, QueryError> {
-    service
-        .program_cache()
-        .with_plan(db, parent, None, pred, Some(service), |prog, plan| {
-            let (_, members) = service
-                .plan_candidates(db, parent, pred, plan, prog.batch_compatible())
-                .map_err(QueryError::Core)?;
-            isis_obs::global().event("query.parallel.plan", || {
-                match chunk_decision(members.len(), threads) {
-                    Some((n, sz)) => {
-                        format!("{n} chunk(s) of ≤{sz} over {} candidates", members.len())
-                    }
-                    None => format!("serial fallback over {} candidates", members.len()),
-                }
-            });
-            service.eval_pool().set_threads(threads);
-            eval_members(db, prog, &members, &Workers::Pool(service.eval_pool()))
-        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::IndexService;
+    use isis_core::ClassId;
     use isis_sample::{synthetic_music, workload, Scale};
+
+    fn extent(db: &Database, class: ClassId) -> Vec<EntityId> {
+        db.members(class).unwrap().iter().collect()
+    }
 
     #[test]
     fn parallel_matches_serial_exactly() {
@@ -469,30 +300,31 @@ mod tests {
         let serial =
             s.db.evaluate_derived_members(s.music_groups, &pred)
                 .unwrap();
-        let cache = ProgramCache::new();
+        let prog = PredicateProgram::compile(&s.db, s.music_groups, &pred).unwrap();
+        let members = extent(&s.db, s.music_groups);
         for threads in [1, 2, 4, 8] {
-            let par =
-                evaluate_derived_members_parallel(&cache, &s.db, s.music_groups, &pred, threads)
-                    .unwrap();
+            let pool = EvalPool::new(threads);
+            let par = pool.evaluate(&s.db, &prog, &members, None).unwrap();
             assert_eq!(par.as_slice(), serial.as_slice(), "threads={threads}");
-            let spawned =
-                evaluate_derived_members_spawn(&cache, &s.db, s.music_groups, &pred, threads)
-                    .unwrap();
-            assert_eq!(spawned.as_slice(), serial.as_slice(), "threads={threads}");
+            assert_eq!(
+                pool.is_spawned(),
+                chunk_decision(members.len(), threads).is_some(),
+                "workers spawn only for a chunked plan (threads={threads})"
+            );
         }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "eight calls, one compile");
-        assert_eq!(stats.hits, 7);
     }
 
     #[test]
     fn small_extents_fall_back_to_serial() {
         let im = isis_sample::instrumental_music().unwrap();
         let pred = isis_core::Predicate::always_true();
-        let cache = ProgramCache::new();
-        let par =
-            evaluate_derived_members_parallel(&cache, &im.db, im.musicians, &pred, 8).unwrap();
+        let prog = PredicateProgram::compile(&im.db, im.musicians, &pred).unwrap();
+        let pool = EvalPool::new(8);
+        let par = pool
+            .evaluate(&im.db, &prog, &extent(&im.db, im.musicians), None)
+            .unwrap();
         assert_eq!(par.len(), im.all_musicians.len());
+        assert!(!pool.is_spawned(), "a serial run spawns no workers");
         assert!(plan_chunks(12, 8).is_none(), "12 candidates stay serial");
     }
 
@@ -537,8 +369,8 @@ mod tests {
                 .unwrap();
         let mut probes_after_first = 0;
         for threads in [1, 2, 4, 8] {
-            let par =
-                evaluate_pruned_parallel(&svc, &s.db, s.music_groups, &pred, threads).unwrap();
+            svc.eval_pool().set_threads(threads);
+            let par = svc.evaluate(&s.db, s.music_groups, &pred).unwrap();
             assert_eq!(par.as_slice(), serial.as_slice(), "threads={threads}");
             if threads == 1 {
                 probes_after_first = svc.query_stats().index_probes;
@@ -553,6 +385,10 @@ mod tests {
             probes_after_first,
             "repeat calls at the same epoch must reuse the cached plan"
         );
+        assert_eq!(svc.query_stats().queries, 4, "every width counts");
+        let stats = svc.program_cache().stats();
+        assert_eq!(stats.misses, 1, "four widths, one compile");
+        assert_eq!(stats.hits, 3);
     }
 
     #[test]
@@ -561,8 +397,9 @@ mod tests {
         let probe = s.instrument_ids[0];
         let pred = workload::quartets_query(&mut s, probe, 4);
         let svc = IndexService::new(&s.db);
+        svc.eval_pool().set_threads(4);
         for _ in 0..3 {
-            evaluate_pruned_parallel(&svc, &s.db, s.music_groups, &pred, 4).unwrap();
+            svc.evaluate(&s.db, s.music_groups, &pred).unwrap();
         }
         assert_eq!(
             svc.eval_pool_threads(),
@@ -585,8 +422,8 @@ mod tests {
                 isis_core::Rhs::constant(ints, [anchor]),
             )])]);
         let serial = s.db.evaluate_derived_members(s.musicians, &bad);
-        let cache = ProgramCache::new();
-        let par = evaluate_derived_members_parallel(&cache, &s.db, s.musicians, &bad, 4);
+        let prog = PredicateProgram::compile(&s.db, s.musicians, &bad).unwrap();
+        let par = EvalPool::new(4).evaluate(&s.db, &prog, &extent(&s.db, s.musicians), None);
         match (serial, par) {
             (Err(want), Err(QueryError::Core(got))) => assert_eq!(got, want),
             (a, b) => panic!("both paths must fail with the serial error: {a:?} vs {b:?}"),

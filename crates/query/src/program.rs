@@ -14,17 +14,17 @@
 //!   a per-candidate [`MemoTable`] walks each distinct map at most once
 //!   per entity no matter how many atoms reference it;
 //! * **short-circuit ordering** — within each clause, atoms are reordered
-//!   by the optimizer's cost/selectivity estimate so DNF-AND clauses fail
+//!   by the cost model's cost/selectivity estimate so DNF-AND clauses fail
 //!   fast and CNF-OR clauses succeed fast. Only *infallible* atoms move:
 //!   ordering-operator atoms (`<`, `≤`, `>`, `≥`) are the one comparison
 //!   that can error (non-singleton / non-literal operands) and act as
 //!   fixed barriers, which makes the reordering equivalence exact — for
 //!   results *and* errors (see DESIGN.md §4d for the argument).
 //!
-//! Programs are shared by every evaluation consumer: the serial
-//! [`crate::IndexService::evaluate`] residual filter, the parallel
-//! evaluators in [`crate::parallel`], and [`crate::DerivedMaintainer`]'s
-//! delta path. Staleness contract: slot and source images are evaluated
+//! Programs are shared by every evaluation consumer: the
+//! [`crate::IndexService::evaluate`] residual filter and
+//! [`crate::DerivedMaintainer`]'s delta path, both run by one
+//! [`crate::EvalPool`]. Staleness contract: slot and source images are evaluated
 //! per candidate so they are always current; hoisted *identity*-map
 //! constant images equal the anchor set stored in the predicate and can
 //! never go stale; hoisted *mapped* constant images depend on attribute
@@ -193,7 +193,7 @@ fn intern(slots: &mut Vec<Map>, ids: &mut HashMap<Map, u32>, map: &Map) -> u32 {
     i
 }
 
-/// Reorders a clause's atoms by the optimizer's short-circuit sort key,
+/// Reorders a clause's atoms by the cost model's short-circuit sort key,
 /// permuting only runs of infallible atoms between ordering-op barriers
 /// (the sort is stable, so ties keep source order).
 fn reorder_clause<'a>(
@@ -702,6 +702,27 @@ mod tests {
         let prog = PredicateProgram::compile(&im.db, im.music_groups, &pred).unwrap();
         let got = prog.evaluate_extent(&im.db, im.music_groups).unwrap();
         assert_eq!(got.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn cheap_selective_atom_moves_first_in_and_clause() {
+        let mut im = instrumental_music().unwrap();
+        let four = im.db.int(4);
+        let ints = im.db.predefined(BaseKind::Integers);
+        // Expensive 2-hop atom first, cheap 1-hop equality second.
+        let expensive = Atom::new(
+            Map::new(vec![im.members, im.plays]),
+            CompareOp::Superset,
+            Rhs::constant(im.instruments, [im.piano]),
+        );
+        let cheap = Atom::new(
+            Map::single(im.size),
+            CompareOp::SetEq,
+            Rhs::constant(ints, [four]),
+        );
+        let atoms = [expensive.clone(), cheap.clone()];
+        let ordered = reorder_clause(&im.db, im.music_groups, NormalForm::Dnf, &atoms, None);
+        assert_eq!(ordered, [&cheap, &expensive]);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! structure made shared: one [`IndexManager`]-maintained set of inverted
 //! attribute indexes, kept current from the core delta log, read by
 //!
-//! * the predicate evaluator ([`IndexService::evaluate`], which the
-//!   [`crate::IndexedEvaluator`] facade delegates to),
-//! * the short-circuit optimizer ([`crate::optimize`] consults the service
-//!   for selectivity statistics), and
+//! * the predicate evaluator ([`IndexService::evaluate`]),
+//! * the cost model ([`crate::estimate_atom`] consults the service for
+//!   selectivity statistics when a program orders its atoms), and
 //! * [`crate::DerivedMaintainer`]s, which walk the same indexes backwards
 //!   to find the candidates a change can affect.
+//!
+//! It owns the [`EvalPool`] that runs every compiled program over its
+//! candidates; the pool's width is the service's only thread count.
 //!
 //! The service also hosts the *access-path planner*: for each atom it
 //! chooses between an index probe (posting-list lookup), a grouping-range
@@ -53,6 +55,7 @@ use isis_core::{
 };
 
 use crate::cache::{CachedPlan, ProgramCache};
+use crate::error::QueryError;
 use crate::index::{AttrIndex, IndexLookup};
 use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
@@ -135,13 +138,10 @@ pub struct IndexService {
     grouping_scans: Cell<u64>,
     seq_scans: Cell<u64>,
     index_misses: Cell<u64>,
-    /// Worker count for parallel evaluation through this service (0/1 =
-    /// serial). Plumbed from `SessionBuilder::eval_threads`.
-    eval_threads: Cell<usize>,
     /// Lazily-spawned persistent worker pool, reused across queries by
-    /// [`crate::evaluate_pruned_parallel`] and across refresh rounds by
-    /// [`crate::DerivedMaintainer::settle_with`]; resized only when a
-    /// caller asks for a different width.
+    /// [`IndexService::evaluate`] and across refresh rounds by
+    /// [`crate::DerivedMaintainer::settle_with`]; width 1 (the default)
+    /// evaluates serially. Sized from `SessionBuilder::eval_threads`.
     eval_pool: EvalPool,
     /// Compiled programs keyed by (parent, source, predicate fingerprint),
     /// revalidated against the delta epoch on every lookup — repeat
@@ -265,27 +265,16 @@ impl IndexService {
         self.manager.cursor()
     }
 
-    /// Configures how many workers parallel evaluation through this
-    /// service may use (`<= 1` keeps every query serial). The persistent
-    /// pool itself is spawned lazily, on the first query large enough to
-    /// parallelise.
-    pub fn set_eval_threads(&self, threads: usize) {
-        self.eval_threads.set(threads);
-    }
-
-    /// The configured parallel-evaluation worker count (at least 1).
-    pub fn eval_threads(&self) -> usize {
-        self.eval_threads.get().max(1)
-    }
-
     /// The size of the spawned persistent pool, or `None` while no
     /// parallel query has needed one yet.
     pub fn eval_pool_threads(&self) -> Option<usize> {
         self.eval_pool.spawned_threads()
     }
 
-    /// The service's persistent worker pool, shared by pruned parallel
-    /// queries and large-affected-set settles.
+    /// The service's persistent worker pool, shared by queries and
+    /// settles. Resize it with [`EvalPool::set_threads`]; the threads
+    /// themselves spawn lazily, on the first candidate list large enough
+    /// to split.
     pub fn eval_pool(&self) -> &EvalPool {
         &self.eval_pool
     }
@@ -603,7 +592,7 @@ impl IndexService {
     }
 
     /// Estimated truth probability of a shape-indexable atom, derived from
-    /// grouping-set sizes when no index exists. Feeds the optimizer's
+    /// grouping-set sizes when no index exists. Feeds the cost model's
     /// selectivity model for attributes that are grouped but not indexed.
     pub fn grouping_selectivity(&self, db: &Database, atom: &Atom) -> Option<f64> {
         if !Self::atom_shape(atom) {
@@ -689,7 +678,12 @@ impl IndexService {
     /// into the slow-query log. With observability off the extra cost is
     /// one atomic load — no clock is read and nothing is captured, and the
     /// result is byte-identical either way.
-    pub fn evaluate(&self, db: &Database, parent: ClassId, pred: &Predicate) -> Result<OrderedSet> {
+    pub fn evaluate(
+        &self,
+        db: &Database,
+        parent: ClassId,
+        pred: &Predicate,
+    ) -> Result<OrderedSet, QueryError> {
         let obs = isis_obs::global();
         if !obs.enabled() || self.slow_threshold_ns.get() == 0 {
             return self.evaluate_captured(db, parent, pred, None);
@@ -714,7 +708,7 @@ impl IndexService {
         parent: ClassId,
         pred: &Predicate,
         cap: Option<&mut EvalCapture>,
-    ) -> Result<OrderedSet> {
+    ) -> Result<OrderedSet, QueryError> {
         let obs = isis_obs::global();
         let _span = obs.span("query.service.evaluate");
         // The cache validates/reorders/hoists once per predicate shape
@@ -741,14 +735,9 @@ impl IndexService {
                     Some(n) => format!("pruned pool of {n} candidate(s)"),
                     None => "no prunable atom; sequential scan".to_string(),
                 });
-                let mut out = OrderedSet::new();
                 let scanned = candidates.len() as u64;
                 let t_eval = if timed { Some(Instant::now()) } else { None };
-                let mut memo = crate::program::MemoTable::new(prog);
-                for e in prog.eval_batch(db, &candidates, None, &mut memo)? {
-                    out.insert(e);
-                }
-                memo.flush_obs();
+                let out = self.eval_pool.evaluate(db, prog, &candidates, None)?;
                 let eval_ns = t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if obs.enabled() {
                     self.obs.rows_scanned.add(scanned);

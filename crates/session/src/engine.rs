@@ -118,8 +118,9 @@ pub struct Session {
     /// store this session (the *doctor* command reprints it).
     last_recovery: Option<RecoveryReport>,
     /// Worker threads for compiled predicate evaluation (1 = serial). The
-    /// pool itself lives on the index service and is spawned lazily on the
-    /// first parallel query, then reused across queries.
+    /// pool that uses them lives on the index service; the width is kept
+    /// here too because the service is rebuilt on every line switch, and
+    /// each new service's pool is sized from it.
     eval_threads: usize,
 }
 
@@ -135,8 +136,7 @@ enum Source {
 /// Configures and builds a [`Session`]: attach a store, pick the refresh
 /// policy, bound the database's delta log. This is the one construction
 /// path — [`Session::builder`] starts from an owned database,
-/// [`Session::open`] from a [`SharedDatabase`]; the deprecated
-/// `Session::new` / `Session::with_store` are thin wrappers over it.
+/// [`Session::open`] from a [`SharedDatabase`].
 ///
 /// ```
 /// use isis_session::Session;
@@ -265,12 +265,6 @@ impl SessionBuilder {
 }
 
 impl Session {
-    /// Starts a session on an in-memory database (no load/save).
-    #[deprecated(note = "use Session::builder(db).build()")]
-    pub fn new(db: Database) -> Session {
-        Session::builder(db).build()
-    }
-
     /// Starts configuring a session that owns its database (store, refresh
     /// policy, delta-log capacity).
     pub fn builder(db: Database) -> SessionBuilder {
@@ -297,12 +291,6 @@ impl Session {
         }
     }
 
-    /// Starts a session attached to a database directory.
-    #[deprecated(note = "use Session::builder(db).store(store).build()")]
-    pub fn with_store(db: Database, store: StoreDir) -> Session {
-        Session::builder(db).store(store).build()
-    }
-
     /// What recovery found the last time a database was loaded from the
     /// store this session, if any load has happened.
     pub fn last_recovery(&self) -> Option<&RecoveryReport> {
@@ -312,17 +300,6 @@ impl Session {
     /// Read access to the pinned snapshot.
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// Mutable access to the pinned snapshot. Mutations land in the local
-    /// buffer like any other write — they cannot bypass conflict detection,
-    /// because [`Session::commit_changes`] extracts the write set from the
-    /// delta log, not from the call path — but this accessor cannot run the
-    /// refresh pipeline afterwards, which is why it is deprecated.
-    #[deprecated(note = "use transact() so refresh policy and dirty tracking apply")]
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.dirty = true;
-        &mut self.db
     }
 
     /// The explicit write-transaction entry point: runs `f` against the
@@ -548,7 +525,7 @@ impl Session {
     pub fn set_eval_threads(&mut self, threads: usize) {
         self.eval_threads = threads.max(1);
         if let Some(svc) = self.service.as_ref() {
-            svc.set_eval_threads(self.eval_threads);
+            svc.eval_pool().set_threads(self.eval_threads);
         }
     }
 
@@ -557,17 +534,6 @@ impl Session {
     /// stale until the next commit).
     pub fn set_refresh_policy(&mut self, policy: RefreshPolicy) {
         self.policy = policy;
-    }
-
-    /// Turns automatic re-evaluation of derived subclasses and attributes
-    /// after data modifications on or off.
-    #[deprecated(note = "use set_refresh_policy(RefreshPolicy::Immediate | Manual)")]
-    pub fn set_auto_refresh(&mut self, on: bool) {
-        self.policy = if on {
-            RefreshPolicy::Immediate
-        } else {
-            RefreshPolicy::Manual
-        };
     }
 
     /// Mark the incremental refresh state as unusable (the database was
@@ -683,16 +649,12 @@ impl Session {
         }
         {
             let _settle = obs.span("session.refresh.settle");
-            // Large affected sets settle over the service's worker pool —
-            // the same one parallel queries use — when the session is
-            // configured for parallel evaluation.
-            let pool = (self.eval_threads > 1).then(|| {
-                service.eval_pool().set_threads(self.eval_threads);
-                service.eval_pool()
-            });
+            // Affected sets settle through the service's worker pool — the
+            // same one queries use — so a session configured for parallel
+            // evaluation splits large sets across its workers.
             for (m, aff) in maints.iter().zip(affected.iter()) {
                 let (added, removed) = m
-                    .settle_with(&mut self.db, aff, pool)
+                    .settle_with(&mut self.db, aff, service.eval_pool())
                     .map_err(SessionError::Query)?;
                 if added + removed > 0 {
                     let name = self.db.class(m.class())?.name.clone();
@@ -778,7 +740,7 @@ impl Session {
             }
         }
         service.set_cursor(&self.db);
-        service.set_eval_threads(self.eval_threads);
+        service.eval_pool().set_threads(self.eval_threads);
         self.maintainers = Some(maints);
         self.service = Some(service);
         self.refresh_cursor = self.db.delta_epoch();
@@ -809,17 +771,7 @@ impl Session {
             && matches!(self.db.changes_since(self.refresh_cursor), Some(cs) if cs.is_empty());
         if in_sync {
             let svc = self.service.as_ref().expect("in_sync implies a service");
-            if self.eval_threads > 1 {
-                Ok(isis_query::evaluate_pruned_parallel(
-                    svc,
-                    &self.db,
-                    parent,
-                    pred,
-                    self.eval_threads,
-                )?)
-            } else {
-                Ok(svc.evaluate(&self.db, parent, pred)?)
-            }
+            Ok(svc.evaluate(&self.db, parent, pred)?)
         } else {
             // The direct scan bypasses the service, so record it there as a
             // sequential-scan query — before this it vanished from `stats`.

@@ -1,19 +1,14 @@
 //! End-to-end tests of the session engine against the §4.2 narrative and
 //! the Diagram-1 state invariants.
-//!
-//! Deliberately stays on the deprecated `Session::new` / `with_store` /
-//! `database_mut` shims: this file is the compat coverage proving they
-//! still behave like the builder path they wrap.
-#![allow(deprecated)]
 
 use isis_core::{CompareOp, EntityId, Multiplicity, SchemaNode};
 use isis_sample::instrumental_music;
-use isis_session::{Command, Mode, Selection, Session};
+use isis_session::{Command, Mode, RefreshPolicy, Selection, Session};
 use isis_views::Emphasis;
 
 fn session() -> (Session, isis_sample::InstrumentalMusic) {
     let im = instrumental_music().unwrap();
-    (Session::new(im.db.clone()), im)
+    (Session::builder(im.db.clone()).build(), im)
 }
 
 #[test]
@@ -150,7 +145,7 @@ fn worksheet_flow_figures_8_to_10() {
         }
         m => panic!("expected constant pick, got {m:?}"),
     }
-    let four = s.database_mut().int(4);
+    let four = s.transact(|db| Ok(db.int(4))).unwrap();
     s.apply(Command::ConstantToggle(four)).unwrap();
     s.apply(Command::ConstantDone).unwrap();
     assert_eq!(*s.mode(), Mode::Worksheet);
@@ -246,7 +241,9 @@ fn save_and_load_via_store() {
     let dir = isis_store::StoreDir::open(&root).unwrap();
     let im = instrumental_music().unwrap();
     dir.save(&im.db, "Instrumental_Music").unwrap();
-    let mut s = Session::with_store(isis_core::Database::new("scratch"), dir);
+    let mut s = Session::builder(isis_core::Database::new("scratch"))
+        .store(dir)
+        .build();
     s.apply(Command::Load("Instrumental_Music".into())).unwrap();
     assert!(s.database().class_by_name("musicians").is_ok());
     // Modify and save as entertainment (the session's ending).
@@ -476,7 +473,7 @@ fn auto_refresh_keeps_derived_classes_fresh() {
     s.apply(Command::WsOperator(CompareOp::SetEq.into()))
         .unwrap();
     s.apply(Command::WsRhsConstant(None)).unwrap();
-    let four = s.database_mut().int(4);
+    let four = s.transact(|db| Ok(db.int(4))).unwrap();
     s.apply(Command::ConstantToggle(four)).unwrap();
     s.apply(Command::ConstantDone).unwrap();
     s.apply(Command::WsCommit).unwrap();
@@ -499,11 +496,9 @@ fn auto_refresh_keeps_derived_classes_fresh() {
     .unwrap();
     assert_eq!(s.database().members(quartets).unwrap().len(), 2); // stale
 
-    // …with auto-refresh it tracks immediately. The boolean setter is the
-    // deprecated compatibility shim for RefreshPolicy; keep exercising it.
-    #[allow(deprecated)]
-    s.set_auto_refresh(true);
-    let two = s.database_mut().int(2);
+    // …with auto-refresh it tracks immediately.
+    s.set_refresh_policy(RefreshPolicy::Immediate);
+    let two = s.transact(|db| Ok(db.int(2))).unwrap();
     s.apply(Command::ReassignAttrValue {
         attr: im.size,
         value: two,
@@ -524,7 +519,6 @@ fn auto_refresh_keeps_derived_classes_fresh() {
 #[test]
 fn parallel_query_matches_serial_and_keeps_a_persistent_pool() {
     use isis_sample::{synthetic_music, workload, Scale};
-    use isis_session::RefreshPolicy;
 
     let mut syn = synthetic_music(Scale::of(400), 11).unwrap();
     let instrument = syn.instrument_ids[0];
@@ -545,6 +539,9 @@ fn parallel_query_matches_serial_and_keeps_a_persistent_pool() {
         let got = parallel.query(syn.music_groups, &pred).unwrap();
         assert_eq!(got.as_slice(), want.as_slice());
     }
+    for _ in 0..2 {
+        serial.query(syn.music_groups, &pred).unwrap();
+    }
     // The pool was spawned once on the service and reused across queries.
     assert_eq!(
         parallel.index_service().unwrap().eval_pool_threads(),
@@ -560,4 +557,35 @@ fn parallel_query_matches_serial_and_keeps_a_persistent_pool() {
         parallel.index_service().unwrap().eval_pool_threads(),
         Some(2)
     );
+    serial.query(syn.music_groups, &pred).unwrap();
+
+    // Worker count changes where a query runs, never what the planner
+    // records: four queries each, identical counters.
+    let stats = |s: &Session| s.index_service().unwrap().query_stats();
+    assert_eq!(stats(&parallel).queries, 4);
+    assert_eq!(stats(&serial), stats(&parallel));
+
+    // EXPLAIN on the parallel session answers like a query and moves the
+    // counters by the same delta.
+    let before = stats(&parallel);
+    let (explained, record) = parallel.explain(syn.music_groups, &pred).unwrap();
+    assert_eq!(explained.as_slice(), want.as_slice());
+    assert_eq!(record.threads, 2);
+    let after_explain = stats(&parallel);
+    parallel.query(syn.music_groups, &pred).unwrap();
+    let after_query = stats(&parallel);
+    let delta = |a: isis_query::QueryStats, b: isis_query::QueryStats| {
+        (
+            b.queries - a.queries,
+            b.index_probes - a.index_probes,
+            b.grouping_scans - a.grouping_scans,
+            b.seq_scans - a.seq_scans,
+            b.index_misses - a.index_misses,
+        )
+    };
+    assert_eq!(
+        delta(before, after_explain),
+        delta(after_explain, after_query)
+    );
+    assert_eq!(delta(before, after_explain).0, 1);
 }

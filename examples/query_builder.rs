@@ -65,9 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("QBE template:\n{qbe}");
 
-    let mut indexed = IndexedEvaluator::new();
-    indexed.add_index(&im.db, im.size)?;
-    indexed.add_index(&im.db, im.plays)?;
+    let mut indexed = IndexService::new(&im.db);
+    indexed.ensure_index(&im.db, im.size)?;
+    indexed.ensure_index(&im.db, im.plays)?;
     let i = indexed.evaluate(&im.db, im.music_groups, &quartets)?;
     println!("index-pruned        : {:?}", names(&im.db, i.iter()));
     assert!(a.set_eq(&i));

@@ -67,13 +67,13 @@ A("### E-3 Query engine baselines (`benches/baselines.rs`)")
 A("")
 A("Same quartets query, identical answers (equivalence property-tested):")
 A("")
-A("| n | ISIS eval | + indexes | + optimizer | parallel ×4 | RA plan | RA cached | RA encode | QBE naive | QBE compiled |")
-A("|---|---|---|---|---|---|---|---|---|---|")
+A("| n | ISIS eval | + indexes | parallel ×4 | RA plan | RA cached | RA encode | QBE naive | QBE compiled |")
+A("|---|---|---|---|---|---|---|---|---|")
 for n in [100, 400, 1600]:
-    A("| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
+    A("| {} | {} | {} | {} | {} | {} | {} | {} | {} |".format(
         n,
         g(f'baselines/isis_eval/{n}'), g(f'baselines/isis_indexed/{n}'),
-        g(f'baselines/isis_optimized/{n}'), g(f'baselines/isis_parallel4/{n}'),
+        g(f'baselines/isis_parallel4/{n}'),
         g(f'baselines/ra_plan_eval/{n}'), g(f'baselines/ra_plan_cached/{n}'),
         g(f'baselines/ra_encode/{n}'), g(f'baselines/qbe_eval/{n}'),
         g(f'baselines/qbe_compiled/{n}')))
@@ -81,9 +81,9 @@ A("")
 A("Shape: the navigational per-candidate evaluator beats the materialising")
 A("relational plan (even memoised) and the QBE unifier by growing factors;")
 A("compiling QBE templates to hash joins closes most of QBE's gap; index")
-A("pruning and atom reordering stack further wins on top of ISIS evaluation;")
-A("the parallel evaluator only pays off once per-candidate work dominates")
-A("its thread setup (visible in the trend across n).")
+A("pruning stacks a further win on top of ISIS evaluation; the 4-wide pool")
+A("only pays off once per-candidate work dominates its chunk handoff")
+A("(visible in the trend across n).")
 A("")
 A("### E-4 Navigation / follow (`benches/navigation.rs`, n=1600)")
 A("")

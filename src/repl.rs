@@ -974,6 +974,35 @@ mod tests {
         Repl::new(Session::builder(im.db).build())
     }
 
+    /// Exclusive use of the process-global observability switches for one
+    /// test. Tests that flip them hold this guard, so they never see each
+    /// other's setting; dropping it (also on panic) restores the switches
+    /// and then releases the lock.
+    struct ObsSwitch {
+        enabled: bool,
+        tracing: bool,
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    fn obs_switch() -> ObsSwitch {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let obs = isis_obs::global();
+        ObsSwitch {
+            enabled: obs.enabled(),
+            tracing: obs.tracing(),
+            _lock: lock,
+        }
+    }
+
+    impl Drop for ObsSwitch {
+        fn drop(&mut self) {
+            let obs = isis_obs::global();
+            obs.set_tracing(self.tracing);
+            obs.set_enabled(self.enabled);
+        }
+    }
+
     #[test]
     fn publish_and_pull_share_one_database() {
         let im = isis_sample::instrumental_music().unwrap();
@@ -1235,6 +1264,7 @@ mod tests {
 
     #[test]
     fn metrics_and_trace_cover_query_refresh_and_recovery() {
+        let _obs = obs_switch();
         let im = isis_sample::instrumental_music().unwrap();
         let root = std::env::temp_dir().join(format!("isis_obs_repl_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -1318,6 +1348,7 @@ mod tests {
 
     #[test]
     fn explain_slowlog_health_and_flight_via_text() {
+        let _obs = obs_switch();
         let mut r = repl();
         // Before any refresh: graceful degradation, not errors.
         assert!(r.exec("slowlog").unwrap().contains("no index service"));

@@ -71,12 +71,13 @@ fn manager_constraint_through_the_worksheet() {
         .unwrap();
     s.apply(Command::WsCommit).unwrap();
     assert!(s.messages().last().unwrap().contains("installed and holds"));
-    // Break it in the data and have the checker catch it (the raw
-    // escape hatch, deliberately skipping refresh).
-    #[allow(deprecated)]
-    let db = s.database_mut();
-    let s95 = db.int(95);
-    db.assign_single(o.bob, o.salary, s95).unwrap();
+    // Break it in the data with a raw write (no constraint enforcement)
+    // and have the checker catch it.
+    s.transact(|db| {
+        let s95 = db.int(95);
+        db.assign_single(o.bob, o.salary, s95)
+    })
+    .unwrap();
     s.apply(Command::CheckConstraints).unwrap();
     let msg = s.messages().last().unwrap();
     assert!(msg.contains("no_overpaid"), "{msg}");
@@ -182,8 +183,7 @@ fn forall_constraint_through_worksheet_with_constant() {
     s.apply(Command::WsLhsPush(o.salary)).unwrap();
     s.apply(Command::WsOperator(CompareOp::Ge.into())).unwrap();
     s.apply(Command::WsRhsConstant(None)).unwrap();
-    #[allow(deprecated)]
-    let ten = s.database_mut().int(10);
+    let ten = s.transact(|db| Ok(db.int(10))).unwrap();
     s.apply(Command::ConstantToggle(ten)).unwrap();
     s.apply(Command::ConstantDone).unwrap();
     s.apply(Command::WsCommit).unwrap();
@@ -192,10 +192,11 @@ fn forall_constraint_through_worksheet_with_constant() {
     let k = db.constraint_by_name("living_wage").unwrap();
     assert!(db.check_constraint(k).unwrap().holds());
     // Alice violates after a pay cut.
-    #[allow(deprecated)]
-    let db = s.database_mut();
-    let five = db.int(5);
-    db.assign_single(o.alice, o.salary, five).unwrap();
+    s.transact(|db| {
+        let five = db.int(5);
+        db.assign_single(o.alice, o.salary, five)
+    })
+    .unwrap();
     let report = s.database().check_constraint(k).unwrap();
     assert_eq!(report.violators, vec![o.alice]);
 }

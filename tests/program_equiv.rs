@@ -5,15 +5,11 @@
 //! the same order when evaluation succeeds, and the same first error when
 //! it fails (ordering atoms over non-literal or non-singleton sets). The
 //! parallel battery repeats the check over randomized synthetic schemas
-//! through the persistent-pool and spawn-per-call evaluators, and a third
-//! battery pins the source-entity (`x`) atom semantics used by derived
-//! attributes.
+//! through a multi-worker [`isis_query::EvalPool`], and a third battery
+//! pins the source-entity (`x`) atom semantics used by derived attributes.
 
 use isis::prelude::*;
-use isis_query::{
-    evaluate_derived_members_parallel, evaluate_derived_members_spawn, MemoTable, PredicateProgram,
-    QueryError,
-};
+use isis_query::{EvalPool, MemoTable, PredicateProgram, QueryError};
 use isis_sample::{instrumental_music, synthetic_music, Scale};
 use proptest::prelude::*;
 
@@ -312,10 +308,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// The parallel battery over randomized schemas: interpreted ≡
-    /// compiled-serial ≡ compiled-parallel (persistent pool) ≡
-    /// compiled-parallel (spawn), for random scales and thread counts —
-    /// including error agreement, which pins the chunk-splice rule that
-    /// the globally-first error wins regardless of which worker hit it.
+    /// compiled-serial ≡ compiled-parallel (persistent pool), for random
+    /// scales and thread counts — including error agreement, which pins
+    /// the chunk-splice rule that the globally-first error wins regardless
+    /// of which worker hit it.
     #[test]
     fn parallel_compiled_matches_interpreter_on_random_schemas(
         n in 20usize..=300,
@@ -339,17 +335,14 @@ proptest! {
 
         let interp = s.db.evaluate_derived_members(s.music_groups, &pred);
         check_serial(&s.db, s.music_groups, &pred);
-        let cache = isis_query::ProgramCache::new();
-        for run in [
-            evaluate_derived_members_parallel(&cache, &s.db, s.music_groups, &pred, threads),
-            evaluate_derived_members_spawn(&cache, &s.db, s.music_groups, &pred, threads),
-        ] {
-            match (&interp, run) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a.as_slice(), b.as_slice()),
-                (Err(ea), Err(QueryError::Core(eb))) => prop_assert_eq!(ea, &eb),
-                (a, b) => {
-                    panic!("parallel disagreement for {pred}: interpreted={a:?} parallel={b:?}")
-                }
+        let prog = PredicateProgram::compile(&s.db, s.music_groups, &pred).unwrap();
+        let members: Vec<EntityId> = s.db.members(s.music_groups).unwrap().iter().collect();
+        let run = EvalPool::new(threads).evaluate(&s.db, &prog, &members, None);
+        match (&interp, run) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a.as_slice(), b.as_slice()),
+            (Err(ea), Err(QueryError::Core(eb))) => prop_assert_eq!(ea, &eb),
+            (a, b) => {
+                panic!("parallel disagreement for {pred}: interpreted={a:?} parallel={b:?}")
             }
         }
     }

@@ -323,10 +323,14 @@ proptest! {
         let mut session = Session::builder(db).refresh_policy(policy).build();
 
         let mut fresh = 0u32;
-        for op in &ops {
-            #[allow(deprecated)]
-            apply_op(session.database_mut(), &ids, &mut live, &mut fresh, op);
-        }
+        session
+            .transact(|db| {
+                for op in &ops {
+                    apply_op(db, &ids, &mut live, &mut fresh, op);
+                }
+                Ok(())
+            })
+            .unwrap();
 
         let got = session.query(ids.musicians, &pred).unwrap();
         let naive = session

@@ -7,7 +7,7 @@
 //! contract (pure hit, data-only re-hoist, schema-edit recompile).
 
 use isis::prelude::*;
-use isis_query::{IndexService, PredicateProgram};
+use isis_query::{IndexService, PredicateProgram, QueryError};
 use isis_sample::workload::navigation_chain;
 use isis_sample::{synthetic_scaled, ScaledMusic, SchemaShape, SynthSpec, ValueDist};
 
@@ -71,12 +71,24 @@ fn check_arms(
         .and_then(|r| r);
     match (&cached, &interp) {
         (Ok(a), Ok(b)) => assert_eq!(a.as_slice(), b.as_slice(), "cached != interpreted: {pred}"),
-        (Err(ea), Err(eb)) => assert_eq!(ea, eb, "cached/interpreted errors differ: {pred}"),
+        (Err(ea), Err(eb)) => {
+            assert_eq!(
+                ea,
+                &QueryError::Core(eb.clone()),
+                "cached/interpreted errors differ: {pred}"
+            )
+        }
         _ => panic!("cached/interpreted disagree for {pred}: {cached:?} vs {interp:?}"),
     }
     match (&cached, &compiled) {
         (Ok(a), Ok(b)) => assert_eq!(a.as_slice(), b.as_slice(), "cached != compiled: {pred}"),
-        (Err(ea), Err(eb)) => assert_eq!(ea, eb, "cached/compiled errors differ: {pred}"),
+        (Err(ea), Err(eb)) => {
+            assert_eq!(
+                ea,
+                &QueryError::Core(eb.clone()),
+                "cached/compiled errors differ: {pred}"
+            )
+        }
         _ => panic!("cached/compiled disagree for {pred}: {cached:?} vs {compiled:?}"),
     }
 }

@@ -72,7 +72,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
 
     let serial_counts = maint_serial.settle(&mut db_serial, &affected).unwrap();
     let pool_counts = maint_pool
-        .settle_with(&mut db_pool, &affected, Some(&pool))
+        .settle_with(&mut db_pool, &affected, &pool)
         .unwrap();
     assert_eq!(serial_counts, pool_counts, "(added, removed) must match");
     assert!(
@@ -94,7 +94,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     );
     assert_eq!(
         maint_pool
-            .settle_with(&mut db_pool, &affected, Some(&pool))
+            .settle_with(&mut db_pool, &affected, &pool)
             .unwrap(),
         (0, 0)
     );
@@ -110,7 +110,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     let members_before = db_pool.members(derived).unwrap().clone();
     let trap = g.s.musician_ids[g.s.musician_ids.len() / 2];
     test_hooks::PANIC_ON_ENTITY.store(trap.raw(), Ordering::SeqCst);
-    let res = maint_pool.settle_with(&mut db_pool, &affected, Some(&pool));
+    let res = maint_pool.settle_with(&mut db_pool, &affected, &pool);
     test_hooks::PANIC_ON_ENTITY.store(u32::MAX, Ordering::SeqCst);
     match res {
         Err(QueryError::WorkerPanic(msg)) => {
@@ -128,7 +128,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
 
     // With the hook disarmed the same settle succeeds and writes.
     let (added, removed) = maint_pool
-        .settle_with(&mut db_pool, &affected, Some(&pool))
+        .settle_with(&mut db_pool, &affected, &pool)
         .unwrap();
     assert!(added + removed > 0, "recovery settle must apply the writes");
 }

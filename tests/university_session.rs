@@ -74,9 +74,7 @@ fn constraint_check_reports_through_the_session() {
     // Corrupt advising behind the engine's back, then re-check.
     let paris = u.paris;
     let advisor = u.advisor;
-    #[allow(deprecated)]
-    s.database_mut()
-        .assign_single(paris, advisor, paris)
+    s.transact(|db| db.assign_single(paris, advisor, paris))
         .unwrap();
     s.apply(Command::CheckConstraints).unwrap();
     let msg = s.messages().last().unwrap();
