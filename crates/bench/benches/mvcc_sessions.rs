@@ -9,7 +9,8 @@
 //! matter what the writer commits.
 //!
 //! Micro-arms time the two MVCC primitives (`pin`, the snapshot clone,
-//! and the fast-path `commit`); the report arm measures end-to-end wall
+//! and the fast-path `commit`) at 400, 1,600 and (full runs only) 100,000
+//! musicians; the report arm measures end-to-end wall
 //! time and writes `out/bench_mvcc_sessions.md` plus machine-readable
 //! `out/bench_mvcc_sessions.json`.
 
@@ -23,8 +24,16 @@ use isis_core::SharedDatabase;
 const READERS: usize = 4;
 
 fn pin_and_commit(c: &mut Criterion) {
+    // The full run adds 1e5 musicians, where a pin that copied the
+    // database would cost tens of milliseconds; the smoke run keeps the
+    // small sizes.
+    let sizes: &[usize] = if c.is_test_mode() {
+        &[400, 1600]
+    } else {
+        &[400, 1600, 100_000]
+    };
     let mut g = c.benchmark_group("mvcc_sessions");
-    for n in [400usize, 1600] {
+    for &n in sizes {
         let f = fixture(n);
         let shared = SharedDatabase::new(f.s.db.clone());
         g.bench_with_input(BenchmarkId::new("pin", n), &n, |b, _| {

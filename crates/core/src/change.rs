@@ -286,6 +286,13 @@ impl DeltaLog {
         self.entries.is_empty()
     }
 
+    /// Empties the window and renumbers it to start at `epoch` (the
+    /// capacity is kept).
+    pub(crate) fn restart_at(&mut self, epoch: u64) {
+        self.entries.clear();
+        self.base = epoch;
+    }
+
     pub(crate) fn record(&mut self, change: Change) {
         self.entries.push_back(change);
         while self.entries.len() > self.capacity {

@@ -7,13 +7,20 @@
 //! replaces it with a hybrid layout:
 //!
 //! * **dense column** — singlevalued assignments for a well-populated
-//!   attribute live in a `Vec<EntityId>` indexed directly by the owning
-//!   entity's raw id ([`EntityId::NULL`] is the in-column default
-//!   sentinel). Entity arena slots are never recycled (tombstones keep ids
-//!   stable — see `image.rs`), so the raw id *is* the column slot and a
-//!   full-extent scan walks the vector in storage order;
+//!   attribute live in slots indexed directly by the owning entity's raw
+//!   id ([`EntityId::NULL`] is the in-column default sentinel). Entity
+//!   arena slots are never recycled (tombstones keep ids stable — see
+//!   `image.rs`), so the raw id *is* the column slot and a full-extent
+//!   scan walks the slots in storage order;
 //! * **overflow map** — multivalued assignments, sparse attributes, and
-//!   ids beyond the dense frontier keep the compact `HashMap` layout.
+//!   ids beyond the dense frontier keep the compact hash-map layout.
+//!
+//! Both halves are chunked by raw entity id on 1024-id boundaries (the
+//! batched evaluator's run length): raw id `i` lives in chunk `i / 1024`,
+//! either as a slot of a fixed 1024-slot dense chunk or as an entry of
+//! that chunk's overflow map. Chunks are `Arc`s shared between clones of
+//! the column and copied on their first write (`chunk.rs`), so cloning a
+//! database clones a column in O(#chunks) and a write copies one chunk.
 //!
 //! The column is **canonical**: a stored default (`Single(NULL)` or an
 //! empty `Multi` set) is removed rather than kept. Defaults are
@@ -24,20 +31,23 @@
 //!
 //! Layout is an implementation detail: `PartialEq` compares *logical*
 //! content (two columns holding the same `(entity, value)` pairs are equal
-//! regardless of dense/sparse state), and the snapshot codec writes the
-//! same sorted `(entity, value)` byte stream as the old map layout.
+//! regardless of dense/sparse state or chunk sharing), and the snapshot
+//! codec writes the same sorted `(entity, value)` byte stream as the old
+//! map layout.
 //!
 //! Promotion and demotion are amortised: a sparse column attempts
 //! promotion only when its population doubles past the last attempt
 //! ([`AttrColumn::DENSE_MIN`], occupancy ≥ span / [`AttrColumn::DENSE_FACTOR`]);
 //! a dense column demotes (compacts) back to sparse when deletions drop
 //! occupancy below span / [`AttrColumn::SPARSE_FACTOR`]. The 4× hysteresis
-//! gap between the two thresholds prevents ping-ponging.
+//! gap between the two thresholds prevents ping-ponging. The span is the
+//! dense frontier, not the chunk-rounded allocation.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::attribute::AttrValue;
+use crate::chunk::{CHUNK, CHUNK_BITS};
 use crate::ids::EntityId;
 use crate::orderedset::OrderedSet;
 
@@ -81,19 +91,30 @@ pub struct ColumnStats {
     pub overflow_len: usize,
 }
 
+/// One chunk of dense slots.
+type DenseChunk = [EntityId; CHUNK];
+/// One chunk of overflow entries.
+type OverflowChunk = HashMap<EntityId, AttrValue>;
+
 /// Hybrid columnar storage for one attribute's values. See the module
 /// docs for the layout and the canonical-content invariant.
 #[derive(Debug, Clone, Default)]
 pub struct AttrColumn {
-    /// Dense singlevalued column indexed by raw entity id;
-    /// [`EntityId::NULL`] marks an unassigned slot. Empty in sparse state.
-    dense: Vec<EntityId>,
-    /// Non-NULL entries in `dense`.
+    /// Dense singlevalued slots: raw id `i` lives at
+    /// `dense[i / CHUNK][i % CHUNK]`; [`EntityId::NULL`] marks an
+    /// unassigned slot. Empty in sparse state.
+    dense: Vec<Arc<DenseChunk>>,
+    /// The dense frontier: ids below it are dense slots. Slots of the
+    /// last chunk at or past it stay NULL.
+    span: usize,
+    /// Non-NULL dense slots.
     dense_len: usize,
     /// Multivalued values, sparse singles, and ids past the dense
-    /// frontier. Never holds an id `< dense.len()` while a dense slot
-    /// exists for it.
-    overflow: HashMap<EntityId, AttrValue>,
+    /// frontier: raw id `i` lives in `overflow[i / CHUNK]`. Never holds a
+    /// single for an id below the frontier.
+    overflow: Vec<Arc<OverflowChunk>>,
+    /// Entries across all overflow chunks.
+    overflow_len: usize,
     /// Overflow entries that are `Single` (promotion requires all of
     /// them: multivalued values never move into the dense column).
     overflow_singles: usize,
@@ -107,6 +128,10 @@ fn is_default(v: &AttrValue) -> bool {
         AttrValue::Single(e) => e.is_null(),
         AttrValue::Multi(s) => s.is_empty(),
     }
+}
+
+fn null_chunk() -> Arc<DenseChunk> {
+    Arc::new([EntityId::NULL; CHUNK])
 }
 
 impl AttrColumn {
@@ -127,7 +152,7 @@ impl AttrColumn {
 
     /// Entities with a stored (non-default) value.
     pub fn len(&self) -> usize {
-        self.dense_len + self.overflow.len()
+        self.dense_len + self.overflow_len
     }
 
     /// `true` when no entity has a non-default value.
@@ -137,16 +162,58 @@ impl AttrColumn {
 
     /// `true` when the column currently uses the dense layout.
     pub fn is_dense(&self) -> bool {
-        !self.dense.is_empty()
+        self.span > 0
     }
 
     /// Occupancy counters for EXPLAIN.
     pub fn stats(&self) -> ColumnStats {
         ColumnStats {
-            dense_slots: self.dense.len(),
+            dense_slots: self.span,
             dense_len: self.dense_len,
-            overflow_len: self.overflow.len(),
+            overflow_len: self.overflow_len,
         }
+    }
+
+    /// The dense slot of raw id `i` (`i` below the frontier).
+    #[inline]
+    fn dense_at(&self, i: usize) -> EntityId {
+        self.dense[i >> CHUNK_BITS][i & (CHUNK - 1)]
+    }
+
+    /// The dense slot of raw id `i` for writing; copies its chunk first
+    /// if a clone shares it.
+    fn dense_slot_mut(&mut self, i: usize) -> &mut EntityId {
+        &mut Arc::make_mut(&mut self.dense[i >> CHUNK_BITS])[i & (CHUNK - 1)]
+    }
+
+    #[inline]
+    fn overflow_get(&self, entity: EntityId) -> Option<&AttrValue> {
+        self.overflow
+            .get(entity.index() >> CHUNK_BITS)?
+            .get(&entity)
+    }
+
+    /// Stores an overflow entry, copying its chunk first if shared.
+    fn overflow_insert(&mut self, entity: EntityId, value: AttrValue) -> Option<AttrValue> {
+        let c = entity.index() >> CHUNK_BITS;
+        if c >= self.overflow.len() {
+            self.overflow.resize(c + 1, Arc::default());
+        }
+        let old = Arc::make_mut(&mut self.overflow[c]).insert(entity, value);
+        if old.is_none() {
+            self.overflow_len += 1;
+        }
+        old
+    }
+
+    /// Removes an overflow entry; a chunk without it stays shared.
+    fn overflow_remove(&mut self, entity: EntityId) -> Option<AttrValue> {
+        let chunk = self.overflow.get_mut(entity.index() >> CHUNK_BITS)?;
+        if !chunk.contains_key(&entity) {
+            return None;
+        }
+        self.overflow_len -= 1;
+        Arc::make_mut(chunk).remove(&entity)
     }
 
     /// The stored value for `entity`, borrowed. `None` means the default
@@ -154,15 +221,15 @@ impl AttrColumn {
     #[inline]
     pub fn get(&self, entity: EntityId) -> Option<ValueRef<'_>> {
         let i = entity.index();
-        if i < self.dense.len() {
-            let v = self.dense[i];
+        if i < self.span {
+            let v = self.dense_at(i);
             return if v.is_null() {
                 None
             } else {
                 Some(ValueRef::Single(v))
             };
         }
-        match self.overflow.get(&entity) {
+        match self.overflow_get(entity) {
             Some(AttrValue::Single(e)) => Some(ValueRef::Single(*e)),
             Some(AttrValue::Multi(s)) => Some(ValueRef::Multi(s)),
             None => None,
@@ -176,10 +243,10 @@ impl AttrColumn {
     #[inline]
     pub fn single_raw(&self, entity: EntityId) -> EntityId {
         let i = entity.index();
-        if i < self.dense.len() {
-            return self.dense[i];
+        if i < self.span {
+            return self.dense_at(i);
         }
-        match self.overflow.get(&entity) {
+        match self.overflow_get(entity) {
             Some(AttrValue::Single(e)) => *e,
             _ => EntityId::NULL,
         }
@@ -194,40 +261,40 @@ impl AttrColumn {
         let i = entity.index();
         match value {
             AttrValue::Single(v) => {
-                if i < self.dense.len() {
-                    if self.dense[i].is_null() {
+                if i < self.span {
+                    let slot = self.dense_slot_mut(i);
+                    let was_null = slot.is_null();
+                    *slot = v;
+                    if was_null {
                         self.dense_len += 1;
                     }
-                    self.dense[i] = v;
                     return;
                 }
                 if self.is_dense()
-                    && (self.dense_len + self.overflow.len() + 1) * Self::DENSE_FACTOR > i
+                    && (self.dense_len + self.overflow_len + 1) * Self::DENSE_FACTOR > i
                 {
                     // The new id extends the dense frontier without
                     // dropping occupancy below the promotion bar: grow.
-                    self.dense.resize(i + 1, EntityId::NULL);
-                    self.dense[i] = v;
+                    self.dense.resize_with((i >> CHUNK_BITS) + 1, null_chunk);
+                    self.span = i + 1;
+                    *self.dense_slot_mut(i) = v;
                     self.dense_len += 1;
                     self.reclaim_overflow();
                     return;
                 }
-                if let Some(old) = self.overflow.insert(entity, AttrValue::Single(v)) {
-                    if let AttrValue::Multi(_) = old {
-                        self.overflow_singles += 1;
-                    }
-                } else {
-                    self.overflow_singles += 1;
+                match self.overflow_insert(entity, AttrValue::Single(v)) {
+                    Some(AttrValue::Single(_)) => {}
+                    _ => self.overflow_singles += 1,
                 }
                 self.maybe_promote();
             }
             AttrValue::Multi(s) => {
-                if i < self.dense.len() && !self.dense[i].is_null() {
-                    self.dense[i] = EntityId::NULL;
+                if i < self.span && !self.dense_at(i).is_null() {
+                    *self.dense_slot_mut(i) = EntityId::NULL;
                     self.dense_len -= 1;
                 }
                 if let Some(AttrValue::Single(_)) =
-                    self.overflow.insert(entity, AttrValue::Multi(s))
+                    self.overflow_insert(entity, AttrValue::Multi(s))
                 {
                     self.overflow_singles -= 1;
                 }
@@ -239,17 +306,17 @@ impl AttrColumn {
     /// `None` if the entity already held the default.
     pub fn remove(&mut self, entity: EntityId) -> Option<AttrValue> {
         let i = entity.index();
-        if i < self.dense.len() {
-            let v = self.dense[i];
+        if i < self.span {
+            let v = self.dense_at(i);
             if v.is_null() {
                 return None;
             }
-            self.dense[i] = EntityId::NULL;
+            *self.dense_slot_mut(i) = EntityId::NULL;
             self.dense_len -= 1;
             self.maybe_demote();
             return Some(AttrValue::Single(v));
         }
-        let old = self.overflow.remove(&entity)?;
+        let old = self.overflow_remove(entity)?;
         if let AttrValue::Single(_) = old {
             self.overflow_singles -= 1;
         }
@@ -263,26 +330,21 @@ impl AttrColumn {
     /// mutation layer.
     pub fn multi_entry(&mut self, entity: EntityId) -> &mut OrderedSet {
         let i = entity.index();
-        if i < self.dense.len() && !self.dense[i].is_null() {
+        if i < self.span && !self.dense_at(i).is_null() {
             unreachable!("multi_entry on a dense singlevalued slot");
         }
-        match self
-            .overflow
-            .entry(entity)
-            .or_insert_with(|| AttrValue::Multi(OrderedSet::new()))
-        {
-            AttrValue::Multi(s) => s,
-            AttrValue::Single(_) => unreachable!("multiplicity checked above"),
+        if self.overflow_get(entity).is_none() {
+            self.overflow_insert(entity, AttrValue::Multi(OrderedSet::new()));
+        }
+        match Arc::make_mut(&mut self.overflow[i >> CHUNK_BITS]).get_mut(&entity) {
+            Some(AttrValue::Multi(s)) => s,
+            _ => unreachable!("multiplicity checked above"),
         }
     }
 
     /// Drops every stored value and returns the column to sparse state.
     pub fn clear(&mut self) {
-        self.dense.clear();
-        self.dense_len = 0;
-        self.overflow.clear();
-        self.overflow_singles = 0;
-        self.promote_at = Self::DENSE_MIN;
+        *self = AttrColumn::new();
     }
 
     /// Iterates the stored `(entity, value)` pairs in unspecified order.
@@ -290,18 +352,24 @@ impl AttrColumn {
         let dense = self
             .dense
             .iter()
+            .flat_map(|chunk| chunk.iter())
+            .take(self.span)
             .enumerate()
             .filter(|(_, v)| !v.is_null())
             .map(|(i, v)| (EntityId::from_raw(i as u32), ValueRef::Single(*v)));
-        let overflow = self.overflow.iter().map(|(e, v)| {
-            (
-                *e,
-                match v {
-                    AttrValue::Single(x) => ValueRef::Single(*x),
-                    AttrValue::Multi(s) => ValueRef::Multi(s),
-                },
-            )
-        });
+        let overflow = self
+            .overflow
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .map(|(e, v)| {
+                (
+                    *e,
+                    match v {
+                        AttrValue::Single(x) => ValueRef::Single(*x),
+                        AttrValue::Multi(s) => ValueRef::Multi(s),
+                    },
+                )
+            });
         dense.chain(overflow)
     }
 
@@ -317,63 +385,64 @@ impl AttrColumn {
     /// doubling schedule: all-single overflow with occupancy ≥ span /
     /// [`Self::DENSE_FACTOR`] rebuilds as a dense column in O(population).
     fn maybe_promote(&mut self) {
-        if self.is_dense() || self.overflow.len() < self.promote_at {
+        if self.is_dense() || self.overflow_len < self.promote_at {
             return;
         }
-        self.promote_at = self.overflow.len() * 2;
-        if self.overflow_singles != self.overflow.len() {
+        self.promote_at = self.overflow_len * 2;
+        if self.overflow_singles != self.overflow_len {
             return; // multivalued entries pin the column sparse
         }
         let span = self
             .overflow
-            .keys()
+            .iter()
+            .flat_map(|chunk| chunk.keys())
             .map(|e| e.index() + 1)
             .max()
             .unwrap_or(0);
-        if self.overflow.len() * Self::DENSE_FACTOR < span {
+        if self.overflow_len * Self::DENSE_FACTOR < span {
             return;
         }
-        let mut dense = vec![EntityId::NULL; span];
-        for (e, v) in self.overflow.drain() {
+        let overflow = std::mem::take(&mut self.overflow);
+        self.dense = (0..span.div_ceil(CHUNK)).map(|_| null_chunk()).collect();
+        self.span = span;
+        for (e, v) in overflow.iter().flat_map(|chunk| chunk.iter()) {
             match v {
-                AttrValue::Single(x) => dense[e.index()] = x,
+                AttrValue::Single(x) => *self.dense_slot_mut(e.index()) = *x,
                 AttrValue::Multi(_) => unreachable!("overflow_singles covered all entries"),
             }
         }
         self.dense_len = self.overflow_singles;
         self.overflow_singles = 0;
-        self.dense = dense;
+        self.overflow_len = 0;
         self.promote_at = Self::DENSE_MIN;
     }
 
     /// After the dense frontier grows, pull overflow singles that now fall
     /// inside it back into the column (preserving the "overflow never
-    /// shadows a dense slot" invariant).
+    /// holds a single below the frontier" invariant). Multivalued entries
+    /// stay in overflow.
     fn reclaim_overflow(&mut self) {
-        if self.overflow.is_empty() {
+        if self.overflow_len == 0 {
             return;
         }
-        let frontier = self.dense.len();
+        let frontier = self.span;
         let inside: Vec<EntityId> = self
             .overflow
-            .keys()
-            .filter(|e| e.index() < frontier)
-            .copied()
+            .iter()
+            .take(frontier.div_ceil(CHUNK))
+            .flat_map(|chunk| chunk.iter())
+            .filter(|(e, v)| e.index() < frontier && matches!(v, AttrValue::Single(_)))
+            .map(|(e, _)| *e)
             .collect();
         for e in inside {
-            match self.overflow.remove(&e) {
-                Some(AttrValue::Single(v)) => {
-                    self.overflow_singles -= 1;
-                    if self.dense[e.index()].is_null() {
-                        self.dense_len += 1;
-                    }
-                    self.dense[e.index()] = v;
+            if let Some(AttrValue::Single(v)) = self.overflow_remove(e) {
+                self.overflow_singles -= 1;
+                let slot = self.dense_slot_mut(e.index());
+                let was_null = slot.is_null();
+                *slot = v;
+                if was_null {
+                    self.dense_len += 1;
                 }
-                Some(AttrValue::Multi(s)) => {
-                    // Multivalued entries stay in overflow; restore.
-                    self.overflow.insert(e, AttrValue::Multi(s));
-                }
-                None => {}
             }
         }
     }
@@ -381,20 +450,41 @@ impl AttrColumn {
     /// Compacts a dense column back to sparse once deletions drop
     /// occupancy below span / [`Self::SPARSE_FACTOR`].
     fn maybe_demote(&mut self) {
-        if self.dense.len() < Self::DENSE_MIN * Self::DENSE_FACTOR
-            || self.dense_len * Self::SPARSE_FACTOR >= self.dense.len()
+        if self.span < Self::DENSE_MIN * Self::DENSE_FACTOR
+            || self.dense_len * Self::SPARSE_FACTOR >= self.span
         {
             return;
         }
-        for (i, v) in std::mem::take(&mut self.dense).into_iter().enumerate() {
+        let dense = std::mem::take(&mut self.dense);
+        let span = std::mem::take(&mut self.span);
+        for (i, v) in dense
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .take(span)
+            .enumerate()
+        {
             if !v.is_null() {
-                self.overflow
-                    .insert(EntityId::from_raw(i as u32), AttrValue::Single(v));
+                self.overflow_insert(EntityId::from_raw(i as u32), AttrValue::Single(*v));
                 self.overflow_singles += 1;
             }
         }
         self.dense_len = 0;
-        self.promote_at = (self.overflow.len() * 2).max(Self::DENSE_MIN);
+        self.promote_at = (self.overflow_len * 2).max(Self::DENSE_MIN);
+    }
+}
+
+#[cfg(test)]
+impl AttrColumn {
+    /// How many of `later`'s dense and overflow chunks are not the very
+    /// chunks `self` holds at the same positions.
+    pub(crate) fn unshared_chunks(&self, later: &AttrColumn) -> usize {
+        crate::chunk::unshared(&self.dense, &later.dense)
+            + crate::chunk::unshared(&self.overflow, &later.overflow)
+    }
+
+    /// Dense plus overflow chunks.
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.dense.len() + self.overflow.len()
     }
 }
 
@@ -518,6 +608,52 @@ mod tests {
         assert_eq!(c.single_raw(e(3)), e(11));
         assert_eq!(c.single_raw(e(4)), e(11));
         assert_eq!(c.single_raw(e(10_000)), EntityId::NULL);
+    }
+
+    #[test]
+    fn chunks_split_on_raw_id_boundaries() {
+        let mut c = AttrColumn::new();
+        for i in 1..=(3 * CHUNK as u32) {
+            c.set(e(i), AttrValue::Single(e(7)));
+        }
+        assert!(c.is_dense());
+        assert_eq!(c.stats().dense_slots, 3 * CHUNK + 1, "span is the frontier");
+        assert_eq!(c.dense.len(), 4);
+        c.set(
+            e(5 * CHUNK as u32 + 3),
+            AttrValue::Multi([e(9)].into_iter().collect()),
+        );
+        assert_eq!(c.overflow.len(), 6, "overflow chunk = raw id / CHUNK");
+        assert_eq!(c.get(e(CHUNK as u32)), Some(ValueRef::Single(e(7))));
+        assert_eq!(c.get(e(3 * CHUNK as u32 + 1)), None);
+        assert_eq!(c.len(), 3 * CHUNK + 1);
+        assert_eq!(c.iter().count(), c.len());
+    }
+
+    #[test]
+    fn clones_share_chunks_until_written() {
+        let mut original = AttrColumn::new();
+        for i in 1..=(2 * CHUNK as u32) {
+            original.set(e(i), AttrValue::Single(e(3)));
+        }
+        original.set(
+            e(4 * CHUNK as u32),
+            AttrValue::Multi([e(5)].into_iter().collect()),
+        );
+        let pristine = original.clone();
+        let mut copy = original.clone();
+        assert_eq!(original.unshared_chunks(&copy), 0);
+        copy.set(e(CHUNK as u32 + 2), AttrValue::Single(e(4)));
+        assert_eq!(original.unshared_chunks(&copy), 1);
+        copy.multi_entry(e(4 * CHUNK as u32)).insert(e(6));
+        assert_eq!(original.unshared_chunks(&copy), 2);
+        // Removing an absent entry, or reading, copies nothing.
+        assert_eq!(copy.remove(e(3 * CHUNK as u32)), None);
+        assert_eq!(copy.get(e(1)), Some(ValueRef::Single(e(3))));
+        assert_eq!(original.unshared_chunks(&copy), 2);
+        assert_eq!(pristine.unshared_chunks(&original), 0);
+        assert_eq!(original, pristine);
+        assert_ne!(original, copy);
     }
 
     #[test]

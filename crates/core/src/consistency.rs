@@ -329,7 +329,7 @@ impl Database {
     }
 
     fn check_name_index(&self, v: &mut Vec<Violation>) -> Result<()> {
-        for ((base, name), &id) in &self.entity_names {
+        for ((base, name), &id) in self.entity_names.iter() {
             match self.entity(id) {
                 Ok(er) => {
                     if er.base != *base || &er.name != name {

@@ -205,7 +205,7 @@ impl Database {
             self.scrub_attr_references(attr, entity);
         }
         self.entity_names.remove(&(base, name));
-        self.entities[entity.index()].alive = false;
+        self.entity_mut(entity)?.alive = false;
         self.record_change(Change::EntityDeleted { entity, base });
         Ok(self.delta_suffix(mark))
     }
@@ -308,7 +308,7 @@ impl Database {
             .unwrap_or(EntityId::NULL);
         self.entity_names.remove(&(base, old));
         self.entity_names.insert((base, name.to_string()), entity);
-        self.entities[entity.index()].name = name.to_string();
+        self.entity_mut(entity)?.name = name.to_string();
         let naming = self.naming_attr(base)?;
         self.record_change(Change::AttrAssigned {
             entity,
@@ -547,8 +547,6 @@ impl Database {
             return Err(CoreError::Predefined);
         }
         let names: Vec<String> = names.into_iter().collect();
-        self.entities.reserve(names.len());
-        self.entity_names.reserve(names.len());
         let mut ids = Vec::with_capacity(names.len());
         for name in names {
             if name.is_empty() {

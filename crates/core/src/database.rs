@@ -1,9 +1,8 @@
 //! The database: a schema (inheritance forest + semantic network) together
 //! with data consistent with it (§2).
 
-use std::collections::HashMap;
-
 use crate::attribute::{AttrRecord, Multiplicity, ValueClass};
+use crate::chunk::{ChunkedVec, ShardedMap};
 use crate::class::{ClassKind, ClassRecord};
 use crate::entity::EntityRecord;
 use crate::error::{CoreError, Result};
@@ -18,6 +17,8 @@ use crate::orderedset::OrderedSet;
 ///
 /// `Database` is a single-writer, in-memory structure (matching the paper's
 /// one-workstation model); persistence lives in the `isis-store` crate.
+/// Cloning is cheap: the entity arena, the name indexes and the attribute
+/// columns are copy-on-write chunks shared between clones (`chunk.rs`).
 ///
 /// ```
 /// use isis_core::{Atom, Clause, CompareOp, Database, Map, Multiplicity, Predicate, Rhs};
@@ -51,11 +52,11 @@ pub struct Database {
     pub(crate) classes: Vec<ClassRecord>,
     pub(crate) attrs: Vec<AttrRecord>,
     pub(crate) groupings: Vec<GroupingRecord>,
-    pub(crate) entities: Vec<EntityRecord>,
+    pub(crate) entities: ChunkedVec<EntityRecord>,
     /// Interned literal entities of the predefined baseclasses.
-    pub(crate) literal_index: HashMap<LiteralKey, EntityId>,
+    pub(crate) literal_index: ShardedMap<LiteralKey, EntityId>,
     /// Entity name → id, per baseclass (names are unique within a baseclass).
-    pub(crate) entity_names: HashMap<(ClassId, String), EntityId>,
+    pub(crate) entity_names: ShardedMap<(ClassId, String), EntityId>,
     /// Number of classes+groupings ever created; drives fill assignment.
     pub(crate) fill_counter: u32,
     /// Whether the multiple-inheritance extension (§5) is enabled.
@@ -76,9 +77,9 @@ impl Database {
             classes: Vec::new(),
             attrs: Vec::new(),
             groupings: Vec::new(),
-            entities: Vec::new(),
-            literal_index: HashMap::new(),
-            entity_names: HashMap::new(),
+            entities: ChunkedVec::default(),
+            literal_index: ShardedMap::default(),
+            entity_names: ShardedMap::default(),
             fill_counter: 0,
             multi_inheritance: false,
             constraints: Vec::new(),
@@ -210,6 +211,15 @@ impl Database {
         self.entities
             .get(id.index())
             .filter(|e| e.alive)
+            .ok_or(CoreError::NoSuchEntity(id))
+    }
+
+    /// The record of a live entity, for writing (copies its arena chunk if
+    /// a clone shares it).
+    pub(crate) fn entity_mut(&mut self, id: EntityId) -> Result<&mut EntityRecord> {
+        self.entity(id)?;
+        self.entities
+            .get_mut(id.index())
             .ok_or(CoreError::NoSuchEntity(id))
     }
 
@@ -488,6 +498,7 @@ impl Default for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{unshared, CHUNK};
 
     #[test]
     fn new_db_has_four_predefined_baseclasses() {
@@ -563,6 +574,102 @@ mod tests {
         assert!(db.class_by_name("STRINGS").is_ok());
         assert!(db.class_by_name("nope").is_err());
         assert!(db.node_by_name("YES/NO").is_ok());
+    }
+
+    /// `people` × 3000 with a dense `age` column: the arena and the column
+    /// span several chunks.
+    fn chunked() -> (Database, ClassId, AttrId) {
+        let mut db = Database::new("chunks");
+        let people = db.create_baseclass("people").unwrap();
+        let ints = db.predefined(BaseKind::Integers);
+        let age = db
+            .create_attribute(people, "age", ints, Multiplicity::Single)
+            .unwrap();
+        let ids = db
+            .insert_entities(people, (0..3000).map(|i| format!("p{i}")))
+            .unwrap();
+        let forty = db.int(40);
+        db.assign_batch(
+            ids.iter()
+                .map(|&e| (e, age, crate::AttrValue::Single(forty))),
+        )
+        .unwrap();
+        db.int(41);
+        assert!(db.entities.chunks().len() > 3);
+        assert!(db.attrs[age.index()].values.chunk_count() > 3);
+        (db, people, age)
+    }
+
+    /// Chunks and shards of `later` that are not the very ones `db` holds,
+    /// per structure: (arena, entity names, literal index, columns).
+    fn unshared_parts(db: &Database, later: &Database) -> (usize, usize, usize, Vec<usize>) {
+        (
+            unshared(db.entities.chunks(), later.entities.chunks()),
+            unshared(db.entity_names.shards(), later.entity_names.shards()),
+            unshared(db.literal_index.shards(), later.literal_index.shards()),
+            db.attrs
+                .iter()
+                .zip(&later.attrs)
+                .map(|(a, b)| a.values.unshared_chunks(&b.values))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn clone_shares_every_chunk_and_shard() {
+        let (db, _, _) = chunked();
+        let copy = db.clone();
+        let (arena, names, literals, columns) = unshared_parts(&db, &copy);
+        assert_eq!((arena, names, literals), (0, 0, 0));
+        assert!(columns.iter().all(|&n| n == 0), "{columns:?}");
+    }
+
+    #[test]
+    fn assign_single_unshares_one_column_chunk() {
+        let (db, people, age) = chunked();
+        let pristine = db.clone();
+        let mut copy = db.clone();
+        let p = copy.entity_by_name(people, "p1500").unwrap();
+        let n = copy.find_literal(crate::Literal::Int(41)).unwrap();
+        copy.assign_single(p, age, n).unwrap();
+        let (arena, names, literals, columns) = unshared_parts(&db, &copy);
+        assert_eq!((arena, names, literals), (0, 0, 0));
+        for (i, n) in columns.into_iter().enumerate() {
+            assert_eq!(n, usize::from(i == age.index()), "column {i}");
+        }
+        // The original's chunks never move.
+        let (arena, names, literals, columns) = unshared_parts(&pristine, &db);
+        assert_eq!((arena, names, literals), (0, 0, 0));
+        assert!(columns.iter().all(|&n| n == 0));
+        assert_ne!(db.attr_value(p, age), copy.attr_value(p, age));
+    }
+
+    #[test]
+    fn insert_entity_unshares_one_chunk_and_one_shard_per_map() {
+        let (db, people, _) = chunked();
+        let pristine = db.clone();
+        let mut copy = db.clone();
+        // A fresh name whose STRING literal and entity-name keys share a
+        // shard, so the insert writes exactly one shard of each map.
+        let strings = db.predefined(BaseKind::Strings);
+        let shard = ShardedMap::<(ClassId, String), EntityId>::shard_index;
+        let name = (0..)
+            .map(|i| format!("new{i}"))
+            .find(|n| shard(&(strings, n.clone())) == shard(&(people, n.clone())))
+            .unwrap();
+        assert!(
+            db.entities.len() % CHUNK < CHUNK - 1,
+            "the literal and the entity both land in the last arena chunk"
+        );
+        copy.insert_entity(people, &name).unwrap();
+        let (arena, names, literals, columns) = unshared_parts(&db, &copy);
+        assert_eq!((arena, names, literals), (1, 1, 1));
+        assert!(columns.iter().all(|&n| n == 0), "{columns:?}");
+        let (arena, names, literals, columns) = unshared_parts(&pristine, &db);
+        assert_eq!((arena, names, literals), (0, 0, 0));
+        assert!(columns.iter().all(|&n| n == 0));
+        assert!(db.entity_by_name(people, &name).is_err());
+        assert!(copy.is_consistent().unwrap());
     }
 
     #[test]

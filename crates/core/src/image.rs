@@ -8,6 +8,7 @@
 //! consistency.
 
 use crate::attribute::AttrRecord;
+use crate::chunk::ShardedMap;
 use crate::class::ClassRecord;
 use crate::entity::EntityRecord;
 use crate::error::{CoreError, Result};
@@ -44,7 +45,7 @@ impl Database {
             classes: self.classes.clone(),
             attrs: self.attrs.clone(),
             groupings: self.groupings.clone(),
-            entities: self.entities.clone(),
+            entities: self.entities.iter().cloned().collect(),
             fill_counter: self.fill_counter,
             multi_inheritance: self.multi_inheritance,
             constraints: self.constraints.clone(),
@@ -55,8 +56,8 @@ impl Database {
     /// name indexes and checking consistency. Rejects images whose data
     /// violates the §2 rules.
     pub fn from_image(image: DatabaseImage) -> Result<Database> {
-        let mut literal_index = std::collections::HashMap::new();
-        let mut entity_names = std::collections::HashMap::new();
+        let mut literal_index = ShardedMap::default();
+        let mut entity_names = ShardedMap::default();
         for (i, e) in image.entities.iter().enumerate() {
             if i == 0 || !e.alive {
                 continue;
@@ -83,7 +84,7 @@ impl Database {
             classes: image.classes,
             attrs: image.attrs,
             groupings: image.groupings,
-            entities: image.entities,
+            entities: image.entities.into_iter().collect(),
             literal_index,
             entity_names,
             fill_counter: image.fill_counter,

@@ -30,6 +30,7 @@
 pub mod atom;
 pub mod attribute;
 pub mod change;
+mod chunk;
 pub mod class;
 pub mod column;
 pub mod consistency;

@@ -5,10 +5,13 @@
 //! handle that any number of sessions open concurrently:
 //!
 //! * **Readers pin.** [`SharedDatabase::pin`] clones the head under the
-//!   lock. The clone carries the delta log, so the pinned epoch
-//!   ([`Database::delta_epoch`] of the clone) addresses the shared history:
-//!   a reader at epoch `E` never observes state newer than `E` until it
-//!   explicitly re-pins.
+//!   lock. The clone shares the head's copy-on-write chunks (entity arena,
+//!   name indexes, attribute columns), so it costs O(#chunks) plus the
+//!   class extents and the delta log it still copies; either side's first
+//!   write to a shared chunk copies that chunk alone. The clone carries the
+//!   delta log, so the pinned epoch ([`Database::delta_epoch`] of the
+//!   clone) addresses the shared history: a reader at epoch `E` never
+//!   observes state newer than `E` until it explicitly re-pins.
 //! * **Writers buffer.** A writer mutates its pinned clone locally — every
 //!   mutation lands in the clone's own delta log — and publishes with
 //!   [`SharedDatabase::commit`], which extracts the write set as
@@ -315,9 +318,11 @@ impl SharedDatabase {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Pins the current head: a full clone, delta log included, whose
+    /// Pins the current head: a clone, delta log included, whose
     /// [`Database::delta_epoch`] is the pinned epoch. The clone is a stable
-    /// snapshot — later commits to the shared head never show through.
+    /// snapshot — later commits to the shared head never show through. It
+    /// shares the head's chunks instead of copying them, so the lock is
+    /// held for O(#chunks) plus the class extents and delta log.
     pub fn pin(&self) -> Database {
         self.lock().db.clone()
     }
@@ -353,17 +358,24 @@ impl SharedDatabase {
 
     /// Replaces the head wholesale — the replication resync primitive.
     ///
-    /// Existing pinned clones stay valid as snapshots of the *old* line;
-    /// epoch numbering restarts at the new head's delta epoch, so epoch
-    /// comparisons across an `install_head` are meaningless. The commit
-    /// hook is kept but **not** consulted: durability of the installed
-    /// head is the caller's responsibility. Counts as one commit; returns
-    /// the new head epoch.
-    pub fn install_head(&self, db: Database) -> u64 {
+    /// Existing pinned clones stay valid as snapshots of the *old* line.
+    /// The installed head's delta window is emptied and restarted one past
+    /// the old head's epoch, so epochs on one handle only grow: a reader
+    /// pinned on the old line sees [`SharedDatabase::epoch`] move and
+    /// re-pins, and a commit based on the old line fails with
+    /// [`CommitConflict::SnapshotTooOld`] instead of being checked against
+    /// the new line's changes. The commit hook is kept but **not**
+    /// consulted: durability of the installed head is the caller's
+    /// responsibility. Counts as one commit; returns the new head epoch.
+    pub fn install_head(&self, mut db: Database) -> u64 {
         let mut inner = self.lock();
-        inner.db = db;
+        db.delta.restart_at(inner.db.delta_epoch() + 1);
+        let old = std::mem::replace(&mut inner.db, db);
         inner.commits += 1;
-        inner.db.delta_epoch()
+        let epoch = inner.db.delta_epoch();
+        drop(inner);
+        drop(old);
+        epoch
     }
 
     /// Pin–apply–commit with bounded, jittered retries: runs `f` against a
@@ -473,6 +485,10 @@ impl SharedDatabase {
                     base: base_epoch,
                     oldest: local.delta_log().base_epoch(),
                 })?;
+        // The fast path installs a clone of `local`; take it before the
+        // lock so the lock is held only to check, log and swap. Declared
+        // before the guard, so an unused clone is freed after its release.
+        let fast_head = (!write_set.is_empty()).then(|| local.clone());
         let mut inner = self.lock();
         let concurrent =
             inner
@@ -486,26 +502,30 @@ impl SharedDatabase {
         if concurrent.is_empty() {
             // Fast path: nobody committed since the pin; the local snapshot
             // becomes the head verbatim.
-            if write_set.is_empty() {
+            let Some(next) = fast_head else {
                 return Ok(CommitReceipt {
                     epoch: inner.db.delta_epoch(),
                     commits: inner.commits,
                     rebased: false,
                     changes: 0,
                 });
-            }
+            };
             if let Some(hook) = inner.hook.as_mut() {
                 hook.on_commit(local, &write_set)
                     .map_err(CommitConflict::Durability)?;
             }
-            inner.db = local.clone();
+            let old = std::mem::replace(&mut inner.db, next);
             inner.commits += 1;
-            return Ok(CommitReceipt {
+            let receipt = CommitReceipt {
                 epoch: inner.db.delta_epoch(),
                 commits: inner.commits,
                 rebased: false,
                 changes: write_set.len(),
-            });
+            };
+            // Free the replaced head's private chunks outside the lock.
+            drop(inner);
+            drop(old);
+            return Ok(receipt);
         }
 
         // Derived-state maintenance never conflicts and is never replayed:
@@ -547,14 +567,17 @@ impl SharedDatabase {
             hook.on_commit(&next, &applied)
                 .map_err(CommitConflict::Durability)?;
         }
-        inner.db = next;
+        let old = std::mem::replace(&mut inner.db, next);
         inner.commits += 1;
-        Ok(CommitReceipt {
+        let receipt = CommitReceipt {
             epoch: inner.db.delta_epoch(),
             commits: inner.commits,
             rebased: true,
             changes: applied.len(),
-        })
+        };
+        drop(inner);
+        drop(old);
+        Ok(receipt)
     }
 }
 
@@ -1028,10 +1051,22 @@ mod tests {
         assert!(!shared.hook_poisoned());
 
         let old_pin = shared.pin();
+        let old_epoch = shared.epoch();
         let mut replacement = Database::new("other");
         replacement.create_baseclass("crew").unwrap();
-        shared.install_head(replacement);
+        let epoch = shared.install_head(replacement);
         assert_eq!(shared.commits(), 1);
+        // Epochs on one handle only grow across an install, and a commit
+        // based on the old line is too old rather than rebased.
+        assert!(
+            epoch > old_epoch,
+            "epoch {epoch} after install vs {old_epoch}"
+        );
+        assert_eq!(shared.epoch(), epoch);
+        assert!(matches!(
+            shared.commit(old_epoch, &old_pin).unwrap_err(),
+            CommitConflict::SnapshotTooOld { .. }
+        ));
         assert!(shared.read(|db| db.class_by_name("crew").is_ok()));
         // Old pins remain intact snapshots of the previous line.
         assert!(old_pin.entity_by_name(people, "ann").is_ok());

@@ -13,6 +13,9 @@
 //!    commit order, reproduces the shared head exactly (up to entity ids,
 //!    which are line-local — states are compared by name).
 //!
+//! Property 1 also runs over a database spanning several 1024-id chunks,
+//! where pins share their untouched chunks with the head.
+//!
 //! Plus a threaded stress run (the handle is `Send + Sync`; interleavings
 //! vary by seed) and a fault-injected durability sweep: a commit whose WAL
 //! append or fsync fails must be vetoed *and* leave nothing on disk for
@@ -24,9 +27,10 @@
 use std::sync::Arc;
 
 use isis::core::{
-    AttrValue, BaseKind, Change, CommitConflict, Database, EntityId, Multiplicity, SharedDatabase,
+    AttrValue, BaseKind, Change, CommitConflict, CoreError, Database, EntityId, Multiplicity,
+    SharedDatabase,
 };
-use isis::store::{FaultVfs, StdVfs, StoreDir, SyncPolicy};
+use isis::store::{write_snapshot_bytes, FaultVfs, StdVfs, StoreDir, SyncPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -237,6 +241,128 @@ fn pinned_reader_never_observes_beyond_its_epoch() {
             "seed {seed:#x}: a fresh pin diverges from the head"
         );
     }
+}
+
+/// People in the chunk-spanning base: with their name strings interned
+/// in between, their ids run past 7,000, so the entity arena and the
+/// `age` column span seven 1024-id chunks.
+const CHUNKED_PEOPLE: usize = 3_500;
+
+/// `people` × [`CHUNKED_PEOPLE`] with a singlevalued integer `age` and a
+/// multivalued `likes` over people (so a delete scrubs references).
+fn chunked_base() -> Database {
+    let mut db = Database::new("mvcc-chunks");
+    let people = db.create_baseclass("people").unwrap();
+    let ints = db.predefined(BaseKind::Integers);
+    let age = db
+        .create_attribute(people, "age", ints, Multiplicity::Single)
+        .unwrap();
+    let likes = db
+        .create_attribute(people, "likes", people, Multiplicity::Multi)
+        .unwrap();
+    let ids = db
+        .insert_entities(people, (0..CHUNKED_PEOPLE).map(|i| format!("P{i}")))
+        .unwrap();
+    let ages: Vec<EntityId> = (0..50).map(|a| db.intern(a as i64).unwrap()).collect();
+    let n = ids.len();
+    db.assign_batch(ids.iter().enumerate().flat_map(|(i, &e)| {
+        let liked = [ids[(i * 7 + 1) % n], ids[(i * 13 + 5) % n]];
+        [
+            (e, age, AttrValue::Single(ages[i % ages.len()])),
+            (e, likes, AttrValue::Multi(liked.into_iter().collect())),
+        ]
+    }))
+    .unwrap();
+    db
+}
+
+/// One writer step on a subject in the first, a middle or the last chunk
+/// of people, through the mutators the [`Intent`]s lack: rename,
+/// multivalued assign, unassign, a delete that scrubs `likes` references,
+/// and an assignment of a newly interned literal.
+fn chunked_step(rng: &mut StdRng, db: &mut Database, tag: &str) -> Result<(), CoreError> {
+    let people = db.class_by_name("people")?;
+    let age = db.attr_by_name(people, "age")?;
+    let likes = db.attr_by_name(people, "likes")?;
+    let (n, mid) = (CHUNKED_PEOPLE, CHUNKED_PEOPLE / 2);
+    let index = match rng.gen_range(0..3u32) {
+        0 => rng.gen_range(0..200),
+        1 => rng.gen_range(mid - 100..mid + 100),
+        _ => rng.gen_range(n - 200..n),
+    };
+    let subject = db.entity_by_name(people, &format!("P{index}"))?;
+    let other = db.entity_by_name(people, &format!("P{}", rng.gen_range(0..n)))?;
+    match rng.gen_range(0..5u32) {
+        0 => {
+            db.rename_entity(subject, &format!("R{tag}"))?;
+        }
+        1 => {
+            db.assign_multi(subject, likes, [other, subject])?;
+        }
+        2 => {
+            db.unassign(subject, age)?;
+        }
+        3 => {
+            db.delete_entity(subject)?;
+        }
+        _ => {
+            let fresh = db.intern(1_000_000 + rng.gen_range(0..1_000_000i64))?;
+            db.assign_single(subject, age, fresh)?;
+        }
+    }
+    Ok(())
+}
+
+/// Property 1 across chunk boundaries: concurrent writers touch the
+/// first, a middle and the last chunk of a database whose clones share
+/// their untouched chunks, and a pinned reader's snapshot bytes never
+/// change.
+#[test]
+fn pinned_reader_is_byte_stable_across_chunk_boundaries() {
+    let base = chunked_base();
+    let mut admitted = 0;
+    for case in 0..24u64 {
+        let seed = base_seed().wrapping_add(case);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shared = SharedDatabase::new(base.clone());
+
+        let reader = shared.pin();
+        let before = write_snapshot_bytes(&reader);
+
+        let mut writers: Vec<(u64, Database)> = (0..rng.gen_range(2..5usize))
+            .map(|_| {
+                let local = shared.pin();
+                (local.delta_epoch(), local)
+            })
+            .collect();
+        for (w, (_, local)) in writers.iter_mut().enumerate() {
+            for step in 0..rng.gen_range(1..6usize) {
+                let _ = chunked_step(&mut rng, local, &format!("{case}_{w}_{step}"));
+            }
+        }
+        for (epoch, local) in &writers {
+            if shared.commit(*epoch, local).is_ok_and(|r| r.changes > 0) {
+                admitted += 1;
+            }
+        }
+
+        assert_eq!(
+            write_snapshot_bytes(&reader),
+            before,
+            "seed {seed:#x}: pinned snapshot bytes changed under concurrent commits"
+        );
+        let fresh = shared.pin();
+        assert_eq!(
+            fingerprint(&fresh),
+            shared.read(fingerprint),
+            "seed {seed:#x}: a fresh pin diverges from the head"
+        );
+        assert!(
+            fresh.check_consistency().unwrap().is_empty(),
+            "seed {seed:#x}: head inconsistent"
+        );
+    }
+    assert!(admitted > 24, "only {admitted} writers committed changes");
 }
 
 /// Property 2: 256 seeded conflicting pairs — exactly one admitted, the

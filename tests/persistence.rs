@@ -207,3 +207,30 @@ fn save_as_keeps_both() {
     assert!(dir.load("entertainment").is_ok());
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// The snapshot byte stream of a fixed seeded database spanning several
+/// entity-arena and column chunks, pinned by digest: the storage layout
+/// behind `Database` (chunked arena, sharded name maps, chunked columns)
+/// must never show through the codec. The expected digest was computed
+/// with the flat `Vec`/`HashMap` layout.
+#[test]
+fn snapshot_bytes_of_a_multi_chunk_database_are_pinned() {
+    let spec = isis_sample::SynthSpec {
+        entities: 5_000,
+        dist: isis_sample::ValueDist::Zipf,
+        shape: isis_sample::SchemaShape::Wide,
+        seed: 7,
+    };
+    let db = isis_sample::synthetic_scaled(spec).unwrap().s.db;
+    assert!(db.entities().count() > 3 * 1024, "spans several chunks");
+    let bytes = write_snapshot_bytes(&db);
+    // FNV-1a, 64-bit.
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), format!("{digest:016x}")),
+        (650_215, "20195b84d37ab4fa".to_string()),
+        "snapshot byte stream changed"
+    );
+}

@@ -538,3 +538,40 @@ fn transact_with_retry_converges_under_threaded_contention() {
         }
     });
 }
+
+/// A session opened on a replica before its bootstrap `sync` sees the
+/// installed checkpoint after `pull`: `install_head` keeps the handle's
+/// epochs growing, so the session notices that the head moved.
+#[test]
+fn session_opened_before_bootstrap_sees_the_checkpoint_after_pull() {
+    let root = std::env::temp_dir().join(format!("isis_repl_pull_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (proot, rroot) = (root.join("primary"), root.join("replica"));
+    let pdir = StoreDir::open(&proot).unwrap();
+    let (primary, _) = pdir.open_shared(NAME, SyncPolicy::EverySync).unwrap();
+    primary
+        .transact_with_retry(&RetryBackoff::unslept(0), |db| {
+            let people = db.create_baseclass("people")?;
+            db.insert_entity(people, "Ada")?;
+            Ok(())
+        })
+        .unwrap();
+    let log = ReplicationLog::open(&pdir, NAME).unwrap();
+    let (mut replica, _) = StoreDir::open(&rroot)
+        .and_then(|d| Replica::open(&d, NAME, SyncPolicy::EverySync))
+        .unwrap();
+
+    let mut session = Session::open(replica.shared()).build();
+    assert!(session.database().class_by_name("people").is_err());
+    assert!(replica.sync(&log).unwrap().caught_up());
+    session.pull().unwrap();
+    let db = session.database();
+    let people = db
+        .class_by_name("people")
+        .expect("pull must re-pin after the bootstrap checkpoint");
+    assert!(db.entity_by_name(people, "Ada").is_ok());
+    assert_eq!(fingerprint(db), primary.read(fingerprint));
+    drop(session);
+    drop(replica);
+    std::fs::remove_dir_all(&root).unwrap();
+}
