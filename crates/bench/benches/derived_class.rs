@@ -35,7 +35,6 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 .create_derived_subclass(f.s.music_groups, "bench_quartets")
                 .unwrap();
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
-            let maint = DerivedMaintainer::new(&db, quartets).unwrap();
             let target = f.s.musician_ids[1];
             let owners: OrderedSet = [target].into_iter().collect();
             // The maintainer mutates; clone per iteration like the refresh
@@ -43,14 +42,15 @@ fn commit_vs_incremental(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new("incremental_one_change", n), &n, |b, _| {
                 b.iter(|| {
                     let mut db2 = db.clone();
+                    // Compile and build the postings before the change.
+                    let m = DerivedMaintainer::new(&db2, quartets).unwrap();
+                    let mut indexes = m.build_indexes(&db2).unwrap();
                     db2.add_value(target, f.s.plays, f.probe_instrument)
                         .unwrap();
-                    // Rebuild-free application against the prepared indexes.
-                    let mut m = DerivedMaintainer::new(&db2, quartets).unwrap();
-                    m.apply_attr_change(&mut db2, f.s.plays, &owners).unwrap()
+                    m.apply_attr_change(&mut db2, &mut indexes, f.s.plays, &owners)
+                        .unwrap()
                 })
             });
-            let _ = maint;
         }
         // The full delta pipeline: read the change log, apply it.
         {
@@ -62,12 +62,13 @@ fn commit_vs_incremental(c: &mut Criterion) {
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
             let mut maint = DerivedMaintainer::new(&db, quartets).unwrap();
             let mut toggle = PlaysToggle::new(&db, &f, f.s.musician_ids[1]);
+            let mut indexes = maint.build_indexes(&db).unwrap();
             let mut cursor = db.delta_epoch();
             g.bench_with_input(BenchmarkId::new("delta_pipeline", n), &n, |b, _| {
                 b.iter(|| {
                     toggle.flip(&mut db);
                     let cs = db.changes_since(cursor).expect("window live");
-                    let out = maint.apply_changes(&mut db, &cs).unwrap();
+                    let out = maint.apply_changes(&mut db, &mut indexes, &cs).unwrap();
                     cursor = db.delta_epoch();
                     out
                 })
@@ -82,9 +83,14 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 .unwrap();
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
             let maint = DerivedMaintainer::new(&db, quartets).unwrap();
+            let indexes = maint.build_indexes(&db).unwrap();
             let owners: OrderedSet = [f.s.musician_ids[1]].into_iter().collect();
             g.bench_with_input(BenchmarkId::new("affected_candidates", n), &n, |b, _| {
-                b.iter(|| maint.affected_candidates(&db, f.s.plays, &owners).unwrap())
+                b.iter(|| {
+                    maint
+                        .affected_candidates(&db, &indexes, f.s.plays, &owners)
+                        .unwrap()
+                })
             });
         }
     }
@@ -162,13 +168,14 @@ fn refresh_report(c: &mut Criterion) {
 
     // Delta refresh: steady-state maintainer consuming the change log.
     let mut maint = DerivedMaintainer::new(&db, quartets).unwrap();
+    let mut indexes = maint.build_indexes(&db).unwrap();
     let mut cursor = db.delta_epoch();
     let mut delta_total = Duration::ZERO;
     for _ in 0..delta_iters {
         toggle.flip(&mut db);
         let t = Instant::now();
         let cs = db.changes_since(cursor).expect("window live");
-        maint.apply_changes(&mut db, &cs).unwrap();
+        maint.apply_changes(&mut db, &mut indexes, &cs).unwrap();
         delta_total += t.elapsed();
         cursor = db.delta_epoch();
     }

@@ -271,8 +271,10 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         );
 
     // --- Delta-driven refresh rounds: a burst of plays reassignments,
-    // then one incremental apply (collect → index patch → settle).
+    // then one incremental apply (collect → index patch → settle). The
+    // postings are built before the first window's mark.
     let mut maint = maint;
+    let mut indexes = maint.build_indexes(&g.s.db).unwrap();
     let burst = 100.min(g.s.musician_ids.len());
     let mut cursor = 0usize;
     let refresh_ns = time_rounds(cfg.refresh_rounds, || {
@@ -284,7 +286,9 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         }
         cursor += burst;
         let changes = g.s.db.changes_since(mark).expect("window fits the log");
-        maint.apply_changes(&mut g.s.db, &changes).unwrap();
+        maint
+            .apply_changes(&mut g.s.db, &mut indexes, &changes)
+            .unwrap();
     });
     eprintln!(
         "   refresh round ({burst} reassignments): {:.2}ms",

@@ -315,17 +315,28 @@ impl Database {
                 ))
             }
         };
-        let new_members = {
-            // Evaluate against the parent's extent.
-            self.validate_predicate(parent, None, &pred)?;
-            let mut out = OrderedSet::new();
-            for e in self.class(parent)?.members.iter().collect::<Vec<_>>() {
-                if self.eval_predicate_for(e, &pred, None)? {
-                    out.insert(e);
-                }
-            }
-            out
-        };
+        let new_members = self.evaluate_derived_members(parent, &pred)?;
+        self.install_members(class, &new_members)?;
+        let n = new_members.len();
+        // A *new* predicate is a schema edit; a plain refresh (same
+        // predicate re-committed) only produces membership changes.
+        if self.class(class)?.kind.predicate() != Some(&pred) {
+            self.record_schema(crate::change::SchemaEdit::DerivationChanged(class));
+        }
+        self.class_mut(class)?.kind = ClassKind::Derived(pred);
+        Ok(n)
+    }
+
+    /// Makes `new_members` the extent of subclass `class`, recording every
+    /// write: current members absent from `new_members` leave first, in
+    /// extent order, cascading out of the descendants; then the members of
+    /// `new_members` not yet in the class join, in `new_members` order.
+    ///
+    /// This is the membership install of [`Database::commit_membership`],
+    /// shared with maintainers that evaluate the predicate elsewhere (the
+    /// session's full refresh in isis-session), so both record the same
+    /// writes in the same order.
+    pub fn install_members(&mut self, class: ClassId, new_members: &OrderedSet) -> Result<()> {
         let old_members: Vec<EntityId> = self.class(class)?.members.iter().collect();
         for e in old_members {
             if !new_members.contains(e) {
@@ -335,14 +346,7 @@ impl Database {
         for e in new_members.iter() {
             self.add_to_class_unchecked(e, class)?;
         }
-        let n = new_members.len();
-        // A *new* predicate is a schema edit; a plain refresh (same
-        // predicate re-committed) only produces membership changes.
-        if self.class(class)?.kind.predicate() != Some(&pred) {
-            self.record_schema(crate::change::SchemaEdit::DerivationChanged(class));
-        }
-        self.class_mut(class)?.kind = ClassKind::Derived(pred);
-        Ok(n)
+        Ok(())
     }
 
     /// Re-evaluates the stored predicate of a derived subclass (derivations

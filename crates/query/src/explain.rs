@@ -22,7 +22,7 @@ use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate};
 use isis_obs::Json;
 
 use crate::error::QueryError;
-use crate::optimizer::estimate_atom;
+use crate::program::reorder_clause;
 use crate::service::{AccessPath, EvalCapture, IndexService, MAX_PLAN_CANDIDATES};
 
 /// The planner's decision for one atom, with the cost model's estimates.
@@ -356,9 +356,9 @@ fn attr_label(db: &Database, attr: isis_core::AttrId) -> String {
         .unwrap_or_else(|_| format!("attr#{}", attr.raw()))
 }
 
-/// The per-clause atom report: source atoms re-ordered by the same
-/// stable-sort key [`crate::program`] compiles with (runs of infallible
-/// atoms permute; ordering-op atoms are barriers that keep their place).
+/// The per-clause atom report, in the order the compiled program runs the
+/// clause ([`crate::program::reorder_clause`]), with each atom's access
+/// path and the estimates that ordered it.
 fn clause_plans(
     svc: &IndexService,
     db: &Database,
@@ -368,48 +368,9 @@ fn clause_plans(
     form: NormalForm,
     out: &mut Vec<AtomPlan>,
 ) {
-    struct Row<'a> {
-        atom: &'a Atom,
-        cost: f64,
-        selectivity: f64,
-        key: f64,
-    }
-    let mut ordered: Vec<Row> = Vec::with_capacity(atoms.len());
-    let mut run: Vec<Row> = Vec::new();
-    fn flush<'a>(run: &mut Vec<Row<'a>>, ordered: &mut Vec<Row<'a>>) {
-        run.sort_by(|a, b| {
-            a.key
-                .partial_cmp(&b.key)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        ordered.append(run);
-    }
-    for atom in atoms {
-        let e = estimate_atom(db, parent, atom, Some(svc));
-        if atom.op.op.is_ordering() {
-            flush(&mut run, &mut ordered);
-            ordered.push(Row {
-                atom,
-                cost: e.cost,
-                selectivity: e.selectivity,
-                key: 0.0,
-            });
-        } else {
-            let key = match form {
-                NormalForm::Dnf => e.selectivity * e.cost + e.cost * 0.01,
-                NormalForm::Cnf => (1.0 - e.selectivity) * e.cost + e.cost * 0.01,
-            };
-            run.push(Row {
-                atom,
-                cost: e.cost,
-                selectivity: e.selectivity,
-                key,
-            });
-        }
-    }
-    flush(&mut run, &mut ordered);
-    for (order, row) in ordered.into_iter().enumerate() {
-        let (path, why) = match svc.peek_atom_path(db, row.atom) {
+    let ordered = reorder_clause(db, parent, form, atoms, Some(svc));
+    for (order, (atom, estimate)) in ordered.into_iter().enumerate() {
+        let (path, why) = match svc.peek_atom_path(db, atom) {
             AccessPath::IndexProbe(a) => (
                 format!("index probe on {}", attr_label(db, a)),
                 "maintained index on the atom's attribute".to_string(),
@@ -425,7 +386,7 @@ fn clause_plans(
             ),
             AccessPath::SeqScan => (
                 "seq scan".to_string(),
-                if IndexService::atom_shape(row.atom) {
+                if IndexService::atom_shape(atom) {
                     "indexable shape but no index or covering grouping".to_string()
                 } else {
                     "atom shape not indexable (negated, multi-step, or non-constant rhs)"
@@ -436,11 +397,11 @@ fn clause_plans(
         out.push(AtomPlan {
             clause: clause_idx,
             order,
-            atom: row.atom.to_string(),
+            atom: atom.to_string(),
             path,
             why,
-            cost: row.cost,
-            selectivity: row.selectivity,
+            cost: estimate.cost,
+            selectivity: estimate.selectivity,
         });
     }
 }
@@ -586,6 +547,52 @@ mod tests {
         assert_eq!(record.columns[0].attr, "plays");
         assert!(text.contains("column streaming"), "{text}");
         let _ = &mut im;
+    }
+
+    #[test]
+    fn explain_reports_the_order_the_program_runs() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.size).unwrap();
+        let ints = im.db.predefined(isis_core::BaseKind::Integers);
+        let (three, four, nine) = (im.db.int(3), im.db.int(4), im.db.int(9));
+        let pianists = Atom::new(
+            Map::new(vec![im.members, im.plays]),
+            CompareOp::Superset,
+            Rhs::constant(im.instruments, [im.piano]),
+        );
+        let size_is = |n| {
+            Atom::new(
+                Map::single(im.size),
+                CompareOp::SetEq,
+                Rhs::constant(ints, [n]),
+            )
+        };
+        let barrier = Atom::new(
+            Map::single(im.size),
+            CompareOp::Lt,
+            Rhs::constant(ints, [nine]),
+        );
+        // Expensive before cheap on both sides of an ordering barrier.
+        let atoms = vec![
+            pianists.clone(),
+            size_is(four),
+            barrier.clone(),
+            pianists,
+            size_is(three),
+        ];
+        let pred = Predicate::dnf(vec![Clause::new(atoms.clone())]);
+        let (_, record) = svc.explain(&im.db, im.music_groups, &pred).unwrap();
+        let ordered = reorder_clause(&im.db, im.music_groups, NormalForm::Dnf, &atoms, Some(&svc));
+        let want: Vec<String> = ordered.iter().map(|(a, _)| a.to_string()).collect();
+        let got: Vec<String> = record.atoms.iter().map(|a| a.atom.clone()).collect();
+        assert_eq!(got, want);
+        assert_eq!(want[0], atoms[1].to_string(), "cheap atom runs first");
+        assert_eq!(want[2], barrier.to_string(), "the barrier keeps its place");
+        assert_eq!(want[3], atoms[4].to_string());
+        for (plan, (_, e)) in record.atoms.iter().zip(&ordered) {
+            assert_eq!((plan.cost, plan.selectivity), (e.cost, e.selectivity));
+        }
     }
 
     #[test]

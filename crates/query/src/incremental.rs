@@ -8,6 +8,11 @@
 //! candidates the change can affect* — found by locating `A` inside the
 //! predicate's maps and walking the prefix steps backwards through inverted
 //! indexes.
+//!
+//! A maintainer owns no postings. Every entry point that walks or patches
+//! inverted indexes takes them from its caller: the session hands in its
+//! one [`crate::IndexService`], standalone callers an [`IndexManager`] they
+//! build where they take their epoch mark.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -22,23 +27,29 @@ use crate::index::IndexLookup;
 use crate::manager::IndexManager;
 use crate::parallel::EvalPool;
 use crate::program::{MemoTable, PredicateProgram};
+use crate::service::IndexService;
 
 /// Maintains one derived subclass incrementally.
 ///
-/// Two modes of operation:
+/// Two modes of operation, both over caller-owned postings:
 ///
-/// * **standalone** — the maintainer owns a private [`IndexManager`] over
-///   the attributes its predicate uses, and [`apply_changes`] /
-///   [`apply_attr_change`] both maintain those indexes and settle
-///   membership;
+/// * **standalone** — the caller builds an [`IndexManager`] over the
+///   predicate's attributes ([`build_indexes`]) where it takes its epoch
+///   mark, so the postings describe the start of the window; then
+///   [`apply_changes`] / [`apply_attr_change`] patch those postings and
+///   settle membership;
 /// * **shared** — a coordinator (the session) owns one
 ///   [`crate::IndexService`] for every consumer, drains the delta log once
 ///   per round, and drives each maintainer through
 ///   [`collect_affected`](DerivedMaintainer::collect_affected) (before and
-///   after the shared drain) and [`settle`](DerivedMaintainer::settle).
+///   after the shared drain) and [`settle_with`]. Its full refresh
+///   re-evaluates each class through [`recompute`].
 ///
+/// [`build_indexes`]: DerivedMaintainer::build_indexes
 /// [`apply_changes`]: DerivedMaintainer::apply_changes
 /// [`apply_attr_change`]: DerivedMaintainer::apply_attr_change
+/// [`settle_with`]: DerivedMaintainer::settle_with
+/// [`recompute`]: DerivedMaintainer::recompute
 #[derive(Debug)]
 pub struct DerivedMaintainer {
     class: ClassId,
@@ -50,21 +61,20 @@ pub struct DerivedMaintainer {
     /// transition of the base re-partitions the grouping and silently
     /// changes the expansion of every stored value of the dependents.
     grouping_bases: HashMap<AttrId, Vec<AttrId>>,
-    /// Private inverted indexes for standalone operation.
-    indexes: IndexManager,
     /// The predicate compiled once per (re)build and shared by every
-    /// re-evaluation ([`settle`], [`apply_membership_change`]); mapped
-    /// constant images are re-hoisted lazily when the delta epoch moves
-    /// (`RefCell`: settle takes `&self`).
+    /// re-evaluation ([`settle`], [`recompute`],
+    /// [`apply_membership_change`]); mapped constant images are re-hoisted
+    /// lazily when the delta epoch moves (`RefCell`: settle takes `&self`).
     ///
     /// [`settle`]: DerivedMaintainer::settle
+    /// [`recompute`]: DerivedMaintainer::recompute
     /// [`apply_membership_change`]: DerivedMaintainer::apply_membership_change
     program: RefCell<PredicateProgram>,
 }
 
 impl DerivedMaintainer {
-    /// Creates a maintainer for a committed derived subclass, building the
-    /// inverted indexes its maps require.
+    /// Creates a maintainer for a committed derived subclass by compiling
+    /// its stored predicate. Builds no postings.
     pub fn new(db: &Database, class: ClassId) -> Result<Self> {
         let rec = db.class(class)?;
         let parent = rec
@@ -75,22 +85,34 @@ impl DerivedMaintainer {
             .predicate()
             .cloned()
             .ok_or(isis_core::CoreError::DerivedClass(class))?;
+        // Compiling validates first, so a predicate that no longer fits the
+        // schema fails with the error `Database::refresh_derived_class`
+        // reports for it.
+        let program = RefCell::new(PredicateProgram::compile(db, parent, &pred)?);
         let used = Self::attrs_used(&pred);
         let grouping_bases = Self::find_grouping_bases(db, &used)?;
-        let mut indexes = IndexManager::new(db);
-        for &attr in &used {
-            indexes.add_index(db, attr)?;
-        }
-        let program = RefCell::new(PredicateProgram::compile(db, parent, &pred)?);
         Ok(DerivedMaintainer {
             class,
             parent,
             pred,
             used,
             grouping_bases,
-            indexes,
             program,
         })
+    }
+
+    /// Postings for every attribute the predicate uses, describing `db` as
+    /// it is now. A standalone caller builds them where it takes its epoch
+    /// mark, so they describe the start of the window it later hands to
+    /// [`DerivedMaintainer::apply_changes`]; postings built later would
+    /// describe the window's end, and walk-backs through them would miss
+    /// the candidates that used to reach a changed entity.
+    pub fn build_indexes(&self, db: &Database) -> Result<IndexManager> {
+        let mut indexes = IndexManager::new(db);
+        for &attr in &self.used {
+            indexes.add_index(db, attr)?;
+        }
+        Ok(indexes)
     }
 
     /// The derived class being maintained.
@@ -140,24 +162,14 @@ impl DerivedMaintainer {
 
     /// Candidates (members of the parent class) whose predicate result may
     /// change after attribute `attr` of the `owners` entities was modified,
-    /// walked through the maintainer's private indexes.
-    pub fn affected_candidates(
-        &self,
-        db: &Database,
-        attr: AttrId,
-        owners: &OrderedSet,
-    ) -> Result<OrderedSet> {
-        self.affected_candidates_in(db, &self.indexes, attr, owners)
-    }
-
-    /// Candidates whose predicate result may change after attribute `attr`
-    /// of the `owners` entities was modified, walked through `indexes`
-    /// (private or shared).
+    /// walked through the caller's `indexes`.
     ///
     /// For every occurrence of `attr` at position *i* of a predicate map,
     /// the owners are walked backwards through the *i* prefix steps via the
-    /// inverted indexes; survivors that are parent members are affected.
-    pub fn affected_candidates_in(
+    /// inverted indexes; survivors that are parent members are affected. A
+    /// prefix step without an index leaves the walk unbounded, so the whole
+    /// parent extent is affected.
+    pub fn affected_candidates(
         &self,
         db: &Database,
         indexes: &dyn IndexLookup,
@@ -202,12 +214,16 @@ impl DerivedMaintainer {
             // Invert the prefix steps[0..i] starting from the changed owners.
             let mut frontier = owners.clone();
             for &prev_attr in steps[..i].iter().rev() {
+                let Some(idx) = indexes.index_for(prev_attr) else {
+                    // No index to bound the blast radius: conservatively
+                    // re-evaluate the whole parent extent.
+                    affected.extend_from(parent_members);
+                    return;
+                };
                 let mut prev = OrderedSet::new();
-                if let Some(idx) = indexes.index_for(prev_attr) {
-                    for v in frontier.iter() {
-                        if let Some(os) = idx.owners_of(v) {
-                            prev.extend_from(os);
-                        }
+                for v in frontier.iter() {
+                    if let Some(os) = idx.owners_of(v) {
+                        prev.extend_from(os);
                     }
                 }
                 frontier = prev;
@@ -242,7 +258,7 @@ impl DerivedMaintainer {
             match indexes.index_for(x) {
                 Some(idx) => {
                     let owners = idx.all_owners();
-                    affected.extend_from(&self.affected_candidates_in(db, indexes, x, &owners)?);
+                    affected.extend_from(&self.affected_candidates(db, indexes, x, &owners)?);
                 }
                 // No index to bound the blast radius: conservatively
                 // re-evaluate the whole parent extent.
@@ -253,12 +269,14 @@ impl DerivedMaintainer {
     }
 
     /// Notifies the maintainer that attribute `attr` of the `owners`
-    /// entities changed: refreshes the affected inverted index postings,
-    /// re-evaluates the predicate for affected candidates only, and adds /
-    /// removes membership as needed. Returns `(added, removed)` counts.
+    /// entities changed: patches the affected postings of `indexes` (built
+    /// before the change), re-evaluates the predicate for affected
+    /// candidates only, and adds / removes membership as needed. Returns
+    /// `(added, removed)` counts.
     pub fn apply_attr_change(
-        &mut self,
+        &self,
         db: &mut Database,
+        indexes: &mut IndexManager,
         attr: AttrId,
         owners: &OrderedSet,
     ) -> Result<(usize, usize)> {
@@ -267,11 +285,11 @@ impl DerivedMaintainer {
         // posting list must still trigger re-evaluation of the candidates
         // that used to reach it. A change to a grouping's base attribute
         // additionally touches every owner of the dependent ranged indexes.
-        let mut affected = self.affected_candidates(db, attr, owners)?;
-        affected.extend_from(&self.base_shift_affected(db, &self.indexes, attr)?);
-        self.indexes.refresh_owners(db, attr, owners)?;
-        affected.extend_from(&self.affected_candidates(db, attr, owners)?);
-        affected.extend_from(&self.base_shift_affected(db, &self.indexes, attr)?);
+        let mut affected = self.affected_candidates(db, &*indexes, attr, owners)?;
+        affected.extend_from(&self.base_shift_affected(db, &*indexes, attr)?);
+        indexes.refresh_owners(db, attr, owners)?;
+        affected.extend_from(&self.affected_candidates(db, &*indexes, attr, owners)?);
+        affected.extend_from(&self.base_shift_affected(db, &*indexes, attr)?);
         self.settle(db, &affected)
     }
 
@@ -292,9 +310,8 @@ impl DerivedMaintainer {
                 Change::AttrAssigned { entity, attr, .. } => {
                     if self.depends_on(*attr) {
                         let owners: OrderedSet = [*entity].into_iter().collect();
-                        affected.extend_from(
-                            &self.affected_candidates_in(db, indexes, *attr, &owners)?,
-                        );
+                        affected
+                            .extend_from(&self.affected_candidates(db, indexes, *attr, &owners)?);
                     }
                     affected.extend_from(&self.base_shift_affected(db, indexes, *attr)?);
                 }
@@ -407,29 +424,39 @@ impl DerivedMaintainer {
     /// [`DerivedMaintainer::rebuild`] when the set contains schema edits.
     ///
     /// The set must describe the transition from the state the maintainer
-    /// last saw to `db`'s current state (e.g. `db.changes_since(epoch)`).
+    /// last saw to `db`'s current state (e.g. `db.changes_since(epoch)`),
+    /// and `indexes` must describe the window's start: build them where
+    /// the epoch mark is taken ([`DerivedMaintainer::build_indexes`]). The
+    /// window is drained into them here.
     pub fn apply_changes(
         &mut self,
         db: &mut Database,
+        indexes: &mut IndexManager,
         changes: &ChangeSet,
     ) -> Result<(usize, usize)> {
         if changes.has_schema_changes() {
-            return self.rebuild(db);
+            return self.rebuild(db, indexes);
         }
         // Candidates reached through the *old* postings (an owner leaving a
         // posting list must still re-evaluate whoever used to reach it) …
-        let mut affected = self.collect_affected(db, &self.indexes, changes)?;
-        // … then drain the window into the private indexes …
-        self.indexes.apply(db, changes)?;
+        let mut affected = self.collect_affected(db, &*indexes, changes)?;
+        // … then drain the window into the postings …
+        indexes.apply(db, changes)?;
         // … and collect again through the new postings.
-        affected.extend_from(&self.collect_affected(db, &self.indexes, changes)?);
+        affected.extend_from(&self.collect_affected(db, &*indexes, changes)?);
         self.settle(db, &affected)
     }
 
     /// Full fallback: re-reads the stored predicate (a schema edit may have
-    /// replaced it), rebuilds every inverted index, and re-evaluates the
-    /// whole parent extent via [`Database::refresh_derived_class`].
-    pub fn rebuild(&mut self, db: &mut Database) -> Result<(usize, usize)> {
+    /// replaced it), re-evaluates the whole parent extent via
+    /// [`Database::refresh_derived_class`], and rebuilds the caller's
+    /// `indexes` from `db`'s current state: every index whose attribute
+    /// survives, plus one for each attribute the predicate now uses.
+    pub fn rebuild(
+        &mut self,
+        db: &mut Database,
+        indexes: &mut IndexManager,
+    ) -> Result<(usize, usize)> {
         let obs = isis_obs::global();
         let _span = obs.span("query.incremental.rebuild");
         obs.count("query.incremental.rebuilds", 1);
@@ -449,13 +476,43 @@ impl DerivedMaintainer {
         let removed = before.iter().filter(|e| !after.contains(*e)).count();
         self.used = Self::attrs_used(&self.pred);
         self.grouping_bases = Self::find_grouping_bases(db, &self.used)?;
-        self.indexes = IndexManager::new(db);
+        indexes.rebuild_all(db)?;
         for &attr in &self.used {
-            self.indexes.add_index(db, attr)?;
+            if indexes.index(attr).is_none() {
+                indexes.add_index(db, attr)?;
+            }
         }
+        indexes.set_cursor(db.delta_epoch());
         // A schema edit may have replaced the predicate: recompile.
         *self.program.borrow_mut() = PredicateProgram::compile(db, self.parent, &self.pred)?;
         Ok((added, removed))
+    }
+
+    /// Re-evaluates the whole parent extent and installs the result the
+    /// way [`Database::refresh_derived_class`] does, returning the new
+    /// member count: the same writes in the same order, and on a failing
+    /// evaluation the same error with nothing written. The candidates are
+    /// pruned through `service`'s planner and evaluated on its pool, whose
+    /// postings must describe `db` as it is now.
+    ///
+    /// This is maintenance, not a user query: it leaves the service's
+    /// [`crate::QueryStats`], program cache and slow-query log untouched.
+    pub fn recompute(
+        &self,
+        db: &mut Database,
+        service: &IndexService,
+    ) -> Result<usize, QueryError> {
+        let _span = isis_obs::global().span("query.incremental.recompute");
+        // Validated again, as `refresh_derived_class` does: an install
+        // since the compile may have moved a constant's anchor.
+        db.validate_predicate(self.parent, None, &self.pred)?;
+        let members = {
+            let mut prog = self.program.borrow_mut();
+            prog.ensure_fresh(db)?;
+            service.evaluate_program(db, self.parent, &self.pred, &prog)?
+        };
+        db.install_members(self.class, &members)?;
+        Ok(members.len())
     }
 
     /// Handles an entity joining or leaving the *parent* class: the entity
@@ -498,7 +555,8 @@ mod tests {
             .create_derived_subclass(im.music_groups, "quartets")
             .unwrap();
         im.db.commit_membership(quartets, pred).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         assert!(maint.depends_on(im.size));
         assert!(maint.depends_on(im.members));
         assert!(maint.depends_on(im.plays));
@@ -509,7 +567,7 @@ mod tests {
         im.db.add_value(gil, im.plays, im.piano).unwrap();
         let owners: OrderedSet = [gil].into_iter().collect();
         let (added, removed) = maint
-            .apply_attr_change(&mut im.db, im.plays, &owners)
+            .apply_attr_change(&mut im.db, &mut indexes, im.plays, &owners)
             .unwrap();
         assert_eq!((added, removed), (1, 0));
         let fling = im
@@ -528,10 +586,10 @@ mod tests {
         im.db.assign_single(labelle, im.size, three).unwrap();
         let owners: OrderedSet = [labelle].into_iter().collect();
         maint
-            .apply_attr_change(&mut im.db, im.members, &owners)
+            .apply_attr_change(&mut im.db, &mut indexes, im.members, &owners)
             .unwrap();
         let (_, removed) = maint
-            .apply_attr_change(&mut im.db, im.size, &owners)
+            .apply_attr_change(&mut im.db, &mut indexes, im.size, &owners)
             .unwrap();
         assert!(!im.db.members(quartets).unwrap().contains(labelle));
         // Removal happened in one of the two notifications.
@@ -547,7 +605,8 @@ mod tests {
             .create_derived_subclass(im.music_groups, "quartets")
             .unwrap();
         im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         let hana = im.db.entity_by_name(im.musicians, "Hana").unwrap();
         let trio = im
             .db
@@ -564,17 +623,17 @@ mod tests {
         im.db.assign_single(trio, im.size, four).unwrap();
         let owners: OrderedSet = [trio].into_iter().collect();
         maint
-            .apply_attr_change(&mut im.db, im.members, &owners)
+            .apply_attr_change(&mut im.db, &mut indexes, im.members, &owners)
             .unwrap();
         maint
-            .apply_attr_change(&mut im.db, im.size, &owners)
+            .apply_attr_change(&mut im.db, &mut indexes, im.size, &owners)
             .unwrap();
         // 2. Hana stops playing piano (affects Trio via members plays map).
         let guitar = im.db.entity_by_name(im.instruments, "guitar").unwrap();
         im.db.assign_multi(hana, im.plays, [guitar]).unwrap();
         let owners: OrderedSet = [hana].into_iter().collect();
         maint
-            .apply_attr_change(&mut im.db, im.plays, &owners)
+            .apply_attr_change(&mut im.db, &mut indexes, im.plays, &owners)
             .unwrap();
         let mut a: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
         a.sort();
@@ -600,15 +659,16 @@ mod tests {
             .unwrap();
         im.db.commit_membership(quartets, pred).unwrap();
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let indexes = maint.build_indexes(&im.db).unwrap();
         // A family reassignment is invisible to the quartets predicate.
         let owners: OrderedSet = [im.flute].into_iter().collect();
         let affected = maint
-            .affected_candidates(&im.db, im.family, &owners)
+            .affected_candidates(&im.db, &indexes, im.family, &owners)
             .unwrap();
         assert!(affected.is_empty());
         // And a popular-flag change likewise.
         let affected = maint
-            .affected_candidates(&im.db, im.popular, &owners)
+            .affected_candidates(&im.db, &indexes, im.popular, &owners)
             .unwrap();
         assert!(affected.is_empty());
     }
@@ -623,17 +683,98 @@ mod tests {
             .unwrap();
         im.db.commit_membership(quartets, pred).unwrap();
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let indexes = maint.build_indexes(&im.db).unwrap();
         // Dave is in String Fling only.
         let dave = im.db.entity_by_name(im.musicians, "Dave").unwrap();
         let owners: OrderedSet = [dave].into_iter().collect();
         let affected = maint
-            .affected_candidates(&im.db, im.plays, &owners)
+            .affected_candidates(&im.db, &indexes, im.plays, &owners)
             .unwrap();
         let fling = im
             .db
             .entity_by_name(im.music_groups, "String Fling")
             .unwrap();
         assert_eq!(affected.as_slice(), &[fling]);
+    }
+
+    #[test]
+    fn walk_back_without_a_step_index_affects_the_whole_parent() {
+        let mut im = instrumental_music().unwrap();
+        let pred = quartets_predicate(&mut im);
+        let quartets = im
+            .db
+            .create_derived_subclass(im.music_groups, "quartets")
+            .unwrap();
+        im.db.commit_membership(quartets, pred).unwrap();
+        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        // Gil learns piano: String Fling must join.
+        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
+        im.db.add_value(gil, im.plays, im.piano).unwrap();
+        let owners: OrderedSet = [gil].into_iter().collect();
+        let fling = im
+            .db
+            .entity_by_name(im.music_groups, "String Fling")
+            .unwrap();
+        let indexed = maint.build_indexes(&im.db).unwrap();
+        let walked = maint
+            .affected_candidates(&im.db, &indexed, im.plays, &owners)
+            .unwrap();
+        assert_eq!(walked.len(), 2);
+        assert!(walked.contains(fling));
+        // `members·plays` has no `members` index to walk back through: the
+        // candidates are unbounded, not empty.
+        let bare = crate::IndexService::new(&im.db);
+        let unbounded = maint
+            .affected_candidates(&im.db, &bare, im.plays, &owners)
+            .unwrap();
+        assert_eq!(
+            unbounded.as_slice(),
+            im.db.members(im.music_groups).unwrap().as_slice()
+        );
+        let collected = maint
+            .collect_affected(&im.db, &bare, &im.db.changes_since(0).unwrap())
+            .unwrap();
+        assert!(collected.contains(fling));
+    }
+
+    #[test]
+    fn recompute_installs_what_refresh_derived_class_installs() {
+        let mut im = instrumental_music().unwrap();
+        let pred = quartets_predicate(&mut im);
+        let quartets = im
+            .db
+            .create_derived_subclass(im.music_groups, "quartets")
+            .unwrap();
+        im.db.commit_membership(quartets, pred).unwrap();
+        // Stale the class both ways: String Fling qualifies, LaBelle no
+        // longer does.
+        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
+        im.db.add_value(gil, im.plays, im.piano).unwrap();
+        let three = im.db.int(3);
+        im.db.assign_single(im.labelle, im.size, three).unwrap();
+        let mut twin = im.db.clone();
+        let mark = im.db.delta_epoch();
+
+        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let mut service = crate::IndexService::new(&im.db);
+        for &attr in maint.used_attrs() {
+            service.ensure_index(&im.db, attr).unwrap();
+        }
+        let n = maint.recompute(&mut im.db, &service).unwrap();
+        let want = twin.refresh_derived_class(quartets).unwrap();
+        assert_eq!(n, want);
+        assert_eq!(
+            im.db.members(quartets).unwrap().as_slice(),
+            twin.members(quartets).unwrap().as_slice()
+        );
+        let writes = twin.changes_since(mark).unwrap();
+        assert!(writes.len() >= 2, "one member leaves, one joins");
+        assert_eq!(im.db.changes_since(mark).unwrap(), writes);
+        assert_eq!(
+            service.query_stats(),
+            crate::QueryStats::default(),
+            "a refresh settle is not a user query"
+        );
     }
 
     #[test]
@@ -646,6 +787,7 @@ mod tests {
             .unwrap();
         im.db.commit_membership(quartets, pred.clone()).unwrap();
         let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         let mark = im.db.delta_epoch();
 
         // Gil learns piano → String Fling becomes a quartet.
@@ -670,7 +812,9 @@ mod tests {
         im.db.assign_single(im.labelle, im.size, three).unwrap();
 
         let changes = im.db.changes_since(mark).unwrap();
-        let (added, removed) = maint.apply_changes(&mut im.db, &changes).unwrap();
+        let (added, removed) = maint
+            .apply_changes(&mut im.db, &mut indexes, &changes)
+            .unwrap();
         assert!(added >= 2, "String Fling and New Four must join");
         assert!(removed >= 1, "LaBelle must leave");
         let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
@@ -695,6 +839,7 @@ mod tests {
             .unwrap();
         im.db.commit_membership(quartets, pred.clone()).unwrap();
         let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         let mark = im.db.delta_epoch();
         // Deleting a quartet member's pianist can disqualify the group.
         let member_of_quartet = im
@@ -706,7 +851,9 @@ mod tests {
             .expect("seed data has a quartet");
         im.db.delete_entity(member_of_quartet).unwrap();
         let changes = im.db.changes_since(mark).unwrap();
-        maint.apply_changes(&mut im.db, &changes).unwrap();
+        maint
+            .apply_changes(&mut im.db, &mut indexes, &changes)
+            .unwrap();
         let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
         got.sort();
         let mut want: Vec<EntityId> = im
@@ -729,13 +876,16 @@ mod tests {
             .unwrap();
         im.db.commit_membership(quartets, pred.clone()).unwrap();
         let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         let mark = im.db.delta_epoch();
         im.db.create_baseclass("venues").unwrap();
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
         im.db.add_value(gil, im.plays, im.piano).unwrap();
         let changes = im.db.changes_since(mark).unwrap();
         assert!(changes.has_schema_changes());
-        maint.apply_changes(&mut im.db, &changes).unwrap();
+        maint
+            .apply_changes(&mut im.db, &mut indexes, &changes)
+            .unwrap();
         let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
         got.sort();
         let mut want: Vec<EntityId> = im
@@ -785,6 +935,7 @@ mod tests {
         assert!(im.db.members(flute_groups).unwrap().contains(fling));
         assert!(!im.db.members(flute_groups).unwrap().contains(im.labelle));
         let mut maint = DerivedMaintainer::new(&im.db, flute_groups).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         let mark = im.db.delta_epoch();
         // Mid-drain re-key: the §4.2 correction moves flute to woodwind,
         // re-partitioning by_family and silently re-aiming every stored
@@ -795,7 +946,9 @@ mod tests {
             .assign_single(im.flute, im.family, im.woodwind)
             .unwrap();
         let changes = im.db.changes_since(mark).unwrap();
-        let (added, removed) = maint.apply_changes(&mut im.db, &changes).unwrap();
+        let (added, removed) = maint
+            .apply_changes(&mut im.db, &mut indexes, &changes)
+            .unwrap();
         assert_eq!((added, removed), (1, 1), "re-key must swap the member");
         let got = im.db.members(flute_groups).unwrap();
         assert!(got.contains(im.labelle), "woodwind sections now hold flute");

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use isis_core::{AttrId, Database, EntityId, OrderedSet, Result};
+use isis_core::{AttrId, Database, EntityId, OrderedSet, Result, ValueClass, ValueRef};
 
 /// An inverted index over one attribute: value → owners.
 #[derive(Debug, Clone)]
@@ -23,12 +23,29 @@ impl AttrIndex {
     /// Builds the index for `attr` over the current members of its owner
     /// class (expanded values, like map evaluation).
     pub fn build(db: &Database, attr: AttrId) -> Result<AttrIndex> {
-        let owner = db.attr(attr)?.owner;
+        let rec = db.attr(attr)?;
+        let members = db.members(rec.owner)?;
+        // A class-ranged value reads back as stored: borrow it from the
+        // column. Names and grouping ranges are synthesised per owner.
+        let stored = !rec.naming && matches!(rec.value_class, ValueClass::Class(_));
         let mut postings: HashMap<EntityId, OrderedSet> = HashMap::new();
-        let members: Vec<EntityId> = db.members(owner)?.iter().collect();
-        for x in &members {
-            for v in db.attr_value_set(*x, attr)?.iter() {
-                postings.entry(v).or_default().insert(*x);
+        for x in members.iter() {
+            if !stored {
+                for v in db.attr_value_set(x, attr)?.iter() {
+                    postings.entry(v).or_default().insert(x);
+                }
+                continue;
+            }
+            match rec.values.get(x) {
+                Some(ValueRef::Single(v)) if !v.is_null() => {
+                    postings.entry(v).or_default().insert(x);
+                }
+                Some(ValueRef::Multi(s)) => {
+                    for v in s.iter() {
+                        postings.entry(v).or_default().insert(x);
+                    }
+                }
+                _ => {}
             }
         }
         Ok(AttrIndex {
@@ -121,8 +138,8 @@ impl AttrIndex {
 ///
 /// Implemented by the raw `HashMap` store, by [`crate::IndexManager`], and
 /// by [`crate::IndexService`], so maintenance code that *walks* indexes
-/// (e.g. [`crate::DerivedMaintainer`]) can run against private or shared
-/// index sets interchangeably.
+/// (e.g. [`crate::DerivedMaintainer`]) runs against whichever index set its
+/// caller owns.
 pub trait IndexLookup {
     /// The index registered for `attr`, if any.
     fn index_for(&self, attr: AttrId) -> Option<&AttrIndex>;
@@ -154,6 +171,38 @@ mod tests {
         assert_eq!(idx.attr(), im.family);
         assert!(idx.selectivity(im.stringed) > 0.0);
         assert_eq!(idx.selectivity(im.woodwind), 0.0);
+    }
+
+    #[test]
+    fn postings_equal_the_value_sets_of_every_owner() {
+        let mut im = instrumental_music().unwrap();
+        // A grouping-ranged attribute next to the stored and naming ones.
+        let likes = im
+            .db
+            .create_attribute(
+                im.musicians,
+                "likes",
+                im.by_family,
+                isis_core::Multiplicity::Multi,
+            )
+            .unwrap();
+        im.db.assign_multi(im.edith, likes, [im.brass]).unwrap();
+        let attrs: Vec<AttrId> = im.db.attrs().map(|(a, _)| a).collect();
+        for attr in attrs {
+            let idx = AttrIndex::build(&im.db, attr).unwrap();
+            let owner = im.db.attr(attr).unwrap().owner;
+            let mut want: HashMap<EntityId, OrderedSet> = HashMap::new();
+            for x in im.db.members(owner).unwrap().iter() {
+                for v in im.db.attr_value_set(x, attr).unwrap().iter() {
+                    want.entry(v).or_default().insert(x);
+                }
+            }
+            assert_eq!(idx.distinct_values(), want.len(), "attr {attr:?}");
+            for (v, owners) in &want {
+                let got = idx.owners_of(*v).expect("value indexed");
+                assert_eq!(got.as_slice(), owners.as_slice(), "attr {attr:?}");
+            }
+        }
     }
 
     #[test]

@@ -275,7 +275,9 @@ impl IndexManager {
         self.rebuild_all(db)
     }
 
-    fn rebuild_all(&mut self, db: &Database) -> Result<()> {
+    /// Rebuilds every registered index from `db`'s current state, dropping
+    /// those whose attribute no longer exists. Leaves the cursor alone.
+    pub fn rebuild_all(&mut self, db: &Database) -> Result<()> {
         let attrs: Vec<AttrId> = self.indexes.keys().copied().collect();
         for attr in attrs {
             if db.attr(attr).is_err() {

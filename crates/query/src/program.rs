@@ -40,7 +40,7 @@ use isis_core::{
     Operator, OrderedSet, Predicate, Result, Rhs, ValueClass, ValueRef,
 };
 
-use crate::optimizer::estimate_atom;
+use crate::optimizer::{estimate_atom, AtomEstimate};
 use crate::service::IndexService;
 
 /// The right-hand side of one compiled atom.
@@ -193,39 +193,45 @@ fn intern(slots: &mut Vec<Map>, ids: &mut HashMap<Map, u32>, map: &Map) -> u32 {
     i
 }
 
-/// Reorders a clause's atoms by the cost model's short-circuit sort key,
-/// permuting only runs of infallible atoms between ordering-op barriers
-/// (the sort is stable, so ties keep source order).
-fn reorder_clause<'a>(
+/// Orders a clause's atoms for evaluation, each with the cost model's
+/// estimate: runs of infallible atoms between ordering-op barriers are
+/// stably sorted by the short-circuit key (ties keep source order), and
+/// the barriers keep their places. The compiled program runs this order
+/// and EXPLAIN reports it.
+pub(crate) fn reorder_clause<'a>(
     db: &Database,
     parent: ClassId,
     form: NormalForm,
     atoms: &'a [isis_core::Atom],
     indexes: Option<&IndexService>,
-) -> Vec<&'a isis_core::Atom> {
-    fn flush<'a>(run: &mut Vec<(&'a isis_core::Atom, f64)>, out: &mut Vec<&'a isis_core::Atom>) {
-        run.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        out.extend(run.drain(..).map(|(a, _)| a));
-    }
+) -> Vec<(&'a isis_core::Atom, AtomEstimate)> {
+    let key = |e: &AtomEstimate| match form {
+        // AND clause: fail fast — most selective per unit cost.
+        NormalForm::Dnf => e.selectivity * e.cost + e.cost * 0.01,
+        // OR clause: succeed fast — most probable per unit cost.
+        NormalForm::Cnf => (1.0 - e.selectivity) * e.cost + e.cost * 0.01,
+    };
+    let sort_run = |run: &mut [(&isis_core::Atom, AtomEstimate)]| {
+        run.sort_by(|a, b| {
+            key(&a.1)
+                .partial_cmp(&key(&b.1))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+    };
     let mut out = Vec::with_capacity(atoms.len());
-    let mut run: Vec<(&isis_core::Atom, f64)> = Vec::new();
+    let mut run_start = 0;
     for atom in atoms {
+        let e = estimate_atom(db, parent, atom, indexes);
         if atom.op.op.is_ordering() {
             // Fallible barrier: keep its position relative to its run.
-            flush(&mut run, &mut out);
-            out.push(atom);
+            sort_run(&mut out[run_start..]);
+            out.push((atom, e));
+            run_start = out.len();
         } else {
-            let e = estimate_atom(db, parent, atom, indexes);
-            let key = match form {
-                // AND clause: fail fast — most selective per unit cost.
-                NormalForm::Dnf => e.selectivity * e.cost + e.cost * 0.01,
-                // OR clause: succeed fast — most probable per unit cost.
-                NormalForm::Cnf => (1.0 - e.selectivity) * e.cost + e.cost * 0.01,
-            };
-            run.push((atom, key));
+            out.push((atom, e));
         }
     }
-    flush(&mut run, &mut out);
+    sort_run(&mut out[run_start..]);
     out
 }
 
@@ -257,7 +263,7 @@ impl PredicateProgram {
         for clause in &pred.clauses {
             let ordered = reorder_clause(db, parent, pred.form, &clause.atoms, indexes);
             let mut compiled = Vec::with_capacity(ordered.len());
-            for atom in ordered {
+            for (atom, _) in ordered {
                 let lhs = intern(&mut slots, &mut slot_ids, &atom.lhs);
                 let rhs = match &atom.rhs {
                     Rhs::SelfMap(m) => CompiledRhs::SelfSlot(intern(&mut slots, &mut slot_ids, m)),
@@ -721,7 +727,11 @@ mod tests {
             Rhs::constant(ints, [four]),
         );
         let atoms = [expensive.clone(), cheap.clone()];
-        let ordered = reorder_clause(&im.db, im.music_groups, NormalForm::Dnf, &atoms, None);
+        let ordered: Vec<&Atom> =
+            reorder_clause(&im.db, im.music_groups, NormalForm::Dnf, &atoms, None)
+                .into_iter()
+                .map(|(a, _)| a)
+                .collect();
         assert_eq!(ordered, [&cheap, &expensive]);
     }
 

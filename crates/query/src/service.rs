@@ -59,6 +59,7 @@ use crate::error::QueryError;
 use crate::index::{AttrIndex, IndexLookup};
 use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
+use crate::program::PredicateProgram;
 
 /// Counters describing the access-path decisions a service has made.
 ///
@@ -422,12 +423,6 @@ impl IndexService {
         out
     }
 
-    /// Re-anchors the cursor to the database's current epoch (after the
-    /// coordinator has fed the service every outstanding window).
-    pub fn set_cursor(&mut self, db: &Database) {
-        self.manager.set_cursor(db.delta_epoch());
-    }
-
     /// Maintenance counters (posting patches, rebuilds).
     pub fn index_stats(&self) -> IndexStats {
         self.manager.stats()
@@ -517,20 +512,26 @@ impl IndexService {
 
     /// The candidate set an atom admits under its chosen access path (a
     /// superset of the exact answer for `=`; exact for `~` and `⊇`).
-    /// `None` means no pruning is possible for this atom.
-    fn atom_candidates(&self, db: &Database, atom: &Atom) -> Result<Option<OrderedSet>> {
+    /// `None` means no pruning is possible for this atom. `count` bumps
+    /// the planner counters for the path taken.
+    fn atom_candidates(
+        &self,
+        db: &Database,
+        atom: &Atom,
+        count: bool,
+    ) -> Result<Option<OrderedSet>> {
         let anchors = match &atom.rhs {
             Rhs::Constant { anchors, .. } => anchors,
             _ => return Ok(None),
         };
-        match self.plan_atom(db, atom) {
+        match self.plan_atom_inner(db, atom, count) {
             AccessPath::IndexProbe(attr) => {
                 let idx = match self.manager.index(attr) {
                     Some(i) => i,
                     None => return Ok(None),
                 };
                 let out = Self::combine(atom.op.op, anchors, |a| idx.owners_of(a));
-                if out.is_some() {
+                if out.is_some() && count {
                     self.bump(&self.index_probes, &self.obs.index_probes);
                 }
                 Ok(out)
@@ -540,7 +541,7 @@ impl IndexService {
                 let out = Self::combine(atom.op.op, anchors, |a| {
                     sets.iter().find(|s| s.index == a).map(|s| &s.members)
                 });
-                if out.is_some() {
+                if out.is_some() && count {
                     self.bump(&self.grouping_scans, &self.obs.grouping_scans);
                 }
                 Ok(out)
@@ -633,13 +634,31 @@ impl IndexService {
     /// clause structure admits pruning. A CNF clause of exactly one
     /// prunable atom intersects the pool; a DNF where *every* clause has a
     /// prunable atom unions per-clause pools.
+    ///
+    /// Pruning never hides an error. Ordering atoms are the one fallible
+    /// comparison, so only atoms every candidate meets before any ordering
+    /// atom may prune: in a DNF, the atoms ahead of their clause's first
+    /// ordering atom; in a CNF, the one-atom clauses ahead of the first
+    /// clause that holds one. A candidate left out then short-circuits to
+    /// `false` before reaching an ordering atom, over the whole extent too,
+    /// so the pruned and the unpruned evaluation fail on the same first
+    /// candidate with the same error.
     pub fn candidate_pool(&self, db: &Database, pred: &Predicate) -> Result<Option<OrderedSet>> {
+        self.pool_for(db, pred, true)
+    }
+
+    /// [`IndexService::candidate_pool`], bumping the planner counters iff
+    /// `count`.
+    fn pool_for(&self, db: &Database, pred: &Predicate, count: bool) -> Result<Option<OrderedSet>> {
         let mut pool: Option<OrderedSet> = None;
         match pred.form {
             NormalForm::Cnf => {
                 for clause in &pred.clauses {
+                    if clause.atoms.iter().any(|a| a.op.op.is_ordering()) {
+                        break;
+                    }
                     if clause.atoms.len() == 1 {
-                        if let Some(c) = self.atom_candidates(db, &clause.atoms[0])? {
+                        if let Some(c) = self.atom_candidates(db, &clause.atoms[0], count)? {
                             pool = Some(match pool {
                                 None => c,
                                 Some(p) => p.iter().filter(|e| c.contains(*e)).collect(),
@@ -652,8 +671,9 @@ impl IndexService {
                 let mut union = OrderedSet::new();
                 let mut all_prunable = !pred.clauses.is_empty();
                 'clauses: for clause in &pred.clauses {
-                    for atom in &clause.atoms {
-                        if let Some(c) = self.atom_candidates(db, atom)? {
+                    let ahead = clause.atoms.iter().take_while(|a| !a.op.op.is_ordering());
+                    for atom in ahead {
+                        if let Some(c) = self.atom_candidates(db, atom, count)? {
                             union.extend_from(&c);
                             continue 'clauses;
                         }
@@ -764,6 +784,23 @@ impl IndexService {
                 }
                 Ok(out)
             })
+    }
+
+    /// Evaluates `prog`, compiled from `pred` over `parent`, through the
+    /// planner and the pool exactly as [`IndexService::evaluate`] would,
+    /// but records nothing: no [`QueryStats`], no program-cache entry, no
+    /// slow-query capture. The derived-class refresh settles through this
+    /// ([`crate::DerivedMaintainer::recompute`]).
+    pub(crate) fn evaluate_program(
+        &self,
+        db: &Database,
+        parent: ClassId,
+        pred: &Predicate,
+        prog: &PredicateProgram,
+    ) -> Result<OrderedSet, QueryError> {
+        let pool = self.pool_for(db, pred, false)?;
+        let candidates = self.ordered_candidates(db, parent, pool.as_ref())?;
+        self.eval_pool.evaluate(db, prog, &candidates, None)
     }
 
     /// The slow-query threshold in nanoseconds (0 = capture disabled).
@@ -952,6 +989,54 @@ mod tests {
         let want = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
         assert!(got.set_eq(&want));
         assert_eq!(svc.index_stats().rebuilds, 0, "point update must patch");
+    }
+
+    #[test]
+    fn pruning_never_hides_an_ordering_error() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.members).unwrap();
+        // Brass Attack has no Edith and, unsized, fails `size < {5}`.
+        let brass = im
+            .db
+            .entity_by_name(im.music_groups, "Brass Attack")
+            .unwrap();
+        assert!(!im
+            .db
+            .attr_value_set(brass, im.members)
+            .unwrap()
+            .contains(im.edith));
+        im.db.unassign(brass, im.size).unwrap();
+        let five = im.db.int(5);
+        let ints = im.db.predefined(isis_core::BaseKind::Integers);
+        let barrier = Atom::new(
+            Map::single(im.size),
+            CompareOp::Lt,
+            Rhs::constant(ints, [five]),
+        );
+        let edith = match_atom(im.members, im.musicians, im.edith);
+        let clause = |atoms: &[&Atom]| Clause::new(atoms.iter().map(|a| (*a).clone()).collect());
+        // Every candidate meets the barrier first: no pruning, same error.
+        for pred in [
+            Predicate::dnf(vec![clause(&[&barrier, &edith])]),
+            Predicate::cnf(vec![clause(&[&barrier]), clause(&[&edith])]),
+        ] {
+            let want = im.db.evaluate_derived_members(im.music_groups, &pred);
+            assert!(want.is_err(), "{pred}");
+            let got = svc.evaluate(&im.db, im.music_groups, &pred);
+            assert_eq!(got, want.map_err(QueryError::Core), "{pred}");
+        }
+        assert_eq!(svc.query_stats().index_probes, 0);
+        // Behind the barrier the atom prunes: the groups it leaves out
+        // short-circuit before `size < {5}`, here as over the extent.
+        let pred = Predicate::dnf(vec![clause(&[&edith, &barrier])]);
+        let want = im
+            .db
+            .evaluate_derived_members(im.music_groups, &pred)
+            .unwrap();
+        let got = svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(svc.query_stats().index_probes, 1);
     }
 
     #[test]

@@ -565,7 +565,8 @@ impl Session {
     ///
     /// The fast path consumes the core delta log from the last synchronised
     /// epoch and re-evaluates only affected candidates (via
-    /// [`DerivedMaintainer::apply_changes`]). A full re-evaluation happens
+    /// [`DerivedMaintainer::collect_affected`] and
+    /// [`DerivedMaintainer::settle_with`]). A full re-evaluation happens
     /// only when the window contains schema edits, was evicted, or the
     /// database was replaced since the last refresh.
     pub fn refresh_derived(&mut self) -> Result<(), SessionError> {
@@ -698,7 +699,15 @@ impl Session {
     }
 
     /// Full fallback: re-evaluates every derived subclass and derived
-    /// attribute, rebuilds the maintainers, and re-anchors the cursor.
+    /// attribute on one new index service, rebuilds the maintainers, and
+    /// re-anchors the cursor.
+    ///
+    /// Classes settle in id order, as `Database::refresh_derived_class`
+    /// would take them, and record the same writes. Each maintainer is
+    /// compiled at its class's turn, so a predicate is validated against
+    /// the extents the classes before it installed; its candidates are
+    /// pruned through the service, and the install's writes drain into
+    /// the service before the next class plans.
     fn full_refresh(&mut self) -> Result<(), SessionError> {
         let obs = isis_obs::global();
         let _span = obs.span("session.refresh.full");
@@ -709,13 +718,22 @@ impl Session {
             .filter(|(_, c)| c.is_derived())
             .map(|(id, _)| id)
             .collect();
-        for c in &derived_classes {
-            let before = self.db.members(*c)?.len();
-            let after = self.db.refresh_derived_class(*c)?;
+        let mut service = IndexService::new(&self.db);
+        service.eval_pool().set_threads(self.eval_threads);
+        let mut maints = Vec::with_capacity(derived_classes.len());
+        for c in derived_classes {
+            let m = DerivedMaintainer::new(&self.db, c)?;
+            for &attr in m.used_attrs() {
+                service.ensure_index(&self.db, attr)?;
+            }
+            let before = self.db.members(c)?.len();
+            let after = m.recompute(&mut self.db, &service)?;
+            service.refresh(&self.db)?;
             if before != after {
-                let name = self.db.class(*c)?.name.clone();
+                let name = self.db.class(c)?.name.clone();
                 self.say(format!("{name} re-evaluated: {before} -> {after} members"));
             }
+            maints.push(m);
         }
         let derived_attrs: Vec<AttrId> = self
             .db
@@ -726,21 +744,7 @@ impl Session {
         for a in derived_attrs {
             self.db.refresh_derived_attr(a)?;
         }
-        let mut maints = Vec::new();
-        for c in derived_classes {
-            maints.push(DerivedMaintainer::new(&self.db, c)?);
-        }
-        // Rebuild the shared index service to cover every attribute any
-        // maintainer's predicate traverses; ad-hoc queries benefit from the
-        // same postings.
-        let mut service = IndexService::new(&self.db);
-        for m in &maints {
-            for &attr in m.used_attrs() {
-                service.ensure_index(&self.db, attr)?;
-            }
-        }
-        service.set_cursor(&self.db);
-        service.eval_pool().set_threads(self.eval_threads);
+        service.refresh(&self.db)?;
         self.maintainers = Some(maints);
         self.service = Some(service);
         self.refresh_cursor = self.db.delta_epoch();

@@ -155,14 +155,19 @@ fn apply_op(
 /// Drains the delta log through the maintainer, session-style: the
 /// maintainer's own membership writes are re-read as echoes until the log
 /// runs dry.
-fn drain(db: &mut Database, maint: &mut DerivedMaintainer, cursor: &mut u64) {
+fn drain(
+    db: &mut Database,
+    maint: &mut DerivedMaintainer,
+    indexes: &mut IndexManager,
+    cursor: &mut u64,
+) {
     for _ in 0..8 {
         let cs = db.changes_since(*cursor).expect("delta window evicted");
         if cs.is_empty() {
             return;
         }
         *cursor = db.delta_epoch();
-        maint.apply_changes(db, &cs).unwrap();
+        maint.apply_changes(db, indexes, &cs).unwrap();
     }
     let cs = db.changes_since(*cursor).expect("delta window evicted");
     assert!(cs.is_empty(), "delta drain did not converge");
@@ -194,6 +199,8 @@ proptest! {
         let derived = im.db.create_derived_subclass(im.musicians, "gen_derived").unwrap();
         im.db.commit_membership(derived, pred.clone()).unwrap();
         let mut maint = DerivedMaintainer::new(&im.db, derived).unwrap();
+        // The postings describe the state the first window starts from.
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
         let mut cursor = im.db.delta_epoch();
 
         let mut live = im.all_musicians.clone();
@@ -201,10 +208,10 @@ proptest! {
         for op in &ops {
             apply_op(&mut im, &mut live, &mut fresh, op);
             if drain_each {
-                drain(&mut im.db, &mut maint, &mut cursor);
+                drain(&mut im.db, &mut maint, &mut indexes, &mut cursor);
             }
         }
-        drain(&mut im.db, &mut maint, &mut cursor);
+        drain(&mut im.db, &mut maint, &mut indexes, &mut cursor);
 
         let mut incremental: Vec<EntityId> =
             im.db.members(derived).unwrap().iter().collect();
