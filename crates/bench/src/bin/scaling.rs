@@ -18,7 +18,9 @@
 //!
 //! Outside smoke mode the harness enforces the scaling floor directly:
 //! cached-program query rounds must be ≥ 2x faster than per-query
-//! recompilation at 1e5+ entities, and the pooled settle must beat the
+//! recompilation at 1e5+ entities, so must the column-streaming batch
+//! scans (a set compare, and on wide shapes an ordering compare) against
+//! the per-candidate scalar loop, and the pooled settle must beat the
 //! serial settle on affected sets of 1e5 entities. The settle comparison
 //! is asserted only when the host actually has ≥ 2 cores — the sharded
 //! path is still exercised and recorded on a single-core host, where
@@ -27,7 +29,9 @@
 use std::time::{Duration, Instant};
 
 use isis_bench::BenchReport;
-use isis_core::{Atom, Clause, CompareOp, Database, EntityId, Map, OrderedSet, Predicate, Rhs};
+use isis_core::{
+    Atom, BaseKind, Clause, CompareOp, Database, EntityId, Map, OrderedSet, Predicate, Rhs,
+};
 use isis_query::{DerivedMaintainer, EvalPool, IndexService, MemoTable, PredicateProgram};
 use isis_sample::workload::navigation_chain;
 use isis_sample::{synthetic_scaled, ScaledMusic, SchemaShape, SynthSpec, ValueDist};
@@ -49,6 +53,8 @@ struct ConfigResult {
     recompiled_ns: f64,
     scan_batch_ns: f64,
     scan_scalar_ns: f64,
+    /// (batch, scalar) for the ordering scan; wide shapes only.
+    ordering_scan: Option<(f64, f64)>,
     affected: usize,
     settle_serial_ns: f64,
     settle_pool_ns: f64,
@@ -62,6 +68,71 @@ fn time_rounds(rounds: usize, mut f: impl FnMut()) -> f64 {
         total += t.elapsed();
     }
     total.as_secs_f64() * 1e9 / rounds.max(1) as f64
+}
+
+/// Times `pred` over the whole musicians extent through the batch body
+/// and through the scalar loop of one compiled program, which must stream
+/// and agree, and records `scaling/{name}_{batch,scalar}/{tag}`. Returns
+/// the mean (batch, scalar) nanoseconds per round.
+fn scan_arms(
+    g: &ScaledMusic,
+    pred: &Predicate,
+    rounds: usize,
+    name: &str,
+    tag: &str,
+    report: &mut BenchReport,
+) -> (f64, f64) {
+    let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, pred).unwrap();
+    assert!(
+        prog.batch_compatible(),
+        "{name}: {pred} must stream columns"
+    );
+    let extent: Vec<EntityId> = g.s.db.members(g.s.musicians).unwrap().iter().collect();
+    let mut memo = MemoTable::new(&prog);
+    let expected = prog.eval_batch(&g.s.db, &extent, None, &mut memo).unwrap();
+    let scalar: Vec<EntityId> = extent
+        .iter()
+        .copied()
+        .filter(|&e| prog.eval_for(&g.s.db, e, None, &mut memo).unwrap())
+        .collect();
+    assert_eq!(scalar, expected, "{name}: batch and scalar disagree");
+    let batch_ns = time_rounds(rounds, || {
+        let mut memo = MemoTable::new(&prog);
+        let n = prog
+            .eval_batch(&g.s.db, &extent, None, &mut memo)
+            .unwrap()
+            .len();
+        assert_eq!(n, expected.len());
+    });
+    let scalar_ns = time_rounds(rounds, || {
+        let mut memo = MemoTable::new(&prog);
+        let mut n = 0usize;
+        for &e in &extent {
+            if prog.eval_for(&g.s.db, e, None, &mut memo).unwrap() {
+                n += 1;
+            }
+        }
+        assert_eq!(n, expected.len());
+    });
+    eprintln!(
+        "   {name} over {} candidates: batch {:.1}us vs scalar {:.1}us ({:.2}x)",
+        extent.len(),
+        batch_ns / 1e3,
+        scalar_ns / 1e3,
+        scalar_ns / batch_ns
+    );
+    *report = std::mem::replace(report, BenchReport::new("scaling"))
+        .result(
+            format!("scaling/{name}_batch/{tag}"),
+            batch_ns,
+            rounds as u64,
+        )
+        .result(
+            format!("scaling/{name}_scalar/{tag}"),
+            scalar_ns,
+            rounds as u64,
+        );
+    (batch_ns, scalar_ns)
 }
 
 fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigResult {
@@ -160,62 +231,27 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
             cfg.query_rounds as u64,
         );
 
-    // --- Full-extent scan: column-streaming batch evaluation vs the
-    // per-candidate scalar loop, on the same compiled program over the
-    // whole musicians extent (ISSUE 10 acceptance: batch >= 2x at 1e5+).
+    // --- Full-extent scans: the column-streaming batch body vs the
+    // per-candidate scalar loop of the same compiled program over the whole
+    // musicians extent, for a set compare and (wide shapes, which carry
+    // the integer metrics) an ordering compare.
     let scan_pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
         Map::single(g.s.plays),
         CompareOp::Match,
         Rhs::constant(g.s.instruments, [g.s.instrument_ids[0]]),
     )])]);
-    let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, &scan_pred).unwrap();
-    assert!(
-        prog.batch_compatible(),
-        "the scan predicate must stream columns"
-    );
-    let extent: Vec<EntityId> = g.s.db.members(g.s.musicians).unwrap().iter().collect();
-    let expected = {
-        let mut memo = MemoTable::new(&prog);
-        prog.eval_batch(&g.s.db, &extent, None, &mut memo)
-            .unwrap()
-            .len()
-    };
-    let scan_batch_ns = time_rounds(cfg.query_rounds, || {
-        let mut memo = MemoTable::new(&prog);
-        let n = prog
-            .eval_batch(&g.s.db, &extent, None, &mut memo)
-            .unwrap()
-            .len();
-        assert_eq!(n, expected);
+    let (scan_batch_ns, scan_scalar_ns) =
+        scan_arms(&g, &scan_pred, cfg.query_rounds, "scan", &tag, report);
+    let ordering_scan = g.wide_attrs.first().copied().map(|metric| {
+        let ints = g.s.db.predefined(BaseKind::Integers);
+        let fifty = g.s.db.int(50);
+        let pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+            Map::single(metric),
+            CompareOp::Lt,
+            Rhs::constant(ints, [fifty]),
+        )])]);
+        scan_arms(&g, &pred, cfg.query_rounds, "scan_ordering", &tag, report)
     });
-    let scan_scalar_ns = time_rounds(cfg.query_rounds, || {
-        let mut memo = MemoTable::new(&prog);
-        let mut n = 0usize;
-        for &e in &extent {
-            if prog.eval_for(&g.s.db, e, None, &mut memo).unwrap() {
-                n += 1;
-            }
-        }
-        assert_eq!(n, expected);
-    });
-    eprintln!(
-        "   full-extent scan ({} candidates): batch {:.1}us vs scalar {:.1}us ({:.2}x)",
-        extent.len(),
-        scan_batch_ns / 1e3,
-        scan_scalar_ns / 1e3,
-        scan_scalar_ns / scan_batch_ns
-    );
-    *report = std::mem::replace(report, BenchReport::new("scaling"))
-        .result(
-            format!("scaling/scan_batch/{tag}"),
-            scan_batch_ns,
-            cfg.query_rounds as u64,
-        )
-        .result(
-            format!("scaling/scan_scalar/{tag}"),
-            scan_scalar_ns,
-            cfg.query_rounds as u64,
-        );
 
     // --- Large-affected-set settle: serial vs the shared pool.
     let final_pred: Predicate = chain.last().unwrap().clone();
@@ -306,6 +342,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         recompiled_ns,
         scan_batch_ns,
         scan_scalar_ns,
+        ordering_scan,
         affected: affected.len(),
         settle_serial_ns,
         settle_pool_ns,
@@ -437,6 +474,14 @@ fn main() {
                 r.scan_batch_ns,
                 r.scan_scalar_ns
             );
+            if let Some((batch_ns, scalar_ns)) = r.ordering_scan {
+                assert!(
+                    batch_ns * 2.0 <= scalar_ns,
+                    "batch ordering scan must be >=2x faster than scalar at \
+                     {} entities (batch {batch_ns:.0}ns vs scalar {scalar_ns:.0}ns)",
+                    r.entities
+                );
+            }
         }
         if r.affected >= 100_000 {
             if cores >= 2 {

@@ -147,29 +147,42 @@ impl Database {
             CompareOp::ProperSuperset => rhs.is_subset(lhs) && !lhs.set_eq(rhs),
             CompareOp::Match => lhs.intersects(rhs),
             CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge => {
-                let ord = self.order_singletons(lhs, rhs)?;
-                match op {
-                    CompareOp::Lt => ord == std::cmp::Ordering::Less,
-                    CompareOp::Le => ord != std::cmp::Ordering::Greater,
-                    CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CompareOp::Ge => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!(),
-                }
+                ordering_holds(op, self.order_singletons(lhs, rhs)?)
             }
         })
     }
 
-    /// Orders two singleton sets: numerically for INTEGERS/REALS (mixed is
-    /// fine), lexicographically for STRINGS.
+    /// Orders two singleton sets by [`Database::order_literals`].
     fn order_singletons(&self, lhs: &OrderedSet, rhs: &OrderedSet) -> Result<std::cmp::Ordering> {
-        let (a, b) = match (lhs.as_singleton(), rhs.as_singleton()) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Err(CoreError::NotComparable(
-                    "ordering operators require singleton sets".into(),
-                ))
-            }
-        };
+        match (lhs.as_singleton(), rhs.as_singleton()) {
+            (Some(a), Some(b)) => self.order_literals(a, b),
+            _ => Err(CoreError::NotComparable(
+                "ordering operators require singleton sets".into(),
+            )),
+        }
+    }
+
+    /// [`Database::compare_sets`] for a left-hand side of at most one value
+    /// — the empty set when `v` is NULL (an unassigned cell), `{v}`
+    /// otherwise — or `None` wherever `compare_sets` would fail. The batch
+    /// body of isis-query's compiled programs streams single-valued
+    /// column cells through this entry, ordering operators included, and
+    /// hands a candidate it cannot decide to the per-candidate path.
+    pub fn compare_value(&self, v: EntityId, op: CompareOp, rhs: &OrderedSet) -> Option<bool> {
+        if !op.is_ordering() {
+            return compare_single(v, op, rhs);
+        }
+        if v.is_null() {
+            return None;
+        }
+        let ord = self.order_literals(v, rhs.as_singleton()?).ok()?;
+        Some(ordering_holds(op, ord))
+    }
+
+    /// The ordering rule: two literal entities compare numerically for
+    /// INTEGERS/REALS (mixed is fine), lexicographically for STRINGS;
+    /// anything else is not comparable.
+    fn order_literals(&self, a: EntityId, b: EntityId) -> Result<std::cmp::Ordering> {
         let (la, lb) = (self.literal_of(a), self.literal_of(b));
         match (la, lb) {
             (Some(la), Some(lb)) => {
@@ -456,16 +469,26 @@ impl Database {
     }
 }
 
+/// Whether `ord`, the order of the left operand against the right,
+/// satisfies the ordering operator `op`.
+fn ordering_holds(op: CompareOp, ord: std::cmp::Ordering) -> bool {
+    match op {
+        CompareOp::Lt => ord.is_lt(),
+        CompareOp::Le => ord.is_le(),
+        CompareOp::Gt => ord.is_gt(),
+        CompareOp::Ge => ord.is_ge(),
+        _ => unreachable!("{op:?} is not an ordering operator"),
+    }
+}
+
 /// Compares a single-valued column cell against a pre-materialised rhs
 /// image — [`Database::compare_sets`] specialised to a left-hand side
 /// that is either the empty set (`v` is NULL, i.e. the slot is
 /// unassigned) or the singleton `{v}`.
 ///
-/// Returns `None` for ordering operators: those are fallible (they
-/// require literal singletons on both sides) and must go through the
-/// full set path so the error identity is preserved. Batched predicate
-/// evaluation in isis-query therefore never streams ordering atoms.
-pub fn compare_single(v: EntityId, op: CompareOp, rhs: &OrderedSet) -> Option<bool> {
+/// Returns `None` for ordering operators: those need the literal table
+/// and can fail, so they go through [`Database::compare_value`].
+pub(crate) fn compare_single(v: EntityId, op: CompareOp, rhs: &OrderedSet) -> Option<bool> {
     let null = v.is_null();
     Some(match op {
         CompareOp::SetEq => {
@@ -952,10 +975,12 @@ mod tests {
     /// `compare_single` must agree with `compare_sets` for every
     /// operator on every lhs shape it claims to handle: lhs = ∅ (NULL
     /// cell) and lhs = {v}, against rhs sets of size 0, 1, and 2, with
-    /// and without v ∈ rhs. Ordering operators must refuse.
+    /// and without v ∈ rhs. Ordering operators must refuse. Its ordering
+    /// counterpart `compare_value` must answer exactly where
+    /// `compare_sets` does, with the same result.
     #[test]
     fn compare_single_matches_compare_sets_exhaustively() {
-        let db = Database::new("kernel");
+        let mut db = Database::new("kernel");
         let v = EntityId::from_raw(7);
         let w = EntityId::from_raw(8);
         let u = EntityId::from_raw(9);
@@ -991,6 +1016,45 @@ mod tests {
                 }
                 for op in [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge] {
                     assert_eq!(compare_single(cell, op, rhs), None);
+                }
+            }
+        }
+
+        let values = [
+            EntityId::NULL,
+            v,
+            db.int(3),
+            db.int(7),
+            db.real(3.0).unwrap(),
+            db.real(-0.5).unwrap(),
+            db.str("alto"),
+            db.str("bass"),
+            db.boolean(true),
+        ];
+        let mut rhs_shapes: Vec<OrderedSet> =
+            vec![OrderedSet::new(), values[2..4].iter().copied().collect()];
+        rhs_shapes.extend(values[1..].iter().map(|&x| [x].into_iter().collect()));
+        let ops = [
+            CompareOp::SetEq,
+            CompareOp::Subset,
+            CompareOp::Superset,
+            CompareOp::ProperSubset,
+            CompareOp::ProperSuperset,
+            CompareOp::Match,
+            CompareOp::Lt,
+            CompareOp::Le,
+            CompareOp::Gt,
+            CompareOp::Ge,
+        ];
+        for cell in values {
+            let lhs: OrderedSet = Some(cell).filter(|c| !c.is_null()).into_iter().collect();
+            for rhs in &rhs_shapes {
+                for op in ops {
+                    assert_eq!(
+                        db.compare_value(cell, op, rhs),
+                        db.compare_sets(&lhs, op, rhs).ok(),
+                        "cell={cell:?} op={op:?} rhs={rhs:?}"
+                    );
                 }
             }
         }

@@ -99,8 +99,10 @@ pub struct ExplainRecord {
     pub eval_ns: u64,
     /// Wall-clock whole evaluation.
     pub total_ns: u64,
-    /// `"batch"` when the compiled program streamed attribute columns,
-    /// `"scalar"` when it interpreted per candidate.
+    /// `"batch"` when the compiled program streams attribute columns
+    /// ([`crate::PredicateProgram::batch_compatible`]; a run it cannot
+    /// decide is interpreted per candidate), `"scalar"` when it interprets
+    /// every candidate.
     pub eval_mode: &'static str,
     /// Candidates per streamed run ([`crate::program::BATCH_ROWS`]);
     /// meaningful only in batch mode.
@@ -356,6 +358,12 @@ fn attr_label(db: &Database, attr: isis_core::AttrId) -> String {
         .unwrap_or_else(|_| format!("attr#{}", attr.raw()))
 }
 
+/// A map's steps by name, in the paper's `members·plays` notation.
+fn map_label(db: &Database, map: &isis_core::Map) -> String {
+    let names: Vec<String> = map.steps().iter().map(|&a| attr_label(db, a)).collect();
+    names.join("·")
+}
+
 /// The per-clause atom report, in the order the compiled program runs the
 /// clause ([`crate::program::reorder_clause`]), with each atom's access
 /// path and the estimates that ordered it.
@@ -371,9 +379,14 @@ fn clause_plans(
     let ordered = reorder_clause(db, parent, form, atoms, Some(svc));
     for (order, (atom, estimate)) in ordered.into_iter().enumerate() {
         let (path, why) = match svc.peek_atom_path(db, atom) {
-            AccessPath::IndexProbe(a) => (
-                format!("index probe on {}", attr_label(db, a)),
-                "maintained index on the atom's attribute".to_string(),
+            AccessPath::IndexProbe(_) => (
+                format!("index probe on {}", map_label(db, &atom.lhs)),
+                if atom.lhs.len() == 1 {
+                    "maintained index on the atom's attribute"
+                } else {
+                    "maintained index on every step, walked back from the anchors"
+                }
+                .to_string(),
             ),
             AccessPath::GroupingRange(g) => (
                 format!(
@@ -386,11 +399,14 @@ fn clause_plans(
             ),
             AccessPath::SeqScan => (
                 "seq scan".to_string(),
-                if IndexService::atom_shape(atom) {
+                if !IndexService::atom_shape(atom) {
+                    "atom shape not indexable (negated, identity map, other operator, \
+                     or non-constant rhs)"
+                        .to_string()
+                } else if atom.lhs.len() == 1 {
                     "indexable shape but no index or covering grouping".to_string()
                 } else {
-                    "atom shape not indexable (negated, multi-step, or non-constant rhs)"
-                        .to_string()
+                    "indexable shape but a step of the map has no index".to_string()
                 },
             ),
         };
@@ -614,5 +630,43 @@ mod tests {
         assert_eq!(record.atoms[0].path, "seq scan");
         assert!(record.atoms[0].why.contains("not indexable"));
         assert!(record.chunks.is_none(), "tiny extent stays serial");
+    }
+
+    #[test]
+    fn explain_names_walks_and_streams_ordering_atoms() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let pianists = Predicate::cnf(vec![Clause::new(vec![Atom::new(
+            Map::new(vec![im.members, im.plays]),
+            CompareOp::Superset,
+            Rhs::constant(im.instruments, [im.piano]),
+        )])]);
+        // `members` has no index: the walk cannot run.
+        let (_, record) = svc.explain(&im.db, im.music_groups, &pianists).unwrap();
+        assert_eq!(record.pool_len, None);
+        assert_eq!(record.atoms[0].path, "seq scan");
+        assert!(record.atoms[0]
+            .why
+            .contains("a step of the map has no index"));
+        // With both steps indexed the path names the whole map.
+        svc.ensure_index(&im.db, im.members).unwrap();
+        let (got, record) = svc.explain(&im.db, im.music_groups, &pianists).unwrap();
+        assert_eq!(record.atoms[0].path, "index probe on members·plays");
+        assert!(record.atoms[0].why.contains("walked back"));
+        assert_eq!(record.pool_len, Some(got.len()), "the walk is exact");
+        assert_eq!(record.eval_mode, "scalar", "a two-step map does not stream");
+        // An ordering atom over one column streams.
+        let ints = im.db.predefined(isis_core::BaseKind::Integers);
+        let five = im.db.int(5);
+        let small = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+            Map::single(im.size),
+            CompareOp::Lt,
+            Rhs::constant(ints, [five]),
+        )])]);
+        let (got, record) = svc.explain(&im.db, im.music_groups, &small).unwrap();
+        let want = im.db.evaluate_derived_members(im.music_groups, &small);
+        assert_eq!(Ok(got), want);
+        assert_eq!(record.eval_mode, "batch");
     }
 }

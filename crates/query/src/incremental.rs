@@ -23,7 +23,7 @@ use isis_core::{
 };
 
 use crate::error::QueryError;
-use crate::index::IndexLookup;
+use crate::index::{walk_back, IndexLookup};
 use crate::manager::IndexManager;
 use crate::parallel::EvalPool;
 use crate::program::{MemoTable, PredicateProgram};
@@ -164,11 +164,13 @@ impl DerivedMaintainer {
     /// change after attribute `attr` of the `owners` entities was modified,
     /// walked through the caller's `indexes`.
     ///
-    /// For every occurrence of `attr` at position *i* of a predicate map,
-    /// the owners are walked backwards through the *i* prefix steps via the
-    /// inverted indexes; survivors that are parent members are affected. A
-    /// prefix step without an index leaves the walk unbounded, so the whole
-    /// parent extent is affected.
+    /// For every occurrence of `attr` at position *i* of a candidate-side
+    /// map, the owners are walked backwards through the *i* prefix steps
+    /// via the inverted indexes; survivors that are parent members are
+    /// affected. A prefix step without an index leaves the walk unbounded,
+    /// and a mapped constant whose map uses `attr` moves an image every
+    /// candidate is compared against: either way the whole parent extent
+    /// is affected.
     pub fn affected_candidates(
         &self,
         db: &Database,
@@ -182,6 +184,11 @@ impl DerivedMaintainer {
             return Ok(affected);
         }
         for atom in self.pred.atoms() {
+            if let Rhs::Constant { map, .. } = &atom.rhs {
+                if map.steps().contains(&attr) {
+                    return Ok(parent_members.clone());
+                }
+            }
             self.walk_back(
                 &atom.lhs,
                 indexes,
@@ -211,27 +218,13 @@ impl DerivedMaintainer {
             if step != attr {
                 continue;
             }
-            // Invert the prefix steps[0..i] starting from the changed owners.
-            let mut frontier = owners.clone();
-            for &prev_attr in steps[..i].iter().rev() {
-                let Some(idx) = indexes.index_for(prev_attr) else {
-                    // No index to bound the blast radius: conservatively
-                    // re-evaluate the whole parent extent.
-                    affected.extend_from(parent_members);
-                    return;
-                };
-                let mut prev = OrderedSet::new();
-                for v in frontier.iter() {
-                    if let Some(os) = idx.owners_of(v) {
-                        prev.extend_from(os);
-                    }
-                }
-                frontier = prev;
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            for e in frontier.iter() {
+            let Some(reached) = walk_back(indexes, &steps[..i], owners.clone()) else {
+                // No index to bound the blast radius: conservatively
+                // re-evaluate the whole parent extent.
+                affected.extend_from(parent_members);
+                return;
+            };
+            for e in reached.iter() {
                 if parent_members.contains(e) {
                     affected.insert(e);
                 }
@@ -735,6 +728,41 @@ mod tests {
             .collect_affected(&im.db, &bare, &im.db.changes_since(0).unwrap())
             .unwrap();
         assert!(collected.contains(fling));
+    }
+
+    #[test]
+    fn a_change_under_a_mapped_constant_reevaluates_the_parent() {
+        use isis_core::{Atom, Clause, CompareOp};
+        let mut im = instrumental_music().unwrap();
+        // edith_mates: musicians who share an instrument with Edith.
+        let pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+            Map::single(im.plays),
+            CompareOp::Match,
+            Rhs::Constant {
+                class: im.musicians,
+                anchors: [im.edith].into_iter().collect(),
+                map: Map::single(im.plays),
+            },
+        )])]);
+        let mates = im
+            .db
+            .create_derived_subclass(im.musicians, "edith_mates")
+            .unwrap();
+        im.db.commit_membership(mates, pred.clone()).unwrap();
+        assert_eq!(im.db.members(mates).unwrap().len(), 3);
+        let mut maint = DerivedMaintainer::new(&im.db, mates).unwrap();
+        let mut indexes = maint.build_indexes(&im.db).unwrap();
+        let mark = im.db.delta_epoch();
+        // Edith learns the oboe: its players join through the moved image,
+        // though none of their own values changed.
+        im.db.add_value(im.edith, im.plays, im.oboe).unwrap();
+        let changes = im.db.changes_since(mark).unwrap();
+        maint
+            .apply_changes(&mut im.db, &mut indexes, &changes)
+            .unwrap();
+        let want = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
+        assert_eq!(want.len(), 5);
+        assert!(im.db.members(mates).unwrap().set_eq(&want));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! ("grouping G of C on A … Sₑ = { x | e ∈ A(x) }"). This module makes that
 //! explicit: an [`AttrIndex`] maps each value entity to the set of owners
 //! carrying it, and [`crate::IndexService`] uses such indexes to answer
-//! single-step constant atoms without scanning the class extent — the
-//! speed-up the grouping/index benches measure.
+//! constant atoms without scanning the class extent — the speed-up the
+//! grouping/index benches measure. A multi-step map is answered by
+//! `walk_back`, which inverts one step's postings at a time.
 
 use std::collections::HashMap;
 
@@ -149,6 +150,42 @@ impl IndexLookup for HashMap<AttrId, AttrIndex> {
     fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
         self.get(&attr)
     }
+}
+
+/// Walks `from` back through the postings of the map `steps`, last step
+/// first: the owners of `steps[0]` whose image under the map reaches some
+/// entity of `from`. Postings hold expanded values, exactly what map
+/// evaluation reads, so the walk is exact. `None` when a step the walk
+/// reaches has no index.
+///
+/// The planner walks an atom's map from each constant anchor
+/// ([`crate::IndexService::candidate_pool`]); a maintainer walks a map
+/// prefix from the owners a change touched.
+pub(crate) fn walk_back(
+    indexes: &dyn IndexLookup,
+    steps: &[AttrId],
+    from: OrderedSet,
+) -> Option<OrderedSet> {
+    let mut frontier = from;
+    for &attr in steps.iter().rev() {
+        if frontier.is_empty() {
+            break;
+        }
+        let idx = indexes.index_for(attr)?;
+        frontier = match frontier.as_singleton() {
+            Some(v) => idx.owners_of(v).cloned().unwrap_or_default(),
+            None => {
+                let mut prev = OrderedSet::new();
+                for v in frontier.iter() {
+                    if let Some(owners) = idx.owners_of(v) {
+                        prev.extend_from(owners);
+                    }
+                }
+                prev
+            }
+        };
+    }
+    Some(frontier)
 }
 
 #[cfg(test)]

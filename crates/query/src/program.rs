@@ -36,8 +36,8 @@
 use std::collections::HashMap;
 
 use isis_core::{
-    compare_single, AttrId, AttrRecord, ClassId, CoreError, Database, EntityId, Map, NormalForm,
-    Operator, OrderedSet, Predicate, Result, Rhs, ValueClass, ValueRef,
+    AttrId, AttrRecord, ClassId, CoreError, Database, EntityId, Map, NormalForm, Operator,
+    OrderedSet, Predicate, Result, Rhs, ValueClass, ValueRef,
 };
 
 use crate::optimizer::{estimate_atom, AtomEstimate};
@@ -78,9 +78,8 @@ struct ConstSlot {
 pub const BATCH_ROWS: usize = 1024;
 
 /// One streamable atom: a single-step candidate map over a non-naming,
-/// Class-ranged attribute, compared against a hoisted constant image with
-/// a non-ordering (hence infallible) operator. Everything the inner loop
-/// needs is a column read plus a set compare.
+/// Class-ranged attribute, compared against a hoisted constant image.
+/// Everything the inner loop needs is a column read plus a compare.
 #[derive(Debug, Clone, Copy)]
 struct BatchAtom {
     attr: AttrId,
@@ -90,7 +89,7 @@ struct BatchAtom {
 
 /// The batched form of a program whose every atom is streamable, plus the
 /// parent class the program was compiled for (its extent bounds which
-/// candidates are provably infallible — see [`PredicateProgram::eval_batch`]).
+/// candidates may stream — see [`PredicateProgram::eval_batch`]).
 #[derive(Debug, Clone)]
 struct BatchBody {
     parent: ClassId,
@@ -98,10 +97,10 @@ struct BatchBody {
 }
 
 /// Builds the batched form, or `None` if any atom is not streamable.
-/// Streamability requires: constant rhs (hoisted image), non-ordering
-/// operator, and a one-step lhs map whose attribute is non-naming and
-/// Class-ranged — exactly the atoms whose scalar evaluation reduces to
-/// "read the column cell, compare against a fixed set".
+/// Streamability requires: constant rhs (hoisted image) and a one-step
+/// lhs map whose attribute is non-naming and Class-ranged — exactly the
+/// atoms whose scalar evaluation reduces to "read the column cell,
+/// compare against a fixed set".
 fn build_batch(
     db: &Database,
     parent: ClassId,
@@ -115,9 +114,6 @@ fn build_batch(
             let CompiledRhs::Const(ci) = atom.rhs else {
                 return None;
             };
-            if atom.op.op.is_ordering() {
-                return None;
-            }
             let steps = slots[atom.lhs as usize].steps();
             if steps.len() != 1 {
                 return None;
@@ -143,22 +139,21 @@ fn build_batch(
 /// Evaluates one streamable atom for one candidate by reading the
 /// attribute column directly. Exactly `eval_compiled_atom` for a member
 /// of the atom's owner class: the column cell *is* `eval_map([e], lhs)`
-/// (`None` ⇒ ∅, `Single(v)` ⇒ `{v}`, `Multi(s)` ⇒ `s`), and non-ordering
-/// set compares cannot error.
+/// (`None` ⇒ ∅, `Single(v)` ⇒ `{v}`, `Multi(s)` ⇒ `s`). `None` where
+/// the scalar comparison errors, which only an ordering operator does.
 fn stream_test(
     db: &Database,
     rec: &AttrRecord,
     e: EntityId,
     op: Operator,
     image: &OrderedSet,
-) -> bool {
+) -> Option<bool> {
     let raw = match rec.values.get(e) {
-        None => compare_single(EntityId::NULL, op.op, image),
-        Some(ValueRef::Single(v)) => compare_single(v, op.op, image),
+        None => db.compare_value(EntityId::NULL, op.op, image),
+        Some(ValueRef::Single(v)) => db.compare_value(v, op.op, image),
         Some(ValueRef::Multi(s)) => db.compare_sets(s, op.op, image).ok(),
-    }
-    .expect("streamable atoms use non-ordering operators");
-    op.finish(raw)
+    }?;
+    Some(op.finish(raw))
 }
 
 /// A [`Predicate`] compiled for repeated evaluation over one parent class.
@@ -523,11 +518,16 @@ impl PredicateProgram {
     ///   compiled parent class (predicate validation), so
     ///   `members(parent) ⊆ members(owner)` and a candidate that is a
     ///   member of the parent cannot hit the scalar path's `NotAMember`
-    ///   error; non-ordering set compares are infallible; hence batched
-    ///   runs over member candidates cannot error at all;
-    /// * any run containing a non-member candidate — or any evaluation
-    ///   where the parent class or a streamed attribute has since died —
-    ///   is handed to the scalar loop wholesale, in candidate order, so
+    ///   error; non-ordering set compares are infallible;
+    /// * a run streams the atoms of each clause over the candidates still
+    ///   undecided, dropping a candidate at the atom that decides it, so
+    ///   it tests exactly the (candidate, atom) pairs the scalar
+    ///   short-circuit tests. An ordering test that would error there
+    ///   leaves its candidate undecided ([`Database::compare_value`]);
+    /// * any run containing a non-member or undecided candidate — or any
+    ///   evaluation where the parent class or a streamed attribute has
+    ///   since died — is handed to the scalar loop wholesale, in
+    ///   candidate order. Every earlier run was decided without error, so
     ///   the first failing candidate surfaces the scalar error.
     pub fn eval_batch(
         &self,
@@ -558,74 +558,98 @@ impl PredicateProgram {
             return Ok(out);
         }
         for chunk in candidates.chunks(BATCH_ROWS) {
-            if chunk.iter().any(|&e| !members.contains(e)) {
-                self.eval_scalar(db, chunk, source, memo, &mut out)?;
-                continue;
-            }
-            // Pure column path: provably infallible for member candidates.
-            let decided = match self.form {
-                NormalForm::Dnf => {
-                    let mut accepted = vec![false; chunk.len()];
-                    let mut undecided: Vec<usize> = (0..chunk.len()).collect();
-                    for clause in &batch.clauses {
-                        let mut retain = undecided.clone();
-                        for a in clause {
-                            if retain.is_empty() {
-                                break;
-                            }
-                            let rec = db.attr(a.attr).expect("streamed attr checked above");
-                            let image = &self.consts[a.const_idx as usize].image;
-                            retain.retain(|&i| stream_test(db, rec, chunk[i], a.op, image));
-                        }
-                        for &i in &retain {
-                            accepted[i] = true;
-                        }
-                        undecided.retain(|i| !accepted[*i]);
-                        if undecided.is_empty() {
-                            break;
-                        }
-                    }
-                    accepted
-                }
-                NormalForm::Cnf => {
-                    let mut alive: Vec<usize> = (0..chunk.len()).collect();
-                    for clause in &batch.clauses {
-                        if alive.is_empty() {
-                            break;
-                        }
-                        let mut satisfied = vec![false; chunk.len()];
-                        let mut pending = alive.clone();
-                        for a in clause {
-                            if pending.is_empty() {
-                                break;
-                            }
-                            let rec = db.attr(a.attr).expect("streamed attr checked above");
-                            let image = &self.consts[a.const_idx as usize].image;
-                            pending.retain(|&i| {
-                                if stream_test(db, rec, chunk[i], a.op, image) {
-                                    satisfied[i] = true;
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                        }
-                        alive.retain(|&i| satisfied[i]);
-                    }
-                    let mut accepted = vec![false; chunk.len()];
-                    for &i in &alive {
-                        accepted[i] = true;
-                    }
-                    accepted
-                }
+            let decided = if chunk.iter().all(|&e| members.contains(e)) {
+                self.stream_chunk(db, batch, chunk)
+            } else {
+                None
             };
-            for (i, &e) in chunk.iter().enumerate() {
-                if decided[i] {
-                    out.push(e);
-                }
+            match decided {
+                Some(accepted) => out.extend(
+                    chunk
+                        .iter()
+                        .zip(accepted)
+                        .filter_map(|(&e, yes)| yes.then_some(e)),
+                ),
+                None => self.eval_scalar(db, chunk, source, memo, &mut out)?,
             }
         }
         Ok(out)
+    }
+
+    /// The column path over one run of member candidates: which of them
+    /// the program accepts, or `None` as soon as some candidate reaches a
+    /// test it cannot decide.
+    fn stream_chunk(
+        &self,
+        db: &Database,
+        batch: &BatchBody,
+        chunk: &[EntityId],
+    ) -> Option<Vec<bool>> {
+        // Runs one atom over the candidates in `live`, keeping those whose
+        // test equals `keep`; the others are decided by this atom.
+        let stream = |a: &BatchAtom, live: &mut Vec<usize>, keep: bool| -> Option<()> {
+            let rec = db
+                .attr(a.attr)
+                .expect("streamed attr checked by eval_batch");
+            let image = &self.consts[a.const_idx as usize].image;
+            let mut undecidable = false;
+            live.retain(|&i| match stream_test(db, rec, chunk[i], a.op, image) {
+                Some(t) => t == keep,
+                None => {
+                    undecidable = true;
+                    false
+                }
+            });
+            (!undecidable).then_some(())
+        };
+        let mut accepted = vec![false; chunk.len()];
+        match self.form {
+            NormalForm::Dnf => {
+                // A candidate is accepted by the first clause whose atoms
+                // all hold; an atom that fails it moves it on.
+                let mut undecided: Vec<usize> = (0..chunk.len()).collect();
+                for clause in &batch.clauses {
+                    let mut holding = undecided.clone();
+                    for a in clause {
+                        if holding.is_empty() {
+                            break;
+                        }
+                        stream(a, &mut holding, true)?;
+                    }
+                    for &i in &holding {
+                        accepted[i] = true;
+                    }
+                    undecided.retain(|i| !accepted[*i]);
+                    if undecided.is_empty() {
+                        break;
+                    }
+                }
+            }
+            NormalForm::Cnf => {
+                // A candidate survives a clause at its first true atom and
+                // is rejected when every atom of some clause fails.
+                let mut alive: Vec<usize> = (0..chunk.len()).collect();
+                for clause in &batch.clauses {
+                    if alive.is_empty() {
+                        break;
+                    }
+                    let mut failing = alive.clone();
+                    for a in clause {
+                        if failing.is_empty() {
+                            break;
+                        }
+                        stream(a, &mut failing, false)?;
+                    }
+                    // Both lists ascend and `failing ⊆ alive`: one merge.
+                    let mut failed = failing.iter().peekable();
+                    alive.retain(|i| failed.next_if_eq(&i).is_none());
+                }
+                for &i in &alive {
+                    accepted[i] = true;
+                }
+            }
+        }
+        Some(accepted)
     }
 }
 
@@ -856,7 +880,7 @@ mod tests {
         let pred = Predicate::dnf(vec![Clause::new(vec![streamable.clone()])]);
         let prog = PredicateProgram::compile(&im.db, im.music_groups, &pred).unwrap();
         assert!(prog.batch_compatible());
-        // An ordering operator forces the scalar interpreter.
+        // An ordering atom of the same shape streams too.
         let ordering = Atom::new(
             isis_core::Map::single(im.size),
             CompareOp::Lt,
@@ -864,7 +888,7 @@ mod tests {
         );
         let pred = Predicate::dnf(vec![Clause::new(vec![ordering])]);
         let prog = PredicateProgram::compile(&im.db, im.music_groups, &pred).unwrap();
-        assert!(!prog.batch_compatible());
+        assert!(prog.batch_compatible());
         // A self-map rhs is candidate-dependent: not streamable.
         let self_rhs = Atom::new(
             isis_core::Map::single(im.size),

@@ -16,8 +16,9 @@
 //! candidates; the pool's width is the service's only thread count.
 //!
 //! The service also hosts the *access-path planner*: for each atom it
-//! chooses between an index probe (posting-list lookup), a grouping-range
-//! scan (reading the sets of a §2 grouping defined on the atom's
+//! chooses between an index probe (the posting lists of every step of the
+//! atom's map, walked back from its anchors), a grouping-range scan
+//! (reading the sets of a §2 grouping defined on a one-step atom's
 //! attribute), and a sequential scan, and counts each decision in
 //! [`QueryStats`] so planner behaviour is observable (the REPL `stats`
 //! command prints these counters).
@@ -56,7 +57,7 @@ use isis_core::{
 
 use crate::cache::{CachedPlan, ProgramCache};
 use crate::error::QueryError;
-use crate::index::{AttrIndex, IndexLookup};
+use crate::index::{walk_back, AttrIndex, IndexLookup};
 use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
 use crate::program::PredicateProgram;
@@ -90,7 +91,9 @@ pub struct QueryStats {
 /// The physical access path the planner picks for one atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPath {
-    /// Probe the maintained index on this attribute.
+    /// Walk the maintained indexes of every step of the atom's map back
+    /// from its anchors; carries the map's first step, whose postings
+    /// yield the candidates (a one-step map is a single probe).
     IndexProbe(AttrId),
     /// Read the sets of this grouping (defined on the atom's attribute).
     GroupingRange(GroupingId),
@@ -454,11 +457,11 @@ impl IndexService {
         self.index_misses.set(0);
     }
 
-    /// `true` when the atom has indexable shape — single-step, non-negated
-    /// `~` / `⊇` / `=` against a plain constant set.
+    /// `true` when the atom has indexable shape — a non-negated `~` / `⊇` /
+    /// `=` from a map of one or more steps against a plain constant set.
     pub(crate) fn atom_shape(atom: &Atom) -> bool {
         !atom.op.negated
-            && atom.lhs.len() == 1
+            && !atom.lhs.is_identity()
             && matches!(
                 atom.op.op,
                 CompareOp::Match | CompareOp::Superset | CompareOp::SetEq
@@ -466,15 +469,22 @@ impl IndexService {
             && matches!(&atom.rhs, Rhs::Constant { map, .. } if map.is_identity())
     }
 
-    /// `true` if the atom can be answered from a registered index.
+    /// `true` if the atom can be answered from registered indexes: every
+    /// step of its map has one.
     pub fn indexable(&self, atom: &Atom) -> bool {
-        Self::atom_shape(atom) && self.manager.index(atom.lhs.steps()[0]).is_some()
+        Self::atom_shape(atom)
+            && atom
+                .lhs
+                .steps()
+                .iter()
+                .all(|&a| self.manager.index(a).is_some())
     }
 
-    /// Chooses the access path for one atom: a maintained index wins; a
-    /// grouping defined on the attribute (covering the attribute's whole
-    /// owner extent) is the fallback; otherwise sequential scan. Counts a
-    /// planner miss when the shape was indexable but no index exists.
+    /// Chooses the access path for one atom: maintained indexes on every
+    /// step of its map win; for a one-step map, a grouping defined on the
+    /// attribute (covering the attribute's whole owner extent) is the
+    /// fallback; otherwise sequential scan. Counts a planner miss when the
+    /// shape was indexable but some step has no index.
     pub fn plan_atom(&self, db: &Database, atom: &Atom) -> AccessPath {
         self.plan_atom_inner(db, atom, true)
     }
@@ -490,21 +500,23 @@ impl IndexService {
         if !Self::atom_shape(atom) {
             return AccessPath::SeqScan;
         }
-        let attr = atom.lhs.steps()[0];
-        if self.manager.index(attr).is_some() {
-            return AccessPath::IndexProbe(attr);
+        let steps = atom.lhs.steps();
+        if self.indexable(atom) {
+            return AccessPath::IndexProbe(steps[0]);
         }
         if count {
             self.bump(&self.index_misses, &self.obs.index_misses);
         }
-        if let Ok(rec) = db.attr(attr) {
-            // Only a grouping of the attribute's own owner class covers
-            // every candidate that can carry the attribute.
-            if let Some((g, _)) = db
-                .groupings()
-                .find(|(_, gr)| gr.on_attr == attr && gr.parent == rec.owner)
-            {
-                return AccessPath::GroupingRange(g);
+        if let [attr] = *steps {
+            if let Ok(rec) = db.attr(attr) {
+                // Only a grouping of the attribute's own owner class covers
+                // every candidate that can carry the attribute.
+                if let Some((g, _)) = db
+                    .groupings()
+                    .find(|(_, gr)| gr.on_attr == attr && gr.parent == rec.owner)
+                {
+                    return AccessPath::GroupingRange(g);
+                }
             }
         }
         AccessPath::SeqScan
@@ -524,67 +536,66 @@ impl IndexService {
             Rhs::Constant { anchors, .. } => anchors,
             _ => return Ok(None),
         };
-        match self.plan_atom_inner(db, atom, count) {
-            AccessPath::IndexProbe(attr) => {
-                let idx = match self.manager.index(attr) {
-                    Some(i) => i,
-                    None => return Ok(None),
-                };
-                let out = Self::combine(atom.op.op, anchors, |a| idx.owners_of(a));
-                if out.is_some() && count {
-                    self.bump(&self.index_probes, &self.obs.index_probes);
-                }
-                Ok(out)
+        let (out, probes, mirror) = match self.plan_atom_inner(db, atom, count) {
+            AccessPath::IndexProbe(_) => {
+                // Each anchor's walk is the set of owners whose map image
+                // holds it; the planner saw an index on every step.
+                let walks: Option<Vec<OrderedSet>> = anchors
+                    .iter()
+                    .map(|a| walk_back(self, atom.lhs.steps(), [a].into_iter().collect()))
+                    .collect();
+                (
+                    walks.and_then(|w| Self::combine(atom.op.op, w)),
+                    &self.index_probes,
+                    &self.obs.index_probes,
+                )
             }
             AccessPath::GroupingRange(g) => {
-                let sets = db.grouping_sets(g)?;
-                let out = Self::combine(atom.op.op, anchors, |a| {
-                    sets.iter().find(|s| s.index == a).map(|s| &s.members)
-                });
-                if out.is_some() && count {
-                    self.bump(&self.grouping_scans, &self.obs.grouping_scans);
-                }
-                Ok(out)
+                let mut sets = db.grouping_sets(g)?;
+                // Anchors are distinct, so each set is taken at most once.
+                let lists = anchors
+                    .iter()
+                    .map(|a| {
+                        sets.iter_mut()
+                            .find(|s| s.index == a)
+                            .map(|s| std::mem::take(&mut s.members))
+                            .unwrap_or_default()
+                    })
+                    .collect();
+                (
+                    Self::combine(atom.op.op, lists),
+                    &self.grouping_scans,
+                    &self.obs.grouping_scans,
+                )
             }
-            AccessPath::SeqScan => Ok(None),
+            AccessPath::SeqScan => return Ok(None),
+        };
+        if out.is_some() && count {
+            self.bump(probes, mirror);
         }
+        Ok(out)
     }
 
-    /// Combines per-anchor owner lists under the atom's operator: union for
-    /// `~` (some anchor present), rarest-first intersection for `⊇`/`=`
-    /// (every anchor present). An absent list means no owner carries the
-    /// anchor.
-    fn combine<'a>(
-        op: CompareOp,
-        anchors: &OrderedSet,
-        owners_of: impl Fn(EntityId) -> Option<&'a OrderedSet>,
-    ) -> Option<OrderedSet> {
+    /// Combines per-anchor owner sets, one per anchor in anchor order,
+    /// under the atom's operator: union for `~` (some anchor present),
+    /// rarest-first intersection for `⊇`/`=` (every anchor present).
+    fn combine(op: CompareOp, mut lists: Vec<OrderedSet>) -> Option<OrderedSet> {
         match op {
             CompareOp::Match => {
-                let mut out = OrderedSet::new();
-                for a in anchors.iter() {
-                    if let Some(s) = owners_of(a) {
-                        out.extend_from(s);
-                    }
+                let mut lists = lists.into_iter();
+                let mut out = lists.next().unwrap_or_default();
+                for s in lists {
+                    out.extend_from(&s);
                 }
                 Some(out)
             }
             CompareOp::Superset | CompareOp::SetEq => {
-                if anchors.is_empty() {
-                    return None; // everything qualifies; no pruning to gain
-                }
-                let mut lists: Vec<&OrderedSet> = Vec::new();
-                for a in anchors.iter() {
-                    match owners_of(a) {
-                        Some(s) => lists.push(s),
-                        None => return Some(OrderedSet::new()),
-                    }
-                }
-                lists.sort_by_key(|s| s.len());
-                let mut out = lists[0].clone();
-                for s in &lists[1..] {
-                    let keep: Vec<EntityId> = out.iter().filter(|e| s.contains(*e)).collect();
-                    out = keep.into_iter().collect();
+                // No anchors: everything qualifies; no pruning to gain.
+                lists.sort_by_key(OrderedSet::len);
+                let mut lists = lists.into_iter();
+                let mut out = lists.next()?;
+                for s in lists {
+                    out = out.iter().filter(|e| s.contains(*e)).collect();
                 }
                 Some(out)
             }
@@ -1037,6 +1048,102 @@ mod tests {
         let got = svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
         assert_eq!(got.as_slice(), want.as_slice());
         assert_eq!(svc.query_stats().index_probes, 1);
+    }
+
+    #[test]
+    fn a_walk_behind_an_ordering_barrier_does_not_prune() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.members).unwrap();
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let brass = im
+            .db
+            .entity_by_name(im.music_groups, "Brass Attack")
+            .unwrap();
+        im.db.unassign(brass, im.size).unwrap();
+        let five = im.db.int(5);
+        let ints = im.db.predefined(isis_core::BaseKind::Integers);
+        let barrier = Atom::new(
+            Map::single(im.size),
+            CompareOp::Lt,
+            Rhs::constant(ints, [five]),
+        );
+        let pianists = Atom::new(
+            Map::new(vec![im.members, im.plays]),
+            CompareOp::Superset,
+            Rhs::constant(im.instruments, [im.piano]),
+        );
+        let clause = |atoms: &[&Atom]| Clause::new(atoms.iter().map(|a| (*a).clone()).collect());
+        for pred in [
+            Predicate::dnf(vec![clause(&[&barrier, &pianists])]),
+            Predicate::cnf(vec![clause(&[&barrier]), clause(&[&pianists])]),
+        ] {
+            let want = im.db.evaluate_derived_members(im.music_groups, &pred);
+            assert!(want.is_err(), "{pred}");
+            let got = svc.evaluate(&im.db, im.music_groups, &pred);
+            assert_eq!(got, want.map_err(QueryError::Core), "{pred}");
+        }
+        assert_eq!(svc.query_stats().index_probes, 0);
+        // Ahead of the barrier the walk prunes, and answers as the oracle.
+        let pred = Predicate::dnf(vec![clause(&[&pianists, &barrier])]);
+        let want = im.db.evaluate_derived_members(im.music_groups, &pred);
+        let got = svc.evaluate(&im.db, im.music_groups, &pred);
+        assert_eq!(got, want.map_err(QueryError::Core));
+        assert_eq!(svc.query_stats().index_probes, 1);
+    }
+
+    #[test]
+    fn a_two_anchor_walk_matches_the_oracle() {
+        let im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.members).unwrap();
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        for op in [CompareOp::Superset, CompareOp::Match, CompareOp::SetEq] {
+            let atom = Atom::new(
+                Map::new(vec![im.members, im.plays]),
+                op,
+                Rhs::constant(im.instruments, [im.viola, im.piano]),
+            );
+            assert_eq!(
+                svc.plan_atom(&im.db, &atom),
+                AccessPath::IndexProbe(im.members)
+            );
+            let pred = Predicate::cnf(vec![Clause::new(vec![atom])]);
+            let got = svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
+            let want = im
+                .db
+                .evaluate_derived_members(im.music_groups, &pred)
+                .unwrap();
+            assert_eq!(got.as_slice(), want.as_slice(), "{pred}");
+            if op == CompareOp::Superset {
+                assert!(!got.is_empty(), "LaBelle has a violist and a pianist");
+            }
+        }
+        let stats = svc.query_stats();
+        assert_eq!((stats.index_probes, stats.seq_scans), (3, 0));
+    }
+
+    #[test]
+    fn a_map_with_an_unindexed_step_seq_scans_and_counts_a_miss() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let pred = quartets_predicate(&mut im);
+        let pianists = &pred.clauses[0].atoms[0];
+        assert_eq!(svc.peek_atom_path(&im.db, pianists), AccessPath::SeqScan);
+        assert_eq!(svc.query_stats().index_misses, 0, "a peek counts nothing");
+        let only = Predicate::cnf(vec![pred.clauses[0].clone()]);
+        let got = svc.evaluate(&im.db, im.music_groups, &only).unwrap();
+        let want = im
+            .db
+            .evaluate_derived_members(im.music_groups, &only)
+            .unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        let stats = svc.query_stats();
+        assert_eq!(
+            (stats.index_probes, stats.seq_scans, stats.index_misses),
+            (0, 1, 1)
+        );
     }
 
     #[test]

@@ -62,6 +62,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer appending to `buf`, so an encoding can land behind bytes
+    /// its caller already wrote.
+    pub fn over(buf: Vec<u8>) -> Writer {
+        Writer { buf }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -255,13 +261,25 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Bytes of a frame header: `[len u32][crc u32]`.
+pub const FRAME_HEADER: usize = 8;
+
 /// Wraps a payload in a checksummed frame: `[len u32][crc u32][payload]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER);
+    out.extend_from_slice(&[0; FRAME_HEADER]);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
+}
+
+/// Fills in the header of the frame `buf` holds: its first
+/// [`FRAME_HEADER`] bytes are overwritten with the length and checksum of
+/// the payload that follows them. [`frame`] without copying the payload.
+pub fn seal_frame(buf: &mut [u8]) {
+    let (header, payload) = buf.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Reads one frame from the front of `buf`, returning `(payload,

@@ -413,7 +413,13 @@ pub const IMAGE_VERSION: u32 = 2;
 /// Encodes a full database image (no framing; callers add the checksummed
 /// frame and any file header).
 pub fn encode_image(img: &DatabaseImage) -> Vec<u8> {
-    let mut w = Writer::new();
+    encode_image_into(img, Vec::new())
+}
+
+/// Appends the encoding of `img` to `buf`, so a caller can write its
+/// header first and frame the result in place.
+pub fn encode_image_into(img: &DatabaseImage, buf: Vec<u8>) -> Vec<u8> {
+    let mut w = Writer::over(buf);
     w.u32(IMAGE_VERSION);
     w.string(&img.name);
     w.seq(&img.classes, w_class_record);

@@ -24,8 +24,8 @@ use isis_core::{
     GroupingId, Literal, Multiplicity, Predicate, ValueClassSpec,
 };
 
-use crate::codec::{frame, read_frame, CodecError};
-use crate::encode::{decode_image, encode_image};
+use crate::codec::{read_frame, seal_frame, CodecError, FRAME_HEADER};
+use crate::encode::{decode_image, encode_image_into};
 use crate::error::StoreError;
 use crate::recovery::RecoveryReport;
 use crate::vfs::{StdVfs, Vfs};
@@ -52,13 +52,14 @@ pub fn write_snapshot_bytes(db: &Database) -> Vec<u8> {
 /// generation sits *inside* the checksummed frame, so a flipped generation
 /// byte is detected like any other corruption.
 pub fn snapshot_bytes_with_gen(db: &Database, generation: u64) -> Vec<u8> {
-    let image = encode_image(&db.to_image());
-    let mut payload = Vec::with_capacity(image.len() + 8);
-    payload.extend_from_slice(&generation.to_le_bytes());
-    payload.extend_from_slice(&image);
-    let mut bytes = Vec::with_capacity(payload.len() + 16);
+    // One buffer: the image encodes behind the header, which is sealed in
+    // place, so a large snapshot is never copied.
+    let mut bytes = Vec::new();
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&frame(&payload));
+    bytes.extend_from_slice(&[0; FRAME_HEADER]);
+    bytes.extend_from_slice(&generation.to_le_bytes());
+    let mut bytes = encode_image_into(&db.to_image(), bytes);
+    seal_frame(&mut bytes[SNAPSHOT_MAGIC.len()..]);
     bytes
 }
 
@@ -738,6 +739,18 @@ mod tests {
         let (back, generation) = read_snapshot_bytes_gen(&bytes).unwrap();
         assert_eq!(generation, 42);
         assert_eq!(back.to_image(), db.to_image());
+    }
+
+    #[test]
+    fn snapshot_bytes_are_magic_then_the_framed_generation_and_image() {
+        let db = isis_sample::instrumental_music().unwrap().db;
+        for generation in [0u64, 42] {
+            let mut payload = generation.to_le_bytes().to_vec();
+            payload.extend_from_slice(&crate::encode::encode_image(&db.to_image()));
+            let mut want = SNAPSHOT_MAGIC.to_vec();
+            want.extend_from_slice(&crate::codec::frame(&payload));
+            assert_eq!(snapshot_bytes_with_gen(&db, generation), want);
+        }
     }
 
     #[test]

@@ -146,7 +146,27 @@ fn columnar_layout_matches_reference_semantics_under_mutation() {
     }
 }
 
-fn random_pred(g: &ScaledMusic, booleans: ClassId, yes: EntityId, rng: &mut StdRng) -> Predicate {
+/// The constants random predicates draw from: `union ~ {yes}` and
+/// `metricN < {v}` / `metricN ≥ {v}` for the interned integers `ints`.
+struct Consts {
+    booleans: ClassId,
+    yes: EntityId,
+    integers: ClassId,
+    ints: Vec<EntityId>,
+}
+
+impl Consts {
+    fn new(g: &mut ScaledMusic) -> Consts {
+        Consts {
+            booleans: g.s.db.predefined(BaseKind::Booleans),
+            yes: g.s.db.boolean(true),
+            integers: g.s.db.predefined(BaseKind::Integers),
+            ints: (0..100).map(|v| g.s.db.int(v)).collect(),
+        }
+    }
+}
+
+fn random_pred(g: &ScaledMusic, c: &Consts, rng: &mut StdRng) -> Predicate {
     let ops = [
         CompareOp::Match,
         CompareOp::Subset,
@@ -159,8 +179,8 @@ fn random_pred(g: &ScaledMusic, booleans: ClassId, yes: EntityId, rng: &mut StdR
         let n = rng.gen_range(1..=2);
         Clause::new(
             (0..n)
-                .map(|_| {
-                    if rng.gen_bool(0.7) {
+                .map(|_| match rng.gen_range(0..10) {
+                    0..=5 => {
                         let k = rng.gen_range(1..=3);
                         let insts: Vec<EntityId> = (0..k)
                             .map(|_| g.s.instrument_ids[rng.gen_range(0..g.s.instrument_ids.len())])
@@ -170,12 +190,21 @@ fn random_pred(g: &ScaledMusic, booleans: ClassId, yes: EntityId, rng: &mut StdR
                             ops[rng.gen_range(0..ops.len())],
                             Rhs::constant(g.s.instruments, insts),
                         )
-                    } else {
-                        Atom::new(
-                            Map::single(g.s.union_attr),
-                            CompareOp::Match,
-                            Rhs::constant(booleans, [yes]),
-                        )
+                    }
+                    6 | 7 => Atom::new(
+                        Map::single(g.s.union_attr),
+                        CompareOp::Match,
+                        Rhs::constant(c.booleans, [c.yes]),
+                    ),
+                    _ => {
+                        let metric = g.wide_attrs[rng.gen_range(0..g.wide_attrs.len())];
+                        let op = if rng.gen_bool(0.5) {
+                            CompareOp::Lt
+                        } else {
+                            CompareOp::Ge
+                        };
+                        let v = c.ints[rng.gen_range(0..c.ints.len())];
+                        Atom::new(Map::single(metric), op, Rhs::constant(c.integers, [v]))
                     }
                 })
                 .collect(),
@@ -192,17 +221,26 @@ fn random_pred(g: &ScaledMusic, booleans: ClassId, yes: EntityId, rng: &mut StdR
 /// Random single-step constant predicates (always batch-compatible) over
 /// random candidate lists: the full extent, strided subsets, and subsets
 /// with non-member entities spliced in (which must surface the scalar
-/// loop's exact membership error from the same position).
+/// loop's exact membership error from the same position). Some members
+/// carry no metrics — the last of the first run, the first of the second,
+/// and a few past the second — so an ordering atom that reaches one of
+/// them must surface the scalar loop's ordering error.
 #[test]
 fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
     let mut g = scaled_db();
     let mut rng = StdRng::seed_from_u64(0x0BA7C4);
-    let yes = g.s.db.boolean(true);
-    let booleans = g.s.db.predefined(BaseKind::Booleans);
+    let c = Consts::new(&mut g);
     let members: Vec<EntityId> = g.s.db.members(g.s.musicians).unwrap().iter().collect();
+    let mut bare = vec![1023, 1024];
+    bare.extend((0..3).map(|_| rng.gen_range(2049..members.len())));
+    for pos in bare {
+        for &metric in &g.wide_attrs {
+            g.s.db.unassign(members[pos], metric).unwrap();
+        }
+    }
 
     for trial in 0..12 {
-        let pred = random_pred(&g, booleans, yes, &mut rng);
+        let pred = random_pred(&g, &c, &mut rng);
         let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, &pred).unwrap();
         assert!(
             prog.batch_compatible(),
@@ -245,9 +283,9 @@ fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
         assert_arms_agree(&prog, &g.s.db, &rogue, &format!("trial {trial}, rogue"));
     }
 
-    // An ordering atom over a multivalued map is not streamable: the
-    // program must refuse the batch body and both arms must surface the
-    // same evaluation error.
+    // An ordering atom over a multivalued map streams, but no candidate
+    // that reaches it can be decided (instruments are not literals): both
+    // arms must surface the same evaluation error.
     let bad = Predicate::cnf(vec![
         Clause::new(vec![Atom::new(
             Map::single(g.s.plays),
@@ -261,10 +299,7 @@ fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
         )]),
     ]);
     let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, &bad).unwrap();
-    assert!(
-        !prog.batch_compatible(),
-        "ordering atoms must keep the program scalar"
-    );
+    assert!(prog.batch_compatible(), "ordering atoms stream");
     assert_arms_agree(&prog, &g.s.db, &members, "ordering fallback");
 }
 
@@ -275,8 +310,7 @@ fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
 fn batch_and_scalar_agree_across_mutation_interleavings() {
     let mut g = scaled_db();
     let mut rng = StdRng::seed_from_u64(0x1_E5);
-    let yes = g.s.db.boolean(true);
-    let booleans = g.s.db.predefined(BaseKind::Booleans);
+    let c = Consts::new(&mut g);
 
     for round in 0..4 {
         // Mutate a slice of the population: clear some plays sets entirely
@@ -290,7 +324,7 @@ fn batch_and_scalar_agree_across_mutation_interleavings() {
                 g.s.db.assign_multi(m, g.s.plays, [inst]).unwrap();
             }
         }
-        let pred = random_pred(&g, booleans, yes, &mut rng);
+        let pred = random_pred(&g, &c, &mut rng);
         let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, &pred).unwrap();
         let members: Vec<EntityId> = g.s.db.members(g.s.musicians).unwrap().iter().collect();
         assert_arms_agree(&prog, &g.s.db, &members, &format!("round {round}"));

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 /// A generated atom over musicians: `lhs-map op constant-set`.
 #[derive(Debug, Clone)]
 struct GenAtom {
-    /// 0 = plays, 1 = plays∘family, 2 = union
+    /// 0 = plays, 1 = plays∘family, 2 = union, 3 = plays∘family against
+    /// the mapped constant {instrument}∘family
     lhs: u8,
     op_idx: u8,
     negated: bool,
@@ -20,7 +21,7 @@ struct GenAtom {
 
 fn atom_strategy() -> impl Strategy<Value = GenAtom> {
     (
-        0u8..3,
+        0u8..4,
         0u8..4,
         any::<bool>(),
         proptest::collection::vec(any::<u8>(), 0..3),
@@ -46,6 +47,7 @@ fn op_strategy() -> impl Strategy<Value = GenOp> {
 }
 
 fn build_atom(im: &InstrumentalMusic, yes: EntityId, g: &GenAtom) -> Atom {
+    let mut rhs_map = Map::identity();
     let (lhs, pool_class, pool): (Map, ClassId, Vec<EntityId>) = match g.lhs {
         0 => (
             Map::single(im.plays),
@@ -57,11 +59,21 @@ fn build_atom(im: &InstrumentalMusic, yes: EntityId, g: &GenAtom) -> Atom {
             im.families,
             vec![im.brass, im.woodwind, im.stringed, im.keyboard],
         ),
-        _ => (
+        2 => (
             Map::single(im.union_attr),
             im.db.predefined(BaseKind::Booleans),
             vec![yes],
         ),
+        // The families of some instruments: a family reassignment moves
+        // the hoisted image every candidate is compared against.
+        _ => {
+            rhs_map = Map::single(im.family);
+            (
+                Map::new(vec![im.plays, im.family]),
+                im.instruments,
+                im.all_instruments.clone(),
+            )
+        }
     };
     let ops = [
         CompareOp::SetEq,
@@ -80,7 +92,11 @@ fn build_atom(im: &InstrumentalMusic, yes: EntityId, g: &GenAtom) -> Atom {
             op: ops[g.op_idx as usize % ops.len()],
             negated: g.negated,
         },
-        Rhs::constant(pool_class, anchors),
+        Rhs::Constant {
+            class: pool_class,
+            anchors: anchors.into_iter().collect(),
+            map: rhs_map,
+        },
     )
 }
 

@@ -63,7 +63,8 @@ fn setup() -> (Database, Ids, Vec<EntityId>) {
 /// A generated atom over musicians: `lhs-map op constant-set`.
 #[derive(Debug, Clone)]
 struct GenAtom {
-    /// 0 = plays, 1 = plays∘family, 2 = union, 3 = likes (grouping-ranged)
+    /// 0 = plays, 1 = plays∘family, 2 = union, 3 = likes (grouping-ranged),
+    /// 4 = likes∘family (a walk through expanded postings)
     lhs: u8,
     op_idx: u8,
     negated: bool,
@@ -72,7 +73,7 @@ struct GenAtom {
 
 fn atom_strategy() -> impl Strategy<Value = GenAtom> {
     (
-        0u8..4,
+        0u8..5,
         0u8..4,
         any::<bool>(),
         proptest::collection::vec(any::<u8>(), 0..3),
@@ -100,10 +101,17 @@ fn build_atom(ids: &Ids, g: &GenAtom) -> Atom {
         2 => (Map::single(ids.union_attr), ids.booleans, vec![ids.yes]),
         // The grouping-ranged attribute expands to instrument sets, so its
         // constants are instruments.
-        _ => (
+        3 => (
             Map::single(ids.likes),
             ids.instruments,
             ids.all_instruments.clone(),
+        ),
+        // Its first step expands through `by_family`, so a walk back from
+        // a family crosses postings that a `family` re-key moves.
+        _ => (
+            Map::new(vec![ids.likes, ids.family]),
+            ids.families,
+            ids.fams.to_vec(),
         ),
     };
     let ops = [
