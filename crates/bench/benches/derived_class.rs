@@ -1,8 +1,8 @@
 //! Derived-subclass maintenance: full recompute (the paper's commit) vs the
-//! incremental maintainer extension.
+//! delta refresh a session runs, `DerivedState::refresh`.
 //!
-//! Experiment E-2: incremental maintenance after a single entity change
-//! beats full re-evaluation by a widening factor as the class grows.
+//! Experiment E-2: the delta refresh after a single entity change beats
+//! full re-evaluation by a widening factor as the class grows.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -10,7 +10,13 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isis_bench::fixture;
 use isis_core::{Database, EntityId, OrderedSet};
-use isis_query::DerivedMaintainer;
+use isis_query::{DerivedMaintainer, DerivedState};
+
+/// Brings `db`'s derived state up to date through the refresh path
+/// `Session::refresh_derived` takes: delta rounds once `state` exists.
+fn refresh(state: &mut Option<DerivedState>, db: &mut Database) {
+    *state = Some(DerivedState::refresh(state.take(), db, 1, &mut Vec::new()).unwrap());
+}
 
 fn commit_vs_incremental(c: &mut Criterion) {
     let mut g = c.benchmark_group("derived_class");
@@ -27,7 +33,8 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 b.iter(|| db.clone().refresh_derived_class(quartets).unwrap())
             });
         }
-        // Incremental: one musician's plays changed.
+        // The delta pipeline: one musician's plays changed, then a refresh
+        // reads the change log, drains it into the postings, and settles.
         {
             let f = fixture(n);
             let mut db = f.s.db.clone();
@@ -35,42 +42,13 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 .create_derived_subclass(f.s.music_groups, "bench_quartets")
                 .unwrap();
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
-            let target = f.s.musician_ids[1];
-            let owners: OrderedSet = [target].into_iter().collect();
-            // The maintainer mutates; clone per iteration like the refresh
-            // arm so both measure (clone + maintain).
-            g.bench_with_input(BenchmarkId::new("incremental_one_change", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut db2 = db.clone();
-                    // Compile and build the postings before the change.
-                    let m = DerivedMaintainer::new(&db2, quartets).unwrap();
-                    let mut indexes = m.build_indexes(&db2).unwrap();
-                    db2.add_value(target, f.s.plays, f.probe_instrument)
-                        .unwrap();
-                    m.apply_attr_change(&mut db2, &mut indexes, f.s.plays, &owners)
-                        .unwrap()
-                })
-            });
-        }
-        // The full delta pipeline: read the change log, apply it.
-        {
-            let f = fixture(n);
-            let mut db = f.s.db.clone();
-            let quartets = db
-                .create_derived_subclass(f.s.music_groups, "bench_quartets")
-                .unwrap();
-            db.commit_membership(quartets, f.quartets.clone()).unwrap();
-            let mut maint = DerivedMaintainer::new(&db, quartets).unwrap();
             let mut toggle = PlaysToggle::new(&db, &f, f.s.musician_ids[1]);
-            let mut indexes = maint.build_indexes(&db).unwrap();
-            let mut cursor = db.delta_epoch();
+            let mut state = None;
+            refresh(&mut state, &mut db);
             g.bench_with_input(BenchmarkId::new("delta_pipeline", n), &n, |b, _| {
                 b.iter(|| {
                     toggle.flip(&mut db);
-                    let cs = db.changes_since(cursor).expect("window live");
-                    let out = maint.apply_changes(&mut db, &mut indexes, &cs).unwrap();
-                    cursor = db.delta_epoch();
-                    out
+                    refresh(&mut state, &mut db);
                 })
             });
         }
@@ -83,12 +61,14 @@ fn commit_vs_incremental(c: &mut Criterion) {
                 .unwrap();
             db.commit_membership(quartets, f.quartets.clone()).unwrap();
             let maint = DerivedMaintainer::new(&db, quartets).unwrap();
-            let indexes = maint.build_indexes(&db).unwrap();
+            let mut state = None;
+            refresh(&mut state, &mut db);
+            let indexes = state.as_ref().unwrap().service();
             let owners: OrderedSet = [f.s.musician_ids[1]].into_iter().collect();
             g.bench_with_input(BenchmarkId::new("affected_candidates", n), &n, |b, _| {
                 b.iter(|| {
                     maint
-                        .affected_candidates(&db, &indexes, f.s.plays, &owners)
+                        .affected_candidates(&db, indexes, f.s.plays, &owners)
                         .unwrap()
                 })
             });
@@ -136,8 +116,8 @@ impl PlaysToggle {
 }
 
 /// Experiment E-2b: the headline comparison for the delta-refresh pipeline.
-/// Full re-evaluation vs `changes_since` + `apply_changes` after a single
-/// point update, at a 10k-entity scale, written to `out/derived_refresh.md`
+/// Full re-evaluation vs a `DerivedState::refresh` delta refresh after a
+/// single point update, at a 10k-entity scale, written to `out/derived_refresh.md`
 /// and (machine-readable) `out/bench_derived_class.json`.
 fn refresh_report(c: &mut Criterion) {
     let smoke = std::env::args().any(|a| a == "--test");
@@ -166,18 +146,16 @@ fn refresh_report(c: &mut Criterion) {
         full_total += t.elapsed();
     }
 
-    // Delta refresh: steady-state maintainer consuming the change log.
-    let mut maint = DerivedMaintainer::new(&db, quartets).unwrap();
-    let mut indexes = maint.build_indexes(&db).unwrap();
-    let mut cursor = db.delta_epoch();
+    // Delta refresh: the steady-state refresh path consuming the change
+    // log (its first, full refresh is not timed).
+    let mut state = None;
+    refresh(&mut state, &mut db);
     let mut delta_total = Duration::ZERO;
     for _ in 0..delta_iters {
         toggle.flip(&mut db);
         let t = Instant::now();
-        let cs = db.changes_since(cursor).expect("window live");
-        maint.apply_changes(&mut db, &mut indexes, &cs).unwrap();
+        refresh(&mut state, &mut db);
         delta_total += t.elapsed();
-        cursor = db.delta_epoch();
     }
 
     // The delta path must land on the same membership as a full refresh.
@@ -206,7 +184,7 @@ fn refresh_report(c: &mut Criterion) {
          | mode | database | mean per update |\n\
          | --- | --- | --- |\n\
          | full `refresh_derived_class` | {entities} entities ({n} musicians) | {full_us:.1} µs |\n\
-         | delta `changes_since` + `apply_changes` | {entities} entities ({n} musicians) | {delta_us:.1} µs |\n\n\
+         | delta `DerivedState::refresh` | {entities} entities ({n} musicians) | {delta_us:.1} µs |\n\n\
          **Speedup: {speedup:.1}×** (iterations: {full_iters} full, {delta_iters} delta{}).\n",
         if smoke { "; smoke run under `--test`" } else { "" }
     );

@@ -32,7 +32,9 @@ use isis_bench::BenchReport;
 use isis_core::{
     Atom, BaseKind, Clause, CompareOp, Database, EntityId, Map, OrderedSet, Predicate, Rhs,
 };
-use isis_query::{DerivedMaintainer, EvalPool, IndexService, MemoTable, PredicateProgram};
+use isis_query::{
+    DerivedMaintainer, DerivedState, EvalPool, IndexService, MemoTable, PredicateProgram,
+};
 use isis_sample::workload::navigation_chain;
 use isis_sample::{synthetic_scaled, ScaledMusic, SchemaShape, SynthSpec, ValueDist};
 
@@ -271,8 +273,8 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
             .collect();
     // Converge first so both arms measure pure re-evaluation with no
     // membership writes (identical work per arm).
-    maint.settle(&mut g.s.db, &affected).unwrap();
     let serial = EvalPool::new(1);
+    maint.settle_with(&mut g.s.db, &affected, &serial).unwrap();
     let settle_serial_ns = time_rounds(cfg.settle_rounds, || {
         let (a, r) = maint.settle_with(&mut g.s.db, &affected, &serial).unwrap();
         assert_eq!((a, r), (0, 0));
@@ -307,24 +309,20 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         );
 
     // --- Delta-driven refresh rounds: a burst of plays reassignments,
-    // then one incremental apply (collect → index patch → settle). The
-    // postings are built before the first window's mark.
-    let mut maint = maint;
-    let mut indexes = maint.build_indexes(&g.s.db).unwrap();
+    // then one session refresh (collect → index drain → settle, until the
+    // log runs dry). The untimed first refresh is the full one, so the
+    // postings describe the state before the first burst.
+    let mut state = Some(DerivedState::refresh(None, &mut g.s.db, 1, &mut Vec::new()).unwrap());
     let burst = 100.min(g.s.musician_ids.len());
     let mut cursor = 0usize;
     let refresh_ns = time_rounds(cfg.refresh_rounds, || {
-        let mark = g.s.db.delta_epoch();
         for i in 0..burst {
             let m = g.s.musician_ids[(cursor + i * 37) % g.s.musician_ids.len()];
             let inst = g.s.instrument_ids[(cursor + i) % g.s.instrument_ids.len()];
             g.s.db.assign_multi(m, g.s.plays, [inst]).unwrap();
         }
         cursor += burst;
-        let changes = g.s.db.changes_since(mark).expect("window fits the log");
-        maint
-            .apply_changes(&mut g.s.db, &mut indexes, &changes)
-            .unwrap();
+        state = Some(DerivedState::refresh(state.take(), &mut g.s.db, 1, &mut Vec::new()).unwrap());
     });
     eprintln!(
         "   refresh round ({burst} reassignments): {:.2}ms",

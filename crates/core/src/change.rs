@@ -16,7 +16,7 @@
 //! sequence of transitions is chained (each `old` equals the previous
 //! `new`).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use crate::attribute::AttrValue;
 use crate::ids::{AttrId, ClassId, EntityId, GroupingId};
@@ -176,6 +176,47 @@ impl ChangeSet {
     /// `true` if any entry is a schema edit (consumers should rebuild).
     pub fn has_schema_changes(&self) -> bool {
         self.changes.iter().any(Change::is_schema)
+    }
+
+    /// One flag per change: `true` for a value a class leave dropped, that
+    /// is an `AttrAssigned` of an entity that an earlier change of this set
+    /// removed from the attribute's owner class (as `schema` records the
+    /// owner), no later one re-added, and the set does not delete.
+    /// Mutators refuse to assign a non-member, so only
+    /// `Database::remove_from_class` records these, and replaying the
+    /// removal re-derives them: commit rebase and the store's commit
+    /// batches skip them. (A deleted entity's records are left to the
+    /// deletion's replay.)
+    pub fn leave_drops(&self, schema: &Database) -> Vec<bool> {
+        let deleted: HashSet<EntityId> = self
+            .changes
+            .iter()
+            .filter_map(|c| match c {
+                Change::EntityDeleted { entity, .. } => Some(*entity),
+                _ => None,
+            })
+            .collect();
+        let mut left: HashSet<(EntityId, ClassId)> = HashSet::new();
+        self.changes
+            .iter()
+            .map(|c| match c {
+                Change::MembershipRemoved { entity, class } => {
+                    left.insert((*entity, *class));
+                    false
+                }
+                Change::MembershipAdded { entity, class } => {
+                    left.remove(&(*entity, *class));
+                    false
+                }
+                Change::AttrAssigned { entity, attr, .. } => {
+                    !deleted.contains(entity)
+                        && schema
+                            .attr(*attr)
+                            .is_ok_and(|a| left.contains(&(*entity, a.owner)))
+                }
+                _ => false,
+            })
+            .collect()
     }
 
     /// The distinct attributes whose stored values changed, in first-touch

@@ -118,10 +118,12 @@ impl Database {
     }
 
     /// Removes an entity from a subclass, cascading the removal down through
-    /// every descendant (subset consistency), and scrubbing any attribute
-    /// values that drew on the classes the entity left.
+    /// every descendant (subset consistency), dropping the values it carried
+    /// for attributes those classes own (only members carry them, §2), and
+    /// scrubbing any attribute values that drew on the classes it left.
     ///
-    /// Returns the [`ChangeSet`] of memberships lost and values scrubbed.
+    /// Returns the [`ChangeSet`] of memberships lost and values dropped or
+    /// scrubbed.
     pub fn remove_from_class(&mut self, entity: EntityId, class: ClassId) -> Result<ChangeSet> {
         let crec = self.class(class)?;
         if crec.is_base() {
@@ -133,8 +135,32 @@ impl Database {
         let mark = self.delta_epoch();
         let mut left = Vec::new();
         self.remove_from_class_rec(entity, class, &mut left)?;
+        // Replays of a removal re-derive these drops, so commit rebase and
+        // WAL batches skip them ([`ChangeSet::leave_drops`]).
+        for a in 0..self.attrs.len() {
+            if self.attrs[a].alive && left.contains(&self.attrs[a].owner) {
+                self.drop_value(entity, AttrId::from_raw(a as u32));
+            }
+        }
         self.scrub_values(entity, &left)?;
         Ok(self.delta_suffix(mark))
+    }
+
+    /// Removes the value `entity` carries for `attr`, recording the
+    /// transition to the attribute's default.
+    fn drop_value(&mut self, entity: EntityId, attr: AttrId) {
+        let rec = &mut self.attrs[attr.index()];
+        if let Some(old) = rec.values.remove(entity) {
+            let new = rec.default_value();
+            if old != new {
+                self.record_change(Change::AttrAssigned {
+                    entity,
+                    attr,
+                    old,
+                    new,
+                });
+            }
+        }
     }
 
     fn remove_from_class_rec(
@@ -191,17 +217,7 @@ impl Database {
                 continue;
             }
             let attr = AttrId::from_raw(a as u32);
-            if let Some(old) = self.attrs[a].values.remove(entity) {
-                let new = self.attrs[a].default_value();
-                if old != new {
-                    self.record_change(Change::AttrAssigned {
-                        entity,
-                        attr,
-                        old,
-                        new,
-                    });
-                }
-            }
+            self.drop_value(entity, attr);
             self.scrub_attr_references(attr, entity);
         }
         self.entity_names.remove(&(base, name));
@@ -778,6 +794,53 @@ mod tests {
         assert!(f.db.members(f.musicians).unwrap().contains(edith));
         // Removing from a baseclass is refused.
         assert!(f.db.remove_from_class(edith, f.musicians).is_err());
+    }
+
+    #[test]
+    fn leaving_a_subclass_drops_the_values_it_owns() {
+        let mut f = fixture();
+        let sub = f.db.create_subclass(f.soloists, "star_soloists").unwrap();
+        let fee =
+            f.db.create_attribute(f.soloists, "fee", f.instruments, Multiplicity::Single)
+                .unwrap();
+        let encores =
+            f.db.create_attribute(sub, "encores", f.instruments, Multiplicity::Multi)
+                .unwrap();
+        let edith = f.db.insert_entity(f.musicians, "Edith").unwrap();
+        let viola = f.db.insert_entity(f.instruments, "viola").unwrap();
+        f.db.add_to_class(edith, sub).unwrap();
+        f.db.assign_single(edith, fee, viola).unwrap();
+        f.db.assign_multi(edith, encores, [viola]).unwrap();
+        f.db.assign_multi(edith, f.plays, [viola]).unwrap();
+
+        let mark = f.db.delta_epoch();
+        f.db.remove_from_class(edith, f.soloists).unwrap();
+        assert!(f.db.attr(fee).unwrap().values.get(edith).is_none());
+        assert!(f.db.attr(encores).unwrap().values.get(edith).is_none());
+        // The baseclass's own attribute survives the leave.
+        assert_eq!(
+            f.db.attr_value_set(edith, f.plays).unwrap().as_slice(),
+            &[viola]
+        );
+        assert_eq!(f.db.check_consistency().unwrap(), vec![]);
+        // One drop record per owned value, and `leave_drops` flags exactly
+        // those: after a rejoin, an assignment is an assignment again.
+        f.db.add_to_class(edith, sub).unwrap();
+        f.db.assign_single(edith, fee, viola).unwrap();
+        let window = f.db.changes_since(mark).unwrap();
+        let flagged: Vec<(AttrId, bool)> = window
+            .iter()
+            .zip(window.leave_drops(&f.db))
+            .filter_map(|(c, dropped)| match c {
+                Change::AttrAssigned { attr, .. } => Some((*attr, dropped)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            flagged,
+            [(fee, true), (encores, true), (fee, false)],
+            "{window:?}"
+        );
     }
 
     #[test]

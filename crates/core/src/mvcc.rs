@@ -581,12 +581,15 @@ impl SharedDatabase {
     }
 }
 
-/// Drops derived-class membership changes and derived-attribute value
-/// changes; `schema` is the side's own database (it knows any classes or
-/// attributes that side created).
+/// Drops derived-class membership changes, derived-attribute value
+/// changes, and the values a class leave dropped
+/// ([`ChangeSet::leave_drops`]): replaying a plain leave re-derives them,
+/// and a derived leave is derived state. `schema` is the side's own
+/// database (it knows any classes or attributes that side created).
 fn filter_derived(schema: &Database, cs: &ChangeSet) -> Vec<Change> {
     cs.iter()
-        .filter(|ch| match ch {
+        .zip(cs.leave_drops(schema))
+        .filter(|(ch, dropped)| match ch {
             Change::MembershipAdded { class, .. } | Change::MembershipRemoved { class, .. } => {
                 !schema
                     .class(*class)
@@ -594,11 +597,11 @@ fn filter_derived(schema: &Database, cs: &ChangeSet) -> Vec<Change> {
                     .unwrap_or(false)
             }
             Change::AttrAssigned { attr, .. } => {
-                !schema.attr(*attr).map(|a| a.is_derived()).unwrap_or(false)
+                !dropped && !schema.attr(*attr).map(|a| a.is_derived()).unwrap_or(false)
             }
             _ => true,
         })
-        .cloned()
+        .map(|(ch, _)| ch.clone())
         .collect()
 }
 

@@ -9,45 +9,32 @@
 //! predicate's maps and walking the prefix steps backwards through inverted
 //! indexes.
 //!
-//! A maintainer owns no postings. Every entry point that walks or patches
-//! inverted indexes takes them from its caller: the session hands in its
-//! one [`crate::IndexService`], standalone callers an [`IndexManager`] they
-//! build where they take their epoch mark.
+//! [`DerivedState`] is the one refresh path: it owns the [`IndexService`],
+//! whose cursor is the delta epoch the derived state is synchronised to,
+//! and one [`DerivedMaintainer`] per derived subclass. A maintainer owns no
+//! postings; it walks the service's.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use isis_core::{
-    AttrId, Change, ChangeSet, ClassId, Database, EntityId, Map, OrderedSet, Predicate, Result,
-    Rhs, ValueClass,
+    AttrDerivation, AttrId, Change, ChangeSet, ClassId, Database, EntityId, Map, OrderedSet,
+    Predicate, Result, Rhs, ValueClass,
 };
 
 use crate::error::QueryError;
-use crate::index::{walk_back, IndexLookup};
-use crate::manager::IndexManager;
+use crate::index::walk_back;
 use crate::parallel::EvalPool;
-use crate::program::{MemoTable, PredicateProgram};
+use crate::program::PredicateProgram;
 use crate::service::IndexService;
 
-/// Maintains one derived subclass incrementally.
+/// Maintains one derived subclass incrementally over the postings of an
+/// [`IndexService`] it is handed. [`DerivedState`] drives each maintainer
+/// through [`collect_affected`] (before and after a round's one drain) and
+/// [`settle_with`] in its delta rounds, and through [`recompute`] in its
+/// full refresh.
 ///
-/// Two modes of operation, both over caller-owned postings:
-///
-/// * **standalone** — the caller builds an [`IndexManager`] over the
-///   predicate's attributes ([`build_indexes`]) where it takes its epoch
-///   mark, so the postings describe the start of the window; then
-///   [`apply_changes`] / [`apply_attr_change`] patch those postings and
-///   settle membership;
-/// * **shared** — a coordinator (the session) owns one
-///   [`crate::IndexService`] for every consumer, drains the delta log once
-///   per round, and drives each maintainer through
-///   [`collect_affected`](DerivedMaintainer::collect_affected) (before and
-///   after the shared drain) and [`settle_with`]. Its full refresh
-///   re-evaluates each class through [`recompute`].
-///
-/// [`build_indexes`]: DerivedMaintainer::build_indexes
-/// [`apply_changes`]: DerivedMaintainer::apply_changes
-/// [`apply_attr_change`]: DerivedMaintainer::apply_attr_change
+/// [`collect_affected`]: DerivedMaintainer::collect_affected
 /// [`settle_with`]: DerivedMaintainer::settle_with
 /// [`recompute`]: DerivedMaintainer::recompute
 #[derive(Debug)]
@@ -61,14 +48,13 @@ pub struct DerivedMaintainer {
     /// transition of the base re-partitions the grouping and silently
     /// changes the expansion of every stored value of the dependents.
     grouping_bases: HashMap<AttrId, Vec<AttrId>>,
-    /// The predicate compiled once per (re)build and shared by every
-    /// re-evaluation ([`settle`], [`recompute`],
-    /// [`apply_membership_change`]); mapped constant images are re-hoisted
-    /// lazily when the delta epoch moves (`RefCell`: settle takes `&self`).
+    /// The predicate compiled once and shared by every re-evaluation
+    /// ([`settle_with`], [`recompute`]); mapped constant images are
+    /// re-hoisted lazily when the delta epoch moves (`RefCell`: settle
+    /// takes `&self`).
     ///
-    /// [`settle`]: DerivedMaintainer::settle
+    /// [`settle_with`]: DerivedMaintainer::settle_with
     /// [`recompute`]: DerivedMaintainer::recompute
-    /// [`apply_membership_change`]: DerivedMaintainer::apply_membership_change
     program: RefCell<PredicateProgram>,
 }
 
@@ -99,20 +85,6 @@ impl DerivedMaintainer {
             grouping_bases,
             program,
         })
-    }
-
-    /// Postings for every attribute the predicate uses, describing `db` as
-    /// it is now. A standalone caller builds them where it takes its epoch
-    /// mark, so they describe the start of the window it later hands to
-    /// [`DerivedMaintainer::apply_changes`]; postings built later would
-    /// describe the window's end, and walk-backs through them would miss
-    /// the candidates that used to reach a changed entity.
-    pub fn build_indexes(&self, db: &Database) -> Result<IndexManager> {
-        let mut indexes = IndexManager::new(db);
-        for &attr in &self.used {
-            indexes.add_index(db, attr)?;
-        }
-        Ok(indexes)
     }
 
     /// The derived class being maintained.
@@ -162,7 +134,7 @@ impl DerivedMaintainer {
 
     /// Candidates (members of the parent class) whose predicate result may
     /// change after attribute `attr` of the `owners` entities was modified,
-    /// walked through the caller's `indexes`.
+    /// walked through the postings of `indexes`.
     ///
     /// For every occurrence of `attr` at position *i* of a candidate-side
     /// map, the owners are walked backwards through the *i* prefix steps
@@ -174,7 +146,7 @@ impl DerivedMaintainer {
     pub fn affected_candidates(
         &self,
         db: &Database,
-        indexes: &dyn IndexLookup,
+        indexes: &IndexService,
         attr: AttrId,
         owners: &OrderedSet,
     ) -> Result<OrderedSet> {
@@ -207,7 +179,7 @@ impl DerivedMaintainer {
     fn walk_back(
         &self,
         map: &Map,
-        indexes: &dyn IndexLookup,
+        indexes: &IndexService,
         attr: AttrId,
         owners: &OrderedSet,
         parent_members: &OrderedSet,
@@ -240,7 +212,7 @@ impl DerivedMaintainer {
     fn base_shift_affected(
         &self,
         db: &Database,
-        indexes: &dyn IndexLookup,
+        indexes: &IndexService,
         base: AttrId,
     ) -> Result<OrderedSet> {
         let mut affected = OrderedSet::new();
@@ -248,7 +220,7 @@ impl DerivedMaintainer {
             return Ok(affected);
         };
         for &x in dependents {
-            match indexes.index_for(x) {
+            match indexes.index(x) {
                 Some(idx) => {
                     let owners = idx.all_owners();
                     affected.extend_from(&self.affected_candidates(db, indexes, x, &owners)?);
@@ -261,31 +233,6 @@ impl DerivedMaintainer {
         Ok(affected)
     }
 
-    /// Notifies the maintainer that attribute `attr` of the `owners`
-    /// entities changed: patches the affected postings of `indexes` (built
-    /// before the change), re-evaluates the predicate for affected
-    /// candidates only, and adds / removes membership as needed. Returns
-    /// `(added, removed)` counts.
-    pub fn apply_attr_change(
-        &self,
-        db: &mut Database,
-        indexes: &mut IndexManager,
-        attr: AttrId,
-        owners: &OrderedSet,
-    ) -> Result<(usize, usize)> {
-        // Affected candidates are computed against the *old* index state
-        // first, then again against the new one: an owner that left a
-        // posting list must still trigger re-evaluation of the candidates
-        // that used to reach it. A change to a grouping's base attribute
-        // additionally touches every owner of the dependent ranged indexes.
-        let mut affected = self.affected_candidates(db, &*indexes, attr, owners)?;
-        affected.extend_from(&self.base_shift_affected(db, &*indexes, attr)?);
-        indexes.refresh_owners(db, attr, owners)?;
-        affected.extend_from(&self.affected_candidates(db, &*indexes, attr, owners)?);
-        affected.extend_from(&self.base_shift_affected(db, &*indexes, attr)?);
-        self.settle(db, &affected)
-    }
-
     /// Collects every candidate a change window can affect, walking the
     /// given `indexes` (which must still describe the *start* of the
     /// window; call again after the index drain for the end state).
@@ -293,7 +240,7 @@ impl DerivedMaintainer {
     pub fn collect_affected(
         &self,
         db: &Database,
-        indexes: &dyn IndexLookup,
+        indexes: &IndexService,
         changes: &ChangeSet,
     ) -> Result<OrderedSet> {
         let _span = isis_obs::global().span("query.incremental.collect");
@@ -326,36 +273,19 @@ impl DerivedMaintainer {
     }
 
     /// Re-evaluates the predicate for the `affected` candidates and adds /
-    /// removes membership as needed. Returns `(added, removed)` counts.
-    ///
-    /// Serial convenience wrapper over
-    /// [`settle_with`](DerivedMaintainer::settle_with) on a width-1 pool,
-    /// for standalone callers; the session passes the shared service's
-    /// pool instead.
-    pub fn settle(&self, db: &mut Database, affected: &OrderedSet) -> Result<(usize, usize)> {
-        self.settle_with(db, affected, &EvalPool::default())
-            .map_err(|e| match e {
-                QueryError::Core(c) => c,
-                // A width-1 pool never crosses a worker, so a panic error
-                // is unreachable; fold any other variant into a core
-                // report rather than dropping it.
-                other => isis_core::CoreError::Inconsistent(other.to_string()),
-            })
-    }
-
-    /// Re-evaluates the predicate for the `affected` candidates and adds /
     /// removes membership as needed, evaluating through `pool` — over its
     /// workers when it is wider than one and the affected set is large
-    /// enough to chunk (the session hands in the [`crate::IndexService`]'s
-    /// pool so refresh rounds and queries share workers). Returns
+    /// enough to chunk ([`DerivedState`] hands in its service's pool, so
+    /// refresh rounds and queries share workers). Returns
     /// `(added, removed)`.
     ///
     /// Two phases: every live affected candidate is evaluated first (no
     /// writes), then membership writes run serially in affected order, so
     /// the serial and pooled paths produce identical memberships, identical
-    /// write order, and identical no-writes-on-error behaviour. Membership
-    /// writes can't change attribute values or parent extents, so the
-    /// phase-1 results stay valid through phase 2. Worker panics surface as
+    /// write order, and identical no-writes-on-error behaviour. Like
+    /// `Database::refresh_derived_class`, phase 2 installs what phase 1
+    /// evaluated, although a leave drops the values the class owns and
+    /// scrubs references to the leaver. Worker panics surface as
     /// [`QueryError::WorkerPanic`].
     pub fn settle_with(
         &self,
@@ -411,76 +341,6 @@ impl DerivedMaintainer {
         Ok((added, removed))
     }
 
-    /// Consumes a [`ChangeSet`] from the core delta log, re-evaluating the
-    /// predicate only for candidates the recorded changes can affect.
-    /// Returns `(added, removed)` membership counts. Falls back to
-    /// [`DerivedMaintainer::rebuild`] when the set contains schema edits.
-    ///
-    /// The set must describe the transition from the state the maintainer
-    /// last saw to `db`'s current state (e.g. `db.changes_since(epoch)`),
-    /// and `indexes` must describe the window's start: build them where
-    /// the epoch mark is taken ([`DerivedMaintainer::build_indexes`]). The
-    /// window is drained into them here.
-    pub fn apply_changes(
-        &mut self,
-        db: &mut Database,
-        indexes: &mut IndexManager,
-        changes: &ChangeSet,
-    ) -> Result<(usize, usize)> {
-        if changes.has_schema_changes() {
-            return self.rebuild(db, indexes);
-        }
-        // Candidates reached through the *old* postings (an owner leaving a
-        // posting list must still re-evaluate whoever used to reach it) …
-        let mut affected = self.collect_affected(db, &*indexes, changes)?;
-        // … then drain the window into the postings …
-        indexes.apply(db, changes)?;
-        // … and collect again through the new postings.
-        affected.extend_from(&self.collect_affected(db, &*indexes, changes)?);
-        self.settle(db, &affected)
-    }
-
-    /// Full fallback: re-reads the stored predicate (a schema edit may have
-    /// replaced it), re-evaluates the whole parent extent via
-    /// [`Database::refresh_derived_class`], and rebuilds the caller's
-    /// `indexes` from `db`'s current state: every index whose attribute
-    /// survives, plus one for each attribute the predicate now uses.
-    pub fn rebuild(
-        &mut self,
-        db: &mut Database,
-        indexes: &mut IndexManager,
-    ) -> Result<(usize, usize)> {
-        let obs = isis_obs::global();
-        let _span = obs.span("query.incremental.rebuild");
-        obs.count("query.incremental.rebuilds", 1);
-        let rec = db.class(self.class)?;
-        self.parent = rec
-            .parent
-            .ok_or(isis_core::CoreError::DerivedClass(self.class))?;
-        self.pred = rec
-            .kind
-            .predicate()
-            .cloned()
-            .ok_or(isis_core::CoreError::DerivedClass(self.class))?;
-        let before = db.members(self.class)?.clone();
-        db.refresh_derived_class(self.class)?;
-        let after = db.members(self.class)?;
-        let added = after.iter().filter(|e| !before.contains(*e)).count();
-        let removed = before.iter().filter(|e| !after.contains(*e)).count();
-        self.used = Self::attrs_used(&self.pred);
-        self.grouping_bases = Self::find_grouping_bases(db, &self.used)?;
-        indexes.rebuild_all(db)?;
-        for &attr in &self.used {
-            if indexes.index(attr).is_none() {
-                indexes.add_index(db, attr)?;
-            }
-        }
-        indexes.set_cursor(db.delta_epoch());
-        // A schema edit may have replaced the predicate: recompile.
-        *self.program.borrow_mut() = PredicateProgram::compile(db, self.parent, &self.pred)?;
-        Ok((added, removed))
-    }
-
     /// Re-evaluates the whole parent extent and installs the result the
     /// way [`Database::refresh_derived_class`] does, returning the new
     /// member count: the same writes in the same order, and on a failing
@@ -507,90 +367,282 @@ impl DerivedMaintainer {
         db.install_members(self.class, &members)?;
         Ok(members.len())
     }
+}
 
-    /// Handles an entity joining or leaving the *parent* class: the entity
-    /// itself is (re)evaluated.
-    pub fn apply_membership_change(
+/// How many delta rounds a refresh runs before it settles with a full
+/// pass. Maintenance writes (membership changes, derived-attribute values)
+/// are themselves recorded, so a refresh drains the log in rounds until it
+/// runs dry; the bound guards against pathological predicate interactions.
+const MAX_ROUNDS: usize = 8;
+
+/// The derived state of one database line: the shared [`IndexService`]
+/// read by the maintainers and by ad-hoc queries, and one
+/// [`DerivedMaintainer`] per derived subclass. The service's cursor is the
+/// delta-log epoch the derived classes were settled at; only
+/// [`DerivedState::refresh`] advances the service, so the two never part.
+///
+/// ```
+/// use isis_query::{DerivedState, ExtentChange};
+///
+/// let mut im = isis_sample::instrumental_music().unwrap();
+/// let pred = isis_sample::quartets_predicate(&mut im);
+/// let quartets = im.db.create_derived_subclass(im.music_groups, "quartets")?;
+/// im.db.commit_membership(quartets, pred)?;
+/// // The first refresh is full; later ones drain the delta log.
+/// let state = DerivedState::refresh(None, &mut im.db, 1, &mut Vec::new())?;
+/// let gil = im.db.entity_by_name(im.musicians, "Gil")?;
+/// im.db.add_value(gil, im.plays, im.piano)?; // String Fling qualifies
+/// let mut changed = Vec::new();
+/// let state = DerivedState::refresh(Some(state), &mut im.db, 1, &mut changed)?;
+/// assert!(changed.contains(&ExtentChange::Delta { class: quartets, added: 1, removed: 0 }));
+/// assert!(state.in_sync(&im.db));
+/// # Ok::<(), isis_query::QueryError>(())
+/// ```
+#[derive(Debug)]
+pub struct DerivedState {
+    service: IndexService,
+    maintainers: Vec<DerivedMaintainer>,
+}
+
+/// What a refresh did to one derived subclass's extent, in the order it
+/// settled the classes. A delta round reports the classes whose extent
+/// changed; the full refresh reports every class it re-evaluated, so a
+/// `Full` entry also tells that the refresh was full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExtentChange {
+    /// A delta round settled the class's affected candidates.
+    Delta {
+        /// The derived subclass.
+        class: ClassId,
+        /// Members that joined.
+        added: usize,
+        /// Members that left.
+        removed: usize,
+    },
+    /// The full refresh re-evaluated the class over its parent extent.
+    Full {
+        /// The derived subclass.
+        class: ClassId,
+        /// Member count before.
+        before: usize,
+        /// Member count after.
+        after: usize,
+    },
+}
+
+impl DerivedState {
+    /// Brings every derived subclass and derived attribute of `db` up to
+    /// date, and returns the state the next refresh continues from.
+    ///
+    /// While `state` exists and the delta log since its cursor holds only
+    /// data edits, *delta rounds* re-settle just the candidates each window
+    /// can affect. Otherwise the *full refresh* builds a new service, with
+    /// `eval_threads` workers, and re-settles every derived subclass. That
+    /// happens on the first refresh, on an evicted window, on a schema
+    /// edit, or when the drain does not quiesce within 8 rounds.
+    ///
+    /// A failed refresh consumes `state`, so the next one is full and no
+    /// window is skipped. Each [`ExtentChange`] is pushed onto `changed` as
+    /// its class settles, also when a later step fails.
+    pub fn refresh(
+        state: Option<DerivedState>,
+        db: &mut Database,
+        eval_threads: usize,
+        changed: &mut Vec<ExtentChange>,
+    ) -> Result<DerivedState, QueryError> {
+        let obs = isis_obs::global();
+        let _span = obs.span("session.refresh.drain");
+        let Some(mut state) = state else {
+            return DerivedState::full(db, eval_threads, changed);
+        };
+        for _ in 0..MAX_ROUNDS {
+            let cs = match db.changes_since(state.service.cursor()) {
+                Some(cs) if !cs.has_schema_changes() => cs,
+                _ => return DerivedState::full(db, eval_threads, changed),
+            };
+            if cs.is_empty() {
+                return Ok(state);
+            }
+            obs.count("session.refresh.rounds", 1);
+            state.apply_round(db, &cs, changed)?;
+        }
+        DerivedState::full(db, eval_threads, changed)
+    }
+
+    /// `true` when nothing was recorded in `db` since the last refresh, so
+    /// the service's postings describe it as it is now.
+    pub fn in_sync(&self, db: &Database) -> bool {
+        matches!(db.changes_since(self.service.cursor()), Some(cs) if cs.is_empty())
+    }
+
+    /// The shared index service.
+    pub fn service(&self) -> &IndexService {
+        &self.service
+    }
+
+    /// One delta round, with a single shared index drain: every maintainer
+    /// first collects its affected candidates against the *pre-state*
+    /// indexes, the service consumes the window once, the maintainers
+    /// re-collect against the post-state indexes and settle, and finally
+    /// the derived attributes the window touches are refreshed.
+    fn apply_round(
         &mut self,
         db: &mut Database,
-        entity: EntityId,
-    ) -> Result<(usize, usize)> {
-        let mut added = 0;
-        let mut removed = 0;
-        let in_parent = db.members(self.parent)?.contains(entity);
-        let is = db.members(self.class)?.contains(entity);
-        let mut prog = self.program.borrow_mut();
-        prog.ensure_fresh(db)?;
-        let mut memo = MemoTable::new(&prog);
-        let should = in_parent && prog.eval_for(db, entity, None, &mut memo)?;
-        if should && !is {
-            db.force_membership(entity, self.class)?;
-            added += 1;
-        } else if !should && is {
-            db.remove_from_class(entity, self.class)?;
-            removed += 1;
+        cs: &ChangeSet,
+        changed: &mut Vec<ExtentChange>,
+    ) -> Result<(), QueryError> {
+        let obs = isis_obs::global();
+        let _round = obs.span("session.refresh.round");
+        obs.event("session.refresh.window", || {
+            format!(
+                "{} change(s), {} maintainer(s)",
+                cs.len(),
+                self.maintainers.len()
+            )
+        });
+        // Pre-state: the shared indexes still reflect the old attribute
+        // values, so walk-backs find candidates that *used to* reach a
+        // changed entity.
+        let mut affected: Vec<OrderedSet> = Vec::with_capacity(self.maintainers.len());
+        {
+            let _collect = obs.span("session.refresh.collect");
+            for m in &self.maintainers {
+                affected.push(m.collect_affected(db, &self.service, cs)?);
+            }
         }
-        Ok((added, removed))
+        // The one drain: both the maintainers and the ad-hoc query planner
+        // read from these indexes afterwards.
+        {
+            let _apply = obs.span("session.refresh.apply");
+            self.service.apply(db, cs)?;
+        }
+        // Post-state: candidates that *now* reach a changed entity.
+        {
+            let _collect = obs.span("session.refresh.collect");
+            for (m, aff) in self.maintainers.iter().zip(affected.iter_mut()) {
+                aff.extend_from(&m.collect_affected(db, &self.service, cs)?);
+            }
+        }
+        {
+            let _settle = obs.span("session.refresh.settle");
+            // Affected sets settle through the service's worker pool — the
+            // same one queries use — so a session configured for parallel
+            // evaluation splits large sets across its workers.
+            for (m, aff) in self.maintainers.iter().zip(&affected) {
+                let (added, removed) = m.settle_with(db, aff, self.service.eval_pool())?;
+                if added + removed > 0 {
+                    changed.push(ExtentChange::Delta {
+                        class: m.class(),
+                        added,
+                        removed,
+                    });
+                }
+            }
+        }
+        let touched = cs.touched_attrs();
+        let membership_classes: Vec<ClassId> =
+            cs.iter()
+                .filter_map(|c| match c {
+                    Change::MembershipAdded { class, .. }
+                    | Change::MembershipRemoved { class, .. } => Some(*class),
+                    _ => None,
+                })
+                .collect();
+        let derived_attrs: Vec<(AttrId, AttrDerivation)> = db
+            .attrs()
+            .filter_map(|(id, a)| a.derivation.clone().map(|d| (id, d)))
+            .collect();
+        for (attr, derivation) in derived_attrs {
+            let deps = derivation_attrs(&derivation);
+            let rec = db.attr(attr)?;
+            let owner = rec.owner;
+            let value_class = match rec.value_class {
+                ValueClass::Class(c) => Some(c),
+                ValueClass::Grouping(_) => None,
+            };
+            let affected = touched.iter().any(|a| *a != attr && deps.contains(a))
+                || membership_classes
+                    .iter()
+                    .any(|c| *c == owner || Some(*c) == value_class);
+            if affected {
+                db.refresh_derived_attr(attr)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The full refresh: re-evaluates every derived subclass and derived
+    /// attribute on one new index service and builds the maintainers.
+    ///
+    /// Classes settle in id order, as `Database::refresh_derived_class`
+    /// would take them, and record the same writes. Each maintainer is
+    /// compiled at its class's turn, so a predicate is validated against
+    /// the extents the classes before it installed; its candidates are
+    /// pruned through the service, and the install's writes drain into
+    /// the service before the next class plans.
+    fn full(
+        db: &mut Database,
+        eval_threads: usize,
+        changed: &mut Vec<ExtentChange>,
+    ) -> Result<DerivedState, QueryError> {
+        let obs = isis_obs::global();
+        let _span = obs.span("session.refresh.full");
+        obs.count("session.refresh.fulls", 1);
+        let derived_classes: Vec<ClassId> = db
+            .classes()
+            .filter(|(_, c)| c.is_derived())
+            .map(|(id, _)| id)
+            .collect();
+        let mut service = IndexService::new(db);
+        service.eval_pool().set_threads(eval_threads);
+        let mut maintainers = Vec::with_capacity(derived_classes.len());
+        for class in derived_classes {
+            let m = DerivedMaintainer::new(db, class)?;
+            for &attr in m.used_attrs() {
+                service.ensure_index(db, attr)?;
+            }
+            let before = db.members(class)?.len();
+            let after = m.recompute(db, &service)?;
+            service.refresh(db)?;
+            changed.push(ExtentChange::Full {
+                class,
+                before,
+                after,
+            });
+            maintainers.push(m);
+        }
+        let derived_attrs: Vec<AttrId> = db
+            .attrs()
+            .filter(|(_, a)| a.is_derived())
+            .map(|(id, _)| id)
+            .collect();
+        for a in derived_attrs {
+            db.refresh_derived_attr(a)?;
+        }
+        service.refresh(db)?;
+        Ok(DerivedState {
+            service,
+            maintainers,
+        })
+    }
+}
+
+/// The attributes a derivation's maps mention: its value-level dependency
+/// set, as [`DerivedMaintainer::used_attrs`] is for a membership predicate.
+fn derivation_attrs(d: &AttrDerivation) -> Vec<AttrId> {
+    match d {
+        AttrDerivation::Assign(m) => m.steps().to_vec(),
+        AttrDerivation::Predicate(p) => DerivedMaintainer::attrs_used(p),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isis_sample::{instrumental_music, quartets_predicate};
+    use isis_sample::{instrumental_music, quartets_predicate, InstrumentalMusic};
 
-    #[test]
-    fn maintainer_tracks_membership_changes() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
-        let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        assert!(maint.depends_on(im.size));
-        assert!(maint.depends_on(im.members));
-        assert!(maint.depends_on(im.plays));
-        assert!(!maint.depends_on(im.family));
-
-        // Give String Fling a pianist: Gil learns piano.
-        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
-        im.db.add_value(gil, im.plays, im.piano).unwrap();
-        let owners: OrderedSet = [gil].into_iter().collect();
-        let (added, removed) = maint
-            .apply_attr_change(&mut im.db, &mut indexes, im.plays, &owners)
-            .unwrap();
-        assert_eq!((added, removed), (1, 0));
-        let fling = im
-            .db
-            .entity_by_name(im.music_groups, "String Fling")
-            .unwrap();
-        assert!(im.db.members(quartets).unwrap().contains(fling));
-
-        // Shrink LaBelle Musique: it must leave.
-        let edith = im.edith;
-        let labelle = im.labelle;
-        let cur = im.db.attr_value_set(labelle, im.members).unwrap();
-        let without: Vec<_> = cur.iter().filter(|e| *e != edith).collect();
-        im.db.assign_multi(labelle, im.members, without).unwrap();
-        let three = im.db.int(3);
-        im.db.assign_single(labelle, im.size, three).unwrap();
-        let owners: OrderedSet = [labelle].into_iter().collect();
-        maint
-            .apply_attr_change(&mut im.db, &mut indexes, im.members, &owners)
-            .unwrap();
-        let (_, removed) = maint
-            .apply_attr_change(&mut im.db, &mut indexes, im.size, &owners)
-            .unwrap();
-        assert!(!im.db.members(quartets).unwrap().contains(labelle));
-        // Removal happened in one of the two notifications.
-        let _ = removed;
-    }
-
-    #[test]
-    fn incremental_agrees_with_full_recompute() {
+    /// The sample with the quartets subclass committed.
+    fn with_quartets() -> (InstrumentalMusic, ClassId, Predicate) {
         let mut im = instrumental_music().unwrap();
         let pred = quartets_predicate(&mut im);
         let quartets = im
@@ -598,8 +650,84 @@ mod tests {
             .create_derived_subclass(im.music_groups, "quartets")
             .unwrap();
         im.db.commit_membership(quartets, pred.clone()).unwrap();
+        (im, quartets, pred)
+    }
+
+    /// One refresh of `state`: the state it leaves and what it changed.
+    fn refresh(
+        state: Option<DerivedState>,
+        db: &mut Database,
+    ) -> (DerivedState, Vec<ExtentChange>) {
+        let mut changed = Vec::new();
+        let state = DerivedState::refresh(state, db, 1, &mut changed).unwrap();
+        (state, changed)
+    }
+
+    /// `(added, removed)` over the delta rounds that settled `class`;
+    /// panics if the refresh was full.
+    fn delta(changed: &[ExtentChange], class: ClassId) -> (usize, usize) {
+        changed.iter().fold((0, 0), |(a, r), c| match *c {
+            ExtentChange::Delta {
+                class: k,
+                added,
+                removed,
+            } if k == class => (a + added, r + removed),
+            ExtentChange::Delta { .. } => (a, r),
+            ExtentChange::Full { .. } => panic!("the refresh was full: {changed:?}"),
+        })
+    }
+
+    /// The class holds exactly what its predicate selects.
+    fn assert_settled(db: &Database, class: ClassId, parent: ClassId, pred: &Predicate) {
+        let want = db.evaluate_derived_members(parent, pred).unwrap();
+        assert!(db.members(class).unwrap().set_eq(&want));
+    }
+
+    /// A service holding the postings of every attribute `maint` walks.
+    fn service_for(db: &Database, maint: &DerivedMaintainer) -> IndexService {
+        let mut service = IndexService::new(db);
+        for &attr in maint.used_attrs() {
+            service.ensure_index(db, attr).unwrap();
+        }
+        service
+    }
+
+    #[test]
+    fn delta_rounds_track_membership_changes() {
+        let (mut im, quartets, _) = with_quartets();
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
+        assert!(maint.depends_on(im.size));
+        assert!(maint.depends_on(im.members));
+        assert!(maint.depends_on(im.plays));
+        assert!(!maint.depends_on(im.family));
+        let (state, _) = refresh(None, &mut im.db);
+
+        // Give String Fling a pianist: Gil learns piano.
+        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
+        im.db.add_value(gil, im.plays, im.piano).unwrap();
+        let (state, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(delta(&changed, quartets), (1, 0));
+        let fling = im
+            .db
+            .entity_by_name(im.music_groups, "String Fling")
+            .unwrap();
+        assert!(im.db.members(quartets).unwrap().contains(fling));
+
+        // Shrink LaBelle Musique: it must leave.
+        let cur = im.db.attr_value_set(im.labelle, im.members).unwrap();
+        let without: Vec<_> = cur.iter().filter(|e| *e != im.edith).collect();
+        im.db.assign_multi(im.labelle, im.members, without).unwrap();
+        let three = im.db.int(3);
+        im.db.assign_single(im.labelle, im.size, three).unwrap();
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(delta(&changed, quartets), (0, 1));
+        assert!(!im.db.members(quartets).unwrap().contains(im.labelle));
+    }
+
+    #[test]
+    fn incremental_agrees_with_full_recompute() {
+        let (mut im, quartets, pred) = with_quartets();
+        let (state, _) = refresh(None, &mut im.db);
         let hana = im.db.entity_by_name(im.musicians, "Hana").unwrap();
         let trio = im
             .db
@@ -614,45 +742,23 @@ mod tests {
             .assign_multi(trio, im.members, members.iter())
             .unwrap();
         im.db.assign_single(trio, im.size, four).unwrap();
-        let owners: OrderedSet = [trio].into_iter().collect();
-        maint
-            .apply_attr_change(&mut im.db, &mut indexes, im.members, &owners)
-            .unwrap();
-        maint
-            .apply_attr_change(&mut im.db, &mut indexes, im.size, &owners)
-            .unwrap();
+        let (state, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(delta(&changed, quartets), (1, 0));
         // 2. Hana stops playing piano (affects Trio via members plays map).
         let guitar = im.db.entity_by_name(im.instruments, "guitar").unwrap();
         im.db.assign_multi(hana, im.plays, [guitar]).unwrap();
-        let owners: OrderedSet = [hana].into_iter().collect();
-        maint
-            .apply_attr_change(&mut im.db, &mut indexes, im.plays, &owners)
-            .unwrap();
-        let mut a: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        a.sort();
-        let mut b: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        b.sort();
-        assert_eq!(a, b);
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(delta(&changed, quartets), (0, 0));
+        assert_settled(&im.db, quartets, im.music_groups, &pred);
         // Trio Grande still qualifies through Fiona's piano.
         assert!(im.db.members(quartets).unwrap().contains(trio));
     }
 
     #[test]
     fn unrelated_attr_changes_touch_nothing() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
+        let (im, quartets, _) = with_quartets();
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let indexes = maint.build_indexes(&im.db).unwrap();
+        let indexes = service_for(&im.db, &maint);
         // A family reassignment is invisible to the quartets predicate.
         let owners: OrderedSet = [im.flute].into_iter().collect();
         let affected = maint
@@ -668,15 +774,9 @@ mod tests {
 
     #[test]
     fn plays_change_affects_only_groups_reaching_the_musician() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
+        let (im, quartets, _) = with_quartets();
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let indexes = maint.build_indexes(&im.db).unwrap();
+        let indexes = service_for(&im.db, &maint);
         // Dave is in String Fling only.
         let dave = im.db.entity_by_name(im.musicians, "Dave").unwrap();
         let owners: OrderedSet = [dave].into_iter().collect();
@@ -692,13 +792,7 @@ mod tests {
 
     #[test]
     fn walk_back_without_a_step_index_affects_the_whole_parent() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
+        let (mut im, quartets, _) = with_quartets();
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
         // Gil learns piano: String Fling must join.
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
@@ -708,7 +802,7 @@ mod tests {
             .db
             .entity_by_name(im.music_groups, "String Fling")
             .unwrap();
-        let indexed = maint.build_indexes(&im.db).unwrap();
+        let indexed = service_for(&im.db, &maint);
         let walked = maint
             .affected_candidates(&im.db, &indexed, im.plays, &owners)
             .unwrap();
@@ -716,7 +810,7 @@ mod tests {
         assert!(walked.contains(fling));
         // `members·plays` has no `members` index to walk back through: the
         // candidates are unbounded, not empty.
-        let bare = crate::IndexService::new(&im.db);
+        let bare = IndexService::new(&im.db);
         let unbounded = maint
             .affected_candidates(&im.db, &bare, im.plays, &owners)
             .unwrap();
@@ -750,30 +844,19 @@ mod tests {
             .unwrap();
         im.db.commit_membership(mates, pred.clone()).unwrap();
         assert_eq!(im.db.members(mates).unwrap().len(), 3);
-        let mut maint = DerivedMaintainer::new(&im.db, mates).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        let mark = im.db.delta_epoch();
+        let (state, _) = refresh(None, &mut im.db);
         // Edith learns the oboe: its players join through the moved image,
         // though none of their own values changed.
         im.db.add_value(im.edith, im.plays, im.oboe).unwrap();
-        let changes = im.db.changes_since(mark).unwrap();
-        maint
-            .apply_changes(&mut im.db, &mut indexes, &changes)
-            .unwrap();
-        let want = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
-        assert_eq!(want.len(), 5);
-        assert!(im.db.members(mates).unwrap().set_eq(&want));
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(delta(&changed, mates), (2, 0));
+        assert_settled(&im.db, mates, im.musicians, &pred);
+        assert_eq!(im.db.members(mates).unwrap().len(), 5);
     }
 
     #[test]
     fn recompute_installs_what_refresh_derived_class_installs() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
+        let (mut im, quartets, _) = with_quartets();
         // Stale the class both ways: String Fling qualifies, LaBelle no
         // longer does.
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
@@ -784,10 +867,7 @@ mod tests {
         let mark = im.db.delta_epoch();
 
         let maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mut service = crate::IndexService::new(&im.db);
-        for &attr in maint.used_attrs() {
-            service.ensure_index(&im.db, attr).unwrap();
-        }
+        let service = service_for(&im.db, &maint);
         let n = maint.recompute(&mut im.db, &service).unwrap();
         let want = twin.refresh_derived_class(quartets).unwrap();
         assert_eq!(n, want);
@@ -806,17 +886,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_changes_consumes_the_delta_log() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        let mark = im.db.delta_epoch();
+    fn a_delta_round_consumes_the_delta_log() {
+        let (mut im, quartets, pred) = with_quartets();
+        let (state, _) = refresh(None, &mut im.db);
 
         // Gil learns piano → String Fling becomes a quartet.
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
@@ -839,36 +911,19 @@ mod tests {
         let three = im.db.int(3);
         im.db.assign_single(im.labelle, im.size, three).unwrap();
 
-        let changes = im.db.changes_since(mark).unwrap();
-        let (added, removed) = maint
-            .apply_changes(&mut im.db, &mut indexes, &changes)
-            .unwrap();
+        let (state, changed) = refresh(Some(state), &mut im.db);
+        let (added, removed) = delta(&changed, quartets);
         assert!(added >= 2, "String Fling and New Four must join");
         assert!(removed >= 1, "LaBelle must leave");
-        let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        got.sort();
-        let mut want: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
+        assert_settled(&im.db, quartets, im.music_groups, &pred);
+        assert!(state.in_sync(&im.db));
+        assert_eq!(state.service().cursor(), im.db.delta_epoch());
     }
 
     #[test]
-    fn apply_changes_handles_entity_deletion() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        let mark = im.db.delta_epoch();
+    fn a_delta_round_handles_entity_deletion() {
+        let (mut im, quartets, pred) = with_quartets();
+        let (state, _) = refresh(None, &mut im.db);
         // Deleting a quartet member's pianist can disqualify the group.
         let member_of_quartet = im
             .db
@@ -878,52 +933,26 @@ mod tests {
             .next()
             .expect("seed data has a quartet");
         im.db.delete_entity(member_of_quartet).unwrap();
-        let changes = im.db.changes_since(mark).unwrap();
-        maint
-            .apply_changes(&mut im.db, &mut indexes, &changes)
-            .unwrap();
-        let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        got.sort();
-        let mut want: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        delta(&changed, quartets);
+        assert_settled(&im.db, quartets, im.music_groups, &pred);
     }
 
     #[test]
-    fn apply_changes_rebuilds_on_schema_edit() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        let mark = im.db.delta_epoch();
+    fn a_schema_edit_takes_the_full_refresh() {
+        let (mut im, quartets, pred) = with_quartets();
+        let (state, _) = refresh(None, &mut im.db);
         im.db.create_baseclass("venues").unwrap();
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
         im.db.add_value(gil, im.plays, im.piano).unwrap();
-        let changes = im.db.changes_since(mark).unwrap();
-        assert!(changes.has_schema_changes());
-        maint
-            .apply_changes(&mut im.db, &mut indexes, &changes)
-            .unwrap();
-        let mut got: Vec<EntityId> = im.db.members(quartets).unwrap().iter().collect();
-        got.sort();
-        let mut want: Vec<EntityId> = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap()
-            .iter()
-            .collect();
-        want.sort();
-        assert_eq!(got, want);
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        // String Fling joins.
+        assert!(
+            changed.iter().any(|c| matches!(*c,
+                ExtentChange::Full { class, before, after } if class == quartets && after == before + 1)),
+            "{changed:?}"
+        );
+        assert_settled(&im.db, quartets, im.music_groups, &pred);
     }
 
     #[test]
@@ -962,9 +991,7 @@ mod tests {
         // flute starts mis-filed under brass → String Fling qualifies.
         assert!(im.db.members(flute_groups).unwrap().contains(fling));
         assert!(!im.db.members(flute_groups).unwrap().contains(im.labelle));
-        let mut maint = DerivedMaintainer::new(&im.db, flute_groups).unwrap();
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        let mark = im.db.delta_epoch();
+        let (state, _) = refresh(None, &mut im.db);
         // Mid-drain re-key: the §4.2 correction moves flute to woodwind,
         // re-partitioning by_family and silently re-aiming every stored
         // sections value — without any transition of `sections` itself.
@@ -973,31 +1000,22 @@ mod tests {
         im.db
             .assign_single(im.flute, im.family, im.woodwind)
             .unwrap();
-        let changes = im.db.changes_since(mark).unwrap();
-        let (added, removed) = maint
-            .apply_changes(&mut im.db, &mut indexes, &changes)
-            .unwrap();
-        assert_eq!((added, removed), (1, 1), "re-key must swap the member");
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(
+            delta(&changed, flute_groups),
+            (1, 1),
+            "re-key must swap the member"
+        );
         let got = im.db.members(flute_groups).unwrap();
         assert!(got.contains(im.labelle), "woodwind sections now hold flute");
         assert!(!got.contains(fling), "brass sections lost the flute");
-        let want = im
-            .db
-            .evaluate_derived_members(im.music_groups, &pred)
-            .unwrap();
-        assert!(got.set_eq(&want));
+        assert_settled(&im.db, flute_groups, im.music_groups, &pred);
     }
 
     #[test]
-    fn membership_change_reevaluates_entity() {
-        let mut im = instrumental_music().unwrap();
-        let pred = quartets_predicate(&mut im);
-        let quartets = im
-            .db
-            .create_derived_subclass(im.music_groups, "quartets")
-            .unwrap();
-        im.db.commit_membership(quartets, pred).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, quartets).unwrap();
+    fn a_group_joining_the_parent_is_evaluated() {
+        let (mut im, quartets, _) = with_quartets();
+        let (state, _) = refresh(None, &mut im.db);
         // A brand-new qualifying group appears.
         let g = im.db.insert_entity(im.music_groups, "New Four").unwrap();
         let four = im.db.int(4);
@@ -1009,8 +1027,8 @@ mod tests {
         im.db
             .assign_multi(g, im.members, [kurt, amy, bob, carol])
             .unwrap();
-        let (added, _) = maint.apply_membership_change(&mut im.db, g).unwrap();
-        assert_eq!(added, 1);
+        let (_, changed) = refresh(Some(state), &mut im.db);
+        assert_eq!(delta(&changed, quartets), (1, 0));
         assert!(im.db.members(quartets).unwrap().contains(g));
     }
 }

@@ -12,6 +12,8 @@ use std::collections::HashMap;
 
 use isis_core::{AttrId, Database, EntityId, OrderedSet, Result, ValueClass, ValueRef};
 
+use crate::service::IndexService;
+
 /// An inverted index over one attribute: value → owners.
 #[derive(Debug, Clone)]
 pub struct AttrIndex {
@@ -135,23 +137,6 @@ impl AttrIndex {
     }
 }
 
-/// Read access to a keyed collection of inverted attribute indexes.
-///
-/// Implemented by the raw `HashMap` store, by [`crate::IndexManager`], and
-/// by [`crate::IndexService`], so maintenance code that *walks* indexes
-/// (e.g. [`crate::DerivedMaintainer`]) runs against whichever index set its
-/// caller owns.
-pub trait IndexLookup {
-    /// The index registered for `attr`, if any.
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex>;
-}
-
-impl IndexLookup for HashMap<AttrId, AttrIndex> {
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.get(&attr)
-    }
-}
-
 /// Walks `from` back through the postings of the map `steps`, last step
 /// first: the owners of `steps[0]` whose image under the map reaches some
 /// entity of `from`. Postings hold expanded values, exactly what map
@@ -162,7 +147,7 @@ impl IndexLookup for HashMap<AttrId, AttrIndex> {
 /// ([`crate::IndexService::candidate_pool`]); a maintainer walks a map
 /// prefix from the owners a change touched.
 pub(crate) fn walk_back(
-    indexes: &dyn IndexLookup,
+    indexes: &IndexService,
     steps: &[AttrId],
     from: OrderedSet,
 ) -> Option<OrderedSet> {
@@ -171,7 +156,7 @@ pub(crate) fn walk_back(
         if frontier.is_empty() {
             break;
         }
-        let idx = indexes.index_for(attr)?;
+        let idx = indexes.index(attr)?;
         frontier = match frontier.as_singleton() {
             Some(v) => idx.owners_of(v).cloned().unwrap_or_default(),
             None => {
@@ -191,7 +176,6 @@ pub(crate) fn walk_back(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::IndexService;
     use isis_core::{Atom, Clause, CompareOp, Map, Operator, Predicate, Rhs};
     use isis_sample::{instrumental_music, quartets_predicate};
 

@@ -11,14 +11,13 @@
 //!   paper's "full power of relational algebra" claim machine-checkable;
 //! * [`qbe`] — a Query-by-Example baseline, the paper's §1.1 comparator;
 //! * [`index`] — inverted attribute indexes (groupings made operational);
-//! * [`incremental`] — incremental maintenance of derived subclasses by
-//!   inverse map traversal, fed by the core delta log;
-//! * [`manager`] — an [`IndexManager`] that keeps a set of attribute
-//!   indexes current by consuming [`isis_core::ChangeSet`]s;
-//! * [`service`] — the shared [`IndexService`]: one maintained index set
-//!   serving the evaluator, the cost model, and derived-class maintenance,
-//!   with an index-pruning access-path planner and observable
-//!   [`QueryStats`];
+//! * [`incremental`] — [`DerivedState`], the one refresh path for derived
+//!   subclasses: incremental maintenance by inverse map traversal, fed by
+//!   the core delta log, with a full refresh as its fallback;
+//! * [`service`] — the shared [`IndexService`]: one index set kept current
+//!   from the core delta log, serving the evaluator, the cost model, and
+//!   derived-class maintenance, with an index-pruning access-path planner
+//!   and observable [`QueryStats`];
 //! * [`optimizer`] — the atom cost model: per-atom cost and
 //!   index-informed selectivity estimates;
 //! * [`program`] — compiled predicate programs: constant hoisting,
@@ -38,7 +37,7 @@ pub mod error;
 pub mod explain;
 pub mod incremental;
 pub mod index;
-pub mod manager;
+mod manager;
 pub mod optimizer;
 pub mod parallel;
 pub mod program;
@@ -53,9 +52,9 @@ pub use compile::{
 };
 pub use error::QueryError;
 pub use explain::{AtomPlan, ColumnStat, ExplainRecord, SlowQuery};
-pub use incremental::DerivedMaintainer;
-pub use index::{AttrIndex, IndexLookup};
-pub use manager::{IndexManager, IndexStats};
+pub use incremental::{DerivedMaintainer, DerivedState, ExtentChange};
+pub use index::AttrIndex;
+pub use manager::IndexStats;
 pub use optimizer::{estimate_atom, AtomEstimate};
 pub use parallel::{chunk_decision, EvalPool};
 pub use program::{MemoTable, PredicateProgram, BATCH_ROWS};

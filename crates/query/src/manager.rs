@@ -16,9 +16,10 @@ use isis_core::{
     SchemaEdit, ValueClass,
 };
 
-use crate::index::{AttrIndex, IndexLookup};
+use crate::index::AttrIndex;
 
-/// Counters describing how an [`IndexManager`] kept its indexes current.
+/// Counters describing how an [`crate::IndexService`] kept its indexes
+/// current.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Individual posting-list patches applied from deltas.
@@ -31,7 +32,7 @@ pub struct IndexStats {
 /// Owns inverted attribute indexes and applies [`ChangeSet`]s to them
 /// incrementally.
 #[derive(Debug, Default)]
-pub struct IndexManager {
+pub(crate) struct IndexManager {
     indexes: HashMap<AttrId, AttrIndex>,
     /// Owner class of each indexed attribute (membership changes there
     /// add/remove whole owner rows).
@@ -87,60 +88,52 @@ impl IndexManager {
         self.cursor
     }
 
-    /// Re-anchors the cursor. For coordinators that drain the delta log
-    /// themselves and feed this manager explicit windows via
-    /// [`IndexManager::apply`].
-    pub fn set_cursor(&mut self, epoch: u64) {
-        self.cursor = epoch;
-    }
-
     /// Brings every index up to date with `db`, consuming the delta log
     /// from the manager's cursor. Falls back to full rebuilds when the
     /// window is gone (or the cursor is from another database line).
     pub fn refresh(&mut self, db: &Database) -> Result<()> {
-        let changes = match db.changes_since(self.cursor) {
-            Some(c) => c,
+        match db.changes_since(self.cursor) {
+            Some(changes) => self.apply(db, &changes),
             None => {
                 self.rebuild_all(db)?;
                 self.cursor = db.delta_epoch();
-                return Ok(());
+                Ok(())
             }
-        };
-        self.apply(db, &changes)?;
-        self.cursor = db.delta_epoch();
-        Ok(())
+        }
     }
 
-    /// Applies one [`ChangeSet`] to the registered indexes. The set must
-    /// describe the transition from the indexes' current state to `db`'s
-    /// (as [`IndexManager::refresh`] guarantees).
+    /// Applies one [`ChangeSet`] to the registered indexes and moves the
+    /// cursor to `db`'s delta epoch. The set must describe the transition
+    /// from the indexes' current state to `db`'s (as
+    /// [`IndexManager::refresh`] guarantees).
     pub fn apply(&mut self, db: &Database, changes: &ChangeSet) -> Result<()> {
         if changes.has_schema_changes() {
             // Schema edits can delete indexed attributes, retarget value
             // classes, or reshape groupings; rebuild wholesale.
             self.drop_dead_and_rebuild(db, changes)?;
-            return Ok(());
-        }
-        for change in changes.iter() {
-            match change {
-                Change::AttrAssigned {
-                    entity,
-                    attr,
-                    old,
-                    new,
-                } => self.apply_transition(db, *entity, *attr, old, new)?,
-                Change::MembershipAdded { entity, class } => {
-                    self.apply_owner_joined(db, *entity, *class)?;
+        } else {
+            for change in changes.iter() {
+                match change {
+                    Change::AttrAssigned {
+                        entity,
+                        attr,
+                        old,
+                        new,
+                    } => self.apply_transition(db, *entity, *attr, old, new)?,
+                    Change::MembershipAdded { entity, class } => {
+                        self.apply_owner_joined(db, *entity, *class)?;
+                    }
+                    Change::MembershipRemoved { entity, class } => {
+                        self.apply_owner_left(*entity, *class);
+                    }
+                    Change::EntityInserted { .. }
+                    | Change::EntityDeleted { .. }
+                    | Change::EntityRenamed { .. }
+                    | Change::Schema(_) => {}
                 }
-                Change::MembershipRemoved { entity, class } => {
-                    self.apply_owner_left(*entity, *class);
-                }
-                Change::EntityInserted { .. }
-                | Change::EntityDeleted { .. }
-                | Change::EntityRenamed { .. }
-                | Change::Schema(_) => {}
             }
         }
+        self.cursor = db.delta_epoch();
         Ok(())
     }
 
@@ -157,36 +150,6 @@ impl IndexManager {
         for a in dependents {
             self.indexes.insert(a, AttrIndex::build(db, a)?);
             self.stats.rebuilds += 1;
-        }
-        Ok(())
-    }
-
-    /// Re-reads the current values of the `owners` entities for `attr` and
-    /// patches the posting lists accordingly (grouping-ranged indexes and
-    /// dependent grouping-ranged indexes rebuild instead). For callers that
-    /// know which owners changed without having a delta window.
-    pub fn refresh_owners(
-        &mut self,
-        db: &Database,
-        attr: AttrId,
-        owners: &OrderedSet,
-    ) -> Result<()> {
-        self.rebuild_dependents(db, attr)?;
-        if !self.indexes.contains_key(&attr) {
-            return Ok(());
-        }
-        if self.grouping_bases.contains_key(&attr) {
-            self.indexes.insert(attr, AttrIndex::build(db, attr)?);
-            self.stats.rebuilds += 1;
-            return Ok(());
-        }
-        for e in owners.iter() {
-            let new = db.attr_value_set(e, attr)?;
-            if let Some(idx) = self.indexes.get_mut(&attr) {
-                let old = idx.owned_values(e);
-                idx.update(e, &old, &new);
-                self.stats.incremental_updates += 1;
-            }
         }
         Ok(())
     }
@@ -277,7 +240,7 @@ impl IndexManager {
 
     /// Rebuilds every registered index from `db`'s current state, dropping
     /// those whose attribute no longer exists. Leaves the cursor alone.
-    pub fn rebuild_all(&mut self, db: &Database) -> Result<()> {
+    fn rebuild_all(&mut self, db: &Database) -> Result<()> {
         let attrs: Vec<AttrId> = self.indexes.keys().copied().collect();
         for attr in attrs {
             if db.attr(attr).is_err() {
@@ -290,12 +253,6 @@ impl IndexManager {
             self.stats.rebuilds += 1;
         }
         Ok(())
-    }
-}
-
-impl IndexLookup for IndexManager {
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.indexes.get(&attr)
     }
 }
 
@@ -429,19 +386,6 @@ mod tests {
             idx.owners_of(im.flute).map(|s| s.len()),
             live.owners_of(im.flute).map(|s| s.len())
         );
-    }
-
-    #[test]
-    fn refresh_owners_patches_point_changes() {
-        let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
-        mgr.add_index(&im.db, im.plays).unwrap();
-        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
-        im.db.add_value(gil, im.plays, im.piano).unwrap();
-        let owners: OrderedSet = [gil].into_iter().collect();
-        mgr.refresh_owners(&im.db, im.plays, &owners).unwrap();
-        assert_index_fresh(&mgr, &im.db, im.plays);
-        assert_eq!(mgr.stats().rebuilds, 0);
     }
 
     #[test]

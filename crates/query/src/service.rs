@@ -3,8 +3,8 @@
 //! The paper's predicate worksheet makes queries first-class derived
 //! subclasses, so query answering and derived-class maintenance are two
 //! consumers of the same attribute structure. [`IndexService`] is that
-//! structure made shared: one [`IndexManager`]-maintained set of inverted
-//! attribute indexes, kept current from the core delta log, read by
+//! structure made shared: one set of inverted attribute indexes, kept
+//! current from the core delta log, read by
 //!
 //! * the predicate evaluator ([`IndexService::evaluate`]),
 //! * the cost model ([`crate::estimate_atom`] consults the service for
@@ -57,22 +57,22 @@ use isis_core::{
 
 use crate::cache::{CachedPlan, ProgramCache};
 use crate::error::QueryError;
-use crate::index::{walk_back, AttrIndex, IndexLookup};
+use crate::index::{walk_back, AttrIndex};
 use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
 use crate::program::PredicateProgram;
 
-/// Counters describing the access-path decisions a service has made.
+/// Counters describing the access-path decisions one service has made.
 ///
 /// Maintenance-side counters (posting patches, rebuilds) live in
 /// [`IndexStats`]; these are the read side.
 ///
-/// **Deprecated accessor path**: this struct survives as a per-service
-/// compat shim for `Session::query` / the REPL `stats` command. New code
-/// should read the process-wide [`isis_obs`] registry instead
+/// These are the per-service counters: [`IndexService::query_stats`]
+/// returns them, and the REPL `stats` command and the tests read them.
+/// Every bump is mirrored into the process-wide [`isis_obs`] registry
 /// (`query.service.queries`, `query.service.index_probes`, …), which
 /// aggregates every service in the process and adds rows-scanned/returned
-/// and timing histograms the shim never had.
+/// and timing histograms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Predicates evaluated through [`IndexService::evaluate`].
@@ -414,9 +414,10 @@ impl IndexService {
         out
     }
 
-    /// Applies one explicit [`ChangeSet`] window. The set must describe the
-    /// transition from the indexes' current state to `db`'s, as when a
-    /// coordinator drains `db.changes_since(..)` once and feeds every
+    /// Applies one explicit [`ChangeSet`] window and moves the cursor to
+    /// `db`'s delta epoch. The set must describe the transition from the
+    /// indexes' current state to `db`'s, as when a [`crate::DerivedState`]
+    /// delta round drains `db.changes_since(cursor)` once and feeds every
     /// consumer the same window.
     pub fn apply(&mut self, db: &Database, changes: &ChangeSet) -> Result<()> {
         let _span = isis_obs::global().span("query.index.apply");
@@ -431,13 +432,12 @@ impl IndexService {
         self.manager.stats()
     }
 
-    /// Planner counters (probes, grouping scans, seq scans, misses).
-    ///
-    /// Compat shim: prefer the process-wide [`isis_obs`] registry
-    /// (`query.service.*`), which this service mirrors every bump into
-    /// whenever observability is enabled. The shim stays because its
-    /// counters are per-service (tests and the bench report rely on that
-    /// isolation) while the registry aggregates the whole process.
+    /// Planner counters (probes, grouping scans, seq scans, misses) of this
+    /// service alone. Every bump is also mirrored into the process-wide
+    /// [`isis_obs`] registry (`query.service.*`) whenever observability is
+    /// enabled; the registry aggregates the whole process, while these stay
+    /// per-service (the REPL `stats` command, the tests and the bench
+    /// report rely on that isolation).
     pub fn query_stats(&self) -> QueryStats {
         QueryStats {
             queries: self.queries.get(),
@@ -878,12 +878,6 @@ impl IndexService {
     pub fn note_unassisted_scan(&self) {
         self.bump(&self.queries, &self.obs.queries);
         self.bump(&self.seq_scans, &self.obs.seq_scans);
-    }
-}
-
-impl IndexLookup for IndexService {
-    fn index_for(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.manager.index(attr)
     }
 }
 

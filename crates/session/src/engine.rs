@@ -2,10 +2,10 @@
 //! state, and builds the current view's [`Scene`].
 
 use isis_core::{
-    Atom, AttrDerivation, AttrId, Change, ChangeSet, ClassId, CommitReceipt, CoreError, Database,
-    Map, OrderedSet, Predicate, Rhs, SchemaNode, SharedDatabase, ValueClass,
+    Atom, AttrId, ClassId, CommitReceipt, CoreError, Database, Map, OrderedSet, Predicate, Rhs,
+    SchemaNode, SharedDatabase, ValueClass,
 };
-use isis_query::{DerivedMaintainer, IndexService};
+use isis_query::{DerivedState, ExtentChange, IndexService};
 use isis_store::{RecoveryReport, StoreDir};
 use isis_views::{
     data_view, forest_view, network_view, worksheet_view, DataViewInput, ForestViewOptions,
@@ -102,18 +102,12 @@ pub struct Session {
     /// When derived subclasses and derived attributes are re-evaluated (an
     /// extension: the paper leaves them stale until the next commit, §2).
     policy: RefreshPolicy,
-    /// Delta-log epoch the derived state was last synchronised to.
-    refresh_cursor: u64,
-    /// Incremental maintainers for the committed derived subclasses.
-    /// `None` after anything that invalidates them (database swap, schema
-    /// change) — the next refresh rebuilds them from scratch.
-    maintainers: Option<Vec<DerivedMaintainer>>,
-    /// The shared attribute-index service: one maintained set of indexes
-    /// read by the derived-class maintainers and by ad-hoc queries
-    /// ([`Session::query`]). Built alongside the maintainers in
-    /// [`Session::full_refresh`]; advanced only by the refresh pipeline's
-    /// delta drain, so it never runs ahead of `refresh_cursor`.
-    service: Option<IndexService>,
+    /// The derived-class maintainers, the shared attribute-index service
+    /// they and ad-hoc queries ([`Session::query`]) read, and the delta
+    /// cursor both are synchronised to. `None` before the first refresh
+    /// and after anything that invalidates it (database swap, failed
+    /// refresh) — the next refresh rebuilds it in full.
+    derived: Option<DerivedState>,
     /// What recovery found the last time a database was loaded from the
     /// store this session (the *doctor* command reprints it).
     last_recovery: Option<RecoveryReport>,
@@ -255,9 +249,7 @@ impl SessionBuilder {
             offsets: Vec::new(),
             pan: (0, 0),
             policy,
-            refresh_cursor: 0,
-            maintainers: None,
-            service: None,
+            derived: None,
             last_recovery: None,
             eval_threads,
         }
@@ -524,7 +516,7 @@ impl Session {
     /// resized lazily.
     pub fn set_eval_threads(&mut self, threads: usize) {
         self.eval_threads = threads.max(1);
-        if let Some(svc) = self.service.as_ref() {
+        if let Some(svc) = self.index_service() {
             svc.eval_pool().set_threads(self.eval_threads);
         }
     }
@@ -540,8 +532,7 @@ impl Session {
     /// replaced wholesale: load, undo, redo). Epochs of different database
     /// lines are not comparable, so the next refresh must rebuild.
     fn invalidate_refresh(&mut self) {
-        self.maintainers = None;
-        self.service = None;
+        self.derived = None;
     }
 
     fn refresh_after_data_mod(&mut self) -> Result<(), SessionError> {
@@ -561,200 +552,56 @@ impl Session {
         Ok(())
     }
 
-    /// Brings every derived subclass and derived attribute up to date.
+    /// Brings every derived subclass and derived attribute up to date
+    /// through [`DerivedState::refresh`].
     ///
     /// The fast path consumes the core delta log from the last synchronised
-    /// epoch and re-evaluates only affected candidates (via
-    /// [`DerivedMaintainer::collect_affected`] and
-    /// [`DerivedMaintainer::settle_with`]). A full re-evaluation happens
-    /// only when the window contains schema edits, was evicted, or the
-    /// database was replaced since the last refresh.
+    /// epoch and re-evaluates only affected candidates. A full
+    /// re-evaluation happens only when the window contains schema edits,
+    /// was evicted, or the database was replaced or a refresh failed since
+    /// the last refresh.
     pub fn refresh_derived(&mut self) -> Result<(), SessionError> {
-        let obs = isis_obs::global();
-        let _span = obs.span("session.refresh.drain");
-        let needs_full = self.maintainers.is_none()
-            || self.service.is_none()
-            || match self.db.changes_since(self.refresh_cursor) {
-                None => true,
-                Some(cs) => cs.has_schema_changes(),
-            };
-        if needs_full {
-            return self.full_refresh();
-        }
-        // Maintenance writes (membership changes, derived-attr values) are
-        // themselves recorded, so drain the log in rounds until it runs
-        // dry; a bound guards against pathological predicate interactions.
-        const MAX_ROUNDS: usize = 8;
-        for _ in 0..MAX_ROUNDS {
-            let cs = match self.db.changes_since(self.refresh_cursor) {
-                Some(cs) => cs,
-                None => return self.full_refresh(),
-            };
-            if cs.is_empty() {
-                return Ok(());
-            }
-            if cs.has_schema_changes() {
-                return self.full_refresh();
-            }
-            obs.count("session.refresh.rounds", 1);
-            self.refresh_cursor = self.db.delta_epoch();
-            let mut maints = self.maintainers.take().unwrap_or_default();
-            let mut service = self.service.take().unwrap_or_default();
-            let outcome = self.apply_round(&mut maints, &mut service, &cs);
-            self.maintainers = Some(maints);
-            self.service = Some(service);
-            outcome?;
-        }
-        // Did not quiesce within the bound; settle with a full pass.
-        self.full_refresh()
-    }
-
-    /// One delta round, with a single shared index drain: every maintainer
-    /// first collects its affected candidates against the *pre-state*
-    /// indexes, the service consumes the window once, the maintainers
-    /// re-collect against the post-state indexes and settle, and finally
-    /// the derived attributes the window touches are refreshed.
-    fn apply_round(
-        &mut self,
-        maints: &mut [DerivedMaintainer],
-        service: &mut IndexService,
-        cs: &ChangeSet,
-    ) -> Result<(), SessionError> {
-        let obs = isis_obs::global();
-        let _round = obs.span("session.refresh.round");
-        obs.event("session.refresh.window", || {
-            format!("{} change(s), {} maintainer(s)", cs.len(), maints.len())
-        });
-        // Pre-state: the shared indexes still reflect the old attribute
-        // values, so walk-backs find candidates that *used to* reach a
-        // changed entity.
-        let mut affected: Vec<OrderedSet> = Vec::with_capacity(maints.len());
-        {
-            let _collect = obs.span("session.refresh.collect");
-            for m in maints.iter() {
-                affected.push(m.collect_affected(&self.db, &*service, cs)?);
-            }
-        }
-        // The one drain: both the maintainers and the ad-hoc query planner
-        // read from these indexes afterwards.
-        {
-            let _apply = obs.span("session.refresh.apply");
-            service.apply(&self.db, cs)?;
-        }
-        // Post-state: candidates that *now* reach a changed entity.
-        {
-            let _collect = obs.span("session.refresh.collect");
-            for (m, aff) in maints.iter().zip(affected.iter_mut()) {
-                aff.extend_from(&m.collect_affected(&self.db, &*service, cs)?);
-            }
-        }
-        {
-            let _settle = obs.span("session.refresh.settle");
-            // Affected sets settle through the service's worker pool — the
-            // same one queries use — so a session configured for parallel
-            // evaluation splits large sets across its workers.
-            for (m, aff) in maints.iter().zip(affected.iter()) {
-                let (added, removed) = m
-                    .settle_with(&mut self.db, aff, service.eval_pool())
-                    .map_err(SessionError::Query)?;
-                if added + removed > 0 {
-                    let name = self.db.class(m.class())?.name.clone();
-                    self.say(format!(
-                        "{name} re-evaluated: +{added} -{removed} members (delta)"
-                    ));
+        let mut changed = Vec::new();
+        let state = DerivedState::refresh(
+            self.derived.take(),
+            &mut self.db,
+            self.eval_threads,
+            &mut changed,
+        );
+        for change in changed {
+            let (ExtentChange::Delta { class, .. } | ExtentChange::Full { class, .. }) = change;
+            let name = &self.db.class(class)?.name;
+            let msg = match change {
+                ExtentChange::Delta { added, removed, .. } => {
+                    format!("{name} re-evaluated: +{added} -{removed} members (delta)")
                 }
-            }
-        }
-        let touched = cs.touched_attrs();
-        let membership_classes: Vec<ClassId> =
-            cs.iter()
-                .filter_map(|c| match c {
-                    Change::MembershipAdded { class, .. }
-                    | Change::MembershipRemoved { class, .. } => Some(*class),
-                    _ => None,
-                })
-                .collect();
-        let derived_attrs: Vec<(AttrId, AttrDerivation)> = self
-            .db
-            .attrs()
-            .filter_map(|(id, a)| a.derivation.clone().map(|d| (id, d)))
-            .collect();
-        for (attr, derivation) in derived_attrs {
-            let deps = derivation_attrs(&derivation);
-            let rec = self.db.attr(attr)?;
-            let owner = rec.owner;
-            let value_class = match rec.value_class {
-                ValueClass::Class(c) => Some(c),
-                ValueClass::Grouping(_) => None,
+                ExtentChange::Full { before, after, .. } if before != after => {
+                    format!("{name} re-evaluated: {before} -> {after} members")
+                }
+                // The full refresh reports every class; only a count that
+                // moved is news.
+                ExtentChange::Full { .. } => continue,
             };
-            let affected = touched.iter().any(|a| *a != attr && deps.contains(a))
-                || membership_classes
-                    .iter()
-                    .any(|c| *c == owner || Some(*c) == value_class);
-            if affected {
-                self.db.refresh_derived_attr(attr)?;
-            }
+            self.say(msg);
         }
-        Ok(())
-    }
-
-    /// Full fallback: re-evaluates every derived subclass and derived
-    /// attribute on one new index service, rebuilds the maintainers, and
-    /// re-anchors the cursor.
-    ///
-    /// Classes settle in id order, as `Database::refresh_derived_class`
-    /// would take them, and record the same writes. Each maintainer is
-    /// compiled at its class's turn, so a predicate is validated against
-    /// the extents the classes before it installed; its candidates are
-    /// pruned through the service, and the install's writes drain into
-    /// the service before the next class plans.
-    fn full_refresh(&mut self) -> Result<(), SessionError> {
-        let obs = isis_obs::global();
-        let _span = obs.span("session.refresh.full");
-        obs.count("session.refresh.fulls", 1);
-        let derived_classes: Vec<ClassId> = self
-            .db
-            .classes()
-            .filter(|(_, c)| c.is_derived())
-            .map(|(id, _)| id)
-            .collect();
-        let mut service = IndexService::new(&self.db);
-        service.eval_pool().set_threads(self.eval_threads);
-        let mut maints = Vec::with_capacity(derived_classes.len());
-        for c in derived_classes {
-            let m = DerivedMaintainer::new(&self.db, c)?;
-            for &attr in m.used_attrs() {
-                service.ensure_index(&self.db, attr)?;
-            }
-            let before = self.db.members(c)?.len();
-            let after = m.recompute(&mut self.db, &service)?;
-            service.refresh(&self.db)?;
-            if before != after {
-                let name = self.db.class(c)?.name.clone();
-                self.say(format!("{name} re-evaluated: {before} -> {after} members"));
-            }
-            maints.push(m);
-        }
-        let derived_attrs: Vec<AttrId> = self
-            .db
-            .attrs()
-            .filter(|(_, a)| a.is_derived())
-            .map(|(id, _)| id)
-            .collect();
-        for a in derived_attrs {
-            self.db.refresh_derived_attr(a)?;
-        }
-        service.refresh(&self.db)?;
-        self.maintainers = Some(maints);
-        self.service = Some(service);
-        self.refresh_cursor = self.db.delta_epoch();
+        self.derived = Some(state?);
         Ok(())
     }
 
     /// The shared index service, once a refresh has built it. The planner
     /// and maintenance counters it carries back the *stats* REPL command.
     pub fn index_service(&self) -> Option<&IndexService> {
-        self.service.as_ref()
+        self.derived.as_ref().map(DerivedState::service)
+    }
+
+    /// The shared index service when it describes the pinned snapshot as
+    /// it is now, the one check [`Session::query`] and [`Session::explain`]
+    /// take before evaluating through it.
+    fn synced_service(&self) -> Option<&IndexService> {
+        self.derived
+            .as_ref()
+            .filter(|d| d.in_sync(&self.db))
+            .map(DerivedState::service)
     }
 
     /// Answers `{ e ∈ parent | P(e) }` through the shared index service.
@@ -771,15 +618,12 @@ impl Session {
         if self.policy != RefreshPolicy::Manual {
             self.refresh_derived()?;
         }
-        let in_sync = self.service.is_some()
-            && matches!(self.db.changes_since(self.refresh_cursor), Some(cs) if cs.is_empty());
-        if in_sync {
-            let svc = self.service.as_ref().expect("in_sync implies a service");
+        if let Some(svc) = self.synced_service() {
             Ok(svc.evaluate(&self.db, parent, pred)?)
         } else {
             // The direct scan bypasses the service, so record it there as a
             // sequential-scan query — before this it vanished from `stats`.
-            if let Some(svc) = self.service.as_ref() {
+            if let Some(svc) = self.index_service() {
                 svc.note_unassisted_scan();
             }
             obs.count("session.query.unassisted", 1);
@@ -809,13 +653,10 @@ impl Session {
         if self.policy != RefreshPolicy::Manual {
             self.refresh_derived()?;
         }
-        let in_sync = self.service.is_some()
-            && matches!(self.db.changes_since(self.refresh_cursor), Some(cs) if cs.is_empty());
-        if in_sync {
-            let svc = self.service.as_ref().expect("in_sync implies a service");
+        if let Some(svc) = self.synced_service() {
             Ok(svc.explain(&self.db, parent, pred)?)
         } else {
-            if let Some(svc) = self.service.as_ref() {
+            if let Some(svc) = self.index_service() {
                 svc.note_unassisted_scan();
             }
             obs.count("session.query.unassisted", 1);
@@ -1997,30 +1838,4 @@ impl Session {
         };
         Ok(parts.join(joint))
     }
-}
-
-/// The attributes a derivation's maps mention (its value-level dependency
-/// set, mirroring the maintainer's notion for membership predicates).
-fn derivation_attrs(d: &AttrDerivation) -> Vec<AttrId> {
-    let mut out = Vec::new();
-    let mut push_map = |m: &Map| {
-        for &a in m.steps() {
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-    };
-    match d {
-        AttrDerivation::Assign(m) => push_map(m),
-        AttrDerivation::Predicate(p) => {
-            for atom in p.atoms() {
-                push_map(&atom.lhs);
-                match &atom.rhs {
-                    Rhs::SelfMap(m) | Rhs::SourceMap(m) => push_map(m),
-                    Rhs::Constant { map, .. } => push_map(map),
-                }
-            }
-        }
-    }
-    out
 }

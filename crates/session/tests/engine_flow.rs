@@ -1,9 +1,12 @@
 //! End-to-end tests of the session engine against the §4.2 narrative and
 //! the Diagram-1 state invariants.
 
-use isis_core::{CompareOp, EntityId, Multiplicity, SchemaNode};
+use isis_core::{
+    Atom, BaseKind, Clause, CompareOp, CoreError, EntityId, Map, Multiplicity, Predicate, Rhs,
+    SchemaNode,
+};
 use isis_sample::instrumental_music;
-use isis_session::{Command, Mode, RefreshPolicy, Selection, Session};
+use isis_session::{Command, Mode, RefreshPolicy, Selection, Session, SessionError};
 use isis_views::Emphasis;
 
 fn session() -> (Session, isis_sample::InstrumentalMusic) {
@@ -514,6 +517,62 @@ fn auto_refresh_keeps_derived_classes_fresh() {
         .messages()
         .iter()
         .any(|m| m.contains("quartets re-evaluated")));
+}
+
+#[test]
+fn a_failed_delta_round_leaves_no_window_unsettled() {
+    let mut im = instrumental_music().unwrap();
+    // small: music_groups with size < {5}.
+    let ints = im.db.predefined(BaseKind::Integers);
+    let five = im.db.int(5);
+    let pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+        Map::single(im.size),
+        CompareOp::Lt,
+        Rhs::constant(ints, [five]),
+    )])]);
+    let small = im
+        .db
+        .create_derived_subclass(im.music_groups, "small")
+        .unwrap();
+    im.db.commit_membership(small, pred.clone()).unwrap();
+    let members = im.db.members(small).unwrap().clone();
+    let first = members.iter().next().expect("a small group");
+    let outsider = im
+        .db
+        .members(im.music_groups)
+        .unwrap()
+        .iter()
+        .find(|g| !members.contains(*g))
+        .expect("a group of five or more");
+    let size = im.size;
+    let mut s = Session::builder(im.db).build();
+    assert_eq!(s.refresh_policy(), RefreshPolicy::Manual);
+    s.refresh_derived().unwrap();
+
+    // Window 1: a member loses its size, which its round cannot compare,
+    // and the outsider shrinks into the class.
+    s.transact(|db| {
+        db.unassign(first, size)?;
+        let three = db.int(3);
+        db.assign_single(outsider, size, three)
+    })
+    .unwrap();
+    let err = s.refresh_derived().unwrap_err();
+    assert!(
+        matches!(err, SessionError::Core(CoreError::NotComparable(_))),
+        "a delta round's core error keeps its face: {err:?}"
+    );
+    // Window 2 repairs the member; window 1's outsider must still join.
+    s.transact(|db| {
+        let ten = db.int(10);
+        db.assign_single(first, size, ten)
+    })
+    .unwrap();
+    s.refresh_derived().unwrap();
+    let db = s.database();
+    let want = db.evaluate_derived_members(im.music_groups, &pred).unwrap();
+    assert!(db.members(small).unwrap().contains(outsider));
+    assert!(db.members(small).unwrap().set_eq(&want));
 }
 
 #[test]

@@ -233,8 +233,9 @@ impl WalCommitHook {
 /// (allocating exactly when the original insert did — see the WAL module
 /// docs). Changes the replayed operations regenerate themselves are
 /// skipped: naming-attribute assignments (covered by `RenameEntity` /
-/// `InsertEntity`), derived state, and the scrub records `DeleteEntity`
-/// re-derives.
+/// `InsertEntity`), derived state, the scrub records `DeleteEntity`
+/// re-derives, and the values a `RemoveFromClass` drops
+/// ([`ChangeSet::leave_drops`]).
 fn batch_ops(db: &Database, applied: &ChangeSet) -> Option<Vec<LogOp>> {
     if applied.has_schema_changes() {
         return None;
@@ -247,7 +248,7 @@ fn batch_ops(db: &Database, applied: &ChangeSet) -> Option<Vec<LogOp>> {
         })
         .collect();
     let mut ops = Vec::new();
-    for change in applied {
+    for (change, dropped) in applied.iter().zip(applied.leave_drops(db)) {
         match change {
             Change::EntityInserted { entity, base, name } => match db.literal_of(*entity) {
                 Some(lit) => ops.push(LogOp::Intern(lit.clone())),
@@ -272,7 +273,7 @@ fn batch_ops(db: &Database, applied: &ChangeSet) -> Option<Vec<LogOp>> {
             Change::AttrAssigned {
                 entity, attr, new, ..
             } => {
-                if deleted.contains(entity) {
+                if deleted.contains(entity) || dropped {
                     continue;
                 }
                 let rec = db.attr(*attr).ok()?;
@@ -388,6 +389,72 @@ mod tests {
         });
         // Sanity: the live head had advanced past the base generation.
         assert!(live_epoch > 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn leaves_from_a_value_owning_subclass_recover_and_rebase() {
+        let root = tempdir("reject");
+        let dir = StoreDir::open(&root).unwrap();
+        let (shared, _) = dir.open_shared("band", SyncPolicy::EverySync).unwrap();
+
+        let mut w = shared.pin();
+        let base = w.delta_epoch();
+        let musicians = w.create_baseclass("musicians").unwrap();
+        let soloists = w.create_subclass(musicians, "soloists").unwrap();
+        let ints = w.predefined(BaseKind::Integers);
+        let fee = w
+            .create_attribute(soloists, "fee", ints, Multiplicity::Single)
+            .unwrap();
+        shared.commit(base, &w).unwrap();
+
+        let mut w = shared.pin();
+        let base = w.delta_epoch();
+        for name in ["Edith", "Amy", "Kurt"] {
+            let m = w.insert_entity(musicians, name).unwrap();
+            w.add_to_class(m, soloists).unwrap();
+            let hundred = w.intern(100i64).unwrap();
+            w.assign_single(m, fee, hundred).unwrap();
+        }
+        shared.commit(base, &w).unwrap();
+
+        // Edith's reject commits on the fast path. Amy's reject, and Kurt
+        // leaving and rejoining in one commit, are rebased onto it.
+        let mut edith_out = shared.pin();
+        let edith_base = edith_out.delta_epoch();
+        let mut amy_out = shared.pin();
+        let amy_base = amy_out.delta_epoch();
+        let mut kurt_back = shared.pin();
+        let kurt_base = kurt_back.delta_epoch();
+        let edith = edith_out.entity_by_name(musicians, "Edith").unwrap();
+        edith_out.remove_from_class(edith, soloists).unwrap();
+        assert!(!shared.commit(edith_base, &edith_out).unwrap().rebased);
+        let amy = amy_out.entity_by_name(musicians, "Amy").unwrap();
+        amy_out.remove_from_class(amy, soloists).unwrap();
+        assert!(shared.commit(amy_base, &amy_out).unwrap().rebased);
+        let kurt = kurt_back.entity_by_name(musicians, "Kurt").unwrap();
+        kurt_back.remove_from_class(kurt, soloists).unwrap();
+        kurt_back.add_to_class(kurt, soloists).unwrap();
+        assert!(shared.commit(kurt_base, &kurt_back).unwrap().rebased);
+        let head = shared.pin();
+        assert_eq!(head.members(soloists).unwrap().as_slice(), &[kurt]);
+        assert_eq!(
+            head.attr_value(kurt, fee).unwrap(),
+            AttrValue::Single(EntityId::NULL)
+        );
+        assert_eq!(head.check_consistency().unwrap(), vec![]);
+        drop(shared);
+
+        let (reopened, report) = dir.open_shared("band", SyncPolicy::EverySync).unwrap();
+        assert_eq!(report.wal_records_rejected, 0, "{report}");
+        reopened.read(|db| {
+            assert_eq!(db.members(soloists).unwrap().as_slice(), &[kurt]);
+            assert_eq!(
+                db.attr_value(kurt, fee).unwrap(),
+                AttrValue::Single(EntityId::NULL)
+            );
+            assert_eq!(db.check_consistency().unwrap(), vec![]);
+        });
         std::fs::remove_dir_all(&root).unwrap();
     }
 

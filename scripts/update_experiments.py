@@ -52,16 +52,18 @@ A("unselective atoms while OR-of-clauses (DNF) must try every clause.")
 A("")
 A("### E-2 Derived-class maintenance (`benches/derived_class.rs`)")
 A("")
-A("| n | full refresh | incremental (1 changed musician, incl. index rebuild) | affected-candidate analysis |")
+A("| n | full refresh | delta refresh (1 changed musician) | affected-candidate analysis |")
 A("|---|---|---|---|")
 for n in [100, 400, 1600]:
-    A(f"| {n} | {g(f'derived_class/full_refresh/{n}')} | {g(f'derived_class/incremental_one_change/{n}')} | {g(f'derived_class/affected_candidates/{n}')} |")
+    A(f"| {n} | {g(f'derived_class/full_refresh/{n}')} | {g(f'derived_class/delta_pipeline/{n}')} | {g(f'derived_class/affected_candidates/{n}')} |")
 A("")
-A("The incremental arm re-clones the database and rebuilds its inverted")
-A("indexes every iteration; even so it overtakes full refresh by n=1600. The")
-A("*analysis itself* — which candidates can a change affect — is")
-A("sub-microsecond and flat, so a long-lived `DerivedMaintainer` reduces")
-A("maintenance to re-evaluating a handful of groups.")
+A("The delta arm is the session's refresh path, `DerivedState::refresh`, on")
+A("a long-lived state: each iteration toggles one musician's instrument,")
+A("drains the change log into the shared postings once, and settles only")
+A("the groups the change can reach, so its cost follows how many groups")
+A("reach that musician rather than the class size. The *analysis itself* —")
+A("which candidates can a change affect — is sub-microsecond and flat,")
+A("while the full refresh grows with the class.")
 A("")
 A("### E-3 Query engine baselines (`benches/baselines.rs`)")
 A("")

@@ -43,7 +43,9 @@ pub mod prelude {
         CoreError, Database, DeltaLog, EntityId, GroupingId, Literal, Map, Multiplicity,
         NormalForm, Operator, OrderedSet, Predicate, RetryBackoff, Rhs, SchemaEdit, SchemaNode,
     };
-    pub use isis_query::{DerivedMaintainer, IndexManager, IndexService, QbeQuery, QueryStats};
+    pub use isis_query::{
+        DerivedMaintainer, DerivedState, ExtentChange, IndexService, QbeQuery, QueryStats,
+    };
     pub use isis_session::{
         Command, CommitConflict, CommitReceipt, RefreshPolicy, Script, Session, SessionBuilder,
         SharedDatabase,

@@ -35,7 +35,7 @@ struct Fixture {
     /// `pianists.section`: an attribute owned by a derived subclass.
     section: AttrId,
     pianists: ClassId,
-    /// Musicians that left `pianists` and kept their section.
+    /// Musicians that left `pianists`, and with it their section.
     former: Vec<EntityId>,
     derived: Vec<ClassId>,
 }
@@ -118,9 +118,9 @@ fn build(seed: u64) -> Fixture {
     );
     commit(&mut s, pianists, "sectioned", single(vec![sectioned]));
     // Every third pianist stops playing the hot instrument and leaves,
-    // keeping its section. When one rejoins during the refresh,
-    // `led_early` has already indexed `section`, so those postings must
-    // follow the pianists install before `sectioned` is planned.
+    // dropping its section. When pianists leave or rejoin during the
+    // refresh, `led_early` has already indexed `section`, so those postings
+    // must follow the pianists install before `sectioned` is planned.
     let former: Vec<EntityId> = s.db.members(pianists).unwrap().iter().step_by(3).collect();
     for &m in &former {
         let mut plays = s.db.attr_value_set(m, s.plays).unwrap();
@@ -238,8 +238,9 @@ fn interpreted_refresh(db: &mut Database) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Refreshes `session` and `twin` and compares them change for change.
-/// Returns whether the refresh failed.
+/// Refreshes `session` and `twin` and compares them change for change,
+/// and checks the §2 integrity rules after the refresh. Returns whether
+/// the refresh failed.
 fn compare(f: &Fixture, session: &mut Session, mut twin: Database, what: &str) -> bool {
     let mark = session.database().delta_epoch();
     assert_eq!(mark, twin.delta_epoch(), "{what}: twins start apart");
@@ -267,6 +268,7 @@ fn compare(f: &Fixture, session: &mut Session, mut twin: Database, what: &str) -
         twin.changes_since(mark).unwrap(),
         "{what}: delta-log suffix"
     );
+    assert_eq!(db.check_consistency().unwrap(), vec![], "{what}: §2 rules");
     failed
 }
 

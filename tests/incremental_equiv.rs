@@ -1,8 +1,10 @@
 //! Property-based equivalence of the delta-refresh pipeline: after an
 //! arbitrary sequence of data mutations, draining the core change log
-//! through [`DerivedMaintainer::apply_changes`] must leave a derived
-//! subclass with exactly the membership a full `refresh_derived_class`
-//! (re-evaluation over the whole parent extent) would compute.
+//! through [`DerivedState::refresh`] — the path `Session::refresh_derived`
+//! takes, which also maintains the sample's own derived subclasses — must
+//! leave a derived subclass with exactly the membership a full
+//! `refresh_derived_class` (re-evaluation over the whole parent extent)
+//! would compute, and the database consistent.
 
 use isis::prelude::*;
 use isis_sample::{instrumental_music, InstrumentalMusic};
@@ -168,25 +170,21 @@ fn apply_op(
     true
 }
 
-/// Drains the delta log through the maintainer, session-style: the
-/// maintainer's own membership writes are re-read as echoes until the log
-/// runs dry.
-fn drain(
-    db: &mut Database,
-    maint: &mut DerivedMaintainer,
-    indexes: &mut IndexManager,
-    cursor: &mut u64,
-) {
-    for _ in 0..8 {
-        let cs = db.changes_since(*cursor).expect("delta window evicted");
-        if cs.is_empty() {
-            return;
-        }
-        *cursor = db.delta_epoch();
-        maint.apply_changes(db, indexes, &cs).unwrap();
-    }
-    let cs = db.changes_since(*cursor).expect("delta window evicted");
-    assert!(cs.is_empty(), "delta drain did not converge");
+/// Brings derived state up to date through the one refresh path
+/// `Session::refresh_derived` takes. Only the first refresh may be full:
+/// a later one falls back to the full refresh when the delta drain did
+/// not converge or its window was evicted.
+fn refresh(db: &mut Database, state: &mut Option<DerivedState>) {
+    let first = state.is_none();
+    let mut changed = Vec::new();
+    *state = Some(DerivedState::refresh(state.take(), db, 1, &mut changed).unwrap());
+    assert!(
+        first
+            || !changed
+                .iter()
+                .any(|c| matches!(c, ExtentChange::Full { .. })),
+        "delta drain did not converge: {changed:?}"
+    );
 }
 
 proptest! {
@@ -214,20 +212,20 @@ proptest! {
 
         let derived = im.db.create_derived_subclass(im.musicians, "gen_derived").unwrap();
         im.db.commit_membership(derived, pred.clone()).unwrap();
-        let mut maint = DerivedMaintainer::new(&im.db, derived).unwrap();
-        // The postings describe the state the first window starts from.
-        let mut indexes = maint.build_indexes(&im.db).unwrap();
-        let mut cursor = im.db.delta_epoch();
+        // The first refresh is full; its postings describe the state the
+        // first window starts from.
+        let mut state = None;
+        refresh(&mut im.db, &mut state);
 
         let mut live = im.all_musicians.clone();
         let mut fresh = 0u32;
         for op in &ops {
             apply_op(&mut im, &mut live, &mut fresh, op);
             if drain_each {
-                drain(&mut im.db, &mut maint, &mut indexes, &mut cursor);
+                refresh(&mut im.db, &mut state);
             }
         }
-        drain(&mut im.db, &mut maint, &mut indexes, &mut cursor);
+        refresh(&mut im.db, &mut state);
 
         let mut incremental: Vec<EntityId> =
             im.db.members(derived).unwrap().iter().collect();

@@ -54,6 +54,7 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     g.s.db.commit_membership(derived, pred).unwrap();
 
     let affected: OrderedSet = g.s.musician_ids.iter().copied().collect();
+    let serial = EvalPool::new(1);
     let pool = EvalPool::new(2);
 
     // --- Equivalence: serial and pooled arms on clones of the same state.
@@ -70,7 +71,9 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
     let maint_serial = DerivedMaintainer::new(&db_serial, derived).unwrap();
     let maint_pool = DerivedMaintainer::new(&db_pool, derived).unwrap();
 
-    let serial_counts = maint_serial.settle(&mut db_serial, &affected).unwrap();
+    let serial_counts = maint_serial
+        .settle_with(&mut db_serial, &affected, &serial)
+        .unwrap();
     let pool_counts = maint_pool
         .settle_with(&mut db_pool, &affected, &pool)
         .unwrap();
@@ -89,7 +92,9 @@ fn pooled_settle_matches_serial_and_surfaces_worker_panics() {
 
     // Both arms are converged now: a repeat settle is a no-op either way.
     assert_eq!(
-        maint_serial.settle(&mut db_serial, &affected).unwrap(),
+        maint_serial
+            .settle_with(&mut db_serial, &affected, &serial)
+            .unwrap(),
         (0, 0)
     );
     assert_eq!(
