@@ -5,13 +5,14 @@
 //! site must collapse to one relaxed atomic load when `ISIS_OBS` is off.
 //! This bench proves the budget empirically on the 10k-musician workload:
 //!
-//! 1. microbenchmark the disabled `span()` and `count()` paths per op;
+//! 1. microbenchmark the disabled `span()`, `count()` and `event()` paths
+//!    per op;
 //! 2. count the instrumentation ops one shared-service query round
 //!    actually executes (by running a round with tracing on and reading
-//!    the trace/registry back);
+//!    the journal and registry back);
 //! 3. time the same round with observability fully disabled;
 //! 4. overhead% = per-op ns × ops per round ÷ round ns, with a 2× safety
-//!    factor on the op count for counter sites the trace can't see.
+//!    factor on the op count for counter sites the journal can't see.
 //!
 //! The `<2%` assertion only fires in measured mode — `--test` smoke runs
 //! record placeholder numbers but still exercise every path.
@@ -72,14 +73,14 @@ fn obs_overhead(c: &mut Criterion) {
     let count_op_ns = t.elapsed().as_nanos() as f64 / probe_ops as f64;
     let t = Instant::now();
     for _ in 0..probe_ops {
-        // Disabled flight events must not even build their payload: the
-        // closure is behind the enabled check.
-        obs.flight_event(black_box("bench.obs.noop"), || {
+        // Disabled events must not even build their payload: the closure
+        // is behind the enabled check.
+        obs.event(black_box("bench.obs.noop"), || {
             unreachable!("payload built with observability off")
         });
     }
-    let flight_op_ns = t.elapsed().as_nanos() as f64 / probe_ops as f64;
-    let op_ns = span_op_ns.max(count_op_ns).max(flight_op_ns);
+    let event_op_ns = t.elapsed().as_nanos() as f64 / probe_ops as f64;
+    let op_ns = span_op_ns.max(count_op_ns).max(event_op_ns);
 
     // 2. Instrumentation ops per query round, observed under tracing.
     let f = fixture(n);
@@ -98,14 +99,17 @@ fn obs_overhead(c: &mut Criterion) {
     w.round(&mut db, &mut svc, 0); // settle into steady state untraced
     obs.set_tracing(true);
     obs.registry().reset();
-    obs.recorder().clear();
+    obs.journal().clear();
     w.round(&mut db, &mut svc, 1);
-    let trace = obs.recorder().snapshot();
-    let events = trace
+    let journal = obs.journal().snapshot();
+    let fields: usize = journal
         .records
         .iter()
-        .filter(|r| matches!(r, isis_obs::TraceRecord::Event { .. }))
-        .count();
+        .map(|r| match &r.body {
+            isis_obs::Body::End { fields, .. } => fields.len(),
+            _ => 0,
+        })
+        .sum();
     let counter_sites = obs
         .registry()
         .snapshot()
@@ -113,10 +117,10 @@ fn obs_overhead(c: &mut Criterion) {
         .iter()
         .filter(|(_, v)| matches!(v, isis_obs::MetricValue::Counter(_)))
         .count();
-    // Spans cost one guard each; events and counter metrics one call each.
-    // Double the total as headroom for sites the trace cannot attribute
-    // (multi-increment counters, gauges).
-    let ops_per_round = 2 * (trace.span_count() + events + counter_sites);
+    // Spans cost one guard each; events, span fields and counter metrics
+    // one call each. Double the total as headroom for sites the journal
+    // cannot attribute (multi-increment counters, gauges).
+    let ops_per_round = 2 * (journal.span_count() + journal.event_count() + fields + counter_sites);
     obs.set_tracing(false);
     obs.set_enabled(false);
 
@@ -131,7 +135,7 @@ fn obs_overhead(c: &mut Criterion) {
     let overhead_pct = op_ns * ops_per_round as f64 * 100.0 / round_ns;
     println!(
         "obs_overhead: n={n} op={op_ns:.2}ns (span {span_op_ns:.2}, count {count_op_ns:.2}, \
-         flight {flight_op_ns:.2}) ops/round={ops_per_round} round={round_ns:.0}ns \
+         event {event_op_ns:.2}) ops/round={ops_per_round} round={round_ns:.0}ns \
          overhead={overhead_pct:.3}%"
     );
     if !smoke {
@@ -148,10 +152,10 @@ fn obs_overhead(c: &mut Criterion) {
     let md = format!(
         "# Disabled-instrumentation overhead on the query path\n\n\
          Per-op disabled fast path: span {span_op_ns:.2} ns, counter \
-         {count_op_ns:.2} ns, flight event {flight_op_ns:.2} ns (payload \
+         {count_op_ns:.2} ns, event {event_op_ns:.2} ns (payload \
          closure never runs). One shared-service round (point update, delta \
          drain, two queries) executes ~{ops_per_round} instrumentation ops \
-         (2x-padded trace count) and takes {round_ns:.0} ns with `ISIS_OBS` \
+         (2x-padded journal count) and takes {round_ns:.0} ns with `ISIS_OBS` \
          off over {n} musicians.\n\n\
          **Overhead bound: {overhead_pct:.3}%** (budget: 2%{}).\n",
         if smoke {
@@ -170,7 +174,7 @@ fn obs_overhead(c: &mut Criterion) {
         .param("overhead_pct", overhead_pct)
         .result("obs_overhead/disabled_span_op", span_op_ns, probe_ops)
         .result("obs_overhead/disabled_count_op", count_op_ns, probe_ops)
-        .result("obs_overhead/disabled_flight_op", flight_op_ns, probe_ops)
+        .result("obs_overhead/disabled_event_op", event_op_ns, probe_ops)
         .result("obs_overhead/query_round_disabled", round_ns, rounds as u64)
         .write();
 }

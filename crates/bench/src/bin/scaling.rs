@@ -72,10 +72,38 @@ fn time_rounds(rounds: usize, mut f: impl FnMut()) -> f64 {
     total.as_secs_f64() * 1e9 / rounds.max(1) as f64
 }
 
+/// Times two arms round by round, alternating which goes first, and
+/// returns each arm's median nanoseconds per round, so a noisy stretch of
+/// the host hits both arms alike.
+fn time_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    fn timed(f: &mut impl FnMut(), out: &mut Vec<f64>) {
+        let t = Instant::now();
+        f();
+        out.push(t.elapsed().as_nanos() as f64);
+    }
+    fn median(mut xs: Vec<f64>) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+    }
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for round in 0..rounds.max(1) {
+        if round % 2 == 0 {
+            timed(&mut a, &mut ta);
+            timed(&mut b, &mut tb);
+        } else {
+            timed(&mut b, &mut tb);
+            timed(&mut a, &mut ta);
+        }
+    }
+    (median(ta), median(tb))
+}
+
 /// Times `pred` over the whole musicians extent through the batch body
 /// and through the scalar loop of one compiled program, which must stream
 /// and agree, and records `scaling/{name}_{batch,scalar}/{tag}`. Returns
-/// the mean (batch, scalar) nanoseconds per round.
+/// the median (batch, scalar) nanoseconds per round, the two arms
+/// interleaved round by round.
 fn scan_arms(
     g: &ScaledMusic,
     pred: &Predicate,
@@ -98,24 +126,27 @@ fn scan_arms(
         .filter(|&e| prog.eval_for(&g.s.db, e, None, &mut memo).unwrap())
         .collect();
     assert_eq!(scalar, expected, "{name}: batch and scalar disagree");
-    let batch_ns = time_rounds(rounds, || {
-        let mut memo = MemoTable::new(&prog);
-        let n = prog
-            .eval_batch(&g.s.db, &extent, None, &mut memo)
-            .unwrap()
-            .len();
-        assert_eq!(n, expected.len());
-    });
-    let scalar_ns = time_rounds(rounds, || {
-        let mut memo = MemoTable::new(&prog);
-        let mut n = 0usize;
-        for &e in &extent {
-            if prog.eval_for(&g.s.db, e, None, &mut memo).unwrap() {
-                n += 1;
+    let (batch_ns, scalar_ns) = time_interleaved(
+        rounds,
+        || {
+            let mut memo = MemoTable::new(&prog);
+            let n = prog
+                .eval_batch(&g.s.db, &extent, None, &mut memo)
+                .unwrap()
+                .len();
+            assert_eq!(n, expected.len());
+        },
+        || {
+            let mut memo = MemoTable::new(&prog);
+            let mut n = 0usize;
+            for &e in &extent {
+                if prog.eval_for(&g.s.db, e, None, &mut memo).unwrap() {
+                    n += 1;
+                }
             }
-        }
-        assert_eq!(n, expected.len());
-    });
+            assert_eq!(n, expected.len());
+        },
+    );
     eprintln!(
         "   {name} over {} candidates: batch {:.1}us vs scalar {:.1}us ({:.2}x)",
         extent.len(),
@@ -171,13 +202,6 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
     let mut svc = IndexService::new(&g.s.db);
     svc.ensure_index(&g.s.db, g.s.plays).unwrap();
     svc.ensure_index(&g.s.db, g.s.union_attr).unwrap();
-    let obs = isis_obs::global();
-    if obs.enabled() {
-        // With observability on (ISIS_OBS=1), capture full plan records
-        // for anything over 1ms — at 1e5+ entities that journals real
-        // plans into the flight recorder for the CI artifact.
-        svc.set_slow_threshold_ns(1_000_000);
-    }
     let run_chain = |svc: &IndexService, db: &Database| {
         let mut total = 0usize;
         for pred in &chain {
@@ -201,9 +225,9 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         stats.hits > 0 && stats.misses > 0,
         "both arms must exercise the cache: {stats:?}"
     );
-    if obs.enabled() {
+    if isis_obs::global().enabled() {
         // One explained evaluation per configuration: the record lands in
-        // the flight journal and prints a one-line plan summary.
+        // the journal and prints a one-line plan summary.
         let (out, rec) = svc
             .explain(&g.s.db, g.s.musicians, chain.last().unwrap())
             .unwrap();
@@ -406,6 +430,13 @@ fn main() {
         }
     }
 
+    let obs = isis_obs::global();
+    if obs.enabled() {
+        // With observability on (ISIS_OBS=1), capture full plan records
+        // for anything over 1ms — at 1e5+ entities that journals real
+        // plans for the CI artifact.
+        obs.set_slow_threshold_ns(1_000_000);
+    }
     let mut report = BenchReport::new("scaling")
         .smoke(smoke)
         .scale(configs.iter().map(|c| c.entities as u64).max().unwrap_or(0))
@@ -422,17 +453,16 @@ fn main() {
 
     // With ISIS_OBS=1 the run journaled slow-query plans, explain records,
     // settle and commit events; export them for CI to upload.
-    let obs = isis_obs::global();
     if obs.enabled() {
         let dir = isis_bench::report::out_dir().join("obs");
         std::fs::create_dir_all(&dir).expect("create out/obs");
-        let snap = obs.flight().snapshot();
-        let flight_path = dir.join("flight.jsonl");
-        std::fs::write(&flight_path, snap.to_jsonl()).expect("write flight journal");
+        let snap = obs.journal().snapshot();
+        let path = dir.join("journal.jsonl");
+        std::fs::write(&path, snap.to_jsonl()).expect("write the journal");
         eprintln!(
-            "wrote {} ({} events, {} dropped by the ring)",
-            flight_path.display(),
-            snap.events.len(),
+            "wrote {} ({} records, {} dropped by the journal)",
+            path.display(),
+            snap.records.len(),
             snap.dropped
         );
     }

@@ -160,8 +160,8 @@ impl CommitConflict {
 
     /// Stable classification label for telemetry: the conflict-key family
     /// without the keys themselves. Used as a metric suffix
-    /// (`core.mvcc.conflict.<kind>`) and in flight-recorder events, so the
-    /// strings are part of the observability contract.
+    /// (`core.mvcc.conflict.<kind>`) and in `core.mvcc.commit` journal
+    /// events, so the strings are part of the observability contract.
     pub fn kind(&self) -> &'static str {
         match self {
             CommitConflict::Value { .. } => "value",
@@ -447,7 +447,7 @@ impl SharedDatabase {
                     }
                     let (epoch, changes, rebased) =
                         (receipt.epoch, receipt.changes, receipt.rebased);
-                    obs.flight_event("core.mvcc.commit", || {
+                    obs.event("core.mvcc.commit", || {
                         isis_obs::Json::obj([
                             ("outcome", isis_obs::Json::from("committed")),
                             ("epoch", isis_obs::Json::from(epoch)),
@@ -460,7 +460,7 @@ impl SharedDatabase {
                     let kind = conflict.kind();
                     obs.count("core.mvcc.conflicts", 1);
                     obs.count(&format!("core.mvcc.conflict.{kind}"), 1);
-                    obs.flight_event("core.mvcc.commit", || {
+                    obs.event("core.mvcc.commit", || {
                         isis_obs::Json::obj([
                             ("outcome", isis_obs::Json::from("conflict")),
                             ("kind", isis_obs::Json::from(kind)),

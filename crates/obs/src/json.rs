@@ -1,11 +1,12 @@
 //! A minimal JSON value model with a serializer and parser.
 //!
 //! The build environment has no crates.io access (see ROADMAP.md), so this
-//! module is the workspace's only JSON codec: the metrics/trace exporters
+//! module is the workspace's only JSON codec: the metrics/journal exporters
 //! ([`crate::metrics::MetricsSnapshot::to_json`],
-//! [`crate::trace::TraceSnapshot::to_json`]) and the bench report writer in
-//! `isis-bench` all serialize through it, and `tests/obs_props.rs`
-//! property-checks that exports round-trip through [`Json::parse`].
+//! [`crate::journal::JournalSnapshot::to_json`]) and the bench report
+//! writer in `isis-bench` all serialize through it, and
+//! `tests/obs_props.rs` property-checks that exports round-trip through
+//! [`Json::parse`].
 //!
 //! Deliberate simplifications, documented so callers are not surprised:
 //!

@@ -14,11 +14,12 @@
 //!
 //! The record renders two ways: [`ExplainRecord::to_text`] is the REPL's
 //! plan tree; [`ExplainRecord::to_json`] is the machine-readable form the
-//! flight recorder journals and the slow-query log exports. The same
-//! record type backs both EXPLAIN and the slow-query log
-//! ([`SlowQuery`]), so a slow capture is a full plan, not just a timing.
+//! journal carries as the payload of `query.service.explain` and
+//! `query.service.slow` events, so a slow capture is a full plan, not
+//! just a timing.
 
 use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate};
+use isis_obs::journal::fmt_ns;
 use isis_obs::Json;
 
 use crate::error::QueryError;
@@ -110,41 +111,6 @@ pub struct ExplainRecord {
     /// Storage occupancy of each attribute column the predicate's
     /// single-step atoms read, deduplicated, in first-use order.
     pub columns: Vec<ColumnStat>,
-}
-
-/// One capture from the slow-query log: a full [`ExplainRecord`] plus the
-/// measured total and a monotonic capture sequence number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowQuery {
-    /// Capture sequence number (monotonic per service; survives eviction).
-    pub seq: u64,
-    /// Measured wall clock for the whole evaluation.
-    pub total_ns: u64,
-    /// The captured plan record.
-    pub record: ExplainRecord,
-}
-
-impl SlowQuery {
-    /// The capture as one JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seq", Json::from(self.seq)),
-            ("total_ns", Json::from(self.total_ns)),
-            ("record", self.record.to_json()),
-        ])
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 impl ExplainRecord {
@@ -427,9 +393,9 @@ impl IndexService {
     /// [`IndexService::evaluate`] — identical result bytes, identical
     /// counter traffic — and returns the result together with the full
     /// [`ExplainRecord`] for that one evaluation. Works with observability
-    /// disabled (the record is explicitly requested); when the flight
-    /// recorder is live the record is journaled as a
-    /// `query.service.explain` event.
+    /// disabled (the record is explicitly requested); while observability
+    /// is enabled the record is journaled as a `query.service.explain`
+    /// event.
     pub fn explain(
         &self,
         db: &Database,
@@ -441,7 +407,7 @@ impl IndexService {
         let out = self.evaluate_captured(db, parent, pred, Some(&mut cap))?;
         let total_ns = t.elapsed().as_nanos() as u64;
         let record = self.build_explain(db, parent, pred, &cap, total_ns);
-        isis_obs::global().flight_event("query.service.explain", || record.to_json());
+        isis_obs::global().event("query.service.explain", || record.to_json());
         Ok((out, record))
     }
 

@@ -329,7 +329,7 @@ impl DerivedMaintainer {
         obs.count("query.incremental.added", added as u64);
         obs.count("query.incremental.removed", removed as u64);
         if added + removed > 0 {
-            obs.flight_event("query.incremental.settle", || {
+            obs.event("query.incremental.settle", || {
                 isis_obs::Json::obj([
                     ("class", isis_obs::Json::from(self.class.raw() as u64)),
                     ("affected", isis_obs::Json::from(affected.len())),
@@ -492,14 +492,9 @@ impl DerivedState {
         changed: &mut Vec<ExtentChange>,
     ) -> Result<(), QueryError> {
         let obs = isis_obs::global();
-        let _round = obs.span("session.refresh.round");
-        obs.event("session.refresh.window", || {
-            format!(
-                "{} change(s), {} maintainer(s)",
-                cs.len(),
-                self.maintainers.len()
-            )
-        });
+        let mut round = obs.span("session.refresh.round");
+        round.field("changes", || cs.len().into());
+        round.field("maintainers", || self.maintainers.len().into());
         // Pre-state: the shared indexes still reflect the old attribute
         // values, so walk-backs find candidates that *used to* reach a
         // changed entity.
@@ -577,9 +572,12 @@ impl DerivedState {
     /// Classes settle in id order, as `Database::refresh_derived_class`
     /// would take them, and record the same writes. Each maintainer is
     /// compiled at its class's turn, so a predicate is validated against
-    /// the extents the classes before it installed; its candidates are
-    /// pruned through the service, and the install's writes drain into
-    /// the service before the next class plans.
+    /// the extents the classes before it installed, and its candidates are
+    /// pruned through the service. The installs' writes drain once, at the
+    /// end: an install only removes values (leavers drop what the class
+    /// owns, references to them are scrubbed), so postings it left behind
+    /// can only widen a later class's candidates, and the program re-checks
+    /// every candidate against the database.
     fn full(
         db: &mut Database,
         eval_threads: usize,
@@ -603,7 +601,6 @@ impl DerivedState {
             }
             let before = db.members(class)?.len();
             let after = m.recompute(db, &service)?;
-            service.refresh(db)?;
             changed.push(ExtentChange::Full {
                 class,
                 before,

@@ -51,7 +51,7 @@ pub use compile::{
     compile_and_eval, compile_attr_derivation, compile_map, compile_subclass_predicate, eval_plan,
 };
 pub use error::QueryError;
-pub use explain::{AtomPlan, ColumnStat, ExplainRecord, SlowQuery};
+pub use explain::{AtomPlan, ColumnStat, ExplainRecord};
 pub use incremental::{DerivedMaintainer, DerivedState, ExtentChange};
 pub use index::AttrIndex;
 pub use manager::IndexStats;

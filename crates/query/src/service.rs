@@ -42,13 +42,11 @@
 //! as it does for a database swap via load/undo.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use isis_obs::Counter;
-
-use crate::explain::SlowQuery;
 
 use isis_core::{
     Atom, AttrId, ChangeSet, ClassId, CompareOp, Database, EntityId, GroupingId, NormalForm,
@@ -159,12 +157,6 @@ pub struct IndexService {
     /// O(|pool| log |pool|) instead of the O(|extent|) scan-and-filter the
     /// 1e6-entity scaling harness exposed as the dominant per-query cost.
     extent_order: RefCell<HashMap<ClassId, ExtentOrder>>,
-    /// The slow-query log: evaluations over the threshold are captured as
-    /// full explain records (observability enabled only). Bounded;
-    /// drained via the REPL `slowlog` command.
-    slow: RefCell<SlowRing>,
-    /// Wall-clock threshold for slow-query capture; 0 disables the log.
-    slow_threshold_ns: Cell<u64>,
 }
 
 /// One cached extent position map (see [`IndexService::ordered_candidates`]).
@@ -184,33 +176,6 @@ const ORDER_MAP_FACTOR: usize = 8;
 /// size anyway, and pinning them would let a handful of broad predicates
 /// hold megabytes in the program cache.
 pub(crate) const MAX_PLAN_CANDIDATES: usize = 4096;
-
-/// Default slow-query threshold: evaluations longer than this (wall
-/// clock, observability enabled) are captured into the slow-query log.
-pub const DEFAULT_SLOW_THRESHOLD_NS: u64 = 10_000_000;
-
-/// Slow-query ring capacity (captures, oldest evicted).
-pub const DEFAULT_SLOWLOG_CAPACITY: usize = 64;
-
-/// The bounded slow-query ring behind [`IndexService::slow_queries`].
-#[derive(Debug)]
-struct SlowRing {
-    buf: VecDeque<SlowQuery>,
-    cap: usize,
-    dropped: u64,
-    next_seq: u64,
-}
-
-impl Default for SlowRing {
-    fn default() -> SlowRing {
-        SlowRing {
-            buf: VecDeque::new(),
-            cap: DEFAULT_SLOWLOG_CAPACITY,
-            dropped: 0,
-            next_seq: 1,
-        }
-    }
-}
 
 /// What one evaluation through [`IndexService::evaluate`] decided and
 /// cost — the raw capture EXPLAIN and the slow-query log are built from.
@@ -236,12 +201,10 @@ pub(crate) struct EvalCapture {
 impl IndexService {
     /// An empty service synchronised to the database's current delta epoch.
     pub fn new(db: &Database) -> IndexService {
-        let svc = IndexService {
+        IndexService {
             manager: IndexManager::new(db),
             ..IndexService::default()
-        };
-        svc.slow_threshold_ns.set(DEFAULT_SLOW_THRESHOLD_NS);
-        svc
+        }
     }
 
     /// Builds and registers an index for `attr` unless one already exists.
@@ -704,11 +667,12 @@ impl IndexService {
     /// candidate pool through the planned access paths. Semantically
     /// identical to [`Database::evaluate_derived_members`].
     ///
-    /// When observability is enabled and the evaluation runs longer than
-    /// [`IndexService::slow_threshold_ns`], its explain record is captured
-    /// into the slow-query log. With observability off the extra cost is
-    /// one atomic load — no clock is read and nothing is captured, and the
-    /// result is byte-identical either way.
+    /// When observability is enabled and the evaluation runs at least the
+    /// slow-query threshold ([`isis_obs::Obs::slow_threshold_ns`]), its
+    /// explain record is journaled as a `query.service.slow` event. With
+    /// observability off the extra cost is one atomic load — no clock is
+    /// read and nothing is captured, and the result is byte-identical
+    /// either way.
     pub fn evaluate(
         &self,
         db: &Database,
@@ -716,15 +680,17 @@ impl IndexService {
         pred: &Predicate,
     ) -> Result<OrderedSet, QueryError> {
         let obs = isis_obs::global();
-        if !obs.enabled() || self.slow_threshold_ns.get() == 0 {
+        if !obs.enabled() || obs.slow_threshold_ns() == 0 {
             return self.evaluate_captured(db, parent, pred, None);
         }
         let t = Instant::now();
         let mut cap = EvalCapture::default();
         let out = self.evaluate_captured(db, parent, pred, Some(&mut cap))?;
         let total_ns = t.elapsed().as_nanos() as u64;
-        if total_ns >= self.slow_threshold_ns.get() {
-            self.record_slow(db, parent, pred, &cap, total_ns);
+        if total_ns >= obs.slow_threshold_ns() {
+            let record = self.build_explain(db, parent, pred, &cap, total_ns);
+            obs.count("query.service.slow_queries", 1);
+            obs.event("query.service.slow", || record.to_json());
         }
         Ok(out)
     }
@@ -741,7 +707,7 @@ impl IndexService {
         cap: Option<&mut EvalCapture>,
     ) -> Result<OrderedSet, QueryError> {
         let obs = isis_obs::global();
-        let _span = obs.span("query.service.evaluate");
+        let mut span = obs.span("query.service.evaluate");
         // The cache validates/reorders/hoists once per predicate shape
         // (revalidating against the delta epoch), and carries the access
         // plan alongside; a repeat query pays only the residual filter
@@ -762,10 +728,7 @@ impl IndexService {
                 if pool_len.is_none() {
                     self.bump(&self.seq_scans, &self.obs.seq_scans);
                 }
-                obs.event("query.service.plan", || match pool_len {
-                    Some(n) => format!("pruned pool of {n} candidate(s)"),
-                    None => "no prunable atom; sequential scan".to_string(),
-                });
+                span.field("pool", || pool_len.map_or(isis_obs::Json::Null, Into::into));
                 let scanned = candidates.len() as u64;
                 let t_eval = if timed { Some(Instant::now()) } else { None };
                 let out = self.eval_pool.evaluate(db, prog, &candidates, None)?;
@@ -774,9 +737,8 @@ impl IndexService {
                     self.obs.rows_scanned.add(scanned);
                     self.obs.rows_returned.add(out.len() as u64);
                 }
-                obs.event("query.service.rows", || {
-                    format!("{scanned} scanned, {} returned", out.len())
-                });
+                span.field("scanned", || scanned.into());
+                span.field("returned", || out.len().into());
                 if let Some(c) = cap {
                     *c = EvalCapture {
                         plan_reused,
@@ -800,7 +762,7 @@ impl IndexService {
     /// Evaluates `prog`, compiled from `pred` over `parent`, through the
     /// planner and the pool exactly as [`IndexService::evaluate`] would,
     /// but records nothing: no [`QueryStats`], no program-cache entry, no
-    /// slow-query capture. The derived-class refresh settles through this
+    /// slow-query event. The derived-class refresh settles through this
     /// ([`crate::DerivedMaintainer::recompute`]).
     pub(crate) fn evaluate_program(
         &self,
@@ -812,62 +774,6 @@ impl IndexService {
         let pool = self.pool_for(db, pred, false)?;
         let candidates = self.ordered_candidates(db, parent, pool.as_ref())?;
         self.eval_pool.evaluate(db, prog, &candidates, None)
-    }
-
-    /// The slow-query threshold in nanoseconds (0 = capture disabled).
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_threshold_ns.get()
-    }
-
-    /// Sets the slow-query threshold; evaluations at or over it (wall
-    /// clock, observability enabled) are captured. 0 disables capture.
-    pub fn set_slow_threshold_ns(&self, ns: u64) {
-        self.slow_threshold_ns.set(ns);
-    }
-
-    /// The captured slow queries, oldest first.
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.slow.borrow().buf.iter().cloned().collect()
-    }
-
-    /// Captures evicted from the slow-query ring since the last clear.
-    pub fn slowlog_dropped(&self) -> u64 {
-        self.slow.borrow().dropped
-    }
-
-    /// Empties the slow-query ring (threshold and capacity are kept).
-    pub fn clear_slowlog(&self) {
-        let mut ring = self.slow.borrow_mut();
-        ring.buf.clear();
-        ring.dropped = 0;
-    }
-
-    /// Builds the explain record for an over-threshold evaluation, pushes
-    /// it into the ring, and mirrors it to the flight recorder.
-    fn record_slow(
-        &self,
-        db: &Database,
-        parent: ClassId,
-        pred: &Predicate,
-        cap: &EvalCapture,
-        total_ns: u64,
-    ) {
-        let record = self.build_explain(db, parent, pred, cap, total_ns);
-        let obs = isis_obs::global();
-        obs.count("query.service.slow_queries", 1);
-        obs.flight_event("query.service.slow", || record.to_json());
-        let mut ring = self.slow.borrow_mut();
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.buf.len() == ring.cap {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(SlowQuery {
-            seq,
-            total_ns,
-            record,
-        });
     }
 
     /// Records a query that was answered *outside* the service — the

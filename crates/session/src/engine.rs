@@ -614,7 +614,7 @@ impl Session {
     /// direct scan (correct, just unassisted) until the next refresh.
     pub fn query(&mut self, parent: ClassId, pred: &Predicate) -> Result<OrderedSet, SessionError> {
         let obs = isis_obs::global();
-        let _span = obs.span("session.query.answer");
+        let mut span = obs.span("session.query.answer");
         if self.policy != RefreshPolicy::Manual {
             self.refresh_derived()?;
         }
@@ -627,8 +627,8 @@ impl Session {
                 svc.note_unassisted_scan();
             }
             obs.count("session.query.unassisted", 1);
-            obs.event("session.query.fallback", || {
-                "pending changes under Manual policy; direct extent scan".to_string()
+            span.field("fallback", || {
+                "pending changes under Manual policy; direct extent scan".into()
             });
             self.db.validate_predicate(parent, None, pred)?;
             Ok(self.db.evaluate_derived_members(parent, pred)?)
@@ -673,7 +673,7 @@ impl Session {
                 out.len(),
                 total_ns,
             );
-            obs.flight_event("query.service.explain", || record.to_json());
+            obs.event("query.service.explain", || record.to_json());
             Ok((out, record))
         }
     }

@@ -180,7 +180,7 @@ impl StoreDir {
     /// [`StoreError::Recovery`] listing every failure when both do.
     pub fn recover(&self, name: &str) -> Result<(Database, RecoveryReport), StoreError> {
         let obs = isis_obs::global();
-        let _span = obs.span("store.recovery.recover");
+        let mut span = obs.span("store.recovery.recover");
         obs.count("store.recovery.runs", 1);
         StoreDir::check_name(name)?;
         let vfs = self.vfs().clone();
@@ -256,12 +256,9 @@ impl StoreDir {
         if report.used_fallback {
             obs.count("store.recovery.fallbacks", 1);
         }
-        obs.event("store.recovery.outcome", || {
-            format!(
-                "generation {} ({} replayed, fallback={})",
-                report.snapshot_generation, wal_records_replayed, report.used_fallback
-            )
-        });
+        span.field("generation", || report.snapshot_generation.into());
+        span.field("replayed", || wal_records_replayed.into());
+        span.field("fallback", || report.used_fallback.into());
         Ok((db, report))
     }
 

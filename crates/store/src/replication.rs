@@ -523,7 +523,7 @@ impl Replica {
             );
             obs.gauge("store.replication.head_epoch", status.head_epoch as i64);
             let (applied_epoch, lag) = (status.applied_epoch, status.lag);
-            obs.flight_event("store.replication.ship", || {
+            obs.event("store.replication.ship", || {
                 isis_obs::Json::obj([
                     ("kind", isis_obs::Json::from(kind)),
                     ("applied", isis_obs::Json::from(applied)),

@@ -115,7 +115,7 @@ impl WalCommitHook {
                 if obs.enabled() {
                     obs.count("store.wal.commit_frames", 1);
                     let n = ops.len();
-                    obs.flight_event("store.wal.commit", || {
+                    obs.event("store.wal.commit", || {
                         isis_obs::Json::obj([
                             ("mode", isis_obs::Json::from("frames")),
                             ("ops", isis_obs::Json::from(n)),
@@ -131,7 +131,7 @@ impl WalCommitHook {
                 if obs.enabled() {
                     obs.count("store.wal.commit_checkpoints", 1);
                     let n = applied.len();
-                    obs.flight_event("store.wal.commit", || {
+                    obs.event("store.wal.commit", || {
                         isis_obs::Json::obj([
                             ("mode", isis_obs::Json::from("checkpoint")),
                             ("changes", isis_obs::Json::from(n)),

@@ -553,14 +553,14 @@ impl WalFile {
     /// Appends one operation.
     pub fn append(&mut self, op: &LogOp) -> Result<(), StoreError> {
         let obs = isis_obs::global();
-        let timer = obs.timer("store.wal.append_ns");
+        let span = obs.span("store.wal.append_ns");
         let framed = frame(&op.encode());
         self.vfs.append(&self.path, &framed)?;
         if self.policy == SyncPolicy::EverySync {
             self.vfs.sync_file(&self.path)?;
         }
         self.records += 1;
-        drop(timer);
+        drop(span);
         obs.count("store.wal.appends", 1);
         obs.count("store.wal.append_bytes", framed.len() as u64);
         Ok(())
@@ -590,7 +590,7 @@ impl WalFile {
     /// Forces the log to stable storage.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         let obs = isis_obs::global();
-        let _timer = obs.timer("store.wal.fsync_ns");
+        let _span = obs.span("store.wal.fsync_ns");
         obs.count("store.wal.fsyncs", 1);
         self.vfs.sync_file(&self.path)?;
         Ok(())

@@ -69,18 +69,20 @@ session:      load NAME | save NAME | checks | undo | redo | stop | help
               index service (built by the first refresh)
               metrics [json|reset|on|off] — the process-wide observability
               registry (counters and latency histograms; ISIS_OBS=1 to
-              enable at startup)
-              trace on|off|dump|json|clear — span recording across the
-              query/refresh/storage pipeline (bounded ring buffer)
+              enable at startup); reset also empties the journal, the one
+              bounded ring of spans and decision events
+              trace on|off|dump|json — span recording across the
+              query/refresh/storage pipeline; dump shows the journal as a
+              span tree with each event under its span
               explain NAME [json] — run a derived class's predicate and
               show the full plan record: access path per atom and why,
               program-cache outcome, chunking decision, phase timings
-              slowlog [json|clear|threshold MILLIS] — evaluations that
-              crossed the slow-query threshold, each with its full plan
+              slowlog [json|threshold MILLIS] — the journal's slow-query
+              events: evaluations over the threshold, each with its plan
               health [json] — one-screen triage: cache hit rates, commit
               conflict rates, replica lag, slow-query highlights
-              flight dump|json|clear|export [PATH] — the flight recorder's
-              structured event journal (export writes JSONL)
+              flight dump|json|export [PATH] — the journal's decision
+              events alone (export writes JSONL)
               doctor [NAME] — print the recovery report (last load, or a
               dry-run recovery of a stored database)
               fsck [NAME] — verify a stored database: recovery dry run plus
@@ -365,8 +367,8 @@ impl Repl {
                     Some("json") => obs.run_report().pretty(),
                     Some("reset") => {
                         obs.registry().reset();
-                        obs.recorder().clear();
-                        "metrics and trace ring reset".to_string()
+                        obs.journal().clear();
+                        "metrics and journal reset".to_string()
                     }
                     Some("on") => {
                         obs.set_enabled(true);
@@ -395,17 +397,9 @@ impl Repl {
                         obs.set_tracing(false);
                         "tracing off".to_string()
                     }
-                    Some("dump") => obs.recorder().snapshot().to_text(),
-                    Some("json") => obs.recorder().snapshot().to_json().pretty(),
-                    Some("clear") => {
-                        obs.recorder().clear();
-                        "trace ring cleared".to_string()
-                    }
-                    _ => {
-                        return Err(ReplError::Parse(
-                            "usage: trace on|off|dump|json|clear".into(),
-                        ))
-                    }
+                    Some("dump") => obs.journal().snapshot().to_text(),
+                    Some("json") => obs.journal().snapshot().to_json().pretty(),
+                    _ => return Err(ReplError::Parse("usage: trace on|off|dump|json".into())),
                 });
             }
             "explain" => {
@@ -446,55 +440,37 @@ impl Repl {
                 });
             }
             "slowlog" => {
-                let svc = match self.session.index_service() {
-                    Some(svc) => svc,
-                    None => {
-                        return Ok("no index service yet — run 'refresh' to build it".to_string())
-                    }
-                };
+                let obs = isis_obs::global();
+                let threshold_ms = obs.slow_threshold_ns() as f64 / 1e6;
+                let snap = obs.journal().snapshot();
                 return Ok(match parts.first().map(String::as_str) {
                     None => {
-                        let entries = svc.slow_queries();
-                        let threshold_ms = svc.slow_threshold_ns() as f64 / 1e6;
-                        if entries.is_empty() {
+                        let slow: Vec<_> = snap.events_of(SLOW_EVENT).collect();
+                        if slow.is_empty() {
                             format!("slow-query log empty (threshold {threshold_ms}ms)")
                         } else {
                             let mut out = format!(
-                                "{} slow queries (threshold {threshold_ms}ms, {} evicted):\n",
-                                entries.len(),
-                                svc.slowlog_dropped(),
+                                "{} slow queries (threshold {threshold_ms}ms, {} journal \
+                                 record(s) evicted):",
+                                slow.len(),
+                                snap.dropped,
                             );
-                            for sq in &entries {
-                                out.push_str(&format!(
-                                    "#{} {:.2}ms  {} where {}  (cache {}, {} scanned, \
-                                     {} returned)\n",
-                                    sq.seq,
-                                    sq.total_ns as f64 / 1e6,
-                                    sq.record.parent,
-                                    sq.record.predicate,
-                                    sq.record.cache,
-                                    sq.record.scanned,
-                                    sq.record.returned,
-                                ));
+                            for (r, data) in slow {
+                                out.push_str(&format!("\n#{} {}", r.seq, slow_summary(data)));
                             }
-                            out.pop();
                             out
                         }
                     }
-                    Some("json") => isis_obs::Json::Arr(
-                        svc.slow_queries().iter().map(|sq| sq.to_json()).collect(),
-                    )
-                    .pretty(),
-                    Some("clear") => {
-                        svc.clear_slowlog();
-                        "slow-query log cleared".to_string()
-                    }
+                    Some("json") => snap
+                        .filter(|r| matches!(r.event(), Some((SLOW_EVENT, _))))
+                        .to_json()
+                        .pretty(),
                     Some("threshold") => {
                         let ms: u64 =
                             parts.get(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
                                 ReplError::Parse("usage: slowlog threshold MILLIS".into())
                             })?;
-                        svc.set_slow_threshold_ns(ms.saturating_mul(1_000_000));
+                        obs.set_slow_threshold_ns(ms.saturating_mul(1_000_000));
                         if ms == 0 {
                             "slow-query capture off".to_string()
                         } else {
@@ -503,7 +479,7 @@ impl Repl {
                     }
                     Some(other) => {
                         return Err(ReplError::Parse(format!(
-                            "'{other}'? slowlog [json|clear|threshold MILLIS]"
+                            "'{other}'? slowlog [json|threshold MILLIS]"
                         )))
                     }
                 });
@@ -517,36 +493,34 @@ impl Repl {
                 return Ok(self.health_report(as_json));
             }
             "flight" => {
-                let obs = isis_obs::global();
+                let events = isis_obs::global()
+                    .journal()
+                    .snapshot()
+                    .filter(|r| r.event().is_some());
                 return Ok(match parts.first().map(String::as_str) {
-                    Some("dump") => obs.flight().snapshot().to_text(),
-                    Some("json") => obs.flight().snapshot().to_json().pretty(),
-                    Some("clear") => {
-                        obs.flight().clear();
-                        "flight recorder cleared".to_string()
-                    }
+                    Some("dump") => events.to_text(),
+                    Some("json") => events.to_json().pretty(),
                     Some("export") => {
                         let path = parts
                             .get(1)
                             .map(String::as_str)
                             .unwrap_or("out/obs/flight.jsonl");
-                        let snap = obs.flight().snapshot();
                         if let Some(dir) = std::path::Path::new(path).parent() {
                             std::fs::create_dir_all(dir).map_err(|e| {
                                 ReplError::Parse(format!("cannot create {}: {e}", dir.display()))
                             })?;
                         }
-                        std::fs::write(path, snap.to_jsonl())
+                        std::fs::write(path, events.to_jsonl())
                             .map_err(|e| ReplError::Parse(format!("cannot write {path}: {e}")))?;
                         format!(
-                            "{} events written to {path} ({} dropped by the ring)",
-                            snap.events.len(),
-                            snap.dropped
+                            "{} events written to {path} ({} dropped by the journal)",
+                            events.records.len(),
+                            events.dropped
                         )
                     }
                     _ => {
                         return Err(ReplError::Parse(
-                            "usage: flight dump|json|clear|export [PATH]".into(),
+                            "usage: flight dump|json|export [PATH]".into(),
                         ))
                     }
                 });
@@ -595,7 +569,7 @@ impl Repl {
 
     /// One-screen triage summary: program-cache hit rate, query access-path
     /// mix, MVCC commit/conflict rates, replica lag, slow-query highlights,
-    /// and the flight-recorder fill. Service-level counters work even with
+    /// and the journal's fill. Service-level counters work even with
     /// observability off; the process-wide rates need `ISIS_OBS=1` or
     /// `metrics on`.
     fn health_report(&self, as_json: bool) -> String {
@@ -631,16 +605,19 @@ impl Repl {
         let svc = self.session.index_service();
         let cache = svc.map(|s| s.program_cache().stats());
         let queries = svc.map(|s| s.query_stats());
-        let slow = svc.map(|s| s.slow_queries()).unwrap_or_default();
-        let worst = slow.iter().max_by_key(|sq| sq.total_ns);
+        let journal = obs.journal().snapshot();
+        let slow: Vec<&isis_obs::Json> = journal.events_of(SLOW_EVENT).map(|(_, d)| d).collect();
+        let worst = slow
+            .iter()
+            .copied()
+            .max_by(|a, b| slow_total_ns(a).total_cmp(&slow_total_ns(b)));
         let commits = counter("core.mvcc.commits");
         let conflicts = counter("core.mvcc.conflicts");
         let lag = gauge("store.replication.lag");
-        let flight = obs.flight().snapshot();
 
         if as_json {
             return isis_obs::Json::obj([
-                ("schema", isis_obs::Json::from("isis-repl/health/1")),
+                ("schema", isis_obs::Json::from("isis-repl/health/2")),
                 ("obs_enabled", isis_obs::Json::from(obs.enabled())),
                 (
                     "program_cache",
@@ -709,18 +686,18 @@ impl Repl {
                         ("captured", isis_obs::Json::from(slow.len())),
                         (
                             "worst_ns",
-                            worst.map_or(isis_obs::Json::Null, |sq| {
-                                isis_obs::Json::from(sq.total_ns)
-                            }),
+                            worst.map_or(isis_obs::Json::Null, |d| slow_total_ns(d).into()),
                         ),
                     ]),
                 ),
                 (
-                    "flight",
+                    "journal",
                     isis_obs::Json::obj([
-                        ("events", isis_obs::Json::from(flight.events.len())),
-                        ("dropped", isis_obs::Json::from(flight.dropped)),
-                        ("capacity", isis_obs::Json::from(flight.capacity)),
+                        ("records", isis_obs::Json::from(journal.records.len())),
+                        ("events", isis_obs::Json::from(journal.event_count())),
+                        ("spans", isis_obs::Json::from(journal.span_count())),
+                        ("dropped", isis_obs::Json::from(journal.dropped)),
+                        ("capacity", isis_obs::Json::from(journal.capacity)),
                     ]),
                 ),
             ])
@@ -776,20 +753,20 @@ impl Repl {
             None => out.push_str("replication:    no replica synced in this process\n"),
         }
         match worst {
-            Some(sq) => out.push_str(&format!(
-                "slow queries:   {} captured, worst {:.2}ms: {} where {}\n",
+            Some(d) => out.push_str(&format!(
+                "slow queries:   {} captured, worst {}\n",
                 slow.len(),
-                sq.total_ns as f64 / 1e6,
-                sq.record.parent,
-                sq.record.predicate
+                slow_summary(d)
             )),
             None => out.push_str("slow queries:   none captured\n"),
         }
         out.push_str(&format!(
-            "flight:         {} events buffered, {} dropped (capacity {})",
-            flight.events.len(),
-            flight.dropped,
-            flight.capacity
+            "journal:        {} records ({} events, {} spans), {} dropped (capacity {})",
+            journal.records.len(),
+            journal.event_count(),
+            journal.span_count(),
+            journal.dropped,
+            journal.capacity
         ));
         out
     }
@@ -887,6 +864,41 @@ impl Repl {
     }
 }
 
+/// The journal event a slow query becomes; its payload is the
+/// evaluation's explain record (`isis-query/explain/2`).
+const SLOW_EVENT: &str = "query.service.slow";
+
+/// A slow-query event's measured wall clock, from its explain record.
+fn slow_total_ns(data: &isis_obs::Json) -> f64 {
+    data.get("timings")
+        .and_then(|t| t.get("total_ns"))
+        .and_then(isis_obs::Json::as_f64)
+        .unwrap_or(0.0)
+}
+
+/// One line describing a slow-query event's explain record.
+fn slow_summary(data: &isis_obs::Json) -> String {
+    let text = |key: &str| {
+        data.get(key)
+            .and_then(isis_obs::Json::as_str)
+            .unwrap_or("?")
+    };
+    let num = |key: &str| {
+        data.get(key)
+            .and_then(isis_obs::Json::as_f64)
+            .unwrap_or(0.0)
+    };
+    format!(
+        "{:.2}ms  {} where {}  (cache {}, {} scanned, {} returned)",
+        slow_total_ns(data) / 1e6,
+        text("parent"),
+        text("predicate"),
+        text("cache"),
+        num("scanned"),
+        num("returned"),
+    )
+}
+
 /// Splits a line into tokens, honouring double quotes.
 fn tokenize(line: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -977,10 +989,11 @@ mod tests {
     /// Exclusive use of the process-global observability switches for one
     /// test. Tests that flip them hold this guard, so they never see each
     /// other's setting; dropping it (also on panic) restores the switches
-    /// and then releases the lock.
+    /// and the slow-query threshold, then releases the lock.
     struct ObsSwitch {
         enabled: bool,
         tracing: bool,
+        slow_threshold_ns: u64,
         _lock: std::sync::MutexGuard<'static, ()>,
     }
 
@@ -991,6 +1004,7 @@ mod tests {
         ObsSwitch {
             enabled: obs.enabled(),
             tracing: obs.tracing(),
+            slow_threshold_ns: obs.slow_threshold_ns(),
             _lock: lock,
         }
     }
@@ -1000,6 +1014,7 @@ mod tests {
             let obs = isis_obs::global();
             obs.set_tracing(self.tracing);
             obs.set_enabled(self.enabled);
+            obs.set_slow_threshold_ns(self.slow_threshold_ns);
         }
     }
 
@@ -1336,7 +1351,7 @@ mod tests {
         // Both JSON exports parse through the vendored codec.
         let report = r.exec("metrics json").unwrap();
         let parsed = isis_obs::Json::parse(&report).expect("metrics json parses");
-        assert_eq!(parsed.get("schema").unwrap().as_str(), Some("isis-obs/1"));
+        assert_eq!(parsed.get("schema").unwrap().as_str(), Some("isis-obs/2"));
         let trace_json = r.exec("trace json").unwrap();
         assert!(isis_obs::Json::parse(&trace_json).is_ok());
 
@@ -1350,8 +1365,10 @@ mod tests {
     fn explain_slowlog_health_and_flight_via_text() {
         let _obs = obs_switch();
         let mut r = repl();
-        // Before any refresh: graceful degradation, not errors.
-        assert!(r.exec("slowlog").unwrap().contains("no index service"));
+        r.exec("metrics reset").unwrap();
+        // Before any refresh: graceful degradation, not errors. The slow
+        // log lives in the journal, so it needs no index service.
+        assert!(r.exec("slowlog").unwrap().contains("slow-query log empty"));
         assert!(r.exec("health").unwrap().contains("no index service"));
         for line in [
             "pick music_groups",
@@ -1380,10 +1397,9 @@ mod tests {
             parsed.get("schema").unwrap().as_str(),
             Some("isis-query/explain/2")
         );
-        // A zero threshold captures every evaluation.
-        r.exec("slowlog threshold 0").unwrap();
-        let svc = r.session.index_service().unwrap();
-        svc.set_slow_threshold_ns(1); // 1ns: everything is slow
+        // A zero threshold turns capture off; 1ns captures everything.
+        assert!(r.exec("slowlog threshold 0").unwrap().contains("off"));
+        isis_obs::global().set_slow_threshold_ns(1);
         let db = r.session.database();
         let groups = db.class_by_name("music_groups").unwrap();
         let quartets = db.class_by_name("quartets").unwrap();
@@ -1401,16 +1417,16 @@ mod tests {
         let json = r.exec("slowlog json").unwrap();
         assert!(isis_obs::Json::parse(&json).is_ok());
         let health = r.exec("health").unwrap();
-        for line in ["program cache:", "queries:", "commits:", "flight:"] {
+        for line in ["program cache:", "queries:", "commits:", "journal:"] {
             assert!(health.contains(line), "health missing {line}:\n{health}");
         }
         let hjson = r.exec("health json").unwrap();
         let parsed = isis_obs::Json::parse(&hjson).expect("health json parses");
         assert_eq!(
             parsed.get("schema").unwrap().as_str(),
-            Some("isis-repl/health/1")
+            Some("isis-repl/health/2")
         );
-        // The flight ring saw the slow capture; export round-trips as JSONL.
+        // The journal holds the slow capture; export round-trips as JSONL.
         let dump = r.exec("flight dump").unwrap();
         assert!(dump.contains("query.service.slow"), "{dump}");
         let path = std::env::temp_dir().join(format!("isis_flight_{}.jsonl", std::process::id()));
@@ -1427,8 +1443,13 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
-        assert!(r.exec("flight clear").unwrap().contains("cleared"));
-        assert!(r.exec("slowlog clear").unwrap().contains("cleared"));
+        // One reset empties the whole journal; the per-ring clears are gone.
+        assert!(r.exec("metrics reset").unwrap().contains("journal"));
+        assert!(r.exec("slowlog").unwrap().contains("slow-query log empty"));
+        assert!(r.exec("flight dump").unwrap().contains("0 event(s)"));
+        for gone in ["trace clear", "flight clear", "slowlog clear"] {
+            assert!(r.exec(gone).is_err(), "{gone}");
+        }
         assert!(r.exec("flight nonsense").is_err());
         assert!(r.exec("slowlog nonsense").is_err());
         assert!(
@@ -1436,6 +1457,71 @@ mod tests {
             "base class: no predicate"
         );
         isis_obs::global().set_enabled(false);
+    }
+
+    /// The slow-query threshold and the captures live on the journal, not
+    /// on the index service, so a full refresh that rebuilds the service
+    /// keeps both.
+    #[test]
+    fn slowlog_threshold_and_captures_survive_a_service_rebuild() {
+        let _obs = obs_switch();
+        let mut r = repl();
+        for line in [
+            "pick music_groups",
+            "subclass quartets",
+            "define",
+            "atom",
+            "clause 1",
+            "push size",
+            "op =",
+            "const",
+            "toggle 4",
+            "done",
+            "commit",
+            "refresh",
+            "metrics on",
+            "metrics reset",
+        ] {
+            r.exec(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        // Capture one slow query: at 1ns every evaluation is slow.
+        isis_obs::global().set_slow_threshold_ns(1);
+        let db = r.session.database();
+        let groups = db.class_by_name("music_groups").unwrap();
+        let quartets = db.class_by_name("quartets").unwrap();
+        let pred = db
+            .class(quartets)
+            .unwrap()
+            .kind
+            .predicate()
+            .unwrap()
+            .clone();
+        r.session.query(groups, &pred).unwrap();
+        assert!(r.exec("slowlog threshold 5").unwrap().contains("5ms"));
+        let before = r.exec("slowlog").unwrap();
+        assert!(before.contains("1 slow queries (threshold 5ms"), "{before}");
+        assert_eq!(r.session.index_service().unwrap().query_stats().queries, 1);
+        // An edit, its undo and a refresh: the undo swaps the database
+        // line, so the refresh is a full one and builds a new service.
+        for line in [
+            "pick music_groups",
+            "contents",
+            "select \"Trio Grande\"",
+            "assign size 4",
+            "undo",
+        ] {
+            r.exec(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        r.exec("refresh").unwrap();
+        let svc = r.session.index_service().unwrap();
+        assert_eq!(
+            svc.query_stats().queries,
+            0,
+            "the refresh built a new service"
+        );
+        let after = r.exec("slowlog").unwrap();
+        assert!(after.contains("1 slow queries (threshold 5ms"), "{after}");
+        assert!(after.contains("music_groups where"), "{after}");
     }
 
     #[test]

@@ -11,9 +11,43 @@
 //!    counters by exactly the same deltas as the `evaluate` it wraps, and
 //!    the record's own numbers agree with those counters.
 
+use std::sync::{Mutex, MutexGuard};
+
 use isis_core::{Atom, Clause, CompareOp, Map, Predicate, Rhs};
 use isis_query::IndexService;
 use isis_sample::instrumental_music;
+
+/// Exclusive use of the process-global observability switches. Each test
+/// holds it across all of its toggles, so no test evaluates while another
+/// has flipped them; dropping it (also on panic) switches observability
+/// off and restores the default slow-query threshold.
+struct ObsLock {
+    _lock: MutexGuard<'static, ()>,
+}
+
+fn obs_lock() -> ObsLock {
+    static LOCK: Mutex<()> = Mutex::new(());
+    ObsLock {
+        _lock: LOCK.lock().unwrap_or_else(|e| e.into_inner()),
+    }
+}
+
+impl Drop for ObsLock {
+    fn drop(&mut self) {
+        let obs = isis_obs::global();
+        obs.set_enabled(false);
+        obs.set_slow_threshold_ns(isis_obs::DEFAULT_SLOW_THRESHOLD_NS);
+    }
+}
+
+/// How many `kind` events the global journal holds.
+fn journaled(kind: &str) -> usize {
+    isis_obs::global()
+        .journal()
+        .snapshot()
+        .events_of(kind)
+        .count()
+}
 
 fn preds(im: &mut isis_sample::InstrumentalMusic) -> Vec<Predicate> {
     let yes = im.db.boolean(true);
@@ -52,6 +86,7 @@ fn preds(im: &mut isis_sample::InstrumentalMusic) -> Vec<Predicate> {
 /// wrapper on every evaluation.
 #[test]
 fn results_are_identical_with_observability_on_and_off() {
+    let _lock = obs_lock();
     let mut im = instrumental_music().unwrap();
     let obs = isis_obs::global();
 
@@ -70,9 +105,10 @@ fn results_are_identical_with_observability_on_and_off() {
         .collect();
 
     obs.set_enabled(true);
+    obs.journal().clear();
     let mut svc_on = IndexService::new(&im.db);
     svc_on.ensure_index(&im.db, im.plays).unwrap();
-    svc_on.set_slow_threshold_ns(1); // force the capture path everywhere
+    obs.set_slow_threshold_ns(1); // force the capture path everywhere
     for (pred, want) in preds(&mut im).iter().zip(&baseline) {
         let got = svc_on.evaluate(&im.db, im.musicians, pred).unwrap();
         assert_eq!(
@@ -88,9 +124,10 @@ fn results_are_identical_with_observability_on_and_off() {
         );
         assert_eq!(record.returned as usize, explained.len());
     }
-    // Every forced-slow evaluation above landed in the slow-query ring.
-    assert!(!svc_on.slow_queries().is_empty());
-    obs.set_enabled(false);
+    // Every forced-slow evaluation above, and only those, journaled one
+    // slow-query event; every explain journaled one explain event.
+    assert_eq!(journaled("query.service.slow"), baseline.len());
+    assert_eq!(journaled("query.service.explain"), baseline.len());
 }
 
 /// The record's eval-mode facet is faithful: a program of single-step
@@ -99,6 +136,7 @@ fn results_are_identical_with_observability_on_and_off() {
 /// program on the per-candidate interpreter (`scalar`, no column stats).
 #[test]
 fn explain_reports_eval_mode_and_column_stats() {
+    let _lock = obs_lock();
     let mut im = instrumental_music().unwrap();
     isis_obs::global().set_enabled(false);
     let svc = IndexService::new(&im.db);
@@ -134,6 +172,7 @@ fn explain_reports_eval_mode_and_column_stats() {
 /// as the equivalent `evaluate`, and the record agrees with the counters.
 #[test]
 fn explain_counter_deltas_match_evaluate() {
+    let _lock = obs_lock();
     let mut im = instrumental_music().unwrap();
     isis_obs::global().set_enabled(false);
     let mut svc = IndexService::new(&im.db);

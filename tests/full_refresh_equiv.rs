@@ -10,11 +10,12 @@
 //! record an identical delta-log suffix, and fail with the same error.
 //!
 //! The seeded fixture covers a derived subclass of a derived subclass (the
-//! descendant cascade), a predicate over an attribute owned by another
-//! derived subclass (the postings must follow the earlier class's install),
-//! a grouping-ranged atom, ordering atoms that error on groups without a
-//! size (placed after and before an index-prunable atom), and a follower
-//! that pulled concurrent commits.
+//! descendant cascade), predicates over attributes owned by, or ranged
+//! over, a derived subclass settled earlier and indexed before its install
+//! (the full refresh drains only at the end, so those postings are stale
+//! and must only widen the candidates), a grouping-ranged atom, ordering
+//! atoms that error on groups without a size (placed after and before an
+//! index-prunable atom), and a follower that pulled concurrent commits.
 
 use isis::prelude::*;
 use isis_sample::{synthetic_music, Scale, SyntheticMusic};
@@ -117,10 +118,21 @@ fn build(seed: u64) -> Fixture {
         Rhs::constant(s.instruments, [first_sections[0], first_sections[1]]),
     );
     commit(&mut s, pianists, "sectioned", single(vec![sectioned]));
+    // 2b. The walk `led_early` takes, settled after `pianists`: both steps
+    //    were indexed before the pianists install scrubs `lead` (ranged
+    //    over pianists) and drops `section` (owned by pianists) from the
+    //    leavers.
+    let lead_section_late = Atom::new(
+        Map::new(vec![lead, section]),
+        CompareOp::Match,
+        Rhs::constant(s.instruments, [first_sections[1]]),
+    );
+    commit(&mut s, groups, "led_late", single(vec![lead_section_late]));
     // Every third pianist stops playing the hot instrument and leaves,
     // dropping its section. When pianists leave or rejoin during the
-    // refresh, `led_early` has already indexed `section`, so those postings
-    // must follow the pianists install before `sectioned` is planned.
+    // refresh, `led_early` has already indexed `lead` and `section`, so
+    // `sectioned` and `led_late` plan on postings the pianists install
+    // left stale.
     let former: Vec<EntityId> = s.db.members(pianists).unwrap().iter().step_by(3).collect();
     for &m in &former {
         let mut plays = s.db.attr_value_set(m, s.plays).unwrap();

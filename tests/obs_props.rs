@@ -5,7 +5,7 @@
 //! binary: the only thread-shared piece is the span stack, which is
 //! thread-local and empty again once every guard drops.
 
-use isis_obs::{Histogram, Json, Obs, Recorder, TraceRecord};
+use isis_obs::{Body, Histogram, Journal, Json, Obs, Record};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -23,34 +23,40 @@ fn nest(obs: &Obs, shape: &[u8], idx: &mut usize, depth: usize) {
         if b.is_multiple_of(4) || depth >= 8 {
             return;
         }
-        let _span = obs.span(NAMES[b as usize % NAMES.len()]);
-        obs.event("test.event", || format!("depth {depth}"));
+        let mut span = obs.span(NAMES[b as usize % NAMES.len()]);
+        obs.event("test.event", || Json::from(format!("depth {depth}")));
         nest(obs, shape, idx, depth + 1);
+        span.field("depth", || Json::from(depth));
     }
 }
 
 /// Replay the record stream against an explicit stack: every start's
 /// parent must be the span open at that moment, every end must close the
-/// innermost open span, and nothing may stay open.
-fn assert_well_nested(records: &[TraceRecord]) {
+/// innermost open span, every event must belong to it, and nothing may
+/// stay open.
+fn assert_well_nested(records: &[Record]) {
     let mut stack: Vec<u64> = Vec::new();
     for rec in records {
-        match rec {
-            TraceRecord::SpanStart { id, parent, .. } => {
-                let expected = stack.last().copied().unwrap_or(0);
+        let open = stack.last().copied().unwrap_or(0);
+        match &rec.body {
+            Body::Start { .. } => {
                 assert_eq!(
-                    *parent, expected,
-                    "span {id} has parent {parent} but {expected} was open"
+                    rec.span, open,
+                    "span {} has parent {} but {open} was open",
+                    rec.seq, rec.span
                 );
-                stack.push(*id);
+                stack.push(rec.seq);
             }
-            TraceRecord::SpanEnd { id, .. } => {
-                let top = stack.pop();
-                assert_eq!(top, Some(*id), "span end {id} out of order");
+            Body::End { .. } => {
+                assert_eq!(
+                    stack.pop(),
+                    Some(rec.span),
+                    "span end {} out of order",
+                    rec.span
+                );
             }
-            TraceRecord::Event { span, .. } => {
-                let expected = stack.last().copied().unwrap_or(0);
-                assert_eq!(*span, expected, "event attributed to closed span");
+            Body::Event { .. } => {
+                assert_eq!(rec.span, open, "event attributed to a closed span");
             }
         }
     }
@@ -110,8 +116,8 @@ fn json_from_seed(bytes: &[u8], idx: &mut usize, depth: usize) -> Json {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Any interleaving of span opens/closes produces a well-nested record
-    /// stream with correctly attributed parents and events.
+    /// Any interleaving of span opens/closes produces a well-nested journal
+    /// with correctly attributed parents and events.
     #[test]
     fn span_trees_are_well_nested(shape in proptest::collection::vec(any::<u8>(), 0..200)) {
         let obs = Obs::new();
@@ -120,9 +126,12 @@ proptest! {
         while idx < shape.len() {
             nest(&obs, &shape, &mut idx, 0);
         }
-        let snap = obs.recorder().snapshot();
+        let snap = obs.journal().snapshot();
         prop_assert_eq!(snap.dropped, 0, "ring evicted records mid-test");
         assert_well_nested(&snap.records);
+        for w in snap.records.windows(2) {
+            prop_assert!(w[0].seq < w[1].seq, "seq must be strictly increasing");
+        }
         // The reassembled tree renders every span exactly once.
         let text = snap.to_text();
         prop_assert!(text.contains(&format!("{} span(s)", snap.span_count())));
@@ -158,22 +167,22 @@ proptest! {
     /// The ring never holds more than its capacity; evictions are counted.
     #[test]
     fn ring_is_bounded_and_counts_evictions(cap in 2usize..64, n in 0usize..300) {
-        let rec = Recorder::with_capacity(cap);
+        let journal = Journal::with_capacity(cap);
         for i in 0..n {
-            rec.push(TraceRecord::Event {
-                span: 0,
-                name: "test.ring.fill",
-                detail: format!("{i}"),
-                t_ns: i as u64,
-            });
+            let body = match i % 3 {
+                0 => Body::Start { name: "test.ring.span" },
+                1 => Body::End { name: "test.ring.span", dur_ns: 1, fields: Vec::new() },
+                _ => Body::Event { kind: "test.ring.fill", data: Json::from(i) },
+            };
+            journal.push(i as u64, 0, body);
         }
-        let snap = rec.snapshot();
+        let snap = journal.snapshot();
         prop_assert_eq!(snap.capacity, cap);
         prop_assert_eq!(snap.records.len(), n.min(cap));
         prop_assert_eq!(snap.dropped, n.saturating_sub(cap) as u64);
         // Oldest-first eviction: the survivors are the most recent pushes.
-        if let Some(TraceRecord::Event { t_ns, .. }) = snap.records.first() {
-            prop_assert_eq!(*t_ns, n.saturating_sub(cap) as u64);
+        if let Some(first) = snap.records.first() {
+            prop_assert_eq!(first.t_ns, n.saturating_sub(cap) as u64);
         }
     }
 
@@ -192,50 +201,75 @@ proptest! {
         prop_assert_eq!(Json::parse(&pretty).expect("pretty must parse"), doc);
     }
 
-    /// Flight events with arbitrary payloads round-trip through the JSONL
-    /// export line-by-line; the ring stays bounded, drops are counted, and
-    /// sequence numbers stay strictly monotonic.
+    /// Journal records — spans with arbitrary fields and events with
+    /// arbitrary payloads — round-trip through the JSONL export
+    /// line-by-line; the ring stays bounded, drops are counted, and
+    /// sequence numbers stay strictly monotonic, also across a clear.
     #[test]
-    fn flight_journal_round_trips_and_stays_bounded(
+    fn journal_round_trips_and_stays_bounded(
         seed in proptest::collection::vec(any::<u8>(), 0..64),
         cap in 2usize..32,
         n in 0usize..100,
     ) {
         let obs = Obs::new();
-        obs.set_enabled(true);
-        obs.flight().set_capacity(cap);
-        const KINDS: [&str; 3] = ["test.flight.commit", "test.flight.ship", "test.flight.slow"];
+        obs.set_tracing(true);
+        obs.journal().set_capacity(cap);
+        const KINDS: [&str; 3] = ["test.journal.commit", "test.journal.ship", "test.journal.slow"];
+        let mut pushed = 0usize;
         for i in 0..n {
             let mut idx = i % seed.len().max(1);
-            obs.flight_event(KINDS[i % KINDS.len()], || json_from_seed(&seed, &mut idx, 0));
+            if i % 4 == 0 {
+                // A span around the event: a start, the event, an end.
+                let mut span = obs.span("test.journal.span");
+                obs.event(KINDS[i % KINDS.len()], || json_from_seed(&seed, &mut idx, 0));
+                span.field("payload", || json_from_seed(&seed, &mut idx, 0));
+                pushed += 3;
+            } else {
+                obs.event(KINDS[i % KINDS.len()], || json_from_seed(&seed, &mut idx, 0));
+                pushed += 1;
+            }
         }
-        let snap = obs.flight().snapshot();
-        prop_assert_eq!(snap.events.len(), n.min(cap));
-        prop_assert_eq!(snap.dropped, n.saturating_sub(cap) as u64);
-        for w in snap.events.windows(2) {
+        let snap = obs.journal().snapshot();
+        prop_assert_eq!(snap.records.len(), pushed.min(cap));
+        prop_assert_eq!(snap.dropped, pushed.saturating_sub(cap) as u64);
+        for w in snap.records.windows(2) {
             prop_assert!(w[0].seq < w[1].seq, "seq must be strictly increasing");
         }
         let jsonl = snap.to_jsonl();
-        prop_assert_eq!(jsonl.lines().count(), snap.events.len());
-        for (line, ev) in jsonl.lines().zip(snap.events.iter()) {
+        prop_assert_eq!(jsonl.lines().count(), snap.records.len());
+        for (line, rec) in jsonl.lines().zip(snap.records.iter()) {
             let parsed = Json::parse(line).expect("every JSONL line parses");
-            prop_assert_eq!(parsed.get("seq").unwrap().as_f64(), Some(ev.seq as f64));
-            prop_assert_eq!(parsed.get("kind").unwrap().as_str(), Some(ev.kind));
-            prop_assert_eq!(parsed.get("data").unwrap(), &ev.data);
+            prop_assert_eq!(&parsed, &rec.to_json());
+            prop_assert_eq!(parsed.get("seq").unwrap().as_f64(), Some(rec.seq as f64));
+            prop_assert_eq!(parsed.get("span").unwrap().as_f64(), Some(rec.span as f64));
+            match &rec.body {
+                Body::Start { name } => {
+                    prop_assert_eq!(parsed.get("start").unwrap().as_str(), Some(*name));
+                }
+                Body::End { name, fields, .. } => {
+                    prop_assert_eq!(parsed.get("end").unwrap().as_str(), Some(*name));
+                    let payload = parsed.get("fields").unwrap().get("payload").unwrap();
+                    prop_assert_eq!(payload, &fields[0].1);
+                }
+                Body::Event { kind, data } => {
+                    prop_assert_eq!(parsed.get("kind").unwrap().as_str(), Some(*kind));
+                    prop_assert_eq!(parsed.get("data").unwrap(), data);
+                }
+            }
         }
         let doc = Json::parse(&snap.to_json().pretty()).expect("snapshot json parses");
-        prop_assert_eq!(doc.get("schema").unwrap().as_str(), Some("isis-obs/flight/1"));
+        prop_assert_eq!(doc.get("schema").unwrap().as_str(), Some("isis-obs/2"));
         prop_assert_eq!(
-            doc.get("events").unwrap().as_arr().unwrap().len(),
-            snap.events.len()
+            doc.get("records").unwrap().as_arr().unwrap().len(),
+            snap.records.len()
         );
         // Clearing empties the buffer but never reuses sequence numbers.
-        let high = snap.events.last().map(|e| e.seq).unwrap_or(0);
-        obs.flight().clear();
-        obs.flight_event("test.flight.after", || Json::Null);
-        let after = obs.flight().snapshot();
-        prop_assert_eq!(after.events.len(), 1);
-        prop_assert!(after.events[0].seq > high);
+        let high = snap.records.last().map(|r| r.seq).unwrap_or(0);
+        obs.journal().clear();
+        obs.event("test.journal.after", || Json::Null);
+        let after = obs.journal().snapshot();
+        prop_assert_eq!(after.records.len(), 1);
+        prop_assert!(after.records[0].seq > high);
     }
 
     /// A run report from a live instance is always parseable and carries
@@ -251,14 +285,15 @@ proptest! {
         }
         let report = obs.run_report();
         let parsed = Json::parse(&report.dump()).expect("report parses");
-        prop_assert_eq!(parsed.get("schema").unwrap().as_str(), Some("isis-obs/1"));
+        prop_assert_eq!(parsed.get("schema").unwrap().as_str(), Some("isis-obs/2"));
         let hits = parsed
             .get("metrics").unwrap()
             .get("test.report.hits").unwrap()
             .get("value").unwrap()
             .as_f64().unwrap();
         prop_assert_eq!(hits as u64, counts.iter().sum::<u64>());
-        let spans = parsed.get("trace").unwrap().get("spans").unwrap();
-        prop_assert_eq!(spans.as_arr().unwrap().len(), counts.len());
+        let records = parsed.get("records").unwrap().as_arr().unwrap();
+        let spans = records.iter().filter(|r| r.get("start").is_some()).count();
+        prop_assert_eq!(spans, counts.len());
     }
 }
