@@ -28,7 +28,7 @@ fn grouping_costs(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("one_set_scan", n), &n, |b, _| {
             b.iter(|| {
                 f.s.db
-                    .grouping_set_members(f.s.by_family, family_of_first)
+                    .grouping_sets_named(f.s.by_family, &[family_of_first].into_iter().collect())
                     .unwrap()
             })
         });

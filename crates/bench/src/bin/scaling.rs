@@ -5,9 +5,11 @@
 //! shape (wide vs deep) — and drives the workloads the interactive paper
 //! promises must stay fast: stepwise-refinement navigation chains
 //! (repeated query rounds through the `IndexService` program cache),
-//! delta-driven refresh rounds, and large-affected-set settles (serial vs
-//! the shared `EvalPool`). Every measurement lands in
-//! `out/bench_scaling.json` (schema isis-bench/1).
+//! delta-driven refresh rounds, large-affected-set settles (serial vs
+//! the shared `EvalPool`), and data-page scenes (a scrolled musicians page
+//! and the musicians + instruments follow stack through `data_view`).
+//! Every measurement lands in `out/bench_scaling.json` (schema
+//! isis-bench/1).
 //!
 //! Flags:
 //!
@@ -24,19 +26,24 @@
 //! serial settle on affected sets of 1e5 entities. The settle comparison
 //! is asserted only when the host actually has ≥ 2 cores — the sharded
 //! path is still exercised and recorded on a single-core host, where
-//! beating serial is physically impossible.
+//! beating serial is physically impossible. The views floor holds a data
+//! page's scene at every size ≥ 1e5 within 2x of the same distribution
+//! and shape at 1e4, timed round by round against a 1e4 database kept
+//! beside it: a page costs the rows on screen, not its extent.
 
 use std::time::{Duration, Instant};
 
 use isis_bench::BenchReport;
 use isis_core::{
     Atom, BaseKind, Clause, CompareOp, Database, EntityId, Map, OrderedSet, Predicate, Rhs,
+    SchemaNode,
 };
 use isis_query::{
     DerivedMaintainer, DerivedState, EvalPool, IndexService, MemoTable, PredicateProgram,
 };
 use isis_sample::workload::navigation_chain;
 use isis_sample::{synthetic_scaled, ScaledMusic, SchemaShape, SynthSpec, ValueDist};
+use isis_views::{data_view, DataViewInput, PageSpec};
 
 const SEED: u64 = 0x5CA1E;
 
@@ -47,10 +54,12 @@ struct Config {
     query_rounds: usize,
     settle_rounds: usize,
     refresh_rounds: usize,
+    view_rounds: usize,
 }
 
 struct ConfigResult {
     entities: usize,
+    tag: String,
     cached_ns: f64,
     recompiled_ns: f64,
     scan_batch_ns: f64,
@@ -60,6 +69,8 @@ struct ConfigResult {
     affected: usize,
     settle_serial_ns: f64,
     settle_pool_ns: f64,
+    /// Per view arm: the median scene here and at 1e4, interleaved.
+    views: [(&'static str, f64, f64); 2],
 }
 
 fn time_rounds(rounds: usize, mut f: impl FnMut()) -> f64 {
@@ -168,6 +179,85 @@ fn scan_arms(
     (batch_ns, scalar_ns)
 }
 
+/// The views arm's inputs over `g`: a musicians page scrolled to
+/// mid-extent, and the musicians + instruments stack that following
+/// `plays` from two of its rows builds.
+fn view_inputs(g: &ScaledMusic) -> [(&'static str, DataViewInput); 2] {
+    let db = &g.s.db;
+    let extent = db.members(g.s.musicians).unwrap().as_slice();
+    let mut page = PageSpec::new(SchemaNode::Class(g.s.musicians));
+    page.scroll = extent.len() / 2;
+    page.selected = extent[page.scroll..][..2].to_vec();
+    let mut plays = OrderedSet::new();
+    for &m in &page.selected {
+        plays.extend_from(&db.attr_value_set(m, g.s.plays).unwrap());
+    }
+    let mut followed = PageSpec::new(SchemaNode::Class(g.s.instruments));
+    followed.selected = plays.as_slice().to_vec();
+    followed.followed_from = Some(g.s.plays);
+    let input = |pages| DataViewInput {
+        pages,
+        prompt: vec![],
+    };
+    [
+        ("page", input(vec![page.clone()])),
+        ("follow stack", input(vec![page, followed])),
+    ]
+}
+
+/// Times `data_view` over each of `g`'s view inputs against the same input
+/// over `base`, the same distribution and shape at 1e4, round by round, so
+/// both figures of a ratio share one stretch of the host's time. Records
+/// `scaling/view_{page,stack}{,_1e4}/{tag}` and returns each arm's median
+/// nanoseconds per scene here and at 1e4.
+fn view_arms(
+    g: &ScaledMusic,
+    base: &ScaledMusic,
+    rounds: usize,
+    tag: &str,
+    report: &mut BenchReport,
+) -> [(&'static str, f64, f64); 2] {
+    let elements = |g: &ScaledMusic, input: &DataViewInput| {
+        data_view(&g.s.db, input).unwrap().scene.elements.len()
+    };
+    let (here, there) = (view_inputs(g), view_inputs(base));
+    let mut out = [("", 0.0, 0.0); 2];
+    for (i, ((arm, input), (_, base_input))) in here.iter().zip(&there).enumerate() {
+        let (want, base_want) = (elements(g, input), elements(base, base_input));
+        let (ns, base_ns) = time_interleaved(
+            rounds,
+            || assert_eq!(elements(g, input), want),
+            || assert_eq!(elements(base, base_input), base_want),
+        );
+        eprintln!(
+            "   views {arm} ({want} elements): {:.1}us vs {:.1}us at 1e4 ({:.2}x)",
+            ns / 1e3,
+            base_ns / 1e3,
+            ns / base_ns
+        );
+        let id = arm.replace("follow ", "");
+        *report = std::mem::replace(report, BenchReport::new("scaling"))
+            .result(format!("scaling/view_{id}/{tag}"), ns, rounds as u64)
+            .result(
+                format!("scaling/view_{id}_1e4/{tag}"),
+                base_ns,
+                rounds as u64,
+            );
+        out[i] = (arm, ns, base_ns);
+    }
+    out
+}
+
+fn generate(entities: usize, dist: ValueDist, shape: SchemaShape) -> ScaledMusic {
+    synthetic_scaled(SynthSpec {
+        entities,
+        dist,
+        shape,
+        seed: SEED,
+    })
+    .expect("generate scaled database")
+}
+
 fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigResult {
     let tag = format!(
         "{}/{}/{}",
@@ -178,13 +268,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
     eprintln!("== scaling config {tag} ==");
 
     let t = Instant::now();
-    let mut g: ScaledMusic = synthetic_scaled(SynthSpec {
-        entities: cfg.entities,
-        dist: cfg.dist,
-        shape: cfg.shape,
-        seed: SEED,
-    })
-    .expect("generate scaled database");
+    let mut g = generate(cfg.entities, cfg.dist, cfg.shape);
     let gen_ns = t.elapsed().as_secs_f64() * 1e9;
     eprintln!(
         "   generated {} musicians in {:.2}s",
@@ -279,6 +363,12 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         scan_arms(&g, &pred, cfg.query_rounds, "scan_ordering", &tag, report)
     });
 
+    // --- Data-page scenes, which must cost the rows on screen: timed
+    // against the same distribution and shape at 1e4.
+    let base = generate(10_000, cfg.dist, cfg.shape);
+    let views = view_arms(&g, &base, cfg.view_rounds, &tag, report);
+    drop(base);
+
     // --- Large-affected-set settle: serial vs the shared pool.
     let final_pred: Predicate = chain.last().unwrap().clone();
     let derived =
@@ -360,6 +450,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
 
     ConfigResult {
         entities: cfg.entities,
+        tag,
         cached_ns,
         recompiled_ns,
         scan_batch_ns,
@@ -368,6 +459,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         affected: affected.len(),
         settle_serial_ns,
         settle_pool_ns,
+        views,
     }
 }
 
@@ -396,6 +488,7 @@ fn main() {
             query_rounds: 2,
             settle_rounds: 1,
             refresh_rounds: 1,
+            view_rounds: 2,
         });
     } else {
         for &entities in &[10_000usize, 100_000, 1_000_000] {
@@ -425,6 +518,7 @@ fn main() {
                     query_rounds: if entities >= 1_000_000 { 10 } else { 30 },
                     settle_rounds: if entities >= 1_000_000 { 3 } else { 5 },
                     refresh_rounds: if entities >= 1_000_000 { 3 } else { 5 },
+                    view_rounds: 2_000,
                 });
             }
         }
@@ -528,6 +622,17 @@ fn main() {
                     r.affected,
                     r.settle_pool_ns / 1e6,
                     r.settle_serial_ns / 1e6
+                );
+            }
+        }
+        // The views floor: a data page's scene stays flat in the extent.
+        if r.entities >= 100_000 {
+            for (arm, ns, base_ns) in r.views {
+                assert!(
+                    ns <= 2.0 * base_ns,
+                    "the {arm} scene must stay within 2x of its 1e4 figure at \
+                     {} ({ns:.0}ns vs {base_ns:.0}ns)",
+                    r.tag
                 );
             }
         }

@@ -6,8 +6,11 @@
 //! either preserves consistency (cascading membership, scrubbing dangling
 //! values) or is refused.
 
+use std::collections::HashMap;
+
 use crate::attribute::{AttrValue, Multiplicity, ValueClass};
 use crate::change::{Change, ChangeSet};
+use crate::column::ValueRef;
 use crate::entity::EntityRecord;
 use crate::error::{CoreError, Result};
 use crate::grouping::GroupingSet;
@@ -638,8 +641,8 @@ impl Database {
             ValueClass::Class(_) => Ok(raw),
             ValueClass::Grouping(g) => {
                 let mut out = OrderedSet::new();
-                for idx in raw.iter() {
-                    out.extend_from(&self.grouping_set_members(g, idx)?);
+                for set in self.grouping_sets_named(g, &raw)? {
+                    out.extend_from(&set);
                 }
                 Ok(out)
             }
@@ -656,56 +659,107 @@ impl Database {
     ///
     /// For groupings indexed by a *user* class every extent member yields a
     /// set (possibly empty); for groupings indexed by a predefined baseclass
-    /// (conceptually infinite) only non-empty sets are produced.
+    /// (conceptually infinite) only non-empty sets are produced, in the
+    /// order their values are first seen.
     pub fn grouping_sets(&self, g: GroupingId) -> Result<Vec<GroupingSet>> {
-        let gr = self.grouping(g)?;
-        let parent = gr.parent;
-        let attr = gr.on_attr;
-        let idx_class = self.grouping_index_class(g)?;
-        let include_empty = !self.class(idx_class)?.is_predefined();
-        let mut sets: Vec<GroupingSet> = Vec::new();
-        let mut pos: std::collections::HashMap<EntityId, usize> = std::collections::HashMap::new();
-        for idx in self.class(idx_class)?.members.iter() {
-            if include_empty {
-                pos.insert(idx, sets.len());
-                sets.push(GroupingSet {
-                    index: idx,
-                    members: OrderedSet::new(),
-                });
-            }
+        Ok(self
+            .grouping_family(g, |set: &mut OrderedSet, x| {
+                set.insert(x);
+            })?
+            .into_iter()
+            .map(|(index, members)| GroupingSet { index, members })
+            .collect())
+    }
+
+    /// The `(index, size)` of every set of grouping `g`, in
+    /// [`Database::grouping_sets`] order, counted in one read-only pass over
+    /// the parent without building any set (what a grouping page shows).
+    pub fn grouping_sizes(&self, g: GroupingId) -> Result<Vec<(EntityId, usize)>> {
+        self.grouping_family(g, |n: &mut usize, _| *n += 1)
+    }
+
+    /// The sets of grouping `g` named by `indices`, one per index in their
+    /// order (empty where an index names no set), each in parent-extent
+    /// order, from one pass over the parent.
+    pub fn grouping_sets_named(
+        &self,
+        g: GroupingId,
+        indices: &OrderedSet,
+    ) -> Result<Vec<OrderedSet>> {
+        let mut sets = vec![OrderedSet::new(); indices.len()];
+        if indices.is_empty() {
+            return Ok(sets);
         }
-        for x in self.class(parent)?.members.iter().collect::<Vec<_>>() {
-            for e in self.attr_value(x, attr)?.as_set().iter() {
-                let slot = match pos.get(&e) {
-                    Some(&i) => i,
-                    None => {
-                        pos.insert(e, sets.len());
-                        sets.push(GroupingSet {
-                            index: e,
-                            members: OrderedSet::new(),
-                        });
-                        sets.len() - 1
-                    }
-                };
-                sets[slot].members.insert(x);
+        let slot: HashMap<EntityId, usize> = indices.iter().zip(0..).collect();
+        self.grouping_pass(g, |x, e| {
+            if let Some(&i) = slot.get(&e) {
+                sets[i].insert(x);
             }
-        }
+        })?;
         Ok(sets)
     }
 
-    /// The members of the grouping set named by `index` (empty if the index
-    /// entity names no set).
-    pub fn grouping_set_members(&self, g: GroupingId, index: EntityId) -> Result<OrderedSet> {
-        let gr = self.grouping(g)?;
-        let parent = gr.parent;
-        let attr = gr.on_attr;
-        let mut out = OrderedSet::new();
-        for x in self.class(parent)?.members.iter() {
-            if self.attr_value(x, attr)?.as_set().contains(index) {
-                out.insert(x);
+    /// Grouping `g`'s family in [`Database::grouping_sets`] order, folding
+    /// each set's members into a `T` with `add`.
+    fn grouping_family<T: Default>(
+        &self,
+        g: GroupingId,
+        mut add: impl FnMut(&mut T, EntityId),
+    ) -> Result<Vec<(EntityId, T)>> {
+        let idx_class = self.class(self.grouping_index_class(g)?)?;
+        let mut family: Vec<(EntityId, T)> = Vec::new();
+        let mut slot: HashMap<EntityId, usize> = HashMap::new();
+        if !idx_class.is_predefined() {
+            for idx in idx_class.members.iter() {
+                slot.insert(idx, family.len());
+                family.push((idx, T::default()));
             }
         }
-        Ok(out)
+        self.grouping_pass(g, |x, e| {
+            let i = *slot.entry(e).or_insert_with(|| {
+                family.push((e, T::default()));
+                family.len() - 1
+            });
+            add(&mut family[i].1, x);
+        })?;
+        Ok(family)
+    }
+
+    /// Visits `(x, e)` for each member `x` of grouping `g`'s parent, in
+    /// extent order, and each value `e` of the grouped attribute, read as
+    /// `attr_value(x, attr)?.as_set()` reads it but borrowed from the column.
+    fn grouping_pass(
+        &self,
+        g: GroupingId,
+        mut visit: impl FnMut(EntityId, EntityId),
+    ) -> Result<()> {
+        let gr = self.grouping(g)?;
+        let rec = self.attr(gr.on_attr)?;
+        let parent = &self.class(gr.parent)?.members;
+        if rec.naming {
+            // Naming reads through to the entity record.
+            for x in parent.iter() {
+                for e in self.attr_value(x, gr.on_attr)?.as_set().iter() {
+                    visit(x, e);
+                }
+            }
+            return Ok(());
+        }
+        let owner = &self.class(rec.owner)?.members;
+        for x in parent.iter() {
+            if !owner.contains(x) {
+                return Err(CoreError::NotAMember {
+                    entity: x,
+                    class: rec.owner,
+                });
+            }
+            match rec.value_ref(x) {
+                ValueRef::Single(e) if e.is_null() => {}
+                ValueRef::Single(e) => visit(x, e),
+                ValueRef::Multi(s) => s.iter().for_each(|e| visit(x, e)),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1008,11 +1062,16 @@ mod tests {
         assert_eq!(sets[1].index, wood);
         assert_eq!(sets[1].members.as_slice(), &[flute, oboe]);
         assert_eq!(
-            f.db.grouping_set_members(by_family, wood)
-                .unwrap()
-                .as_slice(),
-            &[flute, oboe]
+            f.db.grouping_sizes(by_family).unwrap(),
+            vec![(brass, 1), (wood, 2)]
         );
+        // Named sets come back in the order asked for; an index naming no
+        // set gets the empty set.
+        let named =
+            f.db.grouping_sets_named(by_family, &[wood, flute, brass].into_iter().collect())
+                .unwrap();
+        let named: Vec<&[EntityId]> = named.iter().map(OrderedSet::as_slice).collect();
+        assert_eq!(named, vec![&[flute, oboe][..], &[], &[tuba]]);
     }
 
     #[test]

@@ -514,17 +514,7 @@ impl IndexService {
                 )
             }
             AccessPath::GroupingRange(g) => {
-                let mut sets = db.grouping_sets(g)?;
-                // Anchors are distinct, so each set is taken at most once.
-                let lists = anchors
-                    .iter()
-                    .map(|a| {
-                        sets.iter_mut()
-                            .find(|s| s.index == a)
-                            .map(|s| std::mem::take(&mut s.members))
-                            .unwrap_or_default()
-                    })
-                    .collect();
+                let lists = db.grouping_sets_named(g, anchors)?;
                 (
                     Self::combine(atom.op.op, lists),
                     &self.grouping_scans,
@@ -590,11 +580,12 @@ impl IndexService {
         if total == 0 {
             return None;
         }
-        let sets = db.grouping_sets(g).ok()?;
+        let sizes = db.grouping_sizes(g).ok()?;
         let frac = |a: EntityId| {
-            sets.iter()
-                .find(|s| s.index == a)
-                .map_or(0.0, |s| s.members.len() as f64)
+            sizes
+                .iter()
+                .find(|&&(index, _)| index == a)
+                .map_or(0.0, |&(_, n)| n as f64)
                 / total as f64
         };
         match atom.op.op {

@@ -992,20 +992,16 @@ impl Session {
                 }
                 // Raw values (grouping-ranged attributes land on the
                 // grouping page with the index sets highlighted).
-                let mut targets = Vec::new();
+                let mut targets = OrderedSet::new();
                 for e in &page.selected {
-                    for v in self.db.attr_value(*e, attr)?.as_set().iter() {
-                        if !targets.contains(&v) {
-                            targets.push(v);
-                        }
-                    }
+                    targets.extend_from(&self.db.attr_value(*e, attr)?.as_set());
                 }
                 let target_node = match self.db.attr(attr)?.value_class {
                     ValueClass::Class(c) => SchemaNode::Class(c),
                     ValueClass::Grouping(g) => SchemaNode::Grouping(g),
                 };
                 let mut new_page = PageSpec::new(target_node);
-                new_page.selected = targets;
+                new_page.selected = targets.as_slice().to_vec();
                 new_page.followed_from = Some(attr);
                 self.pages.push(new_page);
                 // Following changes the schema selection too (the new page
@@ -1039,17 +1035,15 @@ impl Session {
                 }
                 // "We merely follow the selected set(s) into the parent
                 // class and highlight the members of the set(s)."
-                let mut members = Vec::new();
-                for idx in &page.selected {
-                    for m in self.db.grouping_set_members(g, *idx)?.iter() {
-                        if !members.contains(&m) {
-                            members.push(m);
-                        }
-                    }
+                // Set by set in selection order, each in parent-extent order.
+                let selected: OrderedSet = page.selected.iter().copied().collect();
+                let mut members = OrderedSet::new();
+                for set in self.db.grouping_sets_named(g, &selected)? {
+                    members.extend_from(&set);
                 }
                 let parent = self.db.grouping(g)?.parent;
                 let mut new_page = PageSpec::new(SchemaNode::Class(parent));
-                new_page.selected = members;
+                new_page.selected = members.as_slice().to_vec();
                 new_page.followed_from = None;
                 self.pages.push(new_page);
                 self.selection = Some(Selection::Class(parent));

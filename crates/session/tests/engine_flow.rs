@@ -114,6 +114,51 @@ fn grouping_follow_figures_6_and_7() {
     assert_eq!(top.selected.len(), 2);
 }
 
+/// Following two overlapping grouping sets highlights set by set in
+/// selection order, each set in parent-extent order, and a musician in
+/// both sets once, where its first set put it.
+#[test]
+fn follow_grouping_orders_overlapping_sets_by_selection() {
+    let (mut s, im) = session();
+    let db = s.database();
+    let extent: Vec<EntityId> = db.members(im.musicians).unwrap().iter().collect();
+    let set_of = |i: EntityId| -> Vec<EntityId> {
+        extent
+            .iter()
+            .copied()
+            .filter(|m| db.attr_value_set(*m, im.plays).unwrap().contains(i))
+            .collect()
+    };
+    let instruments: Vec<EntityId> = db.members(im.instruments).unwrap().iter().collect();
+    // Two overlapping sets, selected later-first, so the expected order is
+    // neither extent order nor either set alone.
+    let (first, second, expected) = instruments
+        .iter()
+        .flat_map(|&a| instruments.iter().map(move |&b| (a, b)))
+        .find_map(|(a, b)| {
+            let (sa, sb) = (set_of(a), set_of(b));
+            let mut want = sb.clone();
+            want.extend(sa.iter().filter(|m| !sb.contains(m)));
+            let in_extent: Vec<EntityId> = extent
+                .iter()
+                .copied()
+                .filter(|m| want.contains(m))
+                .collect();
+            let overlap = sa.iter().any(|m| sb.contains(m));
+            (a != b && overlap && want != in_extent).then_some((b, a, want))
+        })
+        .expect("the sample has two overlapping instrument sets");
+    s.apply(Command::Pick(SchemaNode::Grouping(im.by_instrument)))
+        .unwrap();
+    s.apply(Command::ViewContents).unwrap();
+    s.apply(Command::SelectEntity(first)).unwrap();
+    s.apply(Command::SelectEntity(second)).unwrap();
+    s.apply(Command::FollowGrouping).unwrap();
+    let top = s.pages().last().unwrap();
+    assert_eq!(top.node, SchemaNode::Class(im.musicians));
+    assert_eq!(top.selected, expected);
+}
+
 /// The full Figure 8–10 worksheet flow: create quartets, define its
 /// membership (atoms A and E), commit, then define all_inst by the hand
 /// operator.

@@ -29,7 +29,9 @@ pub const DATA_MENU: &[&str] = &[
     "redo",
 ];
 
-/// Maximum member rows shown per page before the list elides.
+/// Maximum member rows shown per page before the list elides. A page
+/// names, highlights and sizes only these rows, so drawing it costs
+/// `MEMBER_ROWS`, whatever the size of the extent behind it.
 pub const MEMBER_ROWS: usize = 12;
 
 /// One page of the data level.
@@ -149,38 +151,33 @@ pub fn data_view(db: &Database, input: &DataViewInput) -> Result<DataView> {
 
 type PageDraw = (Rect, Vec<(EntityId, Rect)>, Vec<(AttrId, i32)>);
 
+/// Draws one page at `at`. A page costs the rows it shows, not its extent:
+/// only the `MEMBER_ROWS` window from `scroll` is named and highlighted,
+/// the elision count comes from the extent's length, and the member list
+/// is as wide as the widest row shown. A grouping page counts its sets in
+/// one pass over the parent ([`Database::grouping_sizes`]).
 fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Result<PageDraw> {
-    // Gather the member list first to size the page.
-    let (title, members): (String, Vec<(EntityId, String, bool)>) = match page.node {
+    // Gather the visible rows first to size the page.
+    let (title, total, visible): (String, usize, Vec<(EntityId, String)>) = match page.node {
         SchemaNode::Class(c) => {
-            let name = db.class(c)?.name.clone();
-            let list = db
-                .members(c)?
+            let members = db.members(c)?.as_slice();
+            let rows = members
                 .iter()
-                .map(|e| {
-                    Ok((
-                        e,
-                        db.entity_name(e)?.to_string(),
-                        page.selected.contains(&e),
-                    ))
-                })
+                .skip(page.scroll)
+                .take(MEMBER_ROWS)
+                .map(|&e| Ok((e, db.entity_name(e)?.to_string())))
                 .collect::<Result<Vec<_>>>()?;
-            (name, list)
+            (db.class(c)?.name.clone(), members.len(), rows)
         }
         SchemaNode::Grouping(g) => {
-            let name = db.grouping(g)?.name.clone();
-            let list = db
-                .grouping_sets(g)?
-                .into_iter()
-                .map(|set| {
-                    Ok((
-                        set.index,
-                        format!("{{{}}} ({})", db.entity_name(set.index)?, set.members.len()),
-                        page.selected.contains(&set.index),
-                    ))
-                })
+            let sizes = db.grouping_sizes(g)?;
+            let rows = sizes
+                .iter()
+                .skip(page.scroll)
+                .take(MEMBER_ROWS)
+                .map(|&(index, n)| Ok((index, format!("{{{}}} ({n})", db.entity_name(index)?))))
                 .collect::<Result<Vec<_>>>()?;
-            (name, list)
+            (db.grouping(g)?.name.clone(), sizes.len(), rows)
         }
     };
 
@@ -192,18 +189,13 @@ fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Re
         ),
         SchemaNode::Grouping(_) => (20, 3),
     };
-    let list_w = members
+    let list_w = visible
         .iter()
-        .map(|(_, n, _)| n.chars().count() as i32 + 4)
+        .map(|(_, n)| n.chars().count() as i32 + 4)
         .max()
         .unwrap_or(10)
         .max(12);
-    let visible = members
-        .iter()
-        .skip(page.scroll)
-        .take(MEMBER_ROWS)
-        .collect::<Vec<_>>();
-    let elided = members.len().saturating_sub(page.scroll + visible.len());
+    let elided = total.saturating_sub(page.scroll + visible.len());
     let inner_h = box_h.max(visible.len() as i32 + 3);
     let rect = Rect::new(at.x, at.y, box_w + list_w + 6, inner_h + 2);
     scene.push(Element::Frame {
@@ -231,18 +223,18 @@ fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Re
         emphasis: Emphasis::Plain,
     });
     let mut rows = Vec::new();
-    for (j, (e, name, sel)) in visible.iter().enumerate() {
+    for (j, (e, name)) in visible.into_iter().enumerate() {
         let row_y = at.y + 2 + j as i32;
         scene.push(Element::Text {
             at: Point::new(lx + 1, row_y),
-            text: name.clone(),
-            emphasis: if *sel {
+            text: name,
+            emphasis: if page.selected.contains(&e) {
                 Emphasis::Bold
             } else {
                 Emphasis::Plain
             },
         });
-        rows.push((*e, Rect::new(lx, row_y, list_w, 1)));
+        rows.push((e, Rect::new(lx, row_y, list_w, 1)));
     }
     if page.scroll > 0 {
         scene.push(Element::Text {
@@ -253,7 +245,7 @@ fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Re
     }
     if elided > 0 {
         scene.push(Element::Text {
-            at: Point::new(lx + 1, at.y + 2 + visible.len() as i32),
+            at: Point::new(lx + 1, at.y + 2 + rows.len() as i32),
             text: format!("(v {elided} more)"),
             emphasis: Emphasis::Plain,
         });

@@ -1,10 +1,13 @@
 //! Property-based layout tests: for randomly shaped schemas, the forest
 //! view never overlaps boxes, hit-testing round-trips, and both renderers
-//! stay total and deterministic.
+//! stay total and deterministic; a data page draws exactly the visible
+//! window of its extent.
 
 use isis::prelude::*;
+use isis::views::data_view::MEMBER_ROWS;
 use isis::views::{
-    data_view, forest_view, network_view, render, DataViewInput, ForestViewOptions, PageSpec, Point,
+    data_view, forest_view, network_view, render, DataViewInput, Element, Emphasis,
+    ForestViewOptions, PageSpec, Point,
 };
 use proptest::prelude::*;
 
@@ -161,5 +164,72 @@ proptest! {
             .unwrap()
             .1;
         prop_assert!(picked_rect.contains(p));
+    }
+
+    /// A class page of `n` members scrolled to `scroll` shows exactly the
+    /// window a reference cut from the whole extent predicts: its rows in
+    /// extent order, bold iff selected, both elision markers, rows that
+    /// hit-test back to their member, and a list as wide as the widest
+    /// name shown.
+    #[test]
+    fn class_page_draws_the_visible_window_of_its_extent(
+        n in 0usize..=200,
+        scroll in 0usize..=250,
+        picks in proptest::collection::vec(0usize..220, 0..24),
+    ) {
+        let mut db = Database::new("page");
+        let base = db.create_baseclass("members").unwrap();
+        let extent: Vec<EntityId> = (0..n)
+            .map(|i| {
+                db.insert_entity(base, &format!("m{i}{}", "w".repeat(i * 7 % 13)))
+                    .unwrap()
+            })
+            .collect();
+        let selected: Vec<EntityId> = picks
+            .iter()
+            .filter(|&&p| p < n)
+            .map(|&p| extent[p])
+            .collect();
+        let mut page = PageSpec::new(SchemaNode::Class(base));
+        page.selected = selected.clone();
+        page.scroll = scroll;
+        let view = data_view(&db, &DataViewInput { pages: vec![page], prompt: vec![] }).unwrap();
+
+        let shown: Vec<EntityId> = extent.iter().skip(scroll).take(MEMBER_ROWS).copied().collect();
+        let rows: Vec<EntityId> = view.member_rows.iter().map(|(e, _)| *e).collect();
+        prop_assert_eq!(&rows, &shown);
+        let width = shown
+            .iter()
+            .map(|e| db.entity_name(*e).unwrap().chars().count() as i32 + 4)
+            .max()
+            .unwrap_or(0)
+            .max(12);
+        for (e, rect) in &view.member_rows {
+            let name = db.entity_name(*e).unwrap();
+            let emphasis = if selected.contains(e) { Emphasis::Bold } else { Emphasis::Plain };
+            let at = Point::new(rect.x + 1, rect.y);
+            prop_assert!(
+                view.scene.elements.iter().any(|el| matches!(
+                    el,
+                    Element::Text { at: p, text, emphasis: m } if *p == at && text == name && *m == emphasis
+                )),
+                "row {} is not drawn as {:?} at {:?}", name, emphasis, at
+            );
+            prop_assert_eq!(rect.w, width);
+            prop_assert_eq!(view.pick_member(at), Some(*e));
+            prop_assert_eq!(view.pick_member(Point::new(rect.x + rect.w - 1, rect.y)), Some(*e));
+        }
+        let below = n.saturating_sub(scroll + shown.len());
+        let markers = |prefix: &str| -> Vec<String> {
+            view.scene
+                .texts()
+                .filter(|(t, _)| t.starts_with(prefix))
+                .map(|(t, _)| t.to_string())
+                .collect()
+        };
+        let want_below: Vec<String> = (below > 0).then(|| format!("(v {below} more)")).into_iter().collect();
+        let want_above: Vec<String> = (scroll > 0).then(|| format!("(^ {scroll} more)")).into_iter().collect();
+        prop_assert_eq!(markers("(v "), want_below);
+        prop_assert_eq!(markers("(^ "), want_above);
     }
 }
