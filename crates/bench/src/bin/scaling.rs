@@ -52,6 +52,7 @@ struct Config {
     dist: ValueDist,
     shape: SchemaShape,
     query_rounds: usize,
+    scan_rounds: usize,
     settle_rounds: usize,
     refresh_rounds: usize,
     view_rounds: usize,
@@ -83,19 +84,23 @@ fn time_rounds(rounds: usize, mut f: impl FnMut()) -> f64 {
     total.as_secs_f64() * 1e9 / rounds.max(1) as f64
 }
 
+/// Nanoseconds per round of one arm: `(median, interquartile spread)`.
+type Spread = (f64, f64);
+
 /// Times two arms round by round, alternating which goes first, and
-/// returns each arm's median nanoseconds per round, so a noisy stretch of
-/// the host hits both arms alike.
-fn time_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+/// returns each arm's median and interquartile spread per round, so a
+/// noisy stretch of the host hits both arms alike.
+fn time_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (Spread, Spread) {
     fn timed(f: &mut impl FnMut(), out: &mut Vec<f64>) {
         let t = Instant::now();
         f();
         out.push(t.elapsed().as_nanos() as f64);
     }
-    fn median(mut xs: Vec<f64>) -> f64 {
+    fn spread(mut xs: Vec<f64>) -> Spread {
         xs.sort_by(f64::total_cmp);
+        let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
         let n = xs.len();
-        (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+        ((xs[(n - 1) / 2] + xs[n / 2]) / 2.0, at(0.75) - at(0.25))
     }
     let (mut ta, mut tb) = (Vec::new(), Vec::new());
     for round in 0..rounds.max(1) {
@@ -107,7 +112,7 @@ fn time_interleaved(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> 
             timed(&mut a, &mut ta);
         }
     }
-    (median(ta), median(tb))
+    (spread(ta), spread(tb))
 }
 
 /// Times `pred` over the whole musicians extent through the batch body
@@ -137,7 +142,7 @@ fn scan_arms(
         .filter(|&e| prog.eval_for(&g.s.db, e, None, &mut memo).unwrap())
         .collect();
     assert_eq!(scalar, expected, "{name}: batch and scalar disagree");
-    let (batch_ns, scalar_ns) = time_interleaved(
+    let ((batch_ns, batch_iqr), (scalar_ns, scalar_iqr)) = time_interleaved(
         rounds,
         || {
             let mut memo = MemoTable::new(&prog);
@@ -159,10 +164,13 @@ fn scan_arms(
         },
     );
     eprintln!(
-        "   {name} over {} candidates: batch {:.1}us vs scalar {:.1}us ({:.2}x)",
+        "   {name} over {} candidates, {rounds} rounds: batch {:.1}us (IQR {:.1}us) \
+         vs scalar {:.1}us (IQR {:.1}us) ({:.2}x)",
         extent.len(),
         batch_ns / 1e3,
+        batch_iqr / 1e3,
         scalar_ns / 1e3,
+        scalar_iqr / 1e3,
         scalar_ns / batch_ns
     );
     *report = std::mem::replace(report, BenchReport::new("scaling"))
@@ -224,7 +232,7 @@ fn view_arms(
     let mut out = [("", 0.0, 0.0); 2];
     for (i, ((arm, input), (_, base_input))) in here.iter().zip(&there).enumerate() {
         let (want, base_want) = (elements(g, input), elements(base, base_input));
-        let (ns, base_ns) = time_interleaved(
+        let ((ns, _), (base_ns, _)) = time_interleaved(
             rounds,
             || assert_eq!(elements(g, input), want),
             || assert_eq!(elements(base, base_input), base_want),
@@ -351,7 +359,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         Rhs::constant(g.s.instruments, [g.s.instrument_ids[0]]),
     )])]);
     let (scan_batch_ns, scan_scalar_ns) =
-        scan_arms(&g, &scan_pred, cfg.query_rounds, "scan", &tag, report);
+        scan_arms(&g, &scan_pred, cfg.scan_rounds, "scan", &tag, report);
     let ordering_scan = g.wide_attrs.first().copied().map(|metric| {
         let ints = g.s.db.predefined(BaseKind::Integers);
         let fifty = g.s.db.int(50);
@@ -360,7 +368,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
             CompareOp::Lt,
             Rhs::constant(ints, [fifty]),
         )])]);
-        scan_arms(&g, &pred, cfg.query_rounds, "scan_ordering", &tag, report)
+        scan_arms(&g, &pred, cfg.scan_rounds, "scan_ordering", &tag, report)
     });
 
     // --- Data-page scenes, which must cost the rows on screen: timed
@@ -486,6 +494,7 @@ fn main() {
             dist: ValueDist::Zipf,
             shape: SchemaShape::Wide,
             query_rounds: 2,
+            scan_rounds: 2,
             settle_rounds: 1,
             refresh_rounds: 1,
             view_rounds: 2,
@@ -516,6 +525,7 @@ fn main() {
                     dist,
                     shape,
                     query_rounds: if entities >= 1_000_000 { 10 } else { 30 },
+                    scan_rounds: if entities >= 1_000_000 { 30 } else { 200 },
                     settle_rounds: if entities >= 1_000_000 { 3 } else { 5 },
                     refresh_rounds: if entities >= 1_000_000 { 3 } else { 5 },
                     view_rounds: 2_000,

@@ -176,8 +176,8 @@ impl CommitConflict {
 }
 
 /// Bounded exponential backoff with deterministic full jitter, for retry
-/// loops over [`CommitConflict`]s (see
-/// [`SharedDatabase::transact_with_retry`]).
+/// loops over [`CommitConflict`]s (the session layer's
+/// `Session::transact_with_retry` is the one such loop).
 ///
 /// The delay before retry `attempt` (0-based) is uniform in
 /// `[0, min(cap, base · 2^attempt)]`, drawn from a splitmix64 stream
@@ -376,49 +376,6 @@ impl SharedDatabase {
         drop(inner);
         drop(old);
         epoch
-    }
-
-    /// Pin–apply–commit with bounded, jittered retries: runs `f` against a
-    /// fresh pin of the head and commits the result, re-pinning and
-    /// replaying `f` whenever the commit fails with a
-    /// [retryable](CommitConflict::is_retryable) conflict, sleeping
-    /// [`RetryBackoff::delay`] between attempts.
-    ///
-    /// An error from `f` itself surfaces as
-    /// [`CommitConflict::Rebase`] immediately (the intent does not apply
-    /// to the current head) and is not retried. After `max_retries`
-    /// exhausted retries the last conflict is returned.
-    pub fn transact_with_retry(
-        &self,
-        backoff: &RetryBackoff,
-        mut f: impl FnMut(&mut Database) -> Result<(), CoreError>,
-    ) -> Result<CommitReceipt, CommitConflict> {
-        let mut attempt = 0u32;
-        loop {
-            let mut local = self.pin();
-            let base = local.delta_epoch();
-            f(&mut local).map_err(CommitConflict::Rebase)?;
-            match self.commit(base, &local) {
-                Ok(receipt) => {
-                    let obs = isis_obs::global();
-                    if obs.enabled() {
-                        obs.observe("core.mvcc.retry_attempts", u64::from(attempt));
-                    }
-                    return Ok(receipt);
-                }
-                Err(conflict) if conflict.is_retryable() && attempt < backoff.max_retries => {
-                    let delay = backoff.delay(attempt);
-                    let obs = isis_obs::global();
-                    if obs.enabled() {
-                        obs.count("core.mvcc.retries", 1);
-                        obs.observe("core.mvcc.backoff_ns", delay.as_nanos() as u64);
-                    }
-                    std::thread::sleep(delay);
-                    attempt += 1;
-                }
-                Err(conflict) => return Err(conflict),
-            }
-        }
     }
 
     /// Publishes everything `local` recorded after `base_epoch` (the epoch
@@ -994,47 +951,6 @@ mod tests {
             assert_eq!(d, b.delay(attempt), "jitter must be deterministic");
         }
         assert_eq!(RetryBackoff::unslept(4).delay(3), Duration::ZERO);
-    }
-
-    #[test]
-    fn transact_with_retry_converges_under_contention() {
-        let (db, people, age) = seeded();
-        let shared = SharedDatabase::new(db);
-        let backoff = RetryBackoff::unslept(16);
-
-        // Two writers race assignments to the same key; with retries both
-        // must eventually land, in some order.
-        let alice = shared.read(|db| db.entity_by_name(people, "ann").unwrap());
-        for value in [30i64, 31, 32, 33] {
-            // Interleave: pin both, commit both — the second conflicts and
-            // must win on retry.
-            let mut stale = shared.pin();
-            let stale_base = stale.delta_epoch();
-            let v = stale.intern(value).unwrap();
-            stale.assign_single(alice, age, v).unwrap();
-
-            shared
-                .transact_with_retry(&backoff, |db| {
-                    let v = db.intern(value + 100)?;
-                    db.assign_single(alice, age, v)?;
-                    Ok(())
-                })
-                .unwrap();
-
-            // The stale writer conflicts on the same (entity, attr)...
-            assert!(shared.commit(stale_base, &stale).is_err());
-            // ...but a retry loop re-pins and converges.
-            shared
-                .transact_with_retry(&backoff, |db| {
-                    let v = db.intern(value)?;
-                    db.assign_single(alice, age, v)?;
-                    Ok(())
-                })
-                .unwrap();
-            let v = shared.read(|db| db.attr_value(alice, age).unwrap());
-            let want = shared.read(|db| db.find_literal(value).unwrap());
-            assert_eq!(v, AttrValue::Single(want));
-        }
     }
 
     #[test]

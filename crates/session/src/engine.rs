@@ -1,20 +1,31 @@
 //! The session engine: applies [`Command`]s to the database and interactive
 //! state, and builds the current view's [`Scene`].
+//!
+//! [`Session::apply`] only dispatches: each command group has one handler in
+//! its own module — `schema` (navigation and schema edits), `data` (the data
+//! level and the constant-pick visit), `worksheet`, and `session_verbs`
+//! (load, save, doctor, fsck, undo, redo, refresh, commit, pull, refresh
+//! policy, stop). This module keeps what the groups share: the session's
+//! state, the schema-selection checks, the undo point every edit takes, the
+//! refresh pipeline, the refresh-and-fallback step of [`Session::query`] and
+//! [`Session::explain`], and the scene of the current view.
 
-use isis_core::{
-    Atom, AttrId, ClassId, CommitReceipt, CoreError, Database, Map, OrderedSet, Predicate, Rhs,
-    SchemaNode, SharedDatabase, ValueClass,
-};
-use isis_query::{DerivedState, ExtentChange, IndexService};
+use isis_core::{ClassId, Database, OrderedSet, Predicate, SchemaNode, SharedDatabase};
+use isis_query::{DerivedState, ExplainRecord, ExtentChange, IndexService, QueryError};
 use isis_store::{RecoveryReport, StoreDir};
 use isis_views::{
     data_view, forest_view, network_view, worksheet_view, DataViewInput, ForestViewOptions,
-    PageSpec, Scene, WorksheetInput,
+    PageSpec, Scene,
 };
 
 use crate::command::Command;
 use crate::error::SessionError;
-use crate::state::{AtomDraft, Mode, RefreshPolicy, Selection, WorksheetState, WsTarget};
+use crate::state::{Mode, RefreshPolicy, Selection, WorksheetState};
+
+mod data;
+mod schema;
+mod session_verbs;
+mod worksheet;
 
 /// How many prompt lines the text window shows.
 const PROMPT_LINES: usize = 3;
@@ -149,6 +160,16 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
+    fn new(source: Source) -> SessionBuilder {
+        SessionBuilder {
+            source,
+            store: None,
+            policy: RefreshPolicy::Manual,
+            delta_capacity: None,
+            eval_threads: 1,
+        }
+    }
+
     /// Attaches a database directory (enables *load* / *save*).
     pub fn store(mut self, store: StoreDir) -> SessionBuilder {
         self.store = Some(store);
@@ -260,13 +281,7 @@ impl Session {
     /// Starts configuring a session that owns its database (store, refresh
     /// policy, delta-log capacity).
     pub fn builder(db: Database) -> SessionBuilder {
-        SessionBuilder {
-            source: Source::Owned(Box::new(db)),
-            store: None,
-            policy: RefreshPolicy::Manual,
-            delta_capacity: None,
-            eval_threads: 1,
-        }
+        SessionBuilder::new(Source::Owned(Box::new(db)))
     }
 
     /// Starts configuring a session on a [`SharedDatabase`] other sessions
@@ -274,13 +289,7 @@ impl Session {
     /// [`SessionBuilder::build`] time; see [`Session::commit_changes`] /
     /// [`Session::pull`] for how it publishes and observes commits.
     pub fn open(shared: &SharedDatabase) -> SessionBuilder {
-        SessionBuilder {
-            source: Source::Shared(shared.clone()),
-            store: None,
-            policy: RefreshPolicy::Manual,
-            delta_capacity: None,
-            eval_threads: 1,
-        }
+        SessionBuilder::new(Source::Shared(shared.clone()))
     }
 
     /// What recovery found the last time a database was loaded from the
@@ -304,7 +313,7 @@ impl Session {
     ) -> Result<R, SessionError> {
         self.snapshot();
         let out = f(&mut self.db)?;
-        self.refresh_after_data_mod()?;
+        self.refresh_at(RefreshPolicy::Immediate)?;
         Ok(out)
     }
 
@@ -322,153 +331,6 @@ impl Session {
     /// `true` if the session has buffered uncommitted mutations.
     pub fn is_dirty(&self) -> bool {
         self.dirty
-    }
-
-    /// Publishes everything buffered since the pin (or the last commit) to
-    /// the shared head: first committer wins, conflicting concurrent
-    /// commits surface as [`SessionError::Conflict`]. On success the
-    /// session is clean and pinned at the new head; the undo history is
-    /// cleared (a commit is a transaction boundary).
-    pub fn commit_changes(&mut self) -> Result<CommitReceipt, SessionError> {
-        let receipt = self.shared.commit(self.base_epoch, &self.db)?;
-        if receipt.rebased || receipt.epoch != self.db.delta_epoch() {
-            // The head ran ahead (our write set was replayed onto it, or
-            // concurrent commits landed): re-pin.
-            self.db = self.shared.pin();
-            self.invalidate_refresh();
-            self.revalidate_interactive_state();
-        }
-        self.base_epoch = receipt.epoch;
-        self.dirty = false;
-        self.undo.clear();
-        self.redo.clear();
-        self.refresh_after_commit()?;
-        Ok(receipt)
-    }
-
-    /// Runs `f` as a transaction and commits it, retrying the whole
-    /// cycle (re-pin at the new head, re-run `f`, re-commit) with the
-    /// given backoff when the commit loses the first-committer-wins race.
-    /// `f` must therefore be safe to re-run: it sees a *fresh* snapshot
-    /// on every attempt, so name lookups belong inside the closure, not
-    /// captured from before it.
-    ///
-    /// Only retryable conflicts are retried (see
-    /// [`CommitConflict::is_retryable`](isis_core::CommitConflict::is_retryable)):
-    /// a durability veto means the store refused the write and repeating
-    /// it cannot help. Errors from `f` itself propagate immediately with
-    /// the buffered changes discarded. Refuses to start while the session
-    /// is dirty — buffered changes would be swept into the first commit.
-    ///
-    /// ```
-    /// use isis_core::{RetryBackoff, SharedDatabase};
-    /// use isis_session::Session;
-    ///
-    /// let mut db = isis_core::Database::new("demo");
-    /// let people = db.create_baseclass("people").unwrap();
-    /// let shared = SharedDatabase::new(db);
-    /// let mut session = Session::open(&shared).build();
-    /// let receipt = session.transact_with_retry(&RetryBackoff::default(), |db| {
-    ///     db.insert_entity(people, "Ada")?;
-    ///     Ok(())
-    /// })?;
-    /// assert!(!receipt.rebased);
-    /// # Ok::<(), isis_session::SessionError>(())
-    /// ```
-    pub fn transact_with_retry(
-        &mut self,
-        backoff: &isis_core::RetryBackoff,
-        mut f: impl FnMut(&mut Database) -> isis_core::Result<()>,
-    ) -> Result<CommitReceipt, SessionError> {
-        if self.dirty {
-            return Err(SessionError::DirtySnapshot);
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            if let Err(e) = self.transact(&mut f) {
-                self.discard_changes()?;
-                return Err(e);
-            }
-            match self.commit_changes() {
-                Ok(receipt) => {
-                    let obs = isis_obs::global();
-                    if obs.enabled() {
-                        obs.observe("session.commit.retry_attempts", u64::from(attempt));
-                    }
-                    return Ok(receipt);
-                }
-                Err(SessionError::Conflict(c))
-                    if c.is_retryable() && attempt < backoff.max_retries =>
-                {
-                    self.discard_changes()?;
-                    let delay = backoff.delay(attempt);
-                    let obs = isis_obs::global();
-                    if obs.enabled() {
-                        obs.count("session.commit.retries", 1);
-                        obs.observe("session.commit.backoff_ns", delay.as_nanos() as u64);
-                    }
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => {
-                    self.discard_changes()?;
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Re-pins the snapshot at the current shared head, making concurrent
-    /// commits visible. Refuses while dirty ([`SessionError::DirtySnapshot`])
-    /// — commit or [`Session::discard_changes`] first.
-    pub fn pull(&mut self) -> Result<(), SessionError> {
-        if self.dirty {
-            return Err(SessionError::DirtySnapshot);
-        }
-        if self.shared.epoch() == self.base_epoch {
-            return Ok(());
-        }
-        self.repin()?;
-        Ok(())
-    }
-
-    /// Drops all buffered changes and re-pins at the current head.
-    pub fn discard_changes(&mut self) -> Result<(), SessionError> {
-        self.worksheet = None;
-        self.repin()
-    }
-
-    fn repin(&mut self) -> Result<(), SessionError> {
-        self.db = self.shared.pin();
-        self.base_epoch = self.db.delta_epoch();
-        self.dirty = false;
-        self.undo.clear();
-        self.redo.clear();
-        self.invalidate_refresh();
-        self.revalidate_interactive_state();
-        self.refresh_after_commit()
-    }
-
-    /// After a re-pin the interactive anchors may dangle (a concurrent
-    /// commit deleted the selected class or entity); drop the ones that no
-    /// longer resolve rather than letting views error.
-    fn revalidate_interactive_state(&mut self) {
-        let ok = match self.selection {
-            None => true,
-            Some(Selection::Class(c)) => self.db.class(c).is_ok(),
-            Some(Selection::Attr(a)) => self.db.attr(a).is_ok(),
-            Some(Selection::Grouping(g)) => self.db.grouping(g).is_ok(),
-        };
-        if !ok {
-            self.selection = None;
-        }
-        let db = &self.db;
-        self.pages.retain(|p| match p.node {
-            SchemaNode::Class(c) => db.class(c).is_ok(),
-            SchemaNode::Grouping(g) => db.grouping(g).is_ok(),
-        });
     }
 
     /// The current mode (view).
@@ -535,18 +397,11 @@ impl Session {
         self.derived = None;
     }
 
-    fn refresh_after_data_mod(&mut self) -> Result<(), SessionError> {
-        if self.policy == RefreshPolicy::Immediate {
-            self.refresh_derived()?;
-        }
-        Ok(())
-    }
-
-    fn refresh_after_commit(&mut self) -> Result<(), SessionError> {
-        if matches!(
-            self.policy,
-            RefreshPolicy::OnCommit | RefreshPolicy::Immediate
-        ) {
+    /// Refreshes derived state when the policy is at least as eager as
+    /// `trigger`: a data edit refreshes under `Immediate`; a commit, a
+    /// re-pin and a query under `OnCommit` too.
+    fn refresh_at(&mut self, trigger: RefreshPolicy) -> Result<(), SessionError> {
+        if self.policy >= trigger {
             self.refresh_derived()?;
         }
         Ok(())
@@ -594,16 +449,6 @@ impl Session {
         self.derived.as_ref().map(DerivedState::service)
     }
 
-    /// The shared index service when it describes the pinned snapshot as
-    /// it is now, the one check [`Session::query`] and [`Session::explain`]
-    /// take before evaluating through it.
-    fn synced_service(&self) -> Option<&IndexService> {
-        self.derived
-            .as_ref()
-            .filter(|d| d.in_sync(&self.db))
-            .map(DerivedState::service)
-    }
-
     /// Answers `{ e ∈ parent | P(e) }` through the shared index service.
     ///
     /// Under [`RefreshPolicy::OnCommit`] / [`RefreshPolicy::Immediate`] the
@@ -613,33 +458,25 @@ impl Session {
     /// maintainers: if un-drained changes are pending, it falls back to a
     /// direct scan (correct, just unassisted) until the next refresh.
     pub fn query(&mut self, parent: ClassId, pred: &Predicate) -> Result<OrderedSet, SessionError> {
-        let obs = isis_obs::global();
-        let mut span = obs.span("session.query.answer");
-        if self.policy != RefreshPolicy::Manual {
-            self.refresh_derived()?;
-        }
-        if let Some(svc) = self.synced_service() {
-            Ok(svc.evaluate(&self.db, parent, pred)?)
-        } else {
-            // The direct scan bypasses the service, so record it there as a
-            // sequential-scan query — before this it vanished from `stats`.
-            if let Some(svc) = self.index_service() {
-                svc.note_unassisted_scan();
-            }
-            obs.count("session.query.unassisted", 1);
-            span.field("fallback", || {
-                "pending changes under Manual policy; direct extent scan".into()
-            });
-            self.db.validate_predicate(parent, None, pred)?;
-            Ok(self.db.evaluate_derived_members(parent, pred)?)
-        }
+        let mut span = isis_obs::global().span("session.query.answer");
+        self.answer(
+            parent,
+            pred,
+            |svc, db| svc.evaluate(db, parent, pred),
+            |db| {
+                span.field("fallback", || {
+                    "pending changes under Manual policy; direct extent scan".into()
+                });
+                Ok(db.evaluate_derived_members(parent, pred)?)
+            },
+        )
     }
 
     /// Answers the query exactly like [`Session::query`] and additionally
-    /// returns the full [`ExplainRecord`](isis_query::ExplainRecord) — the
-    /// access path chosen per atom and why, the program-cache outcome,
-    /// plan reuse and pinning, the parallel chunking decision, and
-    /// per-phase timings. Counters advance identically to a plain query.
+    /// returns the full [`ExplainRecord`] — the access path chosen per
+    /// atom and why, the program-cache outcome, plan reuse and pinning, the
+    /// parallel chunking decision, and per-phase timings. Counters advance
+    /// identically to a plain query.
     ///
     /// On the unassisted fallback (Manual policy with pending changes)
     /// the record is marked `cache: "unassisted"` with an empty plan.
@@ -647,39 +484,59 @@ impl Session {
         &mut self,
         parent: ClassId,
         pred: &Predicate,
-    ) -> Result<(OrderedSet, isis_query::ExplainRecord), SessionError> {
+    ) -> Result<(OrderedSet, ExplainRecord), SessionError> {
         let obs = isis_obs::global();
         let _span = obs.span("session.query.explain");
-        if self.policy != RefreshPolicy::Manual {
-            self.refresh_derived()?;
+        self.answer(
+            parent,
+            pred,
+            |svc, db| svc.explain(db, parent, pred),
+            |db| {
+                let t = std::time::Instant::now();
+                let out = db.evaluate_derived_members(parent, pred)?;
+                let total_ns = t.elapsed().as_nanos() as u64;
+                let scanned = db.class(parent).map(|r| r.members.len()).unwrap_or(0);
+                let record =
+                    ExplainRecord::unassisted(db, parent, pred, scanned, out.len(), total_ns);
+                obs.event("query.service.explain", || record.to_json());
+                Ok((out, record))
+            },
+        )
+    }
+
+    /// The step [`Session::query`] and [`Session::explain`] share: refresh
+    /// under the policy, then answer through the index service when it
+    /// describes the pinned snapshot as it is now. Otherwise record the
+    /// unassisted scan, validate `pred`, and answer with `scan`.
+    fn answer<R>(
+        &mut self,
+        parent: ClassId,
+        pred: &Predicate,
+        indexed: impl FnOnce(&IndexService, &Database) -> Result<R, QueryError>,
+        scan: impl FnOnce(&Database) -> Result<R, SessionError>,
+    ) -> Result<R, SessionError> {
+        self.refresh_at(RefreshPolicy::OnCommit)?;
+        let derived = self.derived.as_ref();
+        if let Some(state) = derived.filter(|d| d.in_sync(&self.db)) {
+            return Ok(indexed(state.service(), &self.db)?);
         }
-        if let Some(svc) = self.synced_service() {
-            Ok(svc.explain(&self.db, parent, pred)?)
-        } else {
-            if let Some(svc) = self.index_service() {
-                svc.note_unassisted_scan();
-            }
-            obs.count("session.query.unassisted", 1);
-            self.db.validate_predicate(parent, None, pred)?;
-            let t = std::time::Instant::now();
-            let out = self.db.evaluate_derived_members(parent, pred)?;
-            let total_ns = t.elapsed().as_nanos() as u64;
-            let scanned = self.db.class(parent).map(|r| r.members.len()).unwrap_or(0);
-            let record = isis_query::ExplainRecord::unassisted(
-                &self.db,
-                parent,
-                pred,
-                scanned,
-                out.len(),
-                total_ns,
-            );
-            obs.event("query.service.explain", || record.to_json());
-            Ok((out, record))
+        // The direct scan bypasses the service, so record it there as a
+        // sequential-scan query for `stats`.
+        if let Some(state) = derived {
+            state.service().note_unassisted_scan();
         }
+        isis_obs::global().count("session.query.unassisted", 1);
+        self.db.validate_predicate(parent, None, pred)?;
+        scan(&self.db)
     }
 
     fn say(&mut self, msg: impl Into<String>) {
         self.messages.push(msg.into());
+    }
+
+    /// Logs a multi-line report one message per line.
+    fn say_lines(&mut self, report: &str) {
+        self.messages.extend(report.lines().map(str::to_string));
     }
 
     fn prompt(&self) -> Vec<String> {
@@ -710,6 +567,13 @@ impl Session {
         self.redo.clear();
     }
 
+    /// The schema selection, which the verbs that act on any kind of it
+    /// need.
+    fn schema_selection(&self) -> Result<Selection, SessionError> {
+        self.selection
+            .ok_or_else(|| SessionError::BadSelection("nothing selected".into()))
+    }
+
     fn selected_class(&self) -> Result<ClassId, SessionError> {
         match self.selection {
             Some(Selection::Class(c)) => Ok(c),
@@ -719,7 +583,7 @@ impl Session {
         }
     }
 
-    fn selected_attr(&self) -> Result<AttrId, SessionError> {
+    fn selected_attr(&self) -> Result<isis_core::AttrId, SessionError> {
         match self.selection {
             Some(Selection::Attr(a)) => Ok(a),
             _ => Err(SessionError::BadSelection(
@@ -728,909 +592,42 @@ impl Session {
         }
     }
 
-    fn top_page(&mut self) -> Result<&mut PageSpec, SessionError> {
-        self.pages
-            .last_mut()
-            .ok_or_else(|| SessionError::WrongMode("no page at the data level".into()))
-    }
-
-    fn ws(&mut self) -> Result<&mut WorksheetState, SessionError> {
-        self.worksheet
-            .as_mut()
-            .ok_or_else(|| SessionError::NoWorksheet("open one with (re)define".into()))
-    }
-
-    /// Applies one command.
-    pub fn apply(&mut self, cmd: Command) -> Result<(), SessionError> {
-        let obs = isis_obs::global();
-        let _span = obs.span(cmd.span_name());
-        obs.count("session.commands", 1);
-        match cmd {
-            // ---- navigation ------------------------------------------
-            Command::Pick(node) => {
-                match node {
-                    SchemaNode::Class(c) => {
-                        self.db.class(c)?;
-                        self.selection = Some(Selection::Class(c));
-                    }
-                    SchemaNode::Grouping(g) => {
-                        self.db.grouping(g)?;
-                        self.selection = Some(Selection::Grouping(g));
-                        if self.mode == Mode::Network {
-                            // Groupings have no outgoing arcs; the network
-                            // hands back to the forest.
-                            self.mode = Mode::Forest;
-                        }
-                    }
-                }
-                let name = self.node_name(node)?;
-                self.say(format!("schema selection: {name}"));
-                Ok(())
-            }
-            Command::PickByName(name) => {
-                let node = self.db.node_by_name(&name)?;
-                self.apply(Command::Pick(node))
-            }
-            Command::PickAttr(a) => {
-                self.db.attr(a)?;
-                self.selection = Some(Selection::Attr(a));
-                let name = self.db.attr(a)?.name.clone();
-                self.say(format!("schema selection: attribute {name}"));
-                Ok(())
-            }
-            Command::ViewAssociations => {
-                let class = match self.selection {
-                    Some(Selection::Class(c)) => c,
-                    Some(Selection::Attr(a)) => self.db.attr(a)?.owner,
-                    _ => {
-                        return Err(SessionError::BadSelection(
-                            "view associations needs a class".into(),
-                        ))
-                    }
-                };
-                self.selection = Some(Selection::Class(class));
-                self.mode = Mode::Network;
-                Ok(())
-            }
-            Command::ViewContents => {
-                let node = match self.selection {
-                    Some(sel) => sel.as_node().ok_or_else(|| {
-                        SessionError::BadSelection("view contents needs a class or grouping".into())
-                    })?,
-                    None => return Err(SessionError::BadSelection("nothing is selected".into())),
-                };
-                self.pages = vec![PageSpec::new(node)];
-                self.mode = Mode::Data;
-                Ok(())
-            }
-            Command::Pop => {
-                match &self.mode {
-                    Mode::Network | Mode::Worksheet => {
-                        self.mode = Mode::Forest;
-                    }
-                    Mode::Data => {
-                        if self.pages.len() > 1 {
-                            self.pages.pop();
-                        } else {
-                            self.mode = Mode::Forest;
-                        }
-                    }
-                    Mode::ConstantPick { .. } => {
-                        // Cancel the temporary visit.
-                        self.mode = Mode::Worksheet;
-                        self.say("constant selection cancelled");
-                    }
-                    Mode::Forest => {}
-                }
-                Ok(())
-            }
-
-            // ---- schema modification ----------------------------------
-            Command::Rename(name) => {
-                self.snapshot();
-                match self.selection {
-                    Some(Selection::Class(c)) => self.db.rename_class(c, &name)?,
-                    Some(Selection::Attr(a)) => self.db.rename_attr(a, &name)?,
-                    Some(Selection::Grouping(g)) => self.db.rename_grouping(g, &name)?,
-                    None => return Err(SessionError::BadSelection("nothing selected".into())),
-                };
-                self.say(format!("renamed to {name}"));
-                Ok(())
-            }
-            Command::CreateSubclass(name) => {
-                let parent = self.selected_class()?;
-                self.snapshot();
-                let c = self.db.create_subclass(parent, &name)?;
-                self.selection = Some(Selection::Class(c));
-                self.say(format!("created subclass {name}"));
-                Ok(())
-            }
-            Command::CreateAttribute { name, multiplicity } => {
-                let class = self.selected_class()?;
-                self.snapshot();
-                // The value class starts at STRINGS; the user then applies
-                // (re)specify value class, as in §4.2's all_inst flow.
-                let strings = self.db.predefined(isis_core::BaseKind::Strings);
-                let a = self
-                    .db
-                    .create_attribute(class, &name, strings, multiplicity)?;
-                self.selection = Some(Selection::Attr(a));
-                self.say(format!("created attribute {name} (value class STRINGS)"));
-                Ok(())
-            }
-            Command::SpecifyValueClass(node) => {
-                let a = self.selected_attr()?;
-                self.snapshot();
-                match node {
-                    SchemaNode::Class(c) => self.db.respecify_value_class(a, c)?,
-                    SchemaNode::Grouping(g) => self.db.respecify_value_class(a, g)?,
-                };
-                let name = self.node_name(node)?;
-                self.say(format!("value class is now {name}"));
-                Ok(())
-            }
-            Command::CreateGrouping { name, attr } => {
-                let class = self.selected_class()?;
-                self.snapshot();
-                let g = self.db.create_grouping(class, &name, attr)?;
-                self.selection = Some(Selection::Grouping(g));
-                self.say(format!("created grouping {name}"));
-                Ok(())
-            }
-            Command::Delete => {
-                self.snapshot();
-                match self.selection {
-                    Some(Selection::Class(c)) => self.db.delete_class(c)?,
-                    Some(Selection::Attr(a)) => self.db.delete_attr(a)?,
-                    Some(Selection::Grouping(g)) => self.db.delete_grouping(g)?,
-                    None => return Err(SessionError::BadSelection("nothing selected".into())),
-                };
-                self.selection = None;
-                self.say("deleted");
-                Ok(())
-            }
-            Command::DisplayPredicate => {
-                let msg = match self.selection {
-                    Some(Selection::Class(c)) => match self.db.class(c)?.kind.predicate() {
-                        Some(p) => {
-                            format!("{}: {}", self.db.class(c)?.name, self.display_predicate(p)?)
-                        }
-                        None => format!("{} has no defining predicate", self.db.class(c)?.name),
-                    },
-                    Some(Selection::Grouping(g)) => {
-                        let gr = self.db.grouping(g)?;
-                        format!(
-                            "{}: sets of {} grouped by common value of their {} attribute",
-                            gr.name,
-                            self.db.class(gr.parent)?.name,
-                            self.db.attr(gr.on_attr)?.name
-                        )
-                    }
-                    Some(Selection::Attr(a)) => match &self.db.attr(a)?.derivation {
-                        Some(d) => format!("{} derivation: {d}", self.db.attr(a)?.name),
-                        None => format!("{} has no derivation", self.db.attr(a)?.name),
-                    },
-                    None => return Err(SessionError::BadSelection("nothing selected".into())),
-                };
-                self.say(msg);
-                Ok(())
-            }
-
-            // ---- data level --------------------------------------------
-            Command::SelectEntity(e) => {
-                // Identify the page's node first (immutable), validate the
-                // pick against it, then toggle the selection.
-                let node = match &self.mode {
-                    Mode::ConstantPick { page, .. } => page.node,
-                    Mode::Data => {
-                        self.pages
-                            .last()
-                            .ok_or_else(|| {
-                                SessionError::WrongMode("no page at the data level".into())
-                            })?
-                            .node
-                    }
-                    _ => {
-                        return Err(SessionError::WrongMode(
-                            "select/reject is a data-level command".into(),
-                        ))
-                    }
-                };
-                let valid = match node {
-                    SchemaNode::Class(c) => self.db.members(c)?.contains(e),
-                    SchemaNode::Grouping(g) => {
-                        let idx_class = self.db.grouping_index_class(g)?;
-                        self.db.members(idx_class)?.contains(e)
-                    }
-                };
-                if !valid {
-                    return Err(SessionError::Core(CoreError::NotAMember {
-                        entity: e,
-                        class: match node {
-                            SchemaNode::Class(c) => c,
-                            SchemaNode::Grouping(g) => self.db.grouping(g)?.parent,
-                        },
-                    }));
-                }
-                let page = match &mut self.mode {
-                    Mode::ConstantPick { page, .. } => page,
-                    _ => self.pages.last_mut().unwrap(),
-                };
-                if let Some(i) = page.selected.iter().position(|x| *x == e) {
-                    page.selected.remove(i);
-                } else {
-                    page.selected.push(e);
-                }
-                Ok(())
-            }
-            Command::Follow(attr) => {
-                if self.mode != Mode::Data {
-                    return Err(SessionError::WrongMode(
-                        "follow is a data-level command".into(),
-                    ));
-                }
-                let page =
-                    self.pages.last().cloned().ok_or_else(|| {
-                        SessionError::WrongMode("no page at the data level".into())
-                    })?;
-                let class = match page.node {
-                    SchemaNode::Class(c) => c,
-                    SchemaNode::Grouping(_) => {
-                        return Err(SessionError::WrongMode(
-                            "follow on a grouping page needs no attribute".into(),
-                        ))
-                    }
-                };
-                if !self.db.attr_visible_on(attr, class)? {
-                    return Err(SessionError::Core(CoreError::AttrNotOnClass {
-                        attr,
-                        class,
-                    }));
-                }
-                if page.selected.is_empty() {
-                    return Err(SessionError::NothingSelected);
-                }
-                // Raw values (grouping-ranged attributes land on the
-                // grouping page with the index sets highlighted).
-                let mut targets = OrderedSet::new();
-                for e in &page.selected {
-                    targets.extend_from(&self.db.attr_value(*e, attr)?.as_set());
-                }
-                let target_node = match self.db.attr(attr)?.value_class {
-                    ValueClass::Class(c) => SchemaNode::Class(c),
-                    ValueClass::Grouping(g) => SchemaNode::Grouping(g),
-                };
-                let mut new_page = PageSpec::new(target_node);
-                new_page.selected = targets.as_slice().to_vec();
-                new_page.followed_from = Some(attr);
-                self.pages.push(new_page);
-                // Following changes the schema selection too (the new page
-                // becomes the examined object).
-                self.selection = Some(match target_node {
-                    SchemaNode::Class(c) => Selection::Class(c),
-                    SchemaNode::Grouping(g) => Selection::Grouping(g),
-                });
-                Ok(())
-            }
-            Command::FollowGrouping => {
-                if self.mode != Mode::Data {
-                    return Err(SessionError::WrongMode(
-                        "follow is a data-level command".into(),
-                    ));
-                }
-                let page =
-                    self.pages.last().cloned().ok_or_else(|| {
-                        SessionError::WrongMode("no page at the data level".into())
-                    })?;
-                let g = match page.node {
-                    SchemaNode::Grouping(g) => g,
-                    SchemaNode::Class(_) => {
-                        return Err(SessionError::WrongMode(
-                            "follow on a class page needs an attribute".into(),
-                        ))
-                    }
-                };
-                if page.selected.is_empty() {
-                    return Err(SessionError::NothingSelected);
-                }
-                // "We merely follow the selected set(s) into the parent
-                // class and highlight the members of the set(s)."
-                // Set by set in selection order, each in parent-extent order.
-                let selected: OrderedSet = page.selected.iter().copied().collect();
-                let mut members = OrderedSet::new();
-                for set in self.db.grouping_sets_named(g, &selected)? {
-                    members.extend_from(&set);
-                }
-                let parent = self.db.grouping(g)?.parent;
-                let mut new_page = PageSpec::new(SchemaNode::Class(parent));
-                new_page.selected = members.as_slice().to_vec();
-                new_page.followed_from = None;
-                self.pages.push(new_page);
-                self.selection = Some(Selection::Class(parent));
-                Ok(())
-            }
-            Command::ReassignAttrValue { attr, value } => {
-                if self.mode != Mode::Data {
-                    return Err(SessionError::WrongMode(
-                        "(re)assign is a data-level command".into(),
-                    ));
-                }
-                let selected = self.top_page()?.selected.clone();
-                if selected.is_empty() {
-                    return Err(SessionError::NothingSelected);
-                }
-                self.snapshot();
-                for e in &selected {
-                    self.db.assign_single(*e, attr, value)?;
-                }
-                let attr_name = self.db.attr(attr)?.name.clone();
-                self.say(format!(
-                    "assigned {} = {} for {} entities",
-                    attr_name,
-                    self.db.entity_name(value)?,
-                    selected.len()
-                ));
-                self.refresh_after_data_mod()?;
-                Ok(())
-            }
-            Command::ReassignAttrValues { attr, values } => {
-                if self.mode != Mode::Data {
-                    return Err(SessionError::WrongMode(
-                        "(re)assign is a data-level command".into(),
-                    ));
-                }
-                let selected = self.top_page()?.selected.clone();
-                if selected.is_empty() {
-                    return Err(SessionError::NothingSelected);
-                }
-                self.snapshot();
-                for e in &selected {
-                    self.db.assign_multi(*e, attr, values.iter().copied())?;
-                }
-                self.say(format!("assigned a set of {} values", values.len()));
-                self.refresh_after_data_mod()?;
-                Ok(())
-            }
-            Command::CreateEntity(name) => {
-                if self.mode != Mode::Data {
-                    return Err(SessionError::WrongMode(
-                        "create entity is a data-level command".into(),
-                    ));
-                }
-                let node = self.top_page()?.node;
-                let class = node.as_class().ok_or_else(|| {
-                    SessionError::BadSelection("entities are created in classes".into())
-                })?;
-                let base = self.db.class(class)?.base;
-                self.snapshot();
-                let e = self.db.insert_entity(base, &name)?;
-                if base != class {
-                    self.db.add_to_class(e, class)?;
-                }
-                self.say(format!("created entity {name}"));
-                self.refresh_after_data_mod()?;
-                Ok(())
-            }
-            Command::MakeSubclass(name) => {
-                if self.mode != Mode::Data {
-                    return Err(SessionError::WrongMode(
-                        "make subclass is a data-level command".into(),
-                    ));
-                }
-                let page = self.top_page()?.clone();
-                let class = page.node.as_class().ok_or_else(|| {
-                    SessionError::BadSelection("make subclass needs a class page".into())
-                })?;
-                if page.selected.is_empty() {
-                    return Err(SessionError::NothingSelected);
-                }
-                self.snapshot();
-                // Temporary visit to the forest: the new class "automatically
-                // becomes the child of the class on the current page"; the
-                // hand points at it on return.
-                let sub = self.db.create_subclass(class, &name)?;
-                for e in &page.selected {
-                    self.db.add_to_class(*e, sub)?;
-                }
-                self.selection = Some(Selection::Class(sub));
-                self.say(format!(
-                    "made subclass {name} with {} members",
-                    page.selected.len()
-                ));
-                Ok(())
-            }
-            Command::Move(dx, dy) => {
-                let node = match self.selection {
-                    Some(sel) => sel.as_node().ok_or_else(|| {
-                        SessionError::BadSelection("move applies to classes and groupings".into())
-                    })?,
-                    None => return Err(SessionError::BadSelection("nothing selected".into())),
-                };
-                match self.offsets.iter_mut().find(|(n, _)| *n == node) {
-                    Some((_, d)) => {
-                        d.0 += dx;
-                        d.1 += dy;
-                    }
-                    None => self.offsets.push((node, (dx, dy))),
-                }
-                Ok(())
-            }
-            Command::Pan(dx, dy) => {
-                self.pan.0 += dx;
-                self.pan.1 += dy;
-                Ok(())
-            }
-            Command::Scroll(delta) => {
-                let page = self.top_page()?;
-                let s = page.scroll as i32 + delta;
-                page.scroll = s.max(0) as usize;
-                Ok(())
-            }
-
-            // ---- worksheet ---------------------------------------------
-            Command::DefineMembership => {
-                let class = self.selected_class()?;
-                let parent = self.db.class(class)?.parent.ok_or_else(|| {
-                    SessionError::BadSelection(
-                        "baseclass membership is not predicate-defined".into(),
-                    )
-                })?;
-                self.worksheet = Some(WorksheetState::new(
-                    WsTarget::Membership(class),
-                    parent,
-                    None,
-                ));
-                self.mode = Mode::Worksheet;
-                Ok(())
-            }
-            Command::DefineDerivation => {
-                let attr = self.selected_attr()?;
-                let rec = self.db.attr(attr)?;
-                let value_class = match rec.value_class {
-                    ValueClass::Class(c) => c,
-                    ValueClass::Grouping(_) => {
-                        return Err(SessionError::BadSelection(
-                            "derivations onto groupings are not supported".into(),
-                        ))
-                    }
-                };
-                let owner = rec.owner;
-                self.worksheet = Some(WorksheetState::new(
-                    WsTarget::Derivation(attr),
-                    value_class,
-                    Some(owner),
-                ));
-                self.mode = Mode::Worksheet;
-                Ok(())
-            }
-            Command::DefineConstraint { name, kind } => {
-                let class = self.selected_class()?;
-                self.worksheet = Some(WorksheetState::new(
-                    WsTarget::Constraint { name, kind },
-                    class,
-                    None,
-                ));
-                self.mode = Mode::Worksheet;
-                Ok(())
-            }
-            Command::CheckConstraints => {
-                let failing = self.db.check_all_constraints()?;
-                if failing.is_empty() {
-                    let n = self.db.constraints().count();
-                    self.say(format!("all {n} constraints hold"));
-                } else {
-                    for (id, report) in failing {
-                        let name = self.db.constraint(id)?.name.clone();
-                        let names: Vec<String> = report
-                            .violators
-                            .iter()
-                            .map(|e| self.db.entity_name(*e).map(str::to_string))
-                            .collect::<Result<_, _>>()?;
-                        self.say(format!("constraint {name:?} violated by {names:?}"));
-                    }
-                }
-                Ok(())
-            }
-            Command::WsNewAtom => {
-                let ws = self.ws()?;
-                let tag = ws.next_tag();
-                ws.atoms.push(AtomDraft::new(tag));
-                ws.editing = Some(ws.atoms.len() - 1);
-                Ok(())
-            }
-            Command::WsEdit(tag) => {
-                let ws = self.ws()?;
-                let idx = ws
-                    .atoms
-                    .iter()
-                    .position(|a| a.tag == tag)
-                    .ok_or_else(|| SessionError::NoWorksheet(format!("no atom {tag}")))?;
-                ws.editing = Some(idx);
-                Ok(())
-            }
-            Command::WsLhsPush(attr) => {
-                let candidate = self.ws()?.candidate_class;
-                let mut map = self
-                    .ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .lhs
-                    .clone();
-                map.push(attr);
-                self.db.trace_map(candidate, &map)?;
-                self.ws()?.editing_atom().unwrap().lhs = map;
-                Ok(())
-            }
-            Command::WsLhsPop => {
-                self.ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .lhs
-                    .pop();
-                Ok(())
-            }
-            Command::WsOperator(op) => {
-                self.ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .op = Some(op);
-                Ok(())
-            }
-            Command::WsRhsSelfMap(steps) => {
-                let candidate = self.ws()?.candidate_class;
-                let map = Map::new(steps);
-                self.db.trace_map(candidate, &map)?;
-                self.ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .rhs = Some(Rhs::SelfMap(map));
-                Ok(())
-            }
-            Command::WsRhsSourceMap(steps) => {
-                let source = self.ws()?.source_class.ok_or_else(|| {
-                    SessionError::NoWorksheet("source maps need a derivation worksheet".into())
-                })?;
-                let map = Map::new(steps);
-                self.db.trace_map(source, &map)?;
-                self.ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .rhs = Some(Rhs::SourceMap(map));
-                Ok(())
-            }
-            Command::WsRhsConstant(start) => {
-                let candidate = self.ws()?.candidate_class;
-                let lhs = self
-                    .ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .lhs
-                    .clone();
-                // "constant … temporarily takes the user into the data
-                // level, where he may select or create a constant in the
-                // class at which the left hand side mapping terminates."
-                let class = match start {
-                    Some(c) => c,
-                    None => self.db.trace_map(candidate, &lhs)?.terminal(),
-                };
-                self.db.class(class)?;
-                self.mode = Mode::ConstantPick {
-                    class,
-                    page: PageSpec::new(SchemaNode::Class(class)),
-                };
-                self.say(format!(
-                    "select constant(s) in {}",
-                    self.db.class(class)?.name
-                ));
-                Ok(())
-            }
-            Command::ConstantToggle(e) => self.apply(Command::SelectEntity(e)),
-            Command::ConstantDone => {
-                let (class, selected) = match &self.mode {
-                    Mode::ConstantPick { class, page } => (*class, page.selected.clone()),
-                    _ => {
-                        return Err(SessionError::WrongMode(
-                            "no constant selection in progress".into(),
-                        ))
-                    }
-                };
-                self.ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .rhs = Some(Rhs::Constant {
-                    class,
-                    anchors: selected.iter().copied().collect(),
-                    map: Map::identity(),
-                });
-                // Return from the temporary visit: schema and data
-                // selections are untouched (Diagram 1's loop arrow).
-                self.mode = Mode::Worksheet;
-                Ok(())
-            }
-            Command::WsPlaceInClause(i) => {
-                if i >= isis_views::worksheet_view::CLAUSE_WINDOWS {
-                    return Err(SessionError::NoWorksheet(format!("no clause window {i}")));
-                }
-                self.ws()?
-                    .editing_atom()
-                    .ok_or_else(|| SessionError::NoWorksheet("no atom being edited".into()))?
-                    .placed = Some(i);
-                Ok(())
-            }
-            Command::WsSwitchAndOr => {
-                let ws = self.ws()?;
-                ws.form = ws.form.switched();
-                Ok(())
-            }
-            Command::WsHandAssign(steps) => {
-                let source = self.ws()?.source_class.ok_or_else(|| {
-                    SessionError::NoWorksheet(
-                        "the hand operator needs a derivation worksheet".into(),
-                    )
-                })?;
-                let map = Map::new(steps);
-                self.db.trace_map(source, &map)?;
-                self.ws()?.hand = Some(map);
-                Ok(())
-            }
-            Command::WsCommit => self.commit_worksheet(),
-
-            // ---- session ----------------------------------------------
-            Command::Load(name) => {
-                let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
-                let (db, report) = store.recover(&name)?;
-                // Loading replaces the database line wholesale: the session
-                // detaches onto a fresh private shared handle (other
-                // sessions on the old handle keep the old line).
-                self.shared = SharedDatabase::new(db.clone());
-                self.base_epoch = db.delta_epoch();
-                self.dirty = false;
-                self.db = db;
-                self.mode = Mode::Forest;
-                self.selection = None;
-                self.pages.clear();
-                self.worksheet = None;
-                self.undo.clear();
-                self.redo.clear();
-                self.invalidate_refresh();
-                self.say(format!("loaded database {name}"));
-                if !report.is_pristine() {
-                    for line in report.to_string().lines() {
-                        self.say(line.to_string());
-                    }
-                }
-                self.last_recovery = Some(report);
-                Ok(())
-            }
-            Command::Save(name) => {
-                let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
-                store.save(&self.db, &name)?;
-                self.say(format!("saved database as {name}"));
-                Ok(())
-            }
-            Command::Doctor(name) => {
-                match name {
-                    Some(name) => {
-                        // Diagnose a stored database: a recovery dry run.
-                        let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
-                        let (_, report) = store.recover(&name)?;
-                        for line in report.to_string().lines() {
-                            self.say(line.to_string());
-                        }
-                    }
-                    None => match &self.last_recovery {
-                        Some(report) => {
-                            for line in report.to_string().lines() {
-                                self.say(line.to_string());
-                            }
-                        }
-                        None => self.say(
-                            "no database loaded from the store yet; try doctor NAME".to_string(),
-                        ),
-                    },
-                }
-                Ok(())
-            }
-            Command::Fsck(name) => {
-                let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
-                let name = match name {
-                    Some(name) => name,
-                    None => self.db.name.clone(),
-                };
-                let report = store.fsck(&name)?;
-                for line in report.to_string().lines() {
-                    self.say(line.to_string());
-                }
-                self.say(format!(
-                    "fsck {name}: {}",
-                    if report.clean() { "clean" } else { "NOT CLEAN" }
-                ));
-                Ok(())
-            }
-            Command::Undo => {
-                let snap = self.undo.pop().ok_or(SessionError::NothingToUndo)?;
-                self.redo.push(Snapshot {
-                    db: self.db.clone(),
-                    selection: self.selection,
-                    pages: self.pages.clone(),
-                });
-                self.db = snap.db;
-                self.selection = snap.selection;
-                self.pages = snap.pages;
-                self.dirty = true;
-                self.invalidate_refresh();
-                self.say("undone");
-                Ok(())
-            }
-            Command::Redo => {
-                let snap = self.redo.pop().ok_or(SessionError::NothingToUndo)?;
-                self.undo.push(Snapshot {
-                    db: self.db.clone(),
-                    selection: self.selection,
-                    pages: self.pages.clone(),
-                });
-                self.db = snap.db;
-                self.selection = snap.selection;
-                self.pages = snap.pages;
-                self.dirty = true;
-                self.invalidate_refresh();
-                self.say("redone");
-                Ok(())
-            }
-            Command::Refresh => {
-                // A clean session also pulls: "refresh" at the interface
-                // means "show me the current state of the world", which on
-                // a shared database includes concurrent commits.
-                if !self.dirty && self.shared.epoch() != self.base_epoch {
-                    self.pull()?;
-                    self.say(format!("pulled shared head (epoch {})", self.base_epoch));
-                }
-                let before = self.messages.len();
-                self.refresh_derived()?;
-                if self.messages.len() == before {
-                    self.say("derived state is up to date");
-                }
-                Ok(())
-            }
-            Command::Commit => {
-                let receipt = self.commit_changes()?;
-                self.say(if receipt.changes == 0 {
-                    "nothing to commit".to_string()
-                } else {
-                    format!(
-                        "committed {} change(s) as commit {}{}",
-                        receipt.changes,
-                        receipt.commits,
-                        if receipt.rebased {
-                            " (rebased onto concurrent commits)"
-                        } else {
-                            ""
-                        }
-                    )
-                });
-                Ok(())
-            }
-            Command::Pull => {
-                let before = self.base_epoch;
-                self.pull()?;
-                self.say(if self.base_epoch == before {
-                    "already at the shared head".to_string()
-                } else {
-                    format!("pulled shared head (epoch {})", self.base_epoch)
-                });
-                Ok(())
-            }
-            Command::SetRefreshPolicy(policy) => {
-                self.set_refresh_policy(policy);
-                self.say(format!(
-                    "refresh policy: {}",
-                    match policy {
-                        RefreshPolicy::Manual => "manual",
-                        RefreshPolicy::OnCommit => "on commit",
-                        RefreshPolicy::Immediate => "immediate",
-                    }
-                ));
-                Ok(())
-            }
-            Command::Stop => {
-                self.stopped = true;
-                self.say("stopped");
-                Ok(())
-            }
+    /// The selected class, or the selected attribute's owner: what the
+    /// semantic network shows. `need` says so when neither is selected.
+    fn class_or_owner(&self, need: &str) -> Result<ClassId, SessionError> {
+        match self.selection {
+            Some(Selection::Class(c)) => Ok(c),
+            Some(Selection::Attr(a)) => Ok(self.db.attr(a)?.owner),
+            _ => Err(SessionError::BadSelection(need.into())),
         }
-    }
-
-    fn commit_worksheet(&mut self) -> Result<(), SessionError> {
-        let ws = self
-            .worksheet
-            .clone()
-            .ok_or_else(|| SessionError::NoWorksheet("nothing to commit".into()))?;
-        // Hand derivation short-circuits the predicate.
-        if let (WsTarget::Derivation(attr), Some(map)) = (ws.target.clone(), ws.hand.clone()) {
-            self.snapshot();
-            let n = self
-                .db
-                .commit_derivation(attr, isis_core::AttrDerivation::Assign(map))?;
-            self.say(format!("derivation committed for {n} entities"));
-            self.worksheet = None;
-            self.mode = Mode::Forest;
-            self.selection = Some(Selection::Attr(attr));
-            return Ok(());
-        }
-        // Assemble clauses from the placed atoms, in clause-window order.
-        let max_clause = ws
-            .atoms
-            .iter()
-            .filter_map(|a| a.placed)
-            .max()
-            .ok_or_else(|| SessionError::NoWorksheet("no atoms placed in clauses".into()))?;
-        let mut clauses = Vec::new();
-        for i in 0..=max_clause {
-            let atoms: Vec<Atom> = ws
-                .atoms
-                .iter()
-                .filter(|a| a.placed == Some(i))
-                .map(|a| -> Result<Atom, SessionError> {
-                    Ok(Atom {
-                        lhs: a.lhs.clone(),
-                        op: a.op.ok_or_else(|| {
-                            SessionError::NoWorksheet(format!("atom {} has no operator", a.tag))
-                        })?,
-                        rhs: a.rhs.clone().ok_or_else(|| {
-                            SessionError::NoWorksheet(format!(
-                                "atom {} has no right hand side",
-                                a.tag
-                            ))
-                        })?,
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            if !atoms.is_empty() {
-                clauses.push(isis_core::Clause::new(atoms));
-            }
-        }
-        let pred = Predicate {
-            form: ws.form,
-            clauses,
-        };
-        self.snapshot();
-        match ws.target.clone() {
-            WsTarget::Membership(class) => {
-                let n = self.db.commit_membership(class, pred)?;
-                let name = self.db.class(class)?.name.clone();
-                self.say(format!("{name} committed: {n} members"));
-                self.selection = Some(Selection::Class(class));
-            }
-            WsTarget::Derivation(attr) => {
-                let n = self
-                    .db
-                    .commit_derivation(attr, isis_core::AttrDerivation::Predicate(pred))?;
-                self.say(format!("derivation committed for {n} entities"));
-                self.selection = Some(Selection::Attr(attr));
-            }
-            WsTarget::Constraint { name, kind } => {
-                let class = ws.candidate_class;
-                let id = self.db.create_constraint(&name, class, pred, kind)?;
-                let report = self.db.check_constraint(id)?;
-                if report.holds() {
-                    self.say(format!("constraint {name:?} installed and holds"));
-                } else {
-                    self.say(format!(
-                        "constraint {name:?} installed; {} existing violators",
-                        report.violators.len()
-                    ));
-                }
-                self.selection = Some(Selection::Class(class));
-            }
-        }
-        self.worksheet = None;
-        self.mode = Mode::Forest;
-        self.refresh_after_commit()?;
-        Ok(())
     }
 
     fn node_name(&self, node: SchemaNode) -> Result<String, SessionError> {
         Ok(self.db.node_name(node)?.to_string())
+    }
+
+    /// Applies one command: hands it to its group's handler.
+    pub fn apply(&mut self, cmd: Command) -> Result<(), SessionError> {
+        let obs = isis_obs::global();
+        let _span = obs.span(cmd.span_name());
+        obs.count("session.commands", 1);
+        use Command::*;
+        match cmd {
+            Pick(_) | PickByName(_) | PickAttr(_) | ViewAssociations => self.apply_schema(cmd),
+            ViewContents | Pop | Rename(_) | CreateSubclass(_) | Delete => self.apply_schema(cmd),
+            CreateAttribute { .. } | SpecifyValueClass(_) | Move(..) => self.apply_schema(cmd),
+            CreateGrouping { .. } | DisplayPredicate | Pan(..) => self.apply_schema(cmd),
+            SelectEntity(_) | ConstantToggle(_) | Follow(_) | Scroll(_) => self.apply_data(cmd),
+            ReassignAttrValue { .. } | ReassignAttrValues { .. } => self.apply_data(cmd),
+            FollowGrouping | CreateEntity(_) | MakeSubclass(_) => self.apply_data(cmd),
+            DefineMembership | DefineDerivation | CheckConstraints => self.apply_worksheet(cmd),
+            DefineConstraint { .. } | WsNewAtom | WsEdit(_) | WsLhsPop => self.apply_worksheet(cmd),
+            WsLhsPush(_) | WsOperator(_) | WsRhsSelfMap(_) | WsCommit => self.apply_worksheet(cmd),
+            WsRhsSourceMap(_) | WsRhsConstant(_) | ConstantDone => self.apply_worksheet(cmd),
+            WsPlaceInClause(_) | WsSwitchAndOr | WsHandAssign(_) => self.apply_worksheet(cmd),
+            Load(_) | Save(_) | Doctor(_) | Fsck(_) | Undo | Redo => self.apply_session_verb(cmd),
+            Refresh | Commit | Pull | SetRefreshPolicy(_) | Stop => self.apply_session_verb(cmd),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1659,15 +656,7 @@ impl Session {
                 .scene
             }
             Mode::Network => {
-                let class = match self.selection {
-                    Some(Selection::Class(c)) => c,
-                    Some(Selection::Attr(a)) => self.db.attr(a)?.owner,
-                    _ => {
-                        return Err(SessionError::BadSelection(
-                            "the network view needs a class selection".into(),
-                        ))
-                    }
-                };
+                let class = self.class_or_owner("the network view needs a class selection")?;
                 network_view(&self.db, class)?.scene
             }
             Mode::Data => {
@@ -1692,144 +681,5 @@ impl Session {
             }
             Mode::Worksheet => worksheet_view(&self.worksheet_input()?).scene,
         })
-    }
-
-    /// Builds the worksheet display input from the live worksheet state.
-    pub fn worksheet_input(&self) -> Result<WorksheetInput, SessionError> {
-        let ws = self
-            .worksheet
-            .as_ref()
-            .ok_or_else(|| SessionError::NoWorksheet("no worksheet open".into()))?;
-        let target = match &ws.target {
-            WsTarget::Membership(c) => self.db.class(*c)?.name.clone(),
-            WsTarget::Derivation(a) => {
-                let ar = self.db.attr(*a)?;
-                format!("{}.{}", self.db.class(ar.owner)?.name, ar.name)
-            }
-            WsTarget::Constraint { name, kind } => format!(
-                "constraint {name} ({})",
-                match kind {
-                    isis_core::ConstraintKind::ForAll => "for all",
-                    isis_core::ConstraintKind::Forbidden => "forbidden",
-                }
-            ),
-        };
-        let mut clauses = vec![Vec::new(); isis_views::worksheet_view::CLAUSE_WINDOWS];
-        for a in &ws.atoms {
-            if let Some(i) = a.placed {
-                clauses[i].push(a.tag.to_string());
-            }
-        }
-        let atom_list = ws
-            .atoms
-            .iter()
-            .map(|a| self.display_atom(a))
-            .collect::<Result<Vec<_>, _>>()?;
-        let (lhs_stack, operator, rhs) = match ws.editing.and_then(|i| ws.atoms.get(i)) {
-            Some(a) => {
-                let trace = self.db.trace_map(ws.candidate_class, &a.lhs)?;
-                let stack = trace
-                    .classes
-                    .iter()
-                    .map(|c| Ok(self.db.class(*c)?.name.clone()))
-                    .collect::<Result<Vec<_>, SessionError>>()?;
-                let op = a.op.map(|o| o.to_string());
-                let rhs = match &a.rhs {
-                    Some(r) => self.display_rhs(r)?,
-                    None => String::new(),
-                };
-                (stack, op, rhs)
-            }
-            None => (Vec::new(), None, String::new()),
-        };
-        let class_list = self
-            .db
-            .classes()
-            .map(|(_, c)| c.name.clone())
-            .collect::<Vec<_>>();
-        Ok(WorksheetInput {
-            database: self.db.name.clone(),
-            target,
-            form: ws.form,
-            clauses,
-            atom_list,
-            lhs_stack,
-            operator,
-            rhs,
-            class_list,
-            derivation_mode: matches!(ws.target, WsTarget::Derivation(_)),
-            prompt: self.prompt(),
-        })
-    }
-
-    /// Formats a map with attribute names.
-    pub fn display_map(&self, map: &Map) -> Result<String, SessionError> {
-        if map.is_identity() {
-            return Ok("·".into());
-        }
-        let names = map
-            .steps()
-            .iter()
-            .map(|a| Ok(self.db.attr(*a)?.name.clone()))
-            .collect::<Result<Vec<_>, SessionError>>()?;
-        Ok(names.join(" "))
-    }
-
-    fn display_rhs(&self, rhs: &Rhs) -> Result<String, SessionError> {
-        Ok(match rhs {
-            Rhs::SelfMap(m) => format!("{}(e)", self.display_map(m)?),
-            Rhs::SourceMap(m) => format!("{}(x)", self.display_map(m)?),
-            Rhs::Constant { anchors, map, .. } => {
-                let names = anchors
-                    .iter()
-                    .map(|e| Ok(self.db.entity_name(e)?.to_string()))
-                    .collect::<Result<Vec<_>, SessionError>>()?;
-                let set = format!("{{{}}}", names.join(", "));
-                if map.is_identity() {
-                    set
-                } else {
-                    format!("{}({set})", self.display_map(map)?)
-                }
-            }
-        })
-    }
-
-    fn display_atom(&self, a: &AtomDraft) -> Result<String, SessionError> {
-        let lhs = self.display_map(&a.lhs)?;
-        let op = a.op.map(|o| o.to_string()).unwrap_or_else(|| "?".into());
-        let rhs = match &a.rhs {
-            Some(r) => self.display_rhs(r)?,
-            None => "?".into(),
-        };
-        Ok(format!("{}: {lhs} {op} {rhs}", a.tag))
-    }
-
-    fn display_predicate(&self, p: &Predicate) -> Result<String, SessionError> {
-        // Render with names instead of raw ids.
-        let mut parts = Vec::new();
-        for clause in &p.clauses {
-            let atoms = clause
-                .atoms
-                .iter()
-                .map(|a| {
-                    Ok(format!(
-                        "{} {} {}",
-                        self.display_map(&a.lhs)?,
-                        a.op,
-                        self.display_rhs(&a.rhs)?
-                    ))
-                })
-                .collect::<Result<Vec<_>, SessionError>>()?;
-            let joint = match p.form {
-                isis_core::NormalForm::Dnf => " AND ",
-                isis_core::NormalForm::Cnf => " OR ",
-            };
-            parts.push(format!("({})", atoms.join(joint)));
-        }
-        let joint = match p.form {
-            isis_core::NormalForm::Dnf => " OR ",
-            isis_core::NormalForm::Cnf => " AND ",
-        };
-        Ok(parts.join(joint))
     }
 }

@@ -15,8 +15,9 @@ use isis_views::PageSpec;
 ///
 /// The paper leaves derivations stale between commits (§2); the delta log
 /// in `isis-core` lets the session do better without re-evaluating from
-/// scratch, so the old `auto_refresh` boolean became a policy:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// scratch, so the old `auto_refresh` boolean became a policy. Policies
+/// are ordered by eagerness: each refreshes wherever the ones before it do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum RefreshPolicy {
     /// Never refresh automatically; the user issues an explicit *refresh*
     /// (the paper's behaviour, and the default).
@@ -46,6 +47,15 @@ impl Selection {
             Selection::Class(c) => Some(SchemaNode::Class(c)),
             Selection::Grouping(g) => Some(SchemaNode::Grouping(g)),
             Selection::Attr(_) => None,
+        }
+    }
+}
+
+impl From<SchemaNode> for Selection {
+    fn from(node: SchemaNode) -> Selection {
+        match node {
+            SchemaNode::Class(c) => Selection::Class(c),
+            SchemaNode::Grouping(g) => Selection::Grouping(g),
         }
     }
 }

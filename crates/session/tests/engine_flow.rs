@@ -693,3 +693,108 @@ fn parallel_query_matches_serial_and_keeps_a_persistent_pool() {
     );
     assert_eq!(delta(before, after_explain).0, 1);
 }
+
+/// The data-level guards refuse before any effect: every data-level verb
+/// is `WrongMode` outside the data level (in a fresh session, and all but
+/// scroll at the forest over a page stack kept from a visit), and the
+/// verbs that act on the data selection refuse an empty one.
+#[test]
+fn data_level_guards_refuse_before_any_effect() {
+    let (mut s, im) = session();
+    let on_selection = vec![
+        Command::Follow(im.family),
+        Command::ReassignAttrValue {
+            attr: im.family,
+            value: im.brass,
+        },
+        Command::ReassignAttrValues {
+            attr: im.family,
+            values: vec![im.brass],
+        },
+        Command::MakeSubclass("picked".into()),
+    ];
+    let mut data_level = on_selection.clone();
+    data_level.extend([
+        Command::SelectEntity(im.flute),
+        Command::ConstantToggle(im.flute),
+        Command::ConstantDone,
+        Command::FollowGrouping,
+        Command::CreateEntity("ocarina".into()),
+    ]);
+    let refuse = |s: &mut Session, cmds: &[Command], empty_selection: bool| {
+        for cmd in cmds {
+            match s.apply(cmd.clone()) {
+                Err(SessionError::NothingSelected) if empty_selection => {}
+                Err(SessionError::WrongMode(_)) if !empty_selection => {}
+                got => panic!("{cmd:?}: {got:?}"),
+            }
+        }
+    };
+    refuse(
+        &mut s,
+        &[&data_level[..], &[Command::Scroll(1)]].concat(),
+        false,
+    );
+    s.apply(Command::Pick(SchemaNode::Class(im.instruments)))
+        .unwrap();
+    s.apply(Command::ViewContents).unwrap();
+    refuse(&mut s, &on_selection, true);
+    s.apply(Command::SelectEntity(im.flute)).unwrap();
+    s.apply(Command::Pop).unwrap();
+    refuse(&mut s, &data_level, false);
+    s.apply(Command::Pick(SchemaNode::Grouping(im.by_family)))
+        .unwrap();
+    s.apply(Command::ViewContents).unwrap();
+    refuse(&mut s, &[Command::FollowGrouping], true);
+    assert!(matches!(
+        s.apply(Command::Undo),
+        Err(SessionError::NothingToUndo)
+    ));
+}
+
+/// Scrolling saturates instead of overflowing, and stays on the page: it
+/// stops at the last row of a class page or of a grouping page's sets.
+#[test]
+fn scroll_saturates_within_the_page() {
+    let (mut s, im) = session();
+    s.apply(Command::Pick(SchemaNode::Class(im.musicians)))
+        .unwrap();
+    s.apply(Command::ViewContents).unwrap();
+    let last = s.database().members(im.musicians).unwrap().len() - 1;
+    for (delta, want) in [(500, last), (i32::MAX, last), (i32::MIN, 0), (-1, 0)] {
+        s.apply(Command::Scroll(delta)).unwrap();
+        assert_eq!(s.pages()[0].scroll, want, "after scroll {delta}");
+    }
+    s.apply(Command::Pick(SchemaNode::Grouping(im.by_family)))
+        .unwrap();
+    s.apply(Command::ViewContents).unwrap();
+    s.apply(Command::Scroll(i32::MAX)).unwrap();
+    let sets = s.database().grouping_sizes(im.by_family).unwrap().len();
+    assert_eq!(s.pages()[0].scroll, sets - 1);
+}
+
+/// Applies a forest gesture twice in each direction, from the selected
+/// soloists box past the plane's edge: the second changes nothing, and the
+/// forest still renders.
+fn saturates_at_the_edge_of_the_plane(gesture: fn(i32, i32) -> Command) {
+    let (mut s, im) = session();
+    s.apply(Command::Pick(SchemaNode::Class(im.soloists)))
+        .unwrap();
+    for (dx, dy) in [(i32::MAX, 0), (0, i32::MAX), (i32::MIN, 0), (0, i32::MIN)] {
+        s.apply(gesture(dx, dy)).unwrap();
+        let edge = s.scene().unwrap();
+        s.apply(gesture(dx, dy)).unwrap();
+        assert_eq!(s.scene().unwrap(), edge, "{:?}", gesture(dx, dy));
+        assert!(isis_views::render::ascii::render(&edge).contains("Instrumental_Music"));
+    }
+}
+
+#[test]
+fn pan_saturates_at_the_edge_of_the_plane() {
+    saturates_at_the_edge_of_the_plane(Command::Pan);
+}
+
+#[test]
+fn move_saturates_at_the_edge_of_the_plane() {
+    saturates_at_the_edge_of_the_plane(Command::Move);
+}

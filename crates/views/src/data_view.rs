@@ -196,7 +196,9 @@ fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Re
         .unwrap_or(10)
         .max(12);
     let elided = total.saturating_sub(page.scroll + visible.len());
-    let inner_h = box_h.max(visible.len() as i32 + 3);
+    // The up-marker takes a row of its own under the `members:` header.
+    let first_row = at.y + 2 + i32::from(page.scroll > 0);
+    let inner_h = box_h.max(first_row - at.y + visible.len() as i32 + 1);
     let rect = Rect::new(at.x, at.y, box_w + list_w + 6, inner_h + 2);
     scene.push(Element::Frame {
         rect,
@@ -222,9 +224,16 @@ fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Re
         text: "members:".into(),
         emphasis: Emphasis::Plain,
     });
+    if page.scroll > 0 {
+        scene.push(Element::Text {
+            at: Point::new(lx + 1, at.y + 2),
+            text: format!("(^ {} more)", page.scroll),
+            emphasis: Emphasis::Plain,
+        });
+    }
     let mut rows = Vec::new();
     for (j, (e, name)) in visible.into_iter().enumerate() {
-        let row_y = at.y + 2 + j as i32;
+        let row_y = first_row + j as i32;
         scene.push(Element::Text {
             at: Point::new(lx + 1, row_y),
             text: name,
@@ -236,16 +245,9 @@ fn draw_page(db: &Database, page: &PageSpec, at: Point, scene: &mut Scene) -> Re
         });
         rows.push((e, Rect::new(lx, row_y, list_w, 1)));
     }
-    if page.scroll > 0 {
-        scene.push(Element::Text {
-            at: Point::new(lx + 1, at.y + 1),
-            text: format!("(^ {} more)", page.scroll),
-            emphasis: Emphasis::Plain,
-        });
-    }
     if elided > 0 {
         scene.push(Element::Text {
-            at: Point::new(lx + 1, at.y + 2 + rows.len() as i32),
+            at: Point::new(lx + 1, first_row + rows.len() as i32),
             text: format!("(v {elided} more)"),
             emphasis: Emphasis::Plain,
         });
@@ -362,6 +364,13 @@ mod tests {
         )
         .unwrap();
         assert!(view2.scene.texts().any(|(t, _)| t.contains("(^ 15 more)")));
+        // The up-marker takes a row of its own: the header survives.
+        let out = ascii::render(&view2.scene);
+        let row = |s: &str| out.lines().position(|l| l.contains(s));
+        assert!(
+            row("members:").is_some_and(|m| row("(^ 15 more)") > Some(m)),
+            "{out}"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Type `help` at the prompt for the command list.
 
 use isis_core::{CompareOp, ConstraintKind, EntityId, Literal, Multiplicity, Operator, SchemaNode};
-use isis_session::{Command, Mode, RefreshPolicy, Session, SessionError};
+use isis_session::{Command, RefreshPolicy, Session, SessionError};
 use isis_views::render::ascii;
 
 /// Errors raised by the REPL layer (on top of session errors).
@@ -170,7 +170,7 @@ impl Repl {
             "predicate" => self.session.apply(Command::DisplayPredicate)?,
             "select" | "toggle" => {
                 let name = one(&parts, "select NAME")?;
-                let e = self.resolve_entity(&name)?;
+                let e = self.resolve(&name, Self::page_class)?;
                 self.session.apply(Command::SelectEntity(e))?;
             }
             "follow" => {
@@ -185,7 +185,12 @@ impl Repl {
                 let class = self.page_class()?;
                 let attr = self.session.database().attr_by_name(class, &attr_name)?;
                 let vc = self.session.database().attr(attr)?.value_class;
-                let value = self.resolve_value(vc, &value)?;
+                let value = self.resolve(&value, |r| match vc {
+                    isis_core::ValueClass::Class(c) => Ok(c),
+                    isis_core::ValueClass::Grouping(g) => {
+                        Ok(r.session.database().grouping_index_class(g)?)
+                    }
+                })?;
                 self.session
                     .apply(Command::ReassignAttrValue { attr, value })?;
             }
@@ -197,25 +202,19 @@ impl Repl {
                 self.session
                     .apply(Command::MakeSubclass(one(&parts, "makesub NAME")?))?;
             }
-            "move" => {
-                let (dx, dy) = two(&parts, "move DX DY")?;
-                let (dx, dy): (i32, i32) = (
-                    dx.parse()
-                        .map_err(|_| ReplError::Parse("move takes integers".into()))?,
-                    dy.parse()
-                        .map_err(|_| ReplError::Parse("move takes integers".into()))?,
-                );
-                self.session.apply(Command::Move(dx, dy))?;
-            }
-            "pan" => {
-                let (dx, dy) = two(&parts, "pan DX DY")?;
-                let (dx, dy): (i32, i32) = (
-                    dx.parse()
-                        .map_err(|_| ReplError::Parse("pan takes integers".into()))?,
-                    dy.parse()
-                        .map_err(|_| ReplError::Parse("pan takes integers".into()))?,
-                );
-                self.session.apply(Command::Pan(dx, dy))?;
+            "move" | "pan" => {
+                let (dx, dy) = two(&parts, &format!("{verb} DX DY"))?;
+                let int = |v: String| {
+                    v.parse::<i32>()
+                        .map_err(|_| ReplError::Parse(format!("{verb} takes integers")))
+                };
+                let (dx, dy) = (int(dx)?, int(dy)?);
+                let gesture = if verb == "move" {
+                    Command::Move
+                } else {
+                    Command::Pan
+                };
+                self.session.apply(gesture(dx, dy))?;
             }
             "scroll" => {
                 let n: i32 = one(&parts, "scroll N")?
@@ -613,6 +612,8 @@ impl Repl {
             .max_by(|a, b| slow_total_ns(a).total_cmp(&slow_total_ns(b)));
         let commits = counter("core.mvcc.commits");
         let conflicts = counter("core.mvcc.conflicts");
+        // The one commit-retry loop is the session's `transact_with_retry`.
+        let retries = counter("session.commit.retries");
         let lag = gauge("store.replication.lag");
 
         if as_json {
@@ -660,10 +661,7 @@ impl Repl {
                             isis_obs::Json::from(counter("core.mvcc.rebased_commits")),
                         ),
                         ("conflicts", isis_obs::Json::from(conflicts)),
-                        (
-                            "retries",
-                            isis_obs::Json::from(counter("core.mvcc.retries")),
-                        ),
+                        ("retries", isis_obs::Json::from(retries)),
                     ]),
                 ),
                 (
@@ -741,7 +739,7 @@ impl Repl {
             counter("core.mvcc.rebased_commits"),
             conflicts,
             pct(conflicts, commits + conflicts),
-            counter("core.mvcc.retries"),
+            retries,
         ));
         match lag {
             Some(l) => out.push_str(&format!(
@@ -771,19 +769,13 @@ impl Repl {
         out
     }
 
-    /// The class behind the current page (data level or constant pick).
+    /// The class behind the page on screen (data level or constant pick).
     fn page_class(&self) -> Result<isis_core::ClassId, ReplError> {
-        let node = match self.session.mode() {
-            Mode::ConstantPick { page, .. } => page.node,
-            _ => {
-                self.session
-                    .pages()
-                    .last()
-                    .ok_or_else(|| ReplError::Parse("not at the data level".into()))?
-                    .node
-            }
-        };
-        match node {
+        let page = self
+            .session
+            .page()
+            .ok_or_else(|| ReplError::Parse("not at the data level".into()))?;
+        match page.node {
             SchemaNode::Class(c) => Ok(c),
             SchemaNode::Grouping(g) => Ok(self.session.database().grouping_index_class(g)?),
         }
@@ -825,27 +817,13 @@ impl Repl {
         Ok(db.attr_by_name(terminal, name)?)
     }
 
-    /// Resolves an entity for select/toggle: a literal, or a member name of
-    /// the current page's class.
-    fn resolve_entity(&mut self, token: &str) -> Result<EntityId, ReplError> {
-        if let Some(lit) = parse_literal(token) {
-            if let Some(id) = self.session.database().find_literal(lit.clone()) {
-                return Ok(id);
-            }
-            return Ok(self.session.transact(|db| db.intern(lit))?);
-        }
-        let class = self.page_class()?;
-        let db = self.session.database();
-        let base = db.class(class)?.base;
-        db.entity_by_name(base, token)
-            .map_err(|_| ReplError::Unknown(token.into()))
-    }
-
-    /// Resolves a value token against an attribute's value class.
-    fn resolve_value(
+    /// Resolves `token` to an entity: a literal, interned on first use, or
+    /// by name a member of the class `class` picks (select/toggle: the
+    /// page's; assign: the attribute's value class).
+    fn resolve(
         &mut self,
-        vc: isis_core::ValueClass,
         token: &str,
+        class: impl FnOnce(&Self) -> Result<isis_core::ClassId, ReplError>,
     ) -> Result<EntityId, ReplError> {
         if let Some(lit) = parse_literal(token) {
             if let Some(id) = self.session.database().find_literal(lit.clone()) {
@@ -853,13 +831,9 @@ impl Repl {
             }
             return Ok(self.session.transact(|db| db.intern(lit))?);
         }
+        let class = class(self)?;
         let db = self.session.database();
-        let class = match vc {
-            isis_core::ValueClass::Class(c) => c,
-            isis_core::ValueClass::Grouping(g) => db.grouping_index_class(g)?,
-        };
-        let base = db.class(class)?.base;
-        db.entity_by_name(base, token)
+        db.entity_by_name(db.class(class)?.base, token)
             .map_err(|_| ReplError::Unknown(token.into()))
     }
 }
@@ -980,6 +954,7 @@ pub fn parse_operator(sym: &str) -> Result<Operator, ReplError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isis_session::Mode;
 
     fn repl() -> Repl {
         let im = isis_sample::instrumental_music().unwrap();
@@ -1522,6 +1497,40 @@ mod tests {
         let after = r.exec("slowlog").unwrap();
         assert!(after.contains("1 slow queries (threshold 5ms"), "{after}");
         assert!(after.contains("music_groups where"), "{after}");
+    }
+
+    /// `health` reads the retry counter of the one commit-retry loop,
+    /// `Session::transact_with_retry`: a commit that loses one race reads
+    /// back as one retry.
+    #[test]
+    fn health_counts_the_session_commit_retries() {
+        let _obs = obs_switch();
+        let im = isis_sample::instrumental_music().unwrap();
+        let (flute, family) = (im.flute, im.family);
+        let shared = isis_session::SharedDatabase::new(im.db);
+        let mut r = Repl::new(Session::open(&shared).build());
+        let mut rival = Session::open(&shared).build();
+        r.exec("metrics on").unwrap();
+        r.exec("metrics reset").unwrap();
+        let backoff = isis_core::RetryBackoff::unslept(1);
+        let mut raced = false;
+        r.session
+            .transact_with_retry(&backoff, |db| {
+                // The first attempt loses the race to a rival's commit of
+                // the same attribute value.
+                if !std::mem::replace(&mut raced, true) {
+                    rival
+                        .transact(|db| db.assign_single(flute, family, im.woodwind))
+                        .unwrap();
+                    rival.commit_changes().unwrap();
+                }
+                db.assign_single(flute, family, im.percussion).map(drop)
+            })
+            .unwrap();
+        let health = isis_obs::Json::parse(&r.exec("health json").unwrap()).unwrap();
+        let retries = health.get("commits").and_then(|c| c.get("retries"));
+        assert_eq!(retries.and_then(isis_obs::Json::as_f64), Some(1.0));
+        assert!(r.exec("health").unwrap().contains(", 1 retries"));
     }
 
     #[test]

@@ -74,6 +74,8 @@ fn line_strategy() -> impl Strategy<Value = String> {
         Just("1".to_string()),
         Just("2".to_string()),
         Just("-3".to_string()),
+        Just("2147483647".to_string()),
+        Just("-2147483648".to_string()),
         Just("A".to_string()),
         "[ -~]{0,12}",
     ];

@@ -549,7 +549,8 @@ fn session_opened_before_bootstrap_sees_the_checkpoint_after_pull() {
     let (proot, rroot) = (root.join("primary"), root.join("replica"));
     let pdir = StoreDir::open(&proot).unwrap();
     let (primary, _) = pdir.open_shared(NAME, SyncPolicy::EverySync).unwrap();
-    primary
+    Session::open(&primary)
+        .build()
         .transact_with_retry(&RetryBackoff::unslept(0), |db| {
             let people = db.create_baseclass("people")?;
             db.insert_entity(people, "Ada")?;
