@@ -116,9 +116,10 @@ pub struct ExplainRecord {
 impl ExplainRecord {
     /// A degenerate record for the session's unassisted-scan fallback
     /// (Manual refresh policy with pending changes): no service planning
-    /// happened, the whole parent extent was scanned serially. The
-    /// `cache` field carries the marker `"unassisted"` so both renderings
-    /// make the fallback unmistakable.
+    /// happened, and the compiled program ran serially over the whole
+    /// parent extent, in column batches when `batch` is set. The `cache`
+    /// field carries the marker `"unassisted"` so both renderings make the
+    /// fallback unmistakable.
     pub fn unassisted(
         db: &Database,
         parent: ClassId,
@@ -126,6 +127,7 @@ impl ExplainRecord {
         scanned: usize,
         returned: usize,
         total_ns: u64,
+        batch: bool,
     ) -> ExplainRecord {
         ExplainRecord {
             parent: db
@@ -151,8 +153,8 @@ impl ExplainRecord {
             plan_ns: 0,
             eval_ns: total_ns,
             total_ns,
-            eval_mode: "scalar",
-            batch_rows: 0,
+            eval_mode: if batch { "batch" } else { "scalar" },
+            batch_rows: if batch { crate::program::BATCH_ROWS } else { 0 },
             columns: Vec::new(),
         }
     }

@@ -10,8 +10,10 @@
 //! refresh pipeline, the refresh-and-fallback step of [`Session::query`] and
 //! [`Session::explain`], and the scene of the current view.
 
-use isis_core::{ClassId, Database, OrderedSet, Predicate, SchemaNode, SharedDatabase};
-use isis_query::{DerivedState, ExplainRecord, ExtentChange, IndexService, QueryError};
+use isis_core::{ClassId, Database, EntityId, OrderedSet, Predicate, SchemaNode, SharedDatabase};
+use isis_query::{
+    DerivedState, EvalPool, ExplainRecord, ExtentChange, IndexService, PredicateProgram, QueryError,
+};
 use isis_store::{RecoveryReport, StoreDir};
 use isis_views::{
     data_view, forest_view, network_view, worksheet_view, DataViewInput, ForestViewOptions,
@@ -139,23 +141,24 @@ enum Source {
 }
 
 /// Configures and builds a [`Session`]: attach a store, pick the refresh
-/// policy, bound the database's delta log. This is the one construction
-/// path — [`Session::builder`] starts from an owned database,
-/// [`Session::open`] from a [`SharedDatabase`].
+/// policy, size the evaluation pool. This is the one construction path —
+/// [`Session::builder`] starts from an owned database, [`Session::open`]
+/// from a [`SharedDatabase`].
 ///
 /// ```
-/// use isis_session::Session;
+/// use isis_session::{RefreshPolicy, Session};
 ///
 /// let db = isis_core::Database::new("demo");
-/// let session = Session::builder(db).delta_capacity(1 << 10).build();
-/// assert_eq!(session.database().delta_capacity(), 1 << 10);
+/// let session = Session::builder(db)
+///     .refresh_policy(RefreshPolicy::OnCommit)
+///     .build();
+/// assert_eq!(session.refresh_policy(), RefreshPolicy::OnCommit);
 /// ```
 #[derive(Debug)]
 pub struct SessionBuilder {
     source: Source,
     store: Option<StoreDir>,
     policy: RefreshPolicy,
-    delta_capacity: Option<usize>,
     eval_threads: usize,
 }
 
@@ -165,7 +168,6 @@ impl SessionBuilder {
             source,
             store: None,
             policy: RefreshPolicy::Manual,
-            delta_capacity: None,
             eval_threads: 1,
         }
     }
@@ -179,13 +181,6 @@ impl SessionBuilder {
     /// Sets the initial refresh policy.
     pub fn refresh_policy(mut self, policy: RefreshPolicy) -> SessionBuilder {
         self.policy = policy;
-        self
-    }
-
-    /// Bounds the database's delta-log window (how many changes incremental
-    /// consumers can catch up on before falling back to a rebuild).
-    pub fn delta_capacity(mut self, capacity: usize) -> SessionBuilder {
-        self.delta_capacity = Some(capacity);
         self
     }
 
@@ -234,24 +229,13 @@ impl SessionBuilder {
             source,
             store,
             policy,
-            delta_capacity,
             eval_threads,
         } = self;
         let shared = match source {
-            Source::Owned(mut db) => {
-                if let Some(capacity) = delta_capacity {
-                    db.set_delta_capacity(capacity);
-                }
-                SharedDatabase::new(*db)
-            }
+            Source::Owned(db) => SharedDatabase::new(*db),
             Source::Shared(shared) => shared,
         };
-        let mut db = shared.pin();
-        if let Some(capacity) = delta_capacity {
-            // On a shared handle this bounds the *local* buffer only; the
-            // head keeps its own window (which bounds commit staleness).
-            db.set_delta_capacity(capacity);
-        }
+        let db = shared.pin();
         let base_epoch = db.delta_epoch();
         Session {
             shared,
@@ -279,7 +263,8 @@ impl SessionBuilder {
 
 impl Session {
     /// Starts configuring a session that owns its database (store, refresh
-    /// policy, delta-log capacity).
+    /// policy, evaluation threads). To bound its delta-log window, call
+    /// [`Database::set_delta_capacity`] on `db` first.
     pub fn builder(db: Database) -> SessionBuilder {
         SessionBuilder::new(Source::Owned(Box::new(db)))
     }
@@ -455,19 +440,20 @@ impl Session {
     /// refresh pipeline is synchronised first, so the answer always comes
     /// from index-pruned evaluation. Under [`RefreshPolicy::Manual`] the
     /// session refuses to advance the shared indexes out from under the
-    /// maintainers: if un-drained changes are pending, it falls back to a
-    /// direct scan (correct, just unassisted) until the next refresh.
+    /// maintainers: if un-drained changes are pending, it runs the compiled
+    /// program over the whole extent instead (correct, just unassisted)
+    /// until the next refresh.
     pub fn query(&mut self, parent: ClassId, pred: &Predicate) -> Result<OrderedSet, SessionError> {
         let mut span = isis_obs::global().span("session.query.answer");
         self.answer(
             parent,
             pred,
             |svc, db| svc.evaluate(db, parent, pred),
-            |db| {
+            |_, out, _, _| {
                 span.field("fallback", || {
-                    "pending changes under Manual policy; direct extent scan".into()
+                    "pending changes under Manual policy; compiled extent scan".into()
                 });
-                Ok(db.evaluate_derived_members(parent, pred)?)
+                out
             },
         )
     }
@@ -479,7 +465,8 @@ impl Session {
     /// identically to a plain query.
     ///
     /// On the unassisted fallback (Manual policy with pending changes)
-    /// the record is marked `cache: "unassisted"` with an empty plan.
+    /// the record is marked `cache: "unassisted"` with an empty plan, and
+    /// reports the compiled program's eval mode.
     pub fn explain(
         &mut self,
         parent: ClassId,
@@ -491,15 +478,19 @@ impl Session {
             parent,
             pred,
             |svc, db| svc.explain(db, parent, pred),
-            |db| {
-                let t = std::time::Instant::now();
-                let out = db.evaluate_derived_members(parent, pred)?;
-                let total_ns = t.elapsed().as_nanos() as u64;
+            |db, out, batch, total_ns| {
                 let scanned = db.class(parent).map(|r| r.members.len()).unwrap_or(0);
-                let record =
-                    ExplainRecord::unassisted(db, parent, pred, scanned, out.len(), total_ns);
+                let record = ExplainRecord::unassisted(
+                    db,
+                    parent,
+                    pred,
+                    scanned,
+                    out.len(),
+                    total_ns,
+                    batch,
+                );
                 obs.event("query.service.explain", || record.to_json());
-                Ok((out, record))
+                (out, record)
             },
         )
     }
@@ -507,27 +498,33 @@ impl Session {
     /// The step [`Session::query`] and [`Session::explain`] share: refresh
     /// under the policy, then answer through the index service when it
     /// describes the pinned snapshot as it is now. Otherwise record the
-    /// unassisted scan, validate `pred`, and answer with `scan`.
+    /// unassisted scan, compile `pred` (validating it), run the program
+    /// over the whole extent in extent order, and hand `unassisted` the
+    /// answer, whether the program streamed in batches, and the time taken.
     fn answer<R>(
         &mut self,
         parent: ClassId,
         pred: &Predicate,
         indexed: impl FnOnce(&IndexService, &Database) -> Result<R, QueryError>,
-        scan: impl FnOnce(&Database) -> Result<R, SessionError>,
+        unassisted: impl FnOnce(&Database, OrderedSet, bool, u64) -> R,
     ) -> Result<R, SessionError> {
         self.refresh_at(RefreshPolicy::OnCommit)?;
         let derived = self.derived.as_ref();
         if let Some(state) = derived.filter(|d| d.in_sync(&self.db)) {
             return Ok(indexed(state.service(), &self.db)?);
         }
-        // The direct scan bypasses the service, so record it there as a
+        // The scan bypasses the service, so record it there as a
         // sequential-scan query for `stats`.
         if let Some(state) = derived {
             state.service().note_unassisted_scan();
         }
         isis_obs::global().count("session.query.unassisted", 1);
-        self.db.validate_predicate(parent, None, pred)?;
-        scan(&self.db)
+        let t = std::time::Instant::now();
+        let prog = PredicateProgram::compile(&self.db, parent, pred)?;
+        let extent: Vec<EntityId> = self.db.members(parent)?.iter().collect();
+        let out = EvalPool::new(1).evaluate(&self.db, &prog, &extent, None)?;
+        let total_ns = t.elapsed().as_nanos() as u64;
+        Ok(unassisted(&self.db, out, prog.batch_compatible(), total_ns))
     }
 
     fn say(&mut self, msg: impl Into<String>) {

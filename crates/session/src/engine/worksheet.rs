@@ -101,7 +101,9 @@ impl Session {
             }
             Command::WsNewAtom => {
                 let ws = self.ws()?;
-                let tag = ws.next_tag();
+                let tag = ws.next_tag().ok_or_else(|| {
+                    SessionError::WrongMode("the worksheet is full: atoms A–Z are taken".into())
+                })?;
                 ws.atoms.push(AtomDraft::new(tag));
                 ws.editing = Some(ws.atoms.len() - 1);
             }

@@ -168,9 +168,10 @@ impl WorksheetState {
         }
     }
 
-    /// The next free atom tag.
-    pub fn next_tag(&self) -> char {
-        (b'A' + self.atoms.len() as u8) as char
+    /// The next free atom tag, or `None` once `A`–`Z` are all taken (the
+    /// worksheet's `edit` addresses atoms by these letters).
+    pub fn next_tag(&self) -> Option<char> {
+        (b'A'..=b'Z').nth(self.atoms.len()).map(char::from)
     }
 
     /// The atom currently being edited.
@@ -207,9 +208,9 @@ mod tests {
             ClassId::from_raw(0),
             None,
         );
-        assert_eq!(ws.next_tag(), 'A');
+        assert_eq!(ws.next_tag(), Some('A'));
         ws.atoms.push(AtomDraft::new('A'));
-        assert_eq!(ws.next_tag(), 'B');
+        assert_eq!(ws.next_tag(), Some('B'));
         ws.editing = Some(0);
         assert!(ws.editing_atom().is_some());
     }

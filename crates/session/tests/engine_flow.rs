@@ -798,3 +798,64 @@ fn pan_saturates_at_the_edge_of_the_plane() {
 fn move_saturates_at_the_edge_of_the_plane() {
     saturates_at_the_edge_of_the_plane(Command::Move);
 }
+
+#[test]
+fn a_worksheet_tags_atoms_a_to_z_and_refuses_a_27th() {
+    let (mut s, im) = session();
+    s.apply(Command::Pick(SchemaNode::Class(im.music_groups)))
+        .unwrap();
+    s.apply(Command::CreateSubclass("quartets".into())).unwrap();
+    s.apply(Command::DefineMembership).unwrap();
+    for _ in 0..26 {
+        s.apply(Command::WsNewAtom).unwrap();
+    }
+    let tags: String = s.worksheet().unwrap().atoms.iter().map(|a| a.tag).collect();
+    assert_eq!(tags, "ABCDEFGHIJKLMNOPQRSTUVWXYZ");
+    assert!(matches!(
+        s.apply(Command::WsNewAtom),
+        Err(SessionError::WrongMode(_))
+    ));
+    let ws = s.worksheet().unwrap();
+    assert_eq!(ws.atoms.len(), 26);
+    assert_eq!(
+        ws.editing,
+        Some(25),
+        "the refusal left the editing atom alone"
+    );
+    // Every tag stays addressable.
+    s.apply(Command::WsEdit('A')).unwrap();
+    s.apply(Command::WsEdit('Z')).unwrap();
+}
+
+/// Under the Manual policy with changes pending, query and EXPLAIN run the
+/// compiled program over the extent: the answers match the interpreted
+/// oracle and the record reports the program's eval mode.
+#[test]
+fn the_unassisted_scan_runs_the_compiled_program() {
+    let (mut s, im) = session();
+    s.transact(|db| db.insert_entity(im.musicians, "Zoe").map(|_| ()))
+        .unwrap();
+    let streams = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+        Map::single(im.plays),
+        CompareOp::Match,
+        Rhs::constant(im.instruments, [im.piano]),
+    )])]);
+    let walks = Predicate::cnf(vec![Clause::new(vec![Atom::new(
+        Map::new(vec![im.members, im.plays]),
+        CompareOp::Superset,
+        Rhs::constant(im.instruments, [im.piano]),
+    )])]);
+    for (parent, pred, mode) in [
+        (im.musicians, &streams, "batch"),
+        (im.music_groups, &walks, "scalar"),
+    ] {
+        let want = s.database().evaluate_derived_members(parent, pred).unwrap();
+        assert_eq!(s.query(parent, pred).unwrap().as_slice(), want.as_slice());
+        let (got, record) = s.explain(parent, pred).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(record.cache, "unassisted");
+        assert_eq!(record.eval_mode, mode, "{pred}");
+        assert_eq!(record.returned as usize, want.len());
+    }
+    assert!(s.index_service().is_none(), "nothing was refreshed");
+}

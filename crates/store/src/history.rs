@@ -14,7 +14,7 @@ use isis_core::{Database, Multiplicity, ValueClassSpec};
 
 use crate::error::StoreError;
 use crate::store::StoreDir;
-use crate::wal::{replay_log, LogOp};
+use crate::wal::{replay_with, LogOp};
 
 /// A replayable design history: a base state plus the operation log.
 #[derive(Debug)]
@@ -42,13 +42,22 @@ impl DesignHistory {
         DesignHistory { base, ops }
     }
 
-    /// Loads the history of database `name` from a directory: its snapshot
-    /// plus the current log segment. (After a checkpoint the log restarts;
-    /// histories are per-segment, like an editor's session undo.)
+    /// Loads the history of database `name` from a directory, through its
+    /// [`Vfs`](crate::Vfs): the newest readable snapshot generation (the
+    /// one recovery loads) plus the log segment that extends it. (After a
+    /// checkpoint the log restarts; histories are per-segment, like an
+    /// editor's session undo. A log naming another generation — the one a
+    /// crash between a checkpoint's install and its log reset leaves — is
+    /// stale, and the history is empty.)
     pub fn load(dir: &StoreDir, name: &str) -> Result<DesignHistory, StoreError> {
-        let base = crate::store::read_snapshot(&dir.root().join(format!("{name}.isis")))?;
-        let replay = replay_log(&dir.root().join(format!("{name}.wal")))?;
-        Ok(DesignHistory::new(base, replay.ops))
+        let base = dir.newest_snapshot(name)?;
+        let replay = replay_with(dir.vfs().as_ref(), &dir.wal_path(name), false)?;
+        let ops = if replay.extends(base.generation) {
+            replay.ops
+        } else {
+            Vec::new()
+        };
+        Ok(DesignHistory::new(base.db, ops))
     }
 
     /// Number of operations in the history.

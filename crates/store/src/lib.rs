@@ -15,14 +15,23 @@
 //!   detection, a generation header tying it to its snapshot, and a
 //!   salvage mode that resynchronises past mid-log corruption;
 //! * [`recovery`] — multi-generation recovery with a structured
-//!   [`RecoveryReport`] and an `fsck`-style verification pass;
+//!   [`RecoveryReport`] and an `fsck`-style verification pass, over the
+//!   one reader of a database's snapshot generations;
 //! * [`StoreDir`] — a directory of named databases (list / save / load /
 //!   delete), and [`LoggedDatabase`] — a database handle whose mutations
-//!   are WAL-durable with crash-safe `checkpoint()` compaction;
+//!   are WAL-durable with crash-safe [`LoggedDatabase::checkpoint`]
+//!   compaction;
 //! * [`replication`] — primary→replica log shipping over WAL commit
 //!   frames: [`ReplicationLog`] serves frames and resync checkpoints,
 //!   [`Replica`] replays them into its own durable directory and shared
 //!   head, with explicit lag accounting in [`ReplicaStatus`].
+//!
+//! Each storage job has one implementation: one durable open, one
+//! newest-snapshot reader, one atomic install, and one log segment through
+//! which [`LoggedDatabase`], the [`WalCommitHook`] and the [`Replica`]
+//! append and checkpoint. A partial failure that may leave disk and memory
+//! disagreeing poisons the segment, and the handle refuses with
+//! [`StoreError::Poisoned`] until reopened.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +42,7 @@ pub mod error;
 pub mod history;
 pub mod recovery;
 pub mod replication;
+mod segment;
 pub mod shared;
 mod store;
 pub mod vfs;
@@ -45,8 +55,8 @@ pub use recovery::{FsckReport, RecoveryReport};
 pub use replication::{Replica, ReplicaStatus, ReplicationLog, ShipCursor, Shipment};
 pub use shared::WalCommitHook;
 pub use store::{
-    read_snapshot, read_snapshot_bytes, read_snapshot_bytes_gen, snapshot_bytes_with_gen,
-    write_snapshot, write_snapshot_bytes, LoggedDatabase, StoreDir, SNAPSHOT_MAGIC,
+    read_snapshot_bytes, read_snapshot_bytes_gen, snapshot_bytes_with_gen, write_snapshot_bytes,
+    LoggedDatabase, StoreDir, SNAPSHOT_MAGIC,
 };
 pub use vfs::{FaultMode, FaultProfile, FaultStats, FaultVfs, RetryPolicy, StdVfs, Vfs};
 pub use wal::{replay_log, replay_with, LogOp, Replay, SyncPolicy, WalFile, WAL_HEADER_MAGIC};

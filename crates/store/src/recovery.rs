@@ -1,14 +1,17 @@
 //! Structured recovery: multi-generation snapshot fallback, salvage WAL
 //! replay, and the reports (`doctor` / `fsck`) describing what happened.
 //!
-//! [`StoreDir::recover`] is the one true open path — [`StoreDir::load`]
-//! and [`StoreDir::open_logged`] both go through it. It tries the newest
-//! snapshot generation, falls back to the previous one, replays whatever
-//! log suffix belongs to the generation it loaded (in salvage mode, so a
-//! corrupt mid-log record loses that record, not the rest of the log),
-//! and narrates every deviation from the happy path in a
-//! [`RecoveryReport`] instead of failing. It returns an error only when
-//! *no* snapshot generation is readable.
+//! `StoreDir::newest_snapshot` is the one reader of a database's snapshot
+//! generations, for recovery, replication and the design history alike.
+//!
+//! [`StoreDir::recover`] is the one true open path — [`StoreDir::load`],
+//! [`StoreDir::open_logged`] and [`StoreDir::open_shared`] all go through
+//! it. It loads the newest readable generation, replays whatever log
+//! suffix belongs to it (in salvage mode, so a corrupt mid-log record
+//! loses that record, not the rest of the log), and narrates every
+//! deviation from the happy path in a [`RecoveryReport`] instead of
+//! failing. It returns an error only when *no* snapshot generation is
+//! readable.
 
 use std::fmt;
 
@@ -17,6 +20,21 @@ use isis_core::Database;
 use crate::error::StoreError;
 use crate::store::{read_snapshot_bytes_gen, StoreDir};
 use crate::wal::replay_with;
+
+/// The newest readable snapshot generation of a database, as
+/// `StoreDir::newest_snapshot` found it.
+pub(crate) struct NewestSnapshot {
+    pub(crate) db: Database,
+    /// The generation the snapshot was written under.
+    pub(crate) generation: u64,
+    /// The file's bytes as read; replication ships them verbatim.
+    pub(crate) bytes: Vec<u8>,
+    /// `true` if the newest slot was absent or unreadable and the
+    /// fallback generation loaded instead.
+    pub(crate) used_fallback: bool,
+    /// Why the generation tried before this one was rejected.
+    pub(crate) errors: Vec<String>,
+}
 
 /// What recovery found and did while opening a database.
 ///
@@ -169,6 +187,50 @@ impl fmt::Display for FsckReport {
 }
 
 impl StoreDir {
+    /// Reads the newest snapshot generation of `name` that decodes: the
+    /// newest slot, else the fallback. Fails only if none does —
+    /// [`StoreError::NotFound`] when neither file exists, the single
+    /// candidate's own error when one does, and [`StoreError::Recovery`]
+    /// listing both failures when both do.
+    pub(crate) fn newest_snapshot(&self, name: &str) -> Result<NewestSnapshot, StoreError> {
+        StoreDir::check_name(name)?;
+        let vfs = self.vfs();
+        let present: Vec<_> = [
+            (self.snapshot_path(name), false),
+            (self.fallback_path(name), true),
+        ]
+        .into_iter()
+        .filter(|(path, _)| vfs.exists(path))
+        .collect();
+        if present.is_empty() {
+            return Err(StoreError::NotFound(name.into()));
+        }
+        let single = present.len() == 1;
+        let mut errors = Vec::new();
+        for (path, used_fallback) in present {
+            let read = vfs.read(&path).map_err(StoreError::from).and_then(|bytes| {
+                read_snapshot_bytes_gen(&bytes).map(|(db, generation)| (db, generation, bytes))
+            });
+            match read {
+                Ok((db, generation, bytes)) => {
+                    return Ok(NewestSnapshot {
+                        db,
+                        generation,
+                        bytes,
+                        used_fallback,
+                        errors,
+                    })
+                }
+                Err(e) if single => return Err(e),
+                Err(e) => errors.push(format!("{}: {e}", path.display())),
+            }
+        }
+        Err(StoreError::Recovery {
+            name: name.into(),
+            detail: errors.join("; "),
+        })
+    }
+
     /// Loads the database saved under `name`, trying the newest snapshot
     /// generation first and falling back to the previous one, then
     /// salvage-replaying the log suffix that belongs to the loaded
@@ -182,53 +244,16 @@ impl StoreDir {
         let obs = isis_obs::global();
         let mut span = obs.span("store.recovery.recover");
         obs.count("store.recovery.runs", 1);
-        StoreDir::check_name(name)?;
-        let vfs = self.vfs().clone();
-        let candidates = [
-            (self.snapshot_path(name), false),
-            (self.fallback_path(name), true),
-        ];
-        let present: Vec<_> = candidates
-            .into_iter()
-            .filter(|(path, _)| vfs.exists(path))
-            .collect();
-        if present.is_empty() {
-            return Err(StoreError::NotFound(name.into()));
-        }
-        let single = present.len() == 1;
-        let mut snapshot_errors = Vec::new();
-        let mut first_error = None;
-        let mut loaded = None;
-        for (path, is_fallback) in present {
-            let attempt = vfs
-                .read(&path)
-                .map_err(StoreError::from)
-                .and_then(|bytes| read_snapshot_bytes_gen(&bytes));
-            match attempt {
-                Ok((db, generation)) => {
-                    loaded = Some((db, generation, is_fallback));
-                    break;
-                }
-                Err(e) => {
-                    snapshot_errors.push(format!("{}: {e}", path.display()));
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        let Some((mut db, snapshot_generation, used_fallback)) = loaded else {
-            return Err(if single {
-                first_error.expect("one candidate implies one error")
-            } else {
-                StoreError::Recovery {
-                    name: name.into(),
-                    detail: snapshot_errors.join("; "),
-                }
-            });
-        };
+        let NewestSnapshot {
+            mut db,
+            generation: snapshot_generation,
+            used_fallback,
+            errors: snapshot_errors,
+            ..
+        } = self.newest_snapshot(name)?;
+        let vfs = self.vfs();
         let replay = replay_with(vfs.as_ref(), &self.wal_path(name), true)?;
-        let wal_stale = matches!(replay.snapshot_gen, Some(g) if g != snapshot_generation);
+        let wal_stale = !replay.extends(snapshot_generation);
         let mut wal_records_replayed = 0;
         let mut wal_records_rejected = 0;
         if !wal_stale {

@@ -39,7 +39,8 @@ use isis_core::{ChangeSet, CommitHook, Database, SharedDatabase};
 
 use crate::codec::{frame, read_frame};
 use crate::error::StoreError;
-use crate::recovery::RecoveryReport;
+use crate::recovery::{NewestSnapshot, RecoveryReport};
+use crate::segment::LogSegment;
 use crate::store::{read_snapshot_bytes_gen, StoreDir};
 use crate::wal::{replay_with, LogOp, SyncPolicy, WalFile};
 
@@ -119,36 +120,6 @@ impl ReplicationLog {
         &self.name
     }
 
-    /// The newest readable snapshot: its generation and raw bytes.
-    fn newest_snapshot(&self) -> Result<(u64, Vec<u8>), StoreError> {
-        let vfs = self.dir.vfs();
-        let mut errors = Vec::new();
-        for path in [
-            self.dir.snapshot_path(&self.name),
-            self.dir.fallback_path(&self.name),
-        ] {
-            if !vfs.exists(&path) {
-                continue;
-            }
-            match vfs
-                .read(&path)
-                .map_err(StoreError::from)
-                .and_then(|bytes| read_snapshot_bytes_gen(&bytes).map(|(_, g)| (g, bytes)))
-            {
-                Ok(found) => return Ok(found),
-                Err(e) => errors.push(format!("{}: {e}", path.display())),
-            }
-        }
-        if errors.is_empty() {
-            Err(StoreError::NotFound(self.name.clone()))
-        } else {
-            Err(StoreError::Recovery {
-                name: self.name.clone(),
-                detail: errors.join("; "),
-            })
-        }
-    }
-
     /// Ships what a replica at `cursor` needs next, at most `max_frames`
     /// commit frames per call. Strictly ordered: frames arrive in commit
     /// order with no gaps, so anything a replica applies is a prefix of
@@ -186,13 +157,13 @@ impl ReplicationLog {
         // The cursor's segment is gone (schema checkpoint, primary
         // restart, or a never-bootstrapped replica): resync from the
         // newest snapshot.
-        let (generation, snapshot) = self.newest_snapshot()?;
-        match generation.cmp(&cursor.generation) {
+        let newest = self.dir.newest_snapshot(&self.name)?;
+        match newest.generation.cmp(&cursor.generation) {
             std::cmp::Ordering::Greater => {
                 obs.count("store.replication.checkpoints_shipped", 1);
                 Ok(Shipment::Checkpoint {
-                    generation,
-                    snapshot,
+                    generation: newest.generation,
+                    snapshot: newest.bytes,
                 })
             }
             std::cmp::Ordering::Equal if cursor.frames == 0 => Ok(Shipment::UpToDate),
@@ -216,7 +187,7 @@ impl ReplicationLog {
             }
             return Ok(have - cursor.frames);
         }
-        let (generation, _) = self.newest_snapshot()?;
+        let generation = self.dir.newest_snapshot(&self.name)?.generation;
         match generation.cmp(&cursor.generation) {
             std::cmp::Ordering::Greater => {
                 let new_segment = if replay.snapshot_gen == Some(generation) {
@@ -302,16 +273,17 @@ impl CommitHook for ReplicaGuard {
 /// vetoed by the replica's hook.
 #[derive(Debug)]
 pub struct Replica {
-    dir: StoreDir,
-    name: String,
     shared: SharedDatabase,
-    wal: WalFile,
-    cursor: ShipCursor,
+    /// The replica's own log: its generation is the cursor's, and it is
+    /// poisoned when a partial failure leaves the log and the head unable
+    /// to agree.
+    segment: LogSegment,
+    /// Frames applied within the segment's generation.
+    frames: u64,
     /// Monotone count of frames applied since bootstrap (checkpoint
     /// resyncs count as one). Persisted advisorily in the ship meta.
     ordinal: u64,
     gate: Arc<AtomicBool>,
-    poisoned: bool,
 }
 
 impl Replica {
@@ -328,58 +300,24 @@ impl Replica {
         policy: SyncPolicy,
     ) -> Result<(Replica, RecoveryReport), StoreError> {
         StoreDir::check_name(name)?;
-        let obs = isis_obs::global();
-        let _span = obs.span("store.replication.replica_open");
+        let _span = isis_obs::global().span("store.replication.replica_open");
         let vfs = dir.vfs().clone();
-        let gate = Arc::new(AtomicBool::new(false));
         if !dir.exists(name) {
-            let shared = SharedDatabase::new(Database::new(name));
-            shared.set_commit_hook(Some(Box::new(ReplicaGuard { gate: gate.clone() })));
             let wal = WalFile::open_with(vfs, dir.wal_path(name), policy)?;
-            let replica = Replica {
-                dir: dir.clone(),
-                name: name.to_string(),
-                shared,
-                wal,
-                cursor: ShipCursor::genesis(),
-                ordinal: 0,
-                gate,
-                poisoned: false,
-            };
+            let segment = LogSegment::new(dir, name, wal, 0);
+            let replica = Replica::assemble(Database::new(name), segment, 0, 0);
             return Ok((replica, RecoveryReport::fresh(name)));
         }
 
-        // Newest readable snapshot generation (fallback only when the
-        // newest is unreadable — a crashed checkpoint install).
-        let mut snapshot_errors = Vec::new();
-        let mut loaded = None;
-        let mut used_fallback = false;
-        for (path, is_fallback) in [
-            (dir.snapshot_path(name), false),
-            (dir.fallback_path(name), true),
-        ] {
-            if !vfs.exists(&path) {
-                continue;
-            }
-            match vfs
-                .read(&path)
-                .map_err(StoreError::from)
-                .and_then(|bytes| read_snapshot_bytes_gen(&bytes))
-            {
-                Ok(found) => {
-                    loaded = Some(found);
-                    used_fallback = is_fallback;
-                    break;
-                }
-                Err(e) => snapshot_errors.push(format!("{}: {e}", path.display())),
-            }
-        }
-        let Some((mut db, generation)) = loaded else {
-            return Err(StoreError::Recovery {
-                name: name.into(),
-                detail: snapshot_errors.join("; "),
-            });
-        };
+        // The fallback generation loads only when the newest is
+        // unreadable — a crashed checkpoint install.
+        let NewestSnapshot {
+            mut db,
+            generation,
+            used_fallback,
+            errors: snapshot_errors,
+            ..
+        } = dir.newest_snapshot(name)?;
 
         // Strict replay of the replica's own log: every intact frame, in
         // order, no salvage. A torn tail is a crashed append of a frame
@@ -400,8 +338,8 @@ impl Replica {
         }
         let mut wal = WalFile::open_with(vfs.clone(), dir.wal_path(name), policy)?;
         if wal_stale {
-            // The log belongs to another generation (a crashed resync):
-            // re-tie it to the snapshot that actually loaded.
+            // The log belongs to another generation, or to none yet (a
+            // crashed resync): re-tie it to the snapshot that loaded.
             wal.reset(generation)?;
         } else if replay.torn_tail {
             // Drop the torn frame so future appends stay reachable.
@@ -421,19 +359,24 @@ impl Replica {
             wal_torn_tail: !wal_stale && replay.torn_tail,
             wal_stale,
         };
+        let segment = LogSegment::new(dir, name, wal, generation);
+        let replica = Replica::assemble(db, segment, frames, ordinal_base + frames);
+        Ok((replica, report))
+    }
+
+    /// Wraps an opened state in a replica whose head only the replayer
+    /// can move.
+    fn assemble(db: Database, segment: LogSegment, frames: u64, ordinal: u64) -> Replica {
+        let gate = Arc::new(AtomicBool::new(false));
         let shared = SharedDatabase::new(db);
         shared.set_commit_hook(Some(Box::new(ReplicaGuard { gate: gate.clone() })));
-        let replica = Replica {
-            dir: dir.clone(),
-            name: name.to_string(),
+        Replica {
             shared,
-            wal,
-            cursor: ShipCursor { generation, frames },
-            ordinal: ordinal_base + frames,
+            segment,
+            frames,
+            ordinal,
             gate,
-            poisoned: false,
-        };
-        Ok((replica, report))
+        }
     }
 
     /// The shared handle read-only sessions open on. Pins taken here are
@@ -450,7 +393,10 @@ impl Replica {
 
     /// The replica's position in the primary's stream.
     pub fn cursor(&self) -> ShipCursor {
-        self.cursor
+        ShipCursor {
+            generation: self.segment.generation(),
+            frames: self.frames,
+        }
     }
 
     /// Frames applied since bootstrap (the replica-side ship ordinal).
@@ -460,19 +406,19 @@ impl Replica {
 
     /// The database name this replica mirrors.
     pub fn name(&self) -> &str {
-        &self.name
+        self.segment.name()
     }
 
     /// `true` if a partial failure left this handle unable to guarantee
     /// its WAL and its head agree; reopen the replica to re-derive a
     /// consistent state from disk.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.segment.is_poisoned()
     }
 
     /// Lag accounting against `log` without applying anything.
     pub fn status(&self, log: &ReplicationLog) -> Result<ReplicaStatus, StoreError> {
-        let outstanding = log.outstanding(&self.cursor)?;
+        let outstanding = log.outstanding(&self.cursor())?;
         Ok(ReplicaStatus {
             applied_epoch: self.ordinal,
             head_epoch: self.ordinal + outstanding,
@@ -489,15 +435,10 @@ impl Replica {
         log: &ReplicationLog,
         max_frames: usize,
     ) -> Result<ReplicaStatus, StoreError> {
-        if self.poisoned {
-            return Err(StoreError::Poisoned {
-                name: self.name.clone(),
-                detail: "replica poisoned by an earlier partial failure; reopen it".into(),
-            });
-        }
+        self.segment.check()?;
         let obs = isis_obs::global();
         let _span = obs.span("store.replication.sync");
-        let (kind, applied) = match log.ship(&self.cursor, max_frames)? {
+        let (kind, applied) = match log.ship(&self.cursor(), max_frames)? {
             Shipment::UpToDate => ("up_to_date", 0usize),
             Shipment::Frames(frames) => {
                 let n = frames.len();
@@ -541,9 +482,9 @@ impl Replica {
     pub fn sync(&mut self, log: &ReplicationLog) -> Result<ReplicaStatus, StoreError> {
         const BATCH: usize = 64;
         loop {
-            let before = (self.cursor, self.ordinal);
+            let before = (self.cursor(), self.ordinal);
             let status = self.sync_step(log, BATCH)?;
-            if status.caught_up() || (self.cursor, self.ordinal) == before {
+            if status.caught_up() || (self.cursor(), self.ordinal) == before {
                 return Ok(status);
             }
         }
@@ -559,24 +500,15 @@ impl Replica {
         let base = local.delta_epoch();
         if let Err(e) = op.apply(&mut local) {
             return Err(StoreError::Replication {
-                name: self.name.clone(),
+                name: self.name().into(),
                 detail: format!(
                     "shipped frame {} of generation {} rejected: {e}",
-                    self.cursor.frames, self.cursor.generation
+                    self.frames,
+                    self.segment.generation()
                 ),
             });
         }
-        let mark = self.wal.len()?;
-        if let Err(e) = self.wal.append(&op) {
-            if let Err(r) = self.wal.rewind_to(mark) {
-                self.poisoned = true;
-                return Err(StoreError::Poisoned {
-                    name: self.name.clone(),
-                    detail: format!("frame append failed ({e}) and rollback failed ({r})"),
-                });
-            }
-            return Err(e);
-        }
+        self.segment.append(&op)?;
         self.gate.store(true, Ordering::SeqCst);
         let committed = self.shared.commit(base, &local);
         self.gate.store(false, Ordering::SeqCst);
@@ -585,13 +517,11 @@ impl Replica {
             // committed to the replica head behind our back. Disk and
             // memory now disagree; refuse to continue (reopen re-derives
             // a consistent head from disk).
-            self.poisoned = true;
-            return Err(StoreError::Poisoned {
-                name: self.name.clone(),
-                detail: format!("replica head moved during replay: {c}"),
-            });
+            return Err(self
+                .segment
+                .poison(format!("replica head moved during replay: {c}")));
         }
-        self.cursor.frames += 1;
+        self.frames += 1;
         self.ordinal += 1;
         obs.count("store.replication.frames_applied", 1);
         Ok(())
@@ -607,44 +537,34 @@ impl Replica {
         let (db, encoded) = read_snapshot_bytes_gen(&snapshot)?;
         if encoded != generation {
             return Err(StoreError::Replication {
-                name: self.name.clone(),
+                name: self.name().into(),
                 detail: format!(
                     "checkpoint claims generation {generation} but its snapshot encodes {encoded}"
                 ),
             });
         }
-        if generation <= self.cursor.generation {
+        if generation <= self.segment.generation() {
             return Err(StoreError::Replication {
-                name: self.name.clone(),
+                name: self.name().into(),
                 detail: format!(
                     "checkpoint generation {generation} does not advance the replica \
                      (already at generation {})",
-                    self.cursor.generation
+                    self.segment.generation()
                 ),
             });
         }
-        self.dir.install(&self.name, &snapshot, true)?;
+        let (dir, name) = (self.segment.dir(), self.segment.name());
+        dir.install(name, &snapshot, true)?;
         let next_ordinal = self.ordinal + 1;
         // Advisory ordinal meta; the cursor itself derives from the
         // installed snapshot + (about-to-be-reset) WAL. If anything from
         // here on fails, a reopen finds snapshot `generation` with a
         // stale log and lands on cursor `(generation, 0)` — exactly where
         // this resync was headed.
-        write_ship_meta(&self.dir, &self.name, next_ordinal)?;
-        if let Err(e) = self.wal.reset(generation) {
-            // The log may now be headerless; further appends would be
-            // unrecoverable, so stop until a reopen re-ties it.
-            self.poisoned = true;
-            return Err(StoreError::Poisoned {
-                name: self.name.clone(),
-                detail: format!("replica log reset after checkpoint failed: {e}"),
-            });
-        }
+        write_ship_meta(dir, name, next_ordinal)?;
+        self.segment.restart(generation)?;
         self.shared.install_head(db);
-        self.cursor = ShipCursor {
-            generation,
-            frames: 0,
-        };
+        self.frames = 0;
         self.ordinal = next_ordinal;
         obs.count("store.replication.checkpoints_installed", 1);
         Ok(())

@@ -18,8 +18,13 @@
 //!   failed — no phantom commits;
 //! * a commit containing schema edits falls back to a full snapshot
 //!   checkpoint (schema replay onto a concurrently-advanced line is not
-//!   attempted), using the same crash-safe sequence as
-//!   [`LoggedDatabase::checkpoint`](crate::LoggedDatabase::checkpoint).
+//!   attempted), the same log-segment checkpoint
+//!   [`LoggedDatabase::checkpoint`](crate::LoggedDatabase::checkpoint)
+//!   runs.
+//!
+//! The hook writes only through its log segment, which rewinds a failed
+//! append and poisons itself when a partial failure leaves disk and memory
+//! possibly diverged; a poisoned hook refuses every later commit.
 //!
 //! Derived-class memberships and derived-attribute materialisations are
 //! *not* logged: like the paper's stale derived subclasses (§2), they are
@@ -33,8 +38,9 @@ use isis_core::{AttrValue, Change, ChangeSet, CommitHook, Database, EntityId, Sh
 
 use crate::error::StoreError;
 use crate::recovery::RecoveryReport;
-use crate::store::{read_snapshot_bytes_gen, snapshot_bytes_with_gen, StoreDir};
-use crate::wal::{LogOp, SyncPolicy, WalFile};
+use crate::segment::LogSegment;
+use crate::store::StoreDir;
+use crate::wal::{LogOp, SyncPolicy};
 
 impl StoreDir {
     /// Opens `name` as a durable shared database: many [`Session`]s (or
@@ -49,27 +55,9 @@ impl StoreDir {
         name: &str,
         policy: SyncPolicy,
     ) -> Result<(SharedDatabase, RecoveryReport), StoreError> {
-        Self::check_name(name)?;
-        let (db, report) = if self.exists(name) {
-            self.recover(name)?
-        } else {
-            (Database::new(name), RecoveryReport::fresh(name))
-        };
-        // Fold the replayed suffix into a fresh snapshot generation so the
-        // log restarts empty (see `open_logged` for the rotate rationale).
-        let generation = self.next_generation(name);
-        let rotate = !report.used_fallback;
-        self.install(name, &snapshot_bytes_with_gen(&db, generation), rotate)?;
-        let mut wal = WalFile::open_with(self.vfs().clone(), self.wal_path(name), policy)?;
-        wal.reset(generation)?;
+        let (db, segment, report) = self.open_segment(name, policy)?;
         let shared = SharedDatabase::new(db);
-        shared.set_commit_hook(Some(Box::new(WalCommitHook {
-            wal,
-            dir: self.clone(),
-            name: name.to_string(),
-            generation,
-            poisoned: false,
-        })));
+        shared.set_commit_hook(Some(Box::new(WalCommitHook { segment })));
         Ok((shared, report))
     }
 }
@@ -78,15 +66,11 @@ impl StoreDir {
 /// under the commit lock, before the new head is installed.
 #[derive(Debug)]
 pub struct WalCommitHook {
-    wal: WalFile,
-    dir: StoreDir,
-    name: String,
-    generation: u64,
-    /// Set when a partial failure left disk and memory possibly diverged
-    /// (rollback failed, or a checkpoint installed but its log reset
-    /// failed). Every later commit is refused; reopen the store to
-    /// re-establish a consistent head.
-    poisoned: bool,
+    /// Poisoned when a partial failure left disk and memory possibly
+    /// diverged (rollback failed, or a checkpoint installed but its log
+    /// reset failed); every later commit is then refused until the store
+    /// is reopened.
+    segment: LogSegment,
 }
 
 impl CommitHook for WalCommitHook {
@@ -100,15 +84,13 @@ impl CommitHook for WalCommitHook {
     }
 
     fn poisoned(&self) -> bool {
-        self.poisoned
+        self.segment.is_poisoned()
     }
 }
 
 impl WalCommitHook {
     fn record(&mut self, db: &Database, applied: &ChangeSet) -> Result<(), StoreError> {
-        if self.poisoned {
-            return Err(self.poison_error("an earlier partial failure; reopen the store"));
-        }
+        self.segment.check()?;
         let obs = isis_obs::global();
         match batch_ops(db, applied) {
             Some(ops) => {
@@ -122,7 +104,15 @@ impl WalCommitHook {
                         ])
                     });
                 }
-                self.append_batch(ops)
+                if ops.is_empty() {
+                    // Every change in the commit was derived
+                    // materialisation — nothing durable to record.
+                    return Ok(());
+                }
+                // A failed append vetoes the commit; the segment rewinds
+                // it so recovery can never replay a commit the caller was
+                // told did not happen.
+                self.segment.append(&LogOp::CommitBatch(ops))
             }
             None => {
                 // Schema edits fall back to a whole-head snapshot; the
@@ -138,88 +128,9 @@ impl WalCommitHook {
                         ])
                     });
                 }
-                self.checkpoint(db)
+                self.segment.checkpoint(db)
             }
         }
-    }
-
-    fn poison_error(&self, detail: impl Into<String>) -> StoreError {
-        StoreError::Poisoned {
-            name: self.name.clone(),
-            detail: detail.into(),
-        }
-    }
-
-    fn append_batch(&mut self, ops: Vec<LogOp>) -> Result<(), StoreError> {
-        if ops.is_empty() {
-            // Every change in the commit was derived materialisation —
-            // nothing durable to record.
-            return Ok(());
-        }
-        let mark = self.wal.len()?;
-        if let Err(e) = self.wal.append(&LogOp::CommitBatch(ops)) {
-            // The frame may be partly or wholly on disk even though the
-            // append failed; rewind so recovery can never replay a commit
-            // that the caller was told did not happen.
-            if let Err(r) = self.wal.rewind_to(mark) {
-                self.poisoned = true;
-                return Err(self.poison_error(format!(
-                    "commit append failed ({e}) and rollback failed ({r})"
-                )));
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Schema edits (and anything else `batch_ops` declines) are made
-    /// durable by snapshotting the whole candidate head, mirroring
-    /// [`LoggedDatabase::checkpoint`](crate::LoggedDatabase::checkpoint):
-    /// sync the old segment, install the new generation, reset the log.
-    fn checkpoint(&mut self, db: &Database) -> Result<(), StoreError> {
-        self.wal.sync()?;
-        let generation = self.generation + 1;
-        let bytes = snapshot_bytes_with_gen(db, generation);
-        if let Err(e) = self.dir.install(&self.name, &bytes, true) {
-            // The install may have failed *after* its point of no return
-            // (the rename into the newest slot — e.g. the trailing
-            // directory fsync). If the new generation is now the newest on
-            // disk — or the failure leaves us unable to prove it is not —
-            // the vetoed commit is durable while memory stays pre-commit,
-            // and worse: later commits would append to a WAL recovery will
-            // treat as stale and silently drop. Poison unless the old
-            // newest snapshot is demonstrably still in place.
-            let rolled_back = self
-                .dir
-                .vfs()
-                .read(&self.dir.snapshot_path(&self.name))
-                .ok()
-                .and_then(|b| read_snapshot_bytes_gen(&b).ok())
-                .is_some_and(|(_, g)| g < generation);
-            if rolled_back {
-                return Err(e);
-            }
-            self.poisoned = true;
-            return Err(self.poison_error(format!(
-                "checkpoint install failed and the newest snapshot slot is not provably \
-                 the pre-commit generation: {e}"
-            )));
-        }
-        if let Err(e) = self.wal.reset(generation) {
-            // The snapshot containing this commit is already installed and
-            // cannot be taken back, but the stale log header means recovery
-            // will skip the old segment — state on disk is the *post*-commit
-            // head while the caller sees a veto. That is the crash-after-
-            // fsync-before-ack outcome every durable system admits; poison
-            // the hook so the lines cannot diverge further.
-            self.poisoned = true;
-            return Err(self.poison_error(format!(
-                "log reset after checkpoint failed: {e}; the installed snapshot already \
-                 contains the vetoed commit"
-            )));
-        }
-        self.generation = generation;
-        Ok(())
     }
 }
 

@@ -9,25 +9,26 @@
 //! * `N.wal`    — the write-ahead log of operations applied since the
 //!   snapshot generation named in its header record.
 //!
-//! Opening replays `snapshot + log`; [`LoggedDatabase::checkpoint`] writes
-//! a fresh snapshot (atomically: temp file, fsync, rotate, rename, fsync
-//! of the directory) and restarts the log under the new generation. All
-//! I/O goes through a [`Vfs`], so the crash-consistency suite can inject
-//! faults at every byte boundary and recovery
+//! Opening replays `snapshot + log` and folds it into a fresh generation
+//! (`open_segment`, the one durable open); `StoreDir::install` is the one
+//! atomic snapshot install (temp file, fsync, rotate, rename, fsync of the
+//! directory). All I/O goes through a [`Vfs`], so the crash-consistency
+//! suite can inject faults at every byte boundary and recovery
 //! ([`StoreDir::recover`](StoreDir::recover)) can be proven total.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use isis_core::{
-    AttrDerivation, AttrId, ChangeSet, ClassId, ConstraintId, ConstraintKind, Database, EntityId,
-    GroupingId, Literal, Multiplicity, Predicate, ValueClassSpec,
+    AttrDerivation, AttrId, ChangeSet, ClassId, ConstraintId, ConstraintKind, CoreError, Database,
+    EntityId, GroupingId, Literal, Multiplicity, Predicate, ValueClassSpec,
 };
 
 use crate::codec::{read_frame, seal_frame, CodecError, FRAME_HEADER};
 use crate::encode::{decode_image, encode_image_into};
 use crate::error::StoreError;
 use crate::recovery::RecoveryReport;
+use crate::segment::LogSegment;
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{replay_with, LogOp, SyncPolicy, WalFile};
 
@@ -35,12 +36,6 @@ use crate::wal::{replay_with, LogOp, SyncPolicy, WalFile};
 /// CRC-protected frame payload is the u64 LE snapshot generation followed
 /// by the image bytes).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ISISDB\x02\x00";
-
-/// Writes a snapshot of `db` to `path` atomically and durably (write temp,
-/// fsync, rename, fsync the parent directory).
-pub fn write_snapshot(db: &Database, path: &Path) -> Result<(), StoreError> {
-    install_snapshot(&StdVfs::new(), path, &write_snapshot_bytes(db))
-}
 
 /// Serialises `db` to in-memory snapshot bytes (same format as the file;
 /// generation 0).
@@ -99,28 +94,9 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<Database, StoreError> {
     read_snapshot_bytes_gen(bytes).map(|(db, _)| db)
 }
 
-/// Reads a snapshot from `path`.
-pub fn read_snapshot(path: &Path) -> Result<Database, StoreError> {
-    read_snapshot_bytes(&std::fs::read(path)?)
-}
-
 /// The generation of the snapshot in `bytes`, if it validates.
-fn peek_generation(bytes: &[u8]) -> Option<u64> {
+pub(crate) fn peek_generation(bytes: &[u8]) -> Option<u64> {
     read_snapshot_bytes_gen(bytes).ok().map(|(_, g)| g)
-}
-
-/// Writes `bytes` to `path` atomically and durably through `vfs`.
-fn install_snapshot(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let tmp = path.with_extension("isis.tmp");
-    vfs.write(&tmp, bytes)?;
-    vfs.sync_file(&tmp)?;
-    vfs.rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            vfs.sync_dir(parent)?;
-        }
-    }
-    Ok(())
 }
 
 /// A directory of named databases — ISIS's "load the database
@@ -306,41 +282,53 @@ impl StoreDir {
         name: &str,
         policy: SyncPolicy,
     ) -> Result<LoggedDatabase, StoreError> {
+        let (db, segment, report) = self.open_segment(name, policy)?;
+        Ok(LoggedDatabase {
+            db,
+            segment,
+            report,
+        })
+    }
+
+    /// The durable open behind [`StoreDir::open_logged`] and
+    /// [`StoreDir::open_shared`](crate::StoreDir::open_shared): recovers
+    /// `name` (or starts it empty), folds whatever recovery replayed into a
+    /// fresh snapshot generation, and restarts the log under it.
+    pub(crate) fn open_segment(
+        &self,
+        name: &str,
+        policy: SyncPolicy,
+    ) -> Result<(Database, LogSegment, RecoveryReport), StoreError> {
         Self::check_name(name)?;
         let (db, report) = if self.exists(name) {
             self.recover(name)?
         } else {
             (Database::new(name), RecoveryReport::fresh(name))
         };
-        // Fold the replayed suffix (if any) into a fresh snapshot
-        // generation so the log can restart empty. When recovery fell back
-        // to the previous generation, the newest slot holds the corrupt
-        // file — overwrite it and keep the good fallback.
+        // When recovery fell back to the previous generation, the newest
+        // slot holds the corrupt file: overwrite it and keep the good
+        // fallback.
         let generation = self.next_generation(name);
         let rotate = !report.used_fallback;
         self.install(name, &snapshot_bytes_with_gen(&db, generation), rotate)?;
         let mut wal = WalFile::open_with(self.vfs.clone(), self.wal_path(name), policy)?;
         wal.reset(generation)?;
-        Ok(LoggedDatabase {
-            db,
-            wal,
-            dir: self.clone(),
-            name: name.to_string(),
-            generation,
-            report,
-        })
+        Ok((db, LogSegment::new(self, name, wal, generation), report))
     }
 }
 
 /// A database whose every mutation is applied in memory and appended to a
 /// write-ahead log, recoverable after a crash from `snapshot + log`.
+///
+/// A mutation is applied in memory before it is logged, so a failed append
+/// leaves memory ahead of the log: the handle is then poisoned and refuses
+/// every further mutation and checkpoint with [`StoreError::Poisoned`]
+/// until the database is reopened. Acknowledged ⇔ recoverable holds for
+/// every call that returned `Ok`.
 #[derive(Debug)]
 pub struct LoggedDatabase {
     db: Database,
-    wal: WalFile,
-    dir: StoreDir,
-    name: String,
-    generation: u64,
+    segment: LogSegment,
     report: RecoveryReport,
 }
 
@@ -348,28 +336,14 @@ macro_rules! logged {
     ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* ) -> $ret:ty, $op:expr) => {
         $(#[$doc])*
         pub fn $name(&mut self, $($arg: $ty),*) -> Result<$ret, StoreError> {
-            let out = {
-                let db = &mut self.db;
-                db.$name($($arg.clone()),*)?
-            };
             #[allow(clippy::redundant_closure_call)]
-            self.wal.append(&($op)($($arg),*))?;
-            Ok(out)
+            let op = ($op)($($arg.clone()),*);
+            self.logged(op, |db| db.$name($($arg),*))
         }
     };
 }
 
 impl LoggedDatabase {
-    /// Opens `name` in `dir` as a logged database (an alias for
-    /// [`StoreDir::open_logged`] that reads better at call sites).
-    pub fn open(
-        dir: &StoreDir,
-        name: &str,
-        policy: SyncPolicy,
-    ) -> Result<LoggedDatabase, StoreError> {
-        dir.open_logged(name, policy)
-    }
-
     /// Read access to the in-memory database.
     pub fn database(&self) -> &Database {
         &self.db
@@ -377,12 +351,12 @@ impl LoggedDatabase {
 
     /// The database's directory name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.segment.name()
     }
 
     /// The snapshot generation the current log segment extends.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.segment.generation()
     }
 
     /// What recovery found and did when this handle was opened.
@@ -392,7 +366,7 @@ impl LoggedDatabase {
 
     /// Number of operations in the current log segment.
     pub fn log_records(&self) -> usize {
-        self.wal.appended_records()
+        self.segment.records()
     }
 
     /// Writes a fresh snapshot generation and restarts the log under it.
@@ -402,19 +376,31 @@ impl LoggedDatabase {
     /// (temp + fsync + rotate + rename + directory fsync), then reset the
     /// log with the new generation's header. A crash before the final
     /// rename recovers the old generation plus its complete log; a crash
-    /// after it recovers the new snapshot and skips the stale log.
+    /// after it recovers the new snapshot and skips the stale log. A
+    /// failure after the final rename poisons the handle, because later
+    /// mutations would extend a log recovery skips.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        let obs = isis_obs::global();
-        let _span = obs.span("store.checkpoint.run");
-        self.wal.sync()?;
-        let generation = self.generation + 1;
-        let bytes = snapshot_bytes_with_gen(&self.db, generation);
-        obs.count("store.checkpoint.runs", 1);
-        obs.count("store.checkpoint.snapshot_bytes", bytes.len() as u64);
-        self.dir.install(&self.name, &bytes, true)?;
-        self.wal.reset(generation)?;
-        self.generation = generation;
-        Ok(())
+        self.segment.check()?;
+        self.segment.checkpoint(&self.db)
+    }
+
+    /// The one path of every logged mutation: refuse on a poisoned handle,
+    /// apply in memory (a rejected operation touches neither memory nor
+    /// the log), then append `op`. A failed append poisons the handle.
+    fn logged<T>(
+        &mut self,
+        op: LogOp,
+        mutate: impl FnOnce(&mut Database) -> Result<T, CoreError>,
+    ) -> Result<T, StoreError> {
+        self.segment.check()?;
+        let out = mutate(&mut self.db)?;
+        match self.segment.append(&op) {
+            Ok(()) => Ok(out),
+            Err(e @ StoreError::Poisoned { .. }) => Err(e),
+            Err(e) => Err(self.segment.poison(format!(
+                "a mutation applied in memory could not be logged: {e}"
+            ))),
+        }
     }
 
     // --- logged mutations -------------------------------------------------
@@ -524,6 +510,29 @@ impl LoggedDatabase {
         add_secondary_parent(class: ClassId, parent: ClassId) -> ChangeSet,
         LogOp::AddSecondaryParent
     );
+    logged!(
+        /// Logged [`Database::commit_membership`].
+        commit_membership(class: ClassId, pred: Predicate) -> usize,
+        LogOp::CommitMembership
+    );
+    logged!(
+        /// Logged [`Database::commit_derivation`].
+        commit_derivation(attr: AttrId, derivation: AttrDerivation) -> usize,
+        LogOp::CommitDerivation
+    );
+    logged!(
+        /// Logged [`Database::create_constraint`].
+        create_constraint(name: &str, class: ClassId, predicate: Predicate, kind: ConstraintKind)
+            -> ConstraintId,
+        |name: &str, class, predicate, kind| {
+            LogOp::CreateConstraint(name.to_string(), class, predicate, kind)
+        }
+    );
+    logged!(
+        /// Logged [`Database::delete_constraint`].
+        delete_constraint(id: ConstraintId) -> (),
+        LogOp::DeleteConstraint
+    );
 
     /// Logged [`Database::create_attribute`].
     pub fn create_attribute(
@@ -534,14 +543,8 @@ impl LoggedDatabase {
         multiplicity: Multiplicity,
     ) -> Result<AttrId, StoreError> {
         let vc = value_class.into();
-        let id = self.db.create_attribute(class, name, vc, multiplicity)?;
-        self.wal.append(&LogOp::CreateAttribute(
-            class,
-            name.to_string(),
-            vc,
-            multiplicity,
-        ))?;
-        Ok(id)
+        let op = LogOp::CreateAttribute(class, name.to_string(), vc, multiplicity);
+        self.logged(op, |db| db.create_attribute(class, name, vc, multiplicity))
     }
 
     /// Logged [`Database::respecify_value_class`].
@@ -551,9 +554,9 @@ impl LoggedDatabase {
         value_class: impl Into<ValueClassSpec>,
     ) -> Result<ChangeSet, StoreError> {
         let vc = value_class.into();
-        let cs = self.db.respecify_value_class(attr, vc)?;
-        self.wal.append(&LogOp::RespecifyValueClass(attr, vc))?;
-        Ok(cs)
+        self.logged(LogOp::RespecifyValueClass(attr, vc), |db| {
+            db.respecify_value_class(attr, vc)
+        })
     }
 
     /// Logged [`Database::assign_multi`].
@@ -564,74 +567,22 @@ impl LoggedDatabase {
         values: impl IntoIterator<Item = EntityId>,
     ) -> Result<ChangeSet, StoreError> {
         let values: Vec<EntityId> = values.into_iter().collect();
-        let cs = self.db.assign_multi(entity, attr, values.iter().copied())?;
-        self.wal.append(&LogOp::AssignMulti(entity, attr, values))?;
-        Ok(cs)
+        let op = LogOp::AssignMulti(entity, attr, values.clone());
+        self.logged(op, |db| db.assign_multi(entity, attr, values))
     }
 
     /// Logged [`Database::intern`].
     pub fn intern(&mut self, lit: impl Into<Literal>) -> Result<EntityId, StoreError> {
         let lit = lit.into();
-        let id = self.db.intern(lit.clone())?;
-        self.wal.append(&LogOp::Intern(lit))?;
-        Ok(id)
-    }
-
-    /// Logged [`Database::commit_membership`].
-    pub fn commit_membership(
-        &mut self,
-        class: ClassId,
-        pred: Predicate,
-    ) -> Result<usize, StoreError> {
-        let n = self.db.commit_membership(class, pred.clone())?;
-        self.wal.append(&LogOp::CommitMembership(class, pred))?;
-        Ok(n)
-    }
-
-    /// Logged [`Database::commit_derivation`].
-    pub fn commit_derivation(
-        &mut self,
-        attr: AttrId,
-        derivation: AttrDerivation,
-    ) -> Result<usize, StoreError> {
-        let n = self.db.commit_derivation(attr, derivation.clone())?;
-        self.wal
-            .append(&LogOp::CommitDerivation(attr, derivation))?;
-        Ok(n)
-    }
-
-    /// Logged [`Database::create_constraint`].
-    pub fn create_constraint(
-        &mut self,
-        name: &str,
-        class: ClassId,
-        predicate: Predicate,
-        kind: ConstraintKind,
-    ) -> Result<ConstraintId, StoreError> {
-        let id = self
-            .db
-            .create_constraint(name, class, predicate.clone(), kind)?;
-        self.wal.append(&LogOp::CreateConstraint(
-            name.to_string(),
-            class,
-            predicate,
-            kind,
-        ))?;
-        Ok(id)
-    }
-
-    /// Logged [`Database::delete_constraint`].
-    pub fn delete_constraint(&mut self, id: ConstraintId) -> Result<(), StoreError> {
-        self.db.delete_constraint(id)?;
-        self.wal.append(&LogOp::DeleteConstraint(id))?;
-        Ok(())
+        self.logged(LogOp::Intern(lit.clone()), |db| db.intern(lit))
     }
 
     /// Logged [`Database::enable_multiple_inheritance`].
     pub fn enable_multiple_inheritance(&mut self) -> Result<(), StoreError> {
-        self.db.enable_multiple_inheritance();
-        self.wal.append(&LogOp::EnableMultipleInheritance)?;
-        Ok(())
+        self.logged(LogOp::EnableMultipleInheritance, |db| {
+            db.enable_multiple_inheritance();
+            Ok(())
+        })
     }
 }
 

@@ -1112,6 +1112,9 @@ mod tests {
 
     #[test]
     fn stats_reports_the_shared_index_service() {
+        // Its query lands in the process-global slow-query journal that
+        // the slowlog tests count: run it under the same lock.
+        let _obs = obs_switch();
         let mut r = repl();
         assert!(r.exec("stats").unwrap().contains("no index service"));
         for line in [
