@@ -15,7 +15,8 @@ use isis_query::{DerivedMaintainer, DerivedState};
 /// Brings `db`'s derived state up to date through the refresh path
 /// `Session::refresh_derived` takes: delta rounds once `state` exists.
 fn refresh(state: &mut Option<DerivedState>, db: &mut Database) {
-    *state = Some(DerivedState::refresh(state.take(), db, 1, &mut Vec::new()).unwrap());
+    let (scope, mut changed) = (isis_obs::Registry::new(), Vec::new());
+    *state = Some(DerivedState::refresh(state.take(), db, 1, &scope, &mut changed).unwrap());
 }
 
 fn commit_vs_incremental(c: &mut Criterion) {

@@ -434,7 +434,9 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
     // then one session refresh (collect → index drain → settle, until the
     // log runs dry). The untimed first refresh is the full one, so the
     // postings describe the state before the first burst.
-    let mut state = Some(DerivedState::refresh(None, &mut g.s.db, 1, &mut Vec::new()).unwrap());
+    let scope = isis_obs::Registry::new();
+    let mut state =
+        Some(DerivedState::refresh(None, &mut g.s.db, 1, &scope, &mut Vec::new()).unwrap());
     let burst = 100.min(g.s.musician_ids.len());
     let mut cursor = 0usize;
     let refresh_ns = time_rounds(cfg.refresh_rounds, || {
@@ -444,7 +446,9 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
             g.s.db.assign_multi(m, g.s.plays, [inst]).unwrap();
         }
         cursor += burst;
-        state = Some(DerivedState::refresh(state.take(), &mut g.s.db, 1, &mut Vec::new()).unwrap());
+        state = Some(
+            DerivedState::refresh(state.take(), &mut g.s.db, 1, &scope, &mut Vec::new()).unwrap(),
+        );
     });
     eprintln!(
         "   refresh round ({burst} reassignments): {:.2}ms",

@@ -335,11 +335,17 @@ impl DeltaLog {
     }
 
     pub(crate) fn record(&mut self, change: Change) {
-        self.entries.push_back(change);
-        while self.entries.len() > self.capacity {
+        // Evict before appending: appending to a full window first would
+        // double the deque's allocation for one entry it drops at once.
+        if self.capacity == 0 {
+            self.base += 1;
+            return;
+        }
+        while self.entries.len() >= self.capacity {
             self.entries.pop_front();
             self.base += 1;
         }
+        self.entries.push_back(change);
     }
 
     /// The changes recorded at or after `epoch`, or `None` if the window
@@ -470,6 +476,21 @@ mod tests {
         log.record(change(9));
         assert_eq!(log.len(), 5);
         assert_eq!(log.epoch(), 10);
+    }
+
+    /// A full window evicts before it records, so its deque never grows
+    /// past the window; a zero window keeps nothing but still counts.
+    #[test]
+    fn a_full_window_does_not_outgrow_its_capacity() {
+        let mut log = DeltaLog::with_capacity(8);
+        for i in 0..100 {
+            log.record(change(i));
+        }
+        assert_eq!((log.len(), log.base_epoch(), log.epoch()), (8, 92, 100));
+        assert!(log.entries.capacity() < 16, "{}", log.entries.capacity());
+        let mut none = DeltaLog::with_capacity(0);
+        none.record(change(0));
+        assert_eq!((none.len(), none.base_epoch(), none.epoch()), (0, 1, 1));
     }
 
     #[test]

@@ -40,12 +40,14 @@ pub struct DatabaseImage {
 impl Database {
     /// Exports the full state of the database.
     pub fn to_image(&self) -> DatabaseImage {
+        let mut entities = Vec::with_capacity(self.entities.len());
+        entities.extend(self.entities.iter().cloned());
         DatabaseImage {
             name: self.name.clone(),
             classes: self.classes.clone(),
             attrs: self.attrs.clone(),
             groupings: self.groupings.clone(),
-            entities: self.entities.iter().cloned().collect(),
+            entities,
             fill_counter: self.fill_counter,
             multi_inheritance: self.multi_inheritance,
             constraints: self.constraints.clone(),

@@ -237,9 +237,15 @@ impl Obs {
     /// A machine-readable report of everything this instance has seen:
     /// the journal document (schema `isis-obs/2`) with the metrics added.
     pub fn run_report(&self) -> Json {
+        self.report_with(self.registry.snapshot())
+    }
+
+    /// [`Obs::run_report`] with `metrics` under `"metrics"`: for a caller
+    /// that lists a registry scope of its own beside this instance's.
+    pub fn report_with(&self, metrics: MetricsSnapshot) -> Json {
         let mut report = self.journal.snapshot().to_json();
         if let Json::Obj(pairs) = &mut report {
-            pairs.push(("metrics".to_string(), self.registry.snapshot().to_json()));
+            pairs.push(("metrics".to_string(), metrics.to_json()));
         }
         report
     }

@@ -311,6 +311,15 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The value of the metric named `name`, if it is registered.
+    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+        let i = self
+            .entries
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()?;
+        Some(&self.entries[i].1)
+    }
+
     /// Render as aligned text, one metric per line — the REPL `metrics`
     /// output.
     pub fn to_text(&self) -> String {

@@ -46,6 +46,12 @@
 //! predicate shapes degrades to per-query compilation instead of growing
 //! without limit.
 //!
+//! Every lookup is counted once, always on, in a registry scope
+//! (`query.program.cache_{hits,misses,invalidations,evictions}`, read back
+//! as [`ProgramCacheStats`]). A standalone cache counts privately; an
+//! [`IndexService`]'s cache counts into the service's scope, so a
+//! session's counts outlive the cache a rebuild drops.
+//!
 //! ## Cached access plans
 //!
 //! An entry can additionally carry a [`CachedPlan`] — the pruned candidate
@@ -61,8 +67,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use isis_core::{Atom, ClassId, CoreError, Database, EntityId, Map, Predicate, Rhs};
+use isis_obs::{Counter, Registry};
 
 use crate::program::PredicateProgram;
 use crate::service::IndexService;
@@ -145,8 +153,8 @@ impl CacheOutcome {
     }
 }
 
-/// Counters describing a cache's behaviour (also mirrored into the
-/// process-wide [`isis_obs`] registry as `query.program.cache_*`).
+/// The cache lookups counted in a cache's registry scope, read by
+/// [`ProgramCache::stats`]: a snapshot of `query.program.cache_*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
     /// Lookups answered from a cached program (including data-only
@@ -168,11 +176,12 @@ pub struct ProgramCacheStats {
 pub struct ProgramCache {
     entries: RefCell<HashMap<CacheKey, CacheEntry>>,
     capacity: usize,
+    /// LRU clock.
     tick: Cell<u64>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    invalidations: Cell<u64>,
-    evictions: Cell<u64>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    invalidations: Arc<Counter>,
+    evictions: Arc<Counter>,
     last_outcome: Cell<Option<CacheOutcome>>,
 }
 
@@ -192,14 +201,19 @@ impl ProgramCache {
     /// caching: every lookup is a miss that compiles and is immediately
     /// dropped).
     pub fn with_capacity(capacity: usize) -> ProgramCache {
+        ProgramCache::in_scope(capacity, &Registry::new())
+    }
+
+    /// [`ProgramCache::with_capacity`], counting into `scope`.
+    pub(crate) fn in_scope(capacity: usize, scope: &Registry) -> ProgramCache {
         ProgramCache {
             entries: RefCell::new(HashMap::new()),
             capacity,
             tick: Cell::new(0),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            invalidations: Cell::new(0),
-            evictions: Cell::new(0),
+            hits: scope.counter("query.program.cache_hits"),
+            misses: scope.counter("query.program.cache_misses"),
+            invalidations: scope.counter("query.program.cache_invalidations"),
+            evictions: scope.counter("query.program.cache_evictions"),
             last_outcome: Cell::new(None),
         }
     }
@@ -219,7 +233,8 @@ impl ProgramCache {
         self.capacity
     }
 
-    /// Hit/miss/invalidation counters since construction.
+    /// Hit/miss/invalidation/eviction counts of the cache's scope: this
+    /// cache alone, or every cache of the scope its service counts into.
     pub fn stats(&self) -> ProgramCacheStats {
         ProgramCacheStats {
             hits: self.hits.get(),
@@ -242,11 +257,6 @@ impl ProgramCache {
     /// through the identical code path.
     pub fn clear(&self) {
         self.entries.borrow_mut().clear();
-    }
-
-    fn bump(counter: &Cell<u64>, obs_key: &'static str) {
-        counter.set(counter.get() + 1);
-        isis_obs::global().count(obs_key, 1);
     }
 
     /// Runs `f` against the compiled program for `(parent, source, pred)`,
@@ -296,7 +306,7 @@ impl ProgramCache {
         let epoch = db.delta_epoch();
         if let Some(entry) = entries.get_mut(&key).filter(|e| e.pred == *pred) {
             if entry.epoch == epoch {
-                Self::bump(&self.hits, "query.program.cache_hits");
+                self.hits.inc();
                 self.last_outcome.set(Some(CacheOutcome::Hit));
             } else {
                 match db.changes_since(entry.epoch) {
@@ -305,7 +315,7 @@ impl ProgramCache {
                         // only mapped constant images can be stale.
                         entry.prog.ensure_fresh(db).map_err(E::from)?;
                         entry.epoch = epoch;
-                        Self::bump(&self.hits, "query.program.cache_hits");
+                        self.hits.inc();
                         isis_obs::global().count("query.program.cache_rehoists", 1);
                         self.last_outcome.set(Some(CacheOutcome::Rehoist));
                     }
@@ -317,7 +327,7 @@ impl ProgramCache {
                                 .map_err(E::from)?;
                         entry.epoch = epoch;
                         entry.plan = None;
-                        Self::bump(&self.invalidations, "query.program.cache_invalidations");
+                        self.invalidations.inc();
                         self.last_outcome.set(Some(CacheOutcome::Recompile));
                     }
                 }
@@ -332,7 +342,7 @@ impl ProgramCache {
         // so error identity with an uncached compile is exact.
         let prog =
             PredicateProgram::compile_with(db, parent, source, pred, indexes).map_err(E::from)?;
-        Self::bump(&self.misses, "query.program.cache_misses");
+        self.misses.inc();
         self.last_outcome.set(Some(CacheOutcome::Miss));
         if self.capacity == 0 {
             return f(&prog, &mut None);
@@ -340,7 +350,7 @@ impl ProgramCache {
         if entries.len() >= self.capacity && !entries.contains_key(&key) {
             if let Some((&victim, _)) = entries.iter().min_by_key(|(_, e)| e.last_used) {
                 entries.remove(&victim);
-                Self::bump(&self.evictions, "query.program.cache_evictions");
+                self.evictions.inc();
             }
         }
         let fresh = CacheEntry {

@@ -89,8 +89,8 @@ pub struct ExplainRecord {
     /// The chunking decision for this candidate count and thread count:
     /// `Some((chunks, chunk_size))`, or `None` for the serial fallback.
     pub chunks: Option<(usize, usize)>,
-    /// Candidates scanned (== `candidates`; kept as the counter the
-    /// registry mirrors so the record agrees with `QueryStats`).
+    /// Candidates scanned (== `candidates`; what this evaluation added to
+    /// `query.service.rows_scanned` in the service's scope).
     pub scanned: u64,
     /// Members returned.
     pub returned: u64,

@@ -17,6 +17,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use isis_obs::Registry;
+
 use isis_core::{
     AttrDerivation, AttrId, Change, ChangeSet, ClassId, Database, EntityId, Map, OrderedSet,
     Predicate, Result, Rhs, ValueClass,
@@ -348,8 +350,9 @@ impl DerivedMaintainer {
     /// pruned through `service`'s planner and evaluated on its pool, whose
     /// postings must describe `db` as it is now.
     ///
-    /// This is maintenance, not a user query: it leaves the service's
-    /// [`crate::QueryStats`], program cache and slow-query log untouched.
+    /// This is maintenance, not a user query: it leaves the planner and
+    /// program-cache counts of the service's scope, its program cache and
+    /// the slow-query log untouched.
     pub fn recompute(
         &self,
         db: &mut Database,
@@ -388,12 +391,14 @@ const MAX_ROUNDS: usize = 8;
 /// let pred = isis_sample::quartets_predicate(&mut im);
 /// let quartets = im.db.create_derived_subclass(im.music_groups, "quartets")?;
 /// im.db.commit_membership(quartets, pred)?;
+/// // The services of full refreshes count into one scope.
+/// let scope = isis_obs::Registry::new();
 /// // The first refresh is full; later ones drain the delta log.
-/// let state = DerivedState::refresh(None, &mut im.db, 1, &mut Vec::new())?;
+/// let state = DerivedState::refresh(None, &mut im.db, 1, &scope, &mut Vec::new())?;
 /// let gil = im.db.entity_by_name(im.musicians, "Gil")?;
 /// im.db.add_value(gil, im.plays, im.piano)?; // String Fling qualifies
 /// let mut changed = Vec::new();
-/// let state = DerivedState::refresh(Some(state), &mut im.db, 1, &mut changed)?;
+/// let state = DerivedState::refresh(Some(state), &mut im.db, 1, &scope, &mut changed)?;
 /// assert!(changed.contains(&ExtentChange::Delta { class: quartets, added: 1, removed: 0 }));
 /// assert!(state.in_sync(&im.db));
 /// # Ok::<(), isis_query::QueryError>(())
@@ -437,9 +442,10 @@ impl DerivedState {
     /// While `state` exists and the delta log since its cursor holds only
     /// data edits, *delta rounds* re-settle just the candidates each window
     /// can affect. Otherwise the *full refresh* builds a new service, with
-    /// `eval_threads` workers, and re-settles every derived subclass. That
-    /// happens on the first refresh, on an evicted window, on a schema
-    /// edit, or when the drain does not quiesce within 8 rounds.
+    /// `eval_threads` workers and counting into `scope`, and re-settles
+    /// every derived subclass. That happens on the first refresh, on an
+    /// evicted window, on a schema edit, or when the drain does not quiesce
+    /// within 8 rounds.
     ///
     /// A failed refresh consumes `state`, so the next one is full and no
     /// window is skipped. Each [`ExtentChange`] is pushed onto `changed` as
@@ -448,17 +454,18 @@ impl DerivedState {
         state: Option<DerivedState>,
         db: &mut Database,
         eval_threads: usize,
+        scope: &Registry,
         changed: &mut Vec<ExtentChange>,
     ) -> Result<DerivedState, QueryError> {
         let obs = isis_obs::global();
         let _span = obs.span("session.refresh.drain");
         let Some(mut state) = state else {
-            return DerivedState::full(db, eval_threads, changed);
+            return DerivedState::full(db, eval_threads, scope, changed);
         };
         for _ in 0..MAX_ROUNDS {
             let cs = match db.changes_since(state.service.cursor()) {
                 Some(cs) if !cs.has_schema_changes() => cs,
-                _ => return DerivedState::full(db, eval_threads, changed),
+                _ => return DerivedState::full(db, eval_threads, scope, changed),
             };
             if cs.is_empty() {
                 return Ok(state);
@@ -466,7 +473,7 @@ impl DerivedState {
             obs.count("session.refresh.rounds", 1);
             state.apply_round(db, &cs, changed)?;
         }
-        DerivedState::full(db, eval_threads, changed)
+        DerivedState::full(db, eval_threads, scope, changed)
     }
 
     /// `true` when nothing was recorded in `db` since the last refresh, so
@@ -581,6 +588,7 @@ impl DerivedState {
     fn full(
         db: &mut Database,
         eval_threads: usize,
+        scope: &Registry,
         changed: &mut Vec<ExtentChange>,
     ) -> Result<DerivedState, QueryError> {
         let obs = isis_obs::global();
@@ -591,7 +599,7 @@ impl DerivedState {
             .filter(|(_, c)| c.is_derived())
             .map(|(id, _)| id)
             .collect();
-        let mut service = IndexService::new(db);
+        let mut service = IndexService::in_scope(db, scope);
         service.eval_pool().set_threads(eval_threads);
         let mut maintainers = Vec::with_capacity(derived_classes.len());
         for class in derived_classes {
@@ -656,7 +664,7 @@ mod tests {
         db: &mut Database,
     ) -> (DerivedState, Vec<ExtentChange>) {
         let mut changed = Vec::new();
-        let state = DerivedState::refresh(state, db, 1, &mut changed).unwrap();
+        let state = DerivedState::refresh(state, db, 1, &Registry::new(), &mut changed).unwrap();
         (state, changed)
     }
 

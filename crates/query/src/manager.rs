@@ -8,18 +8,23 @@
 //! the log window has been evicted (or the database was swapped under us,
 //! e.g. by undo), when a schema edit arrives, or for grouping-ranged
 //! attributes whose expansion cannot be patched from a raw transition.
+//! Each patch and rebuild is counted once, in the registry scope of the
+//! [`crate::IndexService`] that owns the manager (`query.index.*`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use isis_core::{
     AttrId, AttrValue, Change, ChangeSet, ClassId, Database, EntityId, OrderedSet, Result,
     SchemaEdit, ValueClass,
 };
+use isis_obs::{Counter, Registry};
 
 use crate::index::AttrIndex;
 
-/// Counters describing how an [`crate::IndexService`] kept its indexes
-/// current.
+/// How index maintenance kept indexes current, counted in the registry
+/// scope of a [`crate::IndexService`] and read by its `index_stats`: a
+/// snapshot of `query.index.{patches,rebuilds}`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Individual posting-list patches applied from deltas.
@@ -42,18 +47,21 @@ pub(crate) struct IndexManager {
     /// every stored index value, forcing a rebuild.
     grouping_bases: HashMap<AttrId, AttrId>,
     cursor: u64,
-    stats: IndexStats,
+    patches: Arc<Counter>,
+    rebuilds: Arc<Counter>,
 }
 
 impl IndexManager {
-    /// An empty manager synchronised to the database's current epoch.
-    pub fn new(db: &Database) -> IndexManager {
+    /// An empty manager synchronised to the database's current epoch,
+    /// counting into `scope`.
+    pub fn new(db: &Database, scope: &Registry) -> IndexManager {
         IndexManager {
             indexes: HashMap::new(),
             owners: HashMap::new(),
             grouping_bases: HashMap::new(),
             cursor: db.delta_epoch(),
-            stats: IndexStats::default(),
+            patches: scope.counter("query.index.patches"),
+            rebuilds: scope.counter("query.index.rebuilds"),
         }
     }
 
@@ -78,9 +86,12 @@ impl IndexManager {
         self.indexes.keys().copied()
     }
 
-    /// Maintenance counters accumulated so far.
+    /// The maintenance counts of the manager's scope.
     pub fn stats(&self) -> IndexStats {
-        self.stats
+        IndexStats {
+            incremental_updates: self.patches.get() as usize,
+            rebuilds: self.rebuilds.get() as usize,
+        }
     }
 
     /// The delta epoch the indexes are synchronised to.
@@ -149,7 +160,7 @@ impl IndexManager {
             .collect();
         for a in dependents {
             self.indexes.insert(a, AttrIndex::build(db, a)?);
-            self.stats.rebuilds += 1;
+            self.rebuilds.inc();
         }
         Ok(())
     }
@@ -168,10 +179,10 @@ impl IndexManager {
                 // Grouping-ranged: the stored transition is in index
                 // entities, but postings hold expanded members.
                 *idx = AttrIndex::build(db, attr)?;
-                self.stats.rebuilds += 1;
+                self.rebuilds.inc();
             } else {
                 idx.update(entity, &old.as_set(), &new.as_set());
-                self.stats.incremental_updates += 1;
+                self.patches.inc();
             }
         }
         Ok(())
@@ -201,7 +212,7 @@ impl IndexManager {
             if let Some(idx) = self.indexes.get_mut(&attr) {
                 let old = idx.owned_values(entity);
                 idx.update(entity, &old, &new);
-                self.stats.incremental_updates += 1;
+                self.patches.inc();
             }
         }
         Ok(())
@@ -219,7 +230,7 @@ impl IndexManager {
                 let old = idx.owned_values(entity);
                 if !old.is_empty() {
                     idx.update(entity, &old, &OrderedSet::new());
-                    self.stats.incremental_updates += 1;
+                    self.patches.inc();
                 }
             }
         }
@@ -250,7 +261,7 @@ impl IndexManager {
                 continue;
             }
             self.indexes.insert(attr, AttrIndex::build(db, attr)?);
-            self.stats.rebuilds += 1;
+            self.rebuilds.inc();
         }
         Ok(())
     }
@@ -275,7 +286,7 @@ mod tests {
     #[test]
     fn refresh_applies_value_transitions() {
         let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
+        let mut mgr = IndexManager::new(&im.db, &Registry::new());
         mgr.add_index(&im.db, im.plays).unwrap();
         mgr.add_index(&im.db, im.family).unwrap();
         let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
@@ -293,7 +304,7 @@ mod tests {
     #[test]
     fn refresh_handles_inserts_and_deletes() {
         let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
+        let mut mgr = IndexManager::new(&im.db, &Registry::new());
         mgr.add_index(&im.db, im.plays).unwrap();
         let newbie = im.db.insert_entity(im.musicians, "Newbie").unwrap();
         im.db.add_value(newbie, im.plays, im.viola).unwrap();
@@ -306,7 +317,7 @@ mod tests {
     #[test]
     fn schema_change_triggers_rebuild() {
         let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
+        let mut mgr = IndexManager::new(&im.db, &Registry::new());
         mgr.add_index(&im.db, im.plays).unwrap();
         im.db.create_baseclass("venues").unwrap();
         mgr.refresh(&im.db).unwrap();
@@ -317,7 +328,7 @@ mod tests {
     #[test]
     fn stale_cursor_falls_back_to_rebuild() {
         let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
+        let mut mgr = IndexManager::new(&im.db, &Registry::new());
         mgr.add_index(&im.db, im.plays).unwrap();
         // Simulate an undo: replace the database with an older clone whose
         // delta log is behind the cursor.
@@ -353,7 +364,7 @@ mod tests {
             .entity_by_name(im.music_groups, "String Fling")
             .unwrap();
         im.db.assign_multi(fling, sections, [im.brass]).unwrap();
-        let mut mgr = IndexManager::new(&im.db);
+        let mut mgr = IndexManager::new(&im.db, &Registry::new());
         mgr.add_index(&im.db, sections).unwrap();
         mgr.add_index(&im.db, im.family).unwrap();
         // One window interleaving a sections edit, the grouping re-key
@@ -391,7 +402,7 @@ mod tests {
     #[test]
     fn deleted_attr_index_is_dropped() {
         let mut im = instrumental_music().unwrap();
-        let mut mgr = IndexManager::new(&im.db);
+        let mut mgr = IndexManager::new(&im.db, &Registry::new());
         mgr.add_index(&im.db, im.popular).unwrap();
         im.db.delete_attr(im.popular).unwrap();
         mgr.refresh(&im.db).unwrap();

@@ -19,15 +19,16 @@
 //! chooses between an index probe (the posting lists of every step of the
 //! atom's map, walked back from its anchors), a grouping-range scan
 //! (reading the sets of a §2 grouping defined on a one-step atom's
-//! attribute), and a sequential scan, and counts each decision in
-//! [`QueryStats`] so planner behaviour is observable (the REPL `stats`
-//! command prints these counters).
-//!
-//! Every planner decision is also mirrored into the process-wide
-//! [`isis_obs`] registry under `query.service.*` / `query.index.*`
-//! (DESIGN.md §5c), and [`IndexService::evaluate`] runs under a
-//! `query.service.evaluate` span, so the REPL `metrics` and `trace dump`
-//! commands see the query path without any extra plumbing.
+//! attribute), and a sequential scan, and counts each decision once, in
+//! the [`isis_obs::Registry`] scope the service was built in
+//! (`query.service.*`; its program cache counts `query.program.cache_*`
+//! and its index maintenance `query.index.*` into the same scope). A
+//! session builds every service in the one scope it keeps, so the counts
+//! survive each rebuild; [`IndexService::new`] counts privately.
+//! [`QueryStats`] is the read-side snapshot of the planner's counts, which
+//! the REPL `stats` and `health` commands print from the session's scope.
+//! [`IndexService::evaluate`] also runs under a `query.service.evaluate`
+//! span, so `trace dump` sees the query path (DESIGN.md §5c).
 //!
 //! **Snapshot consistency under MVCC (DESIGN.md §6).** A service indexes
 //! exactly one database *line*: its delta cursor is an epoch on the
@@ -41,36 +42,30 @@
 //! discarding the service and rebuilding it against the fresh pin, exactly
 //! as it does for a database swap via load/undo.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use isis_obs::Counter;
+use isis_obs::{Counter, Registry};
 
 use isis_core::{
     Atom, AttrId, ChangeSet, ClassId, CompareOp, Database, EntityId, GroupingId, NormalForm,
     OrderedSet, Predicate, Result, Rhs,
 };
 
-use crate::cache::{CachedPlan, ProgramCache};
+use crate::cache::{CachedPlan, ProgramCache, DEFAULT_PROGRAM_CACHE_CAPACITY};
 use crate::error::QueryError;
 use crate::index::{walk_back, AttrIndex};
 use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
 use crate::program::PredicateProgram;
 
-/// Counters describing the access-path decisions one service has made.
+/// The access-path decisions counted in a service's registry scope, read
+/// by [`IndexService::query_stats`]: a snapshot of `query.service.*`.
 ///
-/// Maintenance-side counters (posting patches, rebuilds) live in
-/// [`IndexStats`]; these are the read side.
-///
-/// These are the per-service counters: [`IndexService::query_stats`]
-/// returns them, and the REPL `stats` command and the tests read them.
-/// Every bump is mirrored into the process-wide [`isis_obs`] registry
-/// (`query.service.queries`, `query.service.index_probes`, …), which
-/// aggregates every service in the process and adds rows-scanned/returned
-/// and timing histograms.
+/// Maintenance-side counters (posting patches, rebuilds) are
+/// [`IndexStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Predicates evaluated through [`IndexService::evaluate`].
@@ -99,11 +94,14 @@ pub enum AccessPath {
     SeqScan,
 }
 
-/// Cached handles into the global [`isis_obs`] registry, resolved once per
-/// service so the enabled path pays one atomic add per bump, never a
-/// registry lookup.
-#[derive(Debug)]
-struct ServiceObs {
+/// One maintained set of attribute indexes shared by every query-path
+/// consumer. See the module docs for the ownership model; DESIGN.md
+/// documents the staleness contract.
+#[derive(Debug, Default)]
+pub struct IndexService {
+    manager: IndexManager,
+    /// The planner's counters, resolved once from the service's scope so
+    /// a bump is one relaxed atomic add.
     queries: Arc<Counter>,
     index_probes: Arc<Counter>,
     grouping_scans: Arc<Counter>,
@@ -111,35 +109,6 @@ struct ServiceObs {
     index_misses: Arc<Counter>,
     rows_scanned: Arc<Counter>,
     rows_returned: Arc<Counter>,
-}
-
-impl Default for ServiceObs {
-    fn default() -> ServiceObs {
-        let r = isis_obs::global().registry();
-        ServiceObs {
-            queries: r.counter("query.service.queries"),
-            index_probes: r.counter("query.service.index_probes"),
-            grouping_scans: r.counter("query.service.grouping_scans"),
-            seq_scans: r.counter("query.service.seq_scans"),
-            index_misses: r.counter("query.service.index_misses"),
-            rows_scanned: r.counter("query.service.rows_scanned"),
-            rows_returned: r.counter("query.service.rows_returned"),
-        }
-    }
-}
-
-/// One maintained set of attribute indexes shared by every query-path
-/// consumer. See the module docs for the ownership model; DESIGN.md
-/// documents the staleness contract.
-#[derive(Debug, Default)]
-pub struct IndexService {
-    manager: IndexManager,
-    obs: ServiceObs,
-    queries: Cell<u64>,
-    index_probes: Cell<u64>,
-    grouping_scans: Cell<u64>,
-    seq_scans: Cell<u64>,
-    index_misses: Cell<u64>,
     /// Lazily-spawned persistent worker pool, reused across queries by
     /// [`IndexService::evaluate`] and across refresh rounds by
     /// [`crate::DerivedMaintainer::settle_with`]; width 1 (the default)
@@ -149,7 +118,8 @@ pub struct IndexService {
     /// revalidated against the delta epoch on every lookup — repeat
     /// queries skip validation/reordering/hoisting entirely. Dies with the
     /// service, which dies on every line switch, so entries can never leak
-    /// across database lines through this path.
+    /// across database lines through this path; its counts live on in the
+    /// service's scope.
     programs: ProgramCache,
     /// Per-class extent position maps (entity → storage-order index),
     /// revalidated against the delta epoch. They let a pruned pool much
@@ -199,10 +169,26 @@ pub(crate) struct EvalCapture {
 }
 
 impl IndexService {
-    /// An empty service synchronised to the database's current delta epoch.
+    /// An empty service synchronised to the database's current delta
+    /// epoch, counting into a private scope.
     pub fn new(db: &Database) -> IndexService {
+        IndexService::in_scope(db, &Registry::new())
+    }
+
+    /// [`IndexService::new`], but the planner, the program cache and index
+    /// maintenance count into `scope`: the registry a session keeps across
+    /// the services its refreshes build.
+    pub fn in_scope(db: &Database, scope: &Registry) -> IndexService {
         IndexService {
-            manager: IndexManager::new(db),
+            manager: IndexManager::new(db, scope),
+            queries: scope.counter("query.service.queries"),
+            index_probes: scope.counter("query.service.index_probes"),
+            grouping_scans: scope.counter("query.service.grouping_scans"),
+            seq_scans: scope.counter("query.service.seq_scans"),
+            index_misses: scope.counter("query.service.index_misses"),
+            rows_scanned: scope.counter("query.service.rows_scanned"),
+            rows_returned: scope.counter("query.service.rows_returned"),
+            programs: ProgramCache::in_scope(DEFAULT_PROGRAM_CACHE_CAPACITY, scope),
             ..IndexService::default()
         }
     }
@@ -278,9 +264,7 @@ impl IndexService {
         if entry.epoch != epoch || entry.pos.len() != members.len() {
             entry.pos = members.iter().zip(0u32..).collect();
             entry.epoch = epoch;
-            if isis_obs::global().enabled() {
-                isis_obs::global().count("query.service.order_rebuilds", 1);
-            }
+            isis_obs::global().count("query.service.order_rebuilds", 1);
         }
         let mut picked: Vec<(u32, EntityId)> = pool
             .iter()
@@ -315,7 +299,7 @@ impl IndexService {
                 // An unprunable predicate has no plan worth pinning; an
                 // oversized pool is an explicit pin rejection — a cost
                 // cliff worth counting (the plan is recomputed per query).
-                if pool_len.is_some() && isis_obs::global().enabled() {
+                if pool_len.is_some() {
                     isis_obs::global().count("query.service.plan_pin_rejections", 1);
                 }
                 *plan = None;
@@ -336,45 +320,11 @@ impl IndexService {
         ))
     }
 
-    /// Bumps a per-service counter and, when observability is live, its
-    /// process-wide mirror. Disabled cost: one relaxed atomic load.
-    #[inline]
-    fn bump(&self, cell: &Cell<u64>, mirror: &Counter) {
-        cell.set(cell.get() + 1);
-        if isis_obs::global().enabled() {
-            mirror.inc();
-        }
-    }
-
-    /// Mirrors the maintenance counters the manager accumulated during one
-    /// refresh/apply into the registry (as deltas, so the global counters
-    /// aggregate correctly across services).
-    fn mirror_maintenance(&self, before: IndexStats) {
-        let obs = isis_obs::global();
-        if !obs.enabled() {
-            return;
-        }
-        let after = self.manager.stats();
-        obs.count(
-            "query.index.patches",
-            after
-                .incremental_updates
-                .saturating_sub(before.incremental_updates) as u64,
-        );
-        obs.count(
-            "query.index.rebuilds",
-            after.rebuilds.saturating_sub(before.rebuilds) as u64,
-        );
-    }
-
     /// Brings every index up to date with `db` by consuming the delta log
     /// from the service's cursor (rebuilding when the window is gone).
     pub fn refresh(&mut self, db: &Database) -> Result<()> {
         let _span = isis_obs::global().span("query.index.refresh");
-        let before = self.manager.stats();
-        let out = self.manager.refresh(db);
-        self.mirror_maintenance(before);
-        out
+        self.manager.refresh(db)
     }
 
     /// Applies one explicit [`ChangeSet`] window and moves the cursor to
@@ -384,23 +334,18 @@ impl IndexService {
     /// consumer the same window.
     pub fn apply(&mut self, db: &Database, changes: &ChangeSet) -> Result<()> {
         let _span = isis_obs::global().span("query.index.apply");
-        let before = self.manager.stats();
-        let out = self.manager.apply(db, changes);
-        self.mirror_maintenance(before);
-        out
+        self.manager.apply(db, changes)
     }
 
-    /// Maintenance counters (posting patches, rebuilds).
+    /// Maintenance counters (posting patches, rebuilds) of the service's
+    /// scope.
     pub fn index_stats(&self) -> IndexStats {
         self.manager.stats()
     }
 
-    /// Planner counters (probes, grouping scans, seq scans, misses) of this
-    /// service alone. Every bump is also mirrored into the process-wide
-    /// [`isis_obs`] registry (`query.service.*`) whenever observability is
-    /// enabled; the registry aggregates the whole process, while these stay
-    /// per-service (the REPL `stats` command, the tests and the bench
-    /// report rely on that isolation).
+    /// Planner counters (probes, grouping scans, seq scans, misses) of the
+    /// service's scope: this service alone for [`IndexService::new`], every
+    /// service of the session for one its refresh built.
     pub fn query_stats(&self) -> QueryStats {
         QueryStats {
             queries: self.queries.get(),
@@ -409,15 +354,6 @@ impl IndexService {
             seq_scans: self.seq_scans.get(),
             index_misses: self.index_misses.get(),
         }
-    }
-
-    /// Zeroes the planner counters (maintenance counters are cumulative).
-    pub fn reset_query_stats(&self) {
-        self.queries.set(0);
-        self.index_probes.set(0);
-        self.grouping_scans.set(0);
-        self.seq_scans.set(0);
-        self.index_misses.set(0);
     }
 
     /// `true` when the atom has indexable shape — a non-negated `~` / `⊇` /
@@ -468,7 +404,7 @@ impl IndexService {
             return AccessPath::IndexProbe(steps[0]);
         }
         if count {
-            self.bump(&self.index_misses, &self.obs.index_misses);
+            self.index_misses.inc();
         }
         if let [attr] = *steps {
             if let Ok(rec) = db.attr(attr) {
@@ -499,7 +435,7 @@ impl IndexService {
             Rhs::Constant { anchors, .. } => anchors,
             _ => return Ok(None),
         };
-        let (out, probes, mirror) = match self.plan_atom_inner(db, atom, count) {
+        let (out, path_count) = match self.plan_atom_inner(db, atom, count) {
             AccessPath::IndexProbe(_) => {
                 // Each anchor's walk is the set of owners whose map image
                 // holds it; the planner saw an index on every step.
@@ -510,21 +446,16 @@ impl IndexService {
                 (
                     walks.and_then(|w| Self::combine(atom.op.op, w)),
                     &self.index_probes,
-                    &self.obs.index_probes,
                 )
             }
             AccessPath::GroupingRange(g) => {
                 let lists = db.grouping_sets_named(g, anchors)?;
-                (
-                    Self::combine(atom.op.op, lists),
-                    &self.grouping_scans,
-                    &self.obs.grouping_scans,
-                )
+                (Self::combine(atom.op.op, lists), &self.grouping_scans)
             }
             AccessPath::SeqScan => return Ok(None),
         };
         if out.is_some() && count {
-            self.bump(probes, mirror);
+            path_count.inc();
         }
         Ok(out)
     }
@@ -706,7 +637,7 @@ impl IndexService {
         // list instead of re-planning and re-interpreting per candidate.
         self.programs
             .with_plan(db, parent, None, pred, Some(self), |prog, plan| {
-                self.bump(&self.queries, &self.obs.queries);
+                self.queries.inc();
                 let timed = cap.is_some();
                 let plan_reused = matches!(
                     plan,
@@ -717,17 +648,15 @@ impl IndexService {
                 let (pool_len, candidates) = self.plan_candidates(db, parent, pred, plan, batch)?;
                 let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if pool_len.is_none() {
-                    self.bump(&self.seq_scans, &self.obs.seq_scans);
+                    self.seq_scans.inc();
                 }
                 span.field("pool", || pool_len.map_or(isis_obs::Json::Null, Into::into));
                 let scanned = candidates.len() as u64;
                 let t_eval = if timed { Some(Instant::now()) } else { None };
                 let out = self.eval_pool.evaluate(db, prog, &candidates, None)?;
                 let eval_ns = t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                if obs.enabled() {
-                    self.obs.rows_scanned.add(scanned);
-                    self.obs.rows_returned.add(out.len() as u64);
-                }
+                self.rows_scanned.add(scanned);
+                self.rows_returned.add(out.len() as u64);
                 span.field("scanned", || scanned.into());
                 span.field("returned", || out.len().into());
                 if let Some(c) = cap {
@@ -767,14 +696,20 @@ impl IndexService {
         self.eval_pool.evaluate(db, prog, &candidates, None)
     }
 
-    /// Records a query that was answered *outside* the service — the
-    /// session's Manual-policy fallback scans the extent directly when the
-    /// indexes are behind the database. Counting it here (one query, one
-    /// sequential scan) keeps `stats` honest instead of silently dropping
-    /// the most expensive path.
-    pub fn note_unassisted_scan(&self) {
-        self.bump(&self.queries, &self.obs.queries);
-        self.bump(&self.seq_scans, &self.obs.seq_scans);
+    /// Records in `scope` a query that no service answered: the session's
+    /// Manual-policy fallback scans the extent directly when the indexes
+    /// are behind the database, or before its first refresh. It counts as
+    /// one query and one sequential scan, which keeps `stats` honest
+    /// instead of silently dropping the most expensive path, and as one
+    /// `session.query.unassisted`.
+    pub fn note_unassisted_scan(scope: &Registry) {
+        for name in [
+            "query.service.queries",
+            "query.service.seq_scans",
+            "session.query.unassisted",
+        ] {
+            scope.counter(name).inc();
+        }
     }
 }
 
@@ -836,7 +771,6 @@ mod tests {
         assert_eq!(stats.index_probes, 0);
 
         // No index and no grouping on popular → sequential scan.
-        svc.reset_query_stats();
         let yes = im.db.boolean(true);
         let booleans = im.db.predefined(isis_core::BaseKind::Booleans);
         let atom = match_atom(im.popular, booleans, yes);

@@ -11,6 +11,7 @@
 //! [`Session::explain`], and the scene of the current view.
 
 use isis_core::{ClassId, Database, EntityId, OrderedSet, Predicate, SchemaNode, SharedDatabase};
+use isis_obs::Registry;
 use isis_query::{
     DerivedState, EvalPool, ExplainRecord, ExtentChange, IndexService, PredicateProgram, QueryError,
 };
@@ -129,6 +130,11 @@ pub struct Session {
     /// here too because the service is rebuilt on every line switch, and
     /// each new service's pool is sized from it.
     eval_threads: usize,
+    /// The registry scope every service the refreshes build counts into
+    /// (planner, program cache, index maintenance), and where the
+    /// unassisted scans are counted: the session's query counters, which
+    /// outlive each service rebuild.
+    query_scope: Registry,
 }
 
 /// Where a session's database comes from: a database it owns outright
@@ -257,6 +263,7 @@ impl SessionBuilder {
             derived: None,
             last_recovery: None,
             eval_threads,
+            query_scope: Registry::new(),
         }
     }
 }
@@ -406,6 +413,7 @@ impl Session {
             self.derived.take(),
             &mut self.db,
             self.eval_threads,
+            &self.query_scope,
             &mut changed,
         );
         for change in changed {
@@ -428,10 +436,19 @@ impl Session {
         Ok(())
     }
 
-    /// The shared index service, once a refresh has built it. The planner
-    /// and maintenance counters it carries back the *stats* REPL command.
+    /// The shared index service, once a refresh has built it.
     pub fn index_service(&self) -> Option<&IndexService> {
         self.derived.as_ref().map(DerivedState::service)
+    }
+
+    /// The registry scope the session's query counters live in: the
+    /// planner, program-cache and index-maintenance counts of every
+    /// service its refreshes build, and its unassisted scans. The current
+    /// service reads it back as [`isis_query::QueryStats`] and its
+    /// siblings; the REPL's `stats`, `health` and `metrics` read it by
+    /// name, so the counts show even while no service exists.
+    pub fn query_scope(&self) -> &Registry {
+        &self.query_scope
     }
 
     /// Answers `{ e ∈ parent | P(e) }` through the shared index service.
@@ -509,16 +526,10 @@ impl Session {
         unassisted: impl FnOnce(&Database, OrderedSet, bool, u64) -> R,
     ) -> Result<R, SessionError> {
         self.refresh_at(RefreshPolicy::OnCommit)?;
-        let derived = self.derived.as_ref();
-        if let Some(state) = derived.filter(|d| d.in_sync(&self.db)) {
+        if let Some(state) = self.derived.as_ref().filter(|d| d.in_sync(&self.db)) {
             return Ok(indexed(state.service(), &self.db)?);
         }
-        // The scan bypasses the service, so record it there as a
-        // sequential-scan query for `stats`.
-        if let Some(state) = derived {
-            state.service().note_unassisted_scan();
-        }
-        isis_obs::global().count("session.query.unassisted", 1);
+        IndexService::note_unassisted_scan(&self.query_scope);
         let t = std::time::Instant::now();
         let prog = PredicateProgram::compile(&self.db, parent, pred)?;
         let extent: Vec<EntityId> = self.db.members(parent)?.iter().collect();

@@ -859,3 +859,83 @@ fn the_unassisted_scan_runs_the_compiled_program() {
     }
     assert!(s.index_service().is_none(), "nothing was refreshed");
 }
+
+/// The session's query counters live in its registry scope, not on the
+/// index service: undo + refresh, load, pull, a rebased publish and a full
+/// refresh after a schema edit each build a new service (its program
+/// cache starts empty), and the planner and program-cache counts carry on.
+#[test]
+fn query_counters_survive_every_service_rebuild() {
+    let root = std::env::temp_dir().join(format!("isis_session_counters_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let im = instrumental_music().unwrap();
+    let mut s = Session::builder(im.db.clone())
+        .store(isis_store::StoreDir::open(&root).unwrap())
+        .refresh_policy(RefreshPolicy::OnCommit)
+        .build();
+    let pianists = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+        Map::single(im.plays),
+        CompareOp::Match,
+        Rhs::constant(im.instruments, [im.piano]),
+    )])]);
+    // (queries, program-cache lookups), read through the current service.
+    let counts = |s: &Session| {
+        let svc = s.index_service().expect("a refresh built a service");
+        let c = svc.program_cache().stats();
+        (
+            svc.query_stats().queries,
+            c.hits + c.misses + c.invalidations,
+        )
+    };
+    s.query(im.musicians, &pianists).unwrap();
+    let mut last = counts(&s);
+    assert_eq!(last, (1, 1));
+    let mut after_rebuild = |s: &mut Session, step: &str| {
+        let svc = s.index_service().expect("a refresh built a service");
+        assert!(svc.program_cache().is_empty(), "{step} built a new service");
+        let now = counts(s);
+        assert!(
+            now.0 >= last.0 && now.1 >= last.1,
+            "{step} dropped the counts: {last:?} -> {now:?}"
+        );
+        s.query(im.musicians, &pianists).unwrap();
+        last = counts(s);
+        assert_eq!(last, (now.0 + 1, now.1 + 1), "{step}");
+    };
+
+    s.transact(|db| db.insert_entity(im.musicians, "Undone").map(drop))
+        .unwrap();
+    s.apply(Command::Undo).unwrap();
+    s.apply(Command::Refresh).unwrap();
+    after_rebuild(&mut s, "undo + refresh");
+
+    s.apply(Command::Save("counted".into())).unwrap();
+    s.apply(Command::Load("counted".into())).unwrap();
+    s.apply(Command::Refresh).unwrap();
+    after_rebuild(&mut s, "load");
+
+    // Load detached the session onto a new shared handle: the rival
+    // commits there.
+    let mut rival = Session::open(s.shared()).build();
+    rival
+        .transact(|db| db.insert_entity(im.musicians, "Pulled").map(drop))
+        .unwrap();
+    rival.commit_changes().unwrap();
+    s.apply(Command::Pull).unwrap();
+    after_rebuild(&mut s, "pull");
+
+    s.transact(|db| db.insert_entity(im.musicians, "Mine").map(drop))
+        .unwrap();
+    rival
+        .transact(|db| db.insert_entity(im.musicians, "Theirs").map(drop))
+        .unwrap();
+    rival.commit_changes().unwrap();
+    assert!(s.commit_changes().unwrap().rebased);
+    after_rebuild(&mut s, "rebased publish");
+
+    s.transact(|db| db.create_baseclass("venues").map(drop))
+        .unwrap();
+    s.apply(Command::Refresh).unwrap();
+    after_rebuild(&mut s, "schema edit + refresh");
+    std::fs::remove_dir_all(&root).unwrap();
+}

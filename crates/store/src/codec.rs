@@ -54,6 +54,8 @@ impl std::error::Error for CodecError {}
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// `Some(n)` for a writer that only measures: `n` bytes so far.
+    measured: Option<usize>,
 }
 
 impl Writer {
@@ -65,7 +67,31 @@ impl Writer {
     /// A writer appending to `buf`, so an encoding can land behind bytes
     /// its caller already wrote.
     pub fn over(buf: Vec<u8>) -> Writer {
-        Writer { buf }
+        Writer {
+            buf,
+            measured: None,
+        }
+    }
+
+    /// A writer that keeps nothing and only counts what is written
+    /// through it, so an encoding can be sized before it is written.
+    pub(crate) fn measuring() -> Writer {
+        Writer {
+            buf: Vec::new(),
+            measured: Some(0),
+        }
+    }
+
+    /// How many bytes have been written (or, measuring, counted).
+    pub(crate) fn written(&self) -> usize {
+        self.measured.unwrap_or(self.buf.len())
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.measured {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// The bytes written so far.
@@ -73,29 +99,29 @@ impl Writer {
         self.buf
     }
 
-    /// Bytes written so far (borrowed).
+    /// Bytes written so far (borrowed; empty for a measuring writer).
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
 
     /// Writes a single byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Writes a little-endian u32.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes a little-endian i64.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Writes an f64 by bit pattern.
@@ -111,13 +137,13 @@ impl Writer {
     /// Writes a length-prefixed UTF-8 string.
     pub fn string(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// Writes raw bytes with a length prefix.
     pub fn bytes_field(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
+        self.put(b);
     }
 
     /// Writes an `Option<T>` via a presence byte.

@@ -417,9 +417,19 @@ pub fn encode_image(img: &DatabaseImage) -> Vec<u8> {
 }
 
 /// Appends the encoding of `img` to `buf`, so a caller can write its
-/// header first and frame the result in place.
-pub fn encode_image_into(img: &DatabaseImage, buf: Vec<u8>) -> Vec<u8> {
+/// header first and frame the result in place. The encoding is measured
+/// first and `buf` grown once to fit it exactly: grown by doubling, a
+/// snapshot-sized buffer would ask for up to twice its size.
+pub fn encode_image_into(img: &DatabaseImage, mut buf: Vec<u8>) -> Vec<u8> {
+    let mut size = Writer::measuring();
+    write_image(&mut size, img);
+    buf.reserve_exact(size.written());
     let mut w = Writer::over(buf);
+    write_image(&mut w, img);
+    w.into_bytes()
+}
+
+fn write_image(w: &mut Writer, img: &DatabaseImage) {
     w.u32(IMAGE_VERSION);
     w.string(&img.name);
     w.seq(&img.classes, w_class_record);
@@ -429,7 +439,6 @@ pub fn encode_image_into(img: &DatabaseImage, buf: Vec<u8>) -> Vec<u8> {
     w.u32(img.fill_counter);
     w.boolean(img.multi_inheritance);
     w.seq(&img.constraints, w_constraint_record);
-    w.into_bytes()
 }
 
 /// Decodes a full database image. Version 1 images (pre-constraints) are
@@ -473,6 +482,19 @@ mod tests {
         let bytes = encode_image(&img);
         let back = decode_image(&bytes).unwrap();
         assert_eq!(back, img);
+    }
+
+    /// The measuring pass counts exactly what the writing pass writes, so
+    /// the buffer is allocated once, at its final size.
+    #[test]
+    fn the_buffer_is_sized_to_the_measured_encoding() {
+        let img = instrumental_music().unwrap().db.to_image();
+        let mut size = Writer::measuring();
+        write_image(&mut size, &img);
+        let bytes = encode_image_into(&img, b"head".to_vec());
+        assert_eq!(bytes.len(), 4 + size.written());
+        assert_eq!(bytes.capacity(), bytes.len());
+        assert_eq!(decode_image(&bytes[4..]).unwrap(), img);
     }
 
     #[test]

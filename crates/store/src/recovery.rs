@@ -3,6 +3,9 @@
 //!
 //! `StoreDir::newest_snapshot` is the one reader of a database's snapshot
 //! generations, for recovery, replication and the design history alike.
+//! Replication asks it to check each slot's sealed frame only
+//! (`StoreDir::newest_sealed_snapshot`): the replica decodes what it is
+//! shipped, so the primary does not decode it too.
 //!
 //! [`StoreDir::recover`] is the one true open path — [`StoreDir::load`],
 //! [`StoreDir::open_logged`] and [`StoreDir::open_shared`] all go through
@@ -18,13 +21,15 @@ use std::fmt;
 use isis_core::Database;
 
 use crate::error::StoreError;
-use crate::store::{read_snapshot_bytes_gen, StoreDir};
+use crate::store::{open_snapshot_frame, read_snapshot_bytes_gen, StoreDir};
 use crate::wal::replay_with;
 
 /// The newest readable snapshot generation of a database, as
 /// `StoreDir::newest_snapshot` found it.
-pub(crate) struct NewestSnapshot {
-    pub(crate) db: Database,
+pub(crate) struct NewestSnapshot<T = Database> {
+    /// What reading the slot produced: the decoded database, or `()`
+    /// from `StoreDir::newest_sealed_snapshot`.
+    pub(crate) db: T,
     /// The generation the snapshot was written under.
     pub(crate) generation: u64,
     /// The file's bytes as read; replication ships them verbatim.
@@ -193,6 +198,28 @@ impl StoreDir {
     /// candidate's own error when one does, and [`StoreError::Recovery`]
     /// listing both failures when both do.
     pub(crate) fn newest_snapshot(&self, name: &str) -> Result<NewestSnapshot, StoreError> {
+        self.newest_slot(name, read_snapshot_bytes_gen)
+    }
+
+    /// [`StoreDir::newest_snapshot`] for a reader that needs only the
+    /// generation and the bytes: a slot is readable when its sealed frame
+    /// checks out (magic, length, CRC and generation), and its image is
+    /// not decoded.
+    pub(crate) fn newest_sealed_snapshot(
+        &self,
+        name: &str,
+    ) -> Result<NewestSnapshot<()>, StoreError> {
+        self.newest_slot(name, |bytes| {
+            open_snapshot_frame(bytes).map(|(generation, _)| ((), generation))
+        })
+    }
+
+    /// The newest slot of `name` that `read` accepts, else the fallback.
+    fn newest_slot<T>(
+        &self,
+        name: &str,
+        read: impl Fn(&[u8]) -> Result<(T, u64), StoreError>,
+    ) -> Result<NewestSnapshot<T>, StoreError> {
         StoreDir::check_name(name)?;
         let vfs = self.vfs();
         let present: Vec<_> = [
@@ -208,10 +235,11 @@ impl StoreDir {
         let single = present.len() == 1;
         let mut errors = Vec::new();
         for (path, used_fallback) in present {
-            let read = vfs.read(&path).map_err(StoreError::from).and_then(|bytes| {
-                read_snapshot_bytes_gen(&bytes).map(|(db, generation)| (db, generation, bytes))
-            });
-            match read {
+            let slot = vfs
+                .read(&path)
+                .map_err(StoreError::from)
+                .and_then(|bytes| read(&bytes).map(|(db, generation)| (db, generation, bytes)));
+            match slot {
                 Ok((db, generation, bytes)) => {
                     return Ok(NewestSnapshot {
                         db,

@@ -156,8 +156,8 @@ impl ReplicationLog {
         }
         // The cursor's segment is gone (schema checkpoint, primary
         // restart, or a never-bootstrapped replica): resync from the
-        // newest snapshot.
-        let newest = self.dir.newest_snapshot(&self.name)?;
+        // newest snapshot, which the replica decodes when it applies it.
+        let newest = self.dir.newest_sealed_snapshot(&self.name)?;
         match newest.generation.cmp(&cursor.generation) {
             std::cmp::Ordering::Greater => {
                 obs.count("store.replication.checkpoints_shipped", 1);
@@ -187,7 +187,7 @@ impl ReplicationLog {
             }
             return Ok(have - cursor.frames);
         }
-        let generation = self.dir.newest_snapshot(&self.name)?.generation;
+        let generation = self.dir.newest_sealed_snapshot(&self.name)?.generation;
         match generation.cmp(&cursor.generation) {
             std::cmp::Ordering::Greater => {
                 let new_segment = if replay.snapshot_gen == Some(generation) {
@@ -827,5 +827,36 @@ mod tests {
         dir.vfs().write(&path, b"garbage").unwrap();
         assert_eq!(read_ship_meta(dir.vfs().as_ref(), &path), None);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The primary ships the newest snapshot whose sealed frame checks out
+    /// without decoding it; the replica decodes it before installing
+    /// anything, so an image that does not decode is refused and the
+    /// replica stays where it was.
+    #[test]
+    fn shipping_checks_the_sealed_frame_and_the_replica_decodes() {
+        let proot = tempdir("sealed_p");
+        let rroot = tempdir("sealed_r");
+        let pdir = StoreDir::open(&proot).unwrap();
+        let rdir = StoreDir::open(&rroot).unwrap();
+        let mut payload = 9u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(b"not an image");
+        let mut sealed = crate::store::SNAPSHOT_MAGIC.to_vec();
+        sealed.extend_from_slice(&frame(&payload));
+        std::fs::write(pdir.snapshot_path("band"), sealed).unwrap();
+
+        let log = ReplicationLog::open(&pdir, "band").unwrap();
+        let genesis = ShipCursor::genesis();
+        assert_eq!(log.outstanding(&genesis).unwrap(), 1);
+        match log.ship(&genesis, 16).unwrap() {
+            Shipment::Checkpoint { generation, .. } => assert_eq!(generation, 9),
+            other => panic!("expected a resync checkpoint, got {other:?}"),
+        }
+        let (mut replica, _) = Replica::open(&rdir, "band", SyncPolicy::EverySync).unwrap();
+        assert!(replica.sync(&log).is_err());
+        assert_eq!(replica.cursor(), genesis);
+        assert!(!rdir.snapshot_path("band").exists());
+        std::fs::remove_dir_all(&proot).unwrap();
+        std::fs::remove_dir_all(&rroot).unwrap();
     }
 }

@@ -61,6 +61,15 @@ pub fn snapshot_bytes_with_gen(db: &Database, generation: u64) -> Vec<u8> {
 /// Deserialises snapshot bytes back into a database plus the generation
 /// they were written under.
 pub fn read_snapshot_bytes_gen(bytes: &[u8]) -> Result<(Database, u64), StoreError> {
+    let (generation, image) = open_snapshot_frame(bytes)?;
+    let img = decode_image(image)?;
+    Ok((Database::from_image(img)?, generation))
+}
+
+/// The generation and the image bytes of the snapshot in `bytes`, after
+/// checking its magic, its frame's length and CRC, and that nothing
+/// trails the frame. The image itself is not decoded.
+pub(crate) fn open_snapshot_frame(bytes: &[u8]) -> Result<(u64, &[u8]), StoreError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() {
         return Err(StoreError::Codec(CodecError::BadMagic));
     }
@@ -85,8 +94,7 @@ pub fn read_snapshot_bytes_gen(bytes: &[u8]) -> Result<(Database, u64), StoreErr
     }
     let mut gen8 = [0u8; 8];
     gen8.copy_from_slice(&payload[..8]);
-    let img = decode_image(&payload[8..])?;
-    Ok((Database::from_image(img)?, u64::from_le_bytes(gen8)))
+    Ok((u64::from_le_bytes(gen8), &payload[8..]))
 }
 
 /// Deserialises snapshot bytes back into a database.
@@ -94,7 +102,7 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<Database, StoreError> {
     read_snapshot_bytes_gen(bytes).map(|(db, _)| db)
 }
 
-/// The generation of the snapshot in `bytes`, if it validates.
+/// The generation of the snapshot in `bytes`, if it decodes in full.
 pub(crate) fn peek_generation(bytes: &[u8]) -> Option<u64> {
     read_snapshot_bytes_gen(bytes).ok().map(|(_, g)| g)
 }
@@ -193,12 +201,13 @@ impl StoreDir {
 
     /// The next unused snapshot generation for `name`: one past everything
     /// on disk, so a stale log can never be mistaken for the new
-    /// generation's.
+    /// generation's. A snapshot's generation is read from its sealed frame
+    /// without decoding the image.
     pub(crate) fn next_generation(&self, name: &str) -> u64 {
         let mut newest = 0;
         for path in [self.snapshot_path(name), self.fallback_path(name)] {
             if let Ok(bytes) = self.vfs.read(&path) {
-                if let Some(g) = peek_generation(&bytes) {
+                if let Ok((g, _)) = open_snapshot_frame(&bytes) {
                     newest = newest.max(g);
                 }
             }
@@ -608,6 +617,25 @@ mod tests {
         let v = db.insert_entity(i, "viola").unwrap();
         db.assign_multi(e, plays, [v]).unwrap();
         (m, i, plays, e, v)
+    }
+
+    /// A slot's generation comes from its sealed frame: a fallback that
+    /// names generation 9 but holds an image that does not decode still
+    /// counts as on disk.
+    #[test]
+    fn next_generation_reads_the_sealed_frame_without_decoding() {
+        let root = tempdir("next_generation");
+        let dir = StoreDir::open(&root).unwrap();
+        let db = Database::new("N");
+        std::fs::write(dir.snapshot_path("N"), snapshot_bytes_with_gen(&db, 3)).unwrap();
+        let mut payload = 9u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(b"not an image");
+        let mut undecodable = SNAPSHOT_MAGIC.to_vec();
+        undecodable.extend_from_slice(&crate::codec::frame(&payload));
+        assert!(read_snapshot_bytes_gen(&undecodable).is_err());
+        std::fs::write(dir.fallback_path("N"), undecodable).unwrap();
+        assert_eq!(dir.next_generation("N"), 10);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

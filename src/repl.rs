@@ -65,11 +65,13 @@ session:      load NAME | save NAME | checks | undo | redo | stop | help
               pull — fast-forward a clean session to the shared head
               refresh [manual|oncommit|immediate] — re-evaluate derived state
               (no argument) or set when it happens automatically
-              stats — planner and index-maintenance counters of the shared
-              index service (built by the first refresh)
+              stats — the shared index service's indexed attributes (built
+              by the first refresh) and the session's planner and
+              index-maintenance counters, which outlive service rebuilds
               metrics [json|reset|on|off] — the process-wide observability
               registry (counters and latency histograms; ISIS_OBS=1 to
-              enable at startup); reset also empties the journal, the one
+              enable at startup) beside the session's always-on query
+              counters; reset zeroes both and empties the journal, the one
               bounded ring of spans and decision events
               trace on|off|dump|json — span recording across the
               query/refresh/storage pipeline; dump shows the journal as a
@@ -301,71 +303,66 @@ impl Repl {
             "commit" => self.session.apply(Command::WsCommit)?,
             "checks" => self.session.apply(Command::CheckConstraints)?,
             "stats" => {
-                return Ok(match self.session.index_service() {
+                let attrs = match self.session.index_service() {
                     Some(svc) => {
-                        let q = svc.query_stats();
-                        let i = svc.index_stats();
-                        let attrs: Vec<String> = svc
+                        let names: Vec<String> = svc
                             .indexed_attrs()
                             .filter_map(|a| {
                                 self.session.database().attr(a).ok().map(|r| r.name.clone())
                             })
                             .collect();
-                        let mut out = format!(
-                            "indexed attrs:  {}\n\
-                             queries:        {} ({} index probes, {} grouping scans, \
-                             {} seq scans, {} misses)\n\
-                             maintenance:    {} posting patches, {} rebuilds",
-                            if attrs.is_empty() {
-                                "(none)".to_string()
-                            } else {
-                                attrs.join(", ")
-                            },
-                            q.queries,
-                            q.index_probes,
-                            q.grouping_scans,
-                            q.seq_scans,
-                            q.index_misses,
-                            i.incremental_updates,
-                            i.rebuilds,
-                        );
-                        // With observability live, extend the per-service
-                        // shim with the process-wide latency histogram.
-                        let obs = isis_obs::global();
-                        if obs.enabled() {
-                            let snap = obs.registry().snapshot();
-                            if let Some(isis_obs::MetricValue::Histogram(h)) = snap
-                                .entries
-                                .iter()
-                                .find(|(n, _)| n == "query.service.evaluate")
-                                .map(|(_, v)| v.clone())
-                            {
-                                out.push_str(&format!(
-                                    "\nevaluate:       p50<={}ns p95<={}ns p99<={}ns \
-                                     over {} queries (process-wide; see 'metrics')",
-                                    h.p50, h.p95, h.p99, h.count
-                                ));
-                            }
+                        if names.is_empty() {
+                            "(none)".to_string()
+                        } else {
+                            names.join(", ")
                         }
-                        out
                     }
                     None => "no index service yet — run 'refresh' to build it".to_string(),
-                });
+                };
+                let snap = self.metrics_snapshot();
+                let count = |name: &str| snapshot_counter(&snap, name);
+                let mut out = format!(
+                    "indexed attrs:  {attrs}\n\
+                     queries:        {} ({} index probes, {} grouping scans, {} seq scans, \
+                     {} misses)\n\
+                     maintenance:    {} posting patches, {} rebuilds",
+                    count("query.service.queries"),
+                    count("query.service.index_probes"),
+                    count("query.service.grouping_scans"),
+                    count("query.service.seq_scans"),
+                    count("query.service.index_misses"),
+                    count("query.index.patches"),
+                    count("query.index.rebuilds"),
+                );
+                // With observability live, add the process-wide latency
+                // histogram.
+                if let (true, Some(isis_obs::MetricValue::Histogram(h))) = (
+                    isis_obs::global().enabled(),
+                    snap.get("query.service.evaluate"),
+                ) {
+                    out.push_str(&format!(
+                        "\nevaluate:       p50<={}ns p95<={}ns p99<={}ns \
+                         over {} queries (process-wide; see 'metrics')",
+                        h.p50, h.p95, h.p99, h.count
+                    ));
+                }
+                return Ok(out);
             }
             "metrics" => {
                 let obs = isis_obs::global();
                 return Ok(match parts.first().map(String::as_str) {
                     None => {
                         if obs.enabled() {
-                            obs.registry().snapshot().to_text()
+                            self.metrics_snapshot().to_text()
                         } else {
                             "observability is off — 'metrics on' (or ISIS_OBS=1) enables it"
                                 .to_string()
                         }
                     }
-                    Some("json") => obs.run_report().pretty(),
+                    Some("json") => obs.report_with(self.metrics_snapshot()).pretty(),
                     Some("reset") => {
                         obs.registry().reset();
+                        self.session.query_scope().reset();
                         obs.journal().clear();
                         "metrics and journal reset".to_string()
                     }
@@ -566,32 +563,27 @@ impl Repl {
         Ok(self.session.messages()[before..].join("\n"))
     }
 
+    /// What `metrics` lists and `metrics reset` zeroes: the global
+    /// registry and the session's query scope, in one name order.
+    fn metrics_snapshot(&self) -> isis_obs::MetricsSnapshot {
+        let mut snap = isis_obs::global().registry().snapshot();
+        snap.entries
+            .extend(self.session.query_scope().snapshot().entries);
+        snap.entries.sort_by(|a, b| a.0.cmp(&b.0));
+        snap
+    }
+
     /// One-screen triage summary: program-cache hit rate, query access-path
     /// mix, MVCC commit/conflict rates, replica lag, slow-query highlights,
-    /// and the journal's fill. Service-level counters work even with
-    /// observability off; the process-wide rates need `ISIS_OBS=1` or
-    /// `metrics on`.
+    /// and the journal's fill. The session's query counters are always on;
+    /// the process-wide rates need `ISIS_OBS=1` or `metrics on`.
     fn health_report(&self, as_json: bool) -> String {
         let obs = isis_obs::global();
-        let snap = obs.registry().snapshot();
-        let counter = |name: &str| -> u64 {
-            snap.entries
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, v)| match v {
-                    isis_obs::MetricValue::Counter(c) => Some(*c),
-                    _ => None,
-                })
-                .unwrap_or(0)
-        };
-        let gauge = |name: &str| -> Option<i64> {
-            snap.entries
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, v)| match v {
-                    isis_obs::MetricValue::Gauge(g) => Some(*g),
-                    _ => None,
-                })
+        let snap = self.metrics_snapshot();
+        let counter = |name: &str| snapshot_counter(&snap, name);
+        let gauge = |name: &str| match snap.get(name) {
+            Some(isis_obs::MetricValue::Gauge(g)) => Some(*g),
+            _ => None,
         };
         let pct = |part: u64, whole: u64| -> f64 {
             if whole == 0 {
@@ -601,9 +593,17 @@ impl Repl {
             }
         };
 
-        let svc = self.session.index_service();
-        let cache = svc.map(|s| s.program_cache().stats());
-        let queries = svc.map(|s| s.query_stats());
+        let (hits, misses, invalidations, evictions) = (
+            counter("query.program.cache_hits"),
+            counter("query.program.cache_misses"),
+            counter("query.program.cache_invalidations"),
+            counter("query.program.cache_evictions"),
+        );
+        let queries = counter("query.service.queries");
+        let seq_scans = counter("query.service.seq_scans");
+        let probes = counter("query.service.index_probes");
+        let grouping_scans = counter("query.service.grouping_scans");
+        let unassisted = counter("session.query.unassisted");
         let journal = obs.journal().snapshot();
         let slow: Vec<&isis_obs::Json> = journal.events_of(SLOW_EVENT).map(|(_, d)| d).collect();
         let worst = slow
@@ -622,31 +622,22 @@ impl Repl {
                 ("obs_enabled", isis_obs::Json::from(obs.enabled())),
                 (
                     "program_cache",
-                    match &cache {
-                        Some(c) => isis_obs::Json::obj([
-                            ("hits", isis_obs::Json::from(c.hits)),
-                            ("misses", isis_obs::Json::from(c.misses)),
-                            ("invalidations", isis_obs::Json::from(c.invalidations)),
-                            ("evictions", isis_obs::Json::from(c.evictions)),
-                        ]),
-                        None => isis_obs::Json::Null,
-                    },
+                    isis_obs::Json::obj([
+                        ("hits", isis_obs::Json::from(hits)),
+                        ("misses", isis_obs::Json::from(misses)),
+                        ("invalidations", isis_obs::Json::from(invalidations)),
+                        ("evictions", isis_obs::Json::from(evictions)),
+                    ]),
                 ),
                 (
                     "queries",
-                    match &queries {
-                        Some(q) => isis_obs::Json::obj([
-                            ("total", isis_obs::Json::from(q.queries)),
-                            ("index_probes", isis_obs::Json::from(q.index_probes)),
-                            ("grouping_scans", isis_obs::Json::from(q.grouping_scans)),
-                            ("seq_scans", isis_obs::Json::from(q.seq_scans)),
-                            (
-                                "unassisted",
-                                isis_obs::Json::from(counter("session.query.unassisted")),
-                            ),
-                        ]),
-                        None => isis_obs::Json::Null,
-                    },
+                    isis_obs::Json::obj([
+                        ("total", isis_obs::Json::from(queries)),
+                        ("index_probes", isis_obs::Json::from(probes)),
+                        ("grouping_scans", isis_obs::Json::from(grouping_scans)),
+                        ("seq_scans", isis_obs::Json::from(seq_scans)),
+                        ("unassisted", isis_obs::Json::from(unassisted)),
+                    ]),
                 ),
                 (
                     "commits",
@@ -706,32 +697,24 @@ impl Repl {
             "health — observability {}\n",
             if obs.enabled() { "on" } else { "off" }
         );
-        match &cache {
-            Some(c) => {
-                let lookups = c.hits + c.misses + c.invalidations;
-                out.push_str(&format!(
-                    "program cache:  {:.1}% hit ({} hits, {} misses, {} invalidations, \
-                     {} evictions)\n",
-                    pct(c.hits, lookups),
-                    c.hits,
-                    c.misses,
-                    c.invalidations,
-                    c.evictions
-                ));
+        out.push_str(&format!(
+            "program cache:  {:.1}% hit ({hits} hits, {misses} misses, {invalidations} \
+             invalidations, {evictions} evictions){}\n",
+            pct(hits, hits + misses + invalidations),
+            match self.session.index_service() {
+                Some(_) => "",
+                None => "; no index service yet (run 'refresh')",
             }
-            None => out.push_str("program cache:  no index service yet (run 'refresh')\n"),
-        }
-        if let Some(q) = &queries {
-            out.push_str(&format!(
-                "queries:        {} ({:.0}% index probes, {:.0}% grouping scans, \
-                 {:.0}% seq scans, {} unassisted)\n",
-                q.queries,
-                pct(q.index_probes, q.queries),
-                pct(q.grouping_scans, q.queries),
-                pct(q.seq_scans, q.queries),
-                counter("session.query.unassisted"),
-            ));
-        }
+        ));
+        // Only per-query shares are percentages: a query is pruned or
+        // seq-scanned, while one query can make several index probes or
+        // grouping scans (one per pruning atom), or none (a reused plan).
+        out.push_str(&format!(
+            "queries:        {queries} ({:.0}% pruned, {:.0}% seq-scanned; {probes} index \
+             probes, {grouping_scans} grouping scans, {unassisted} unassisted)\n",
+            pct(queries.saturating_sub(seq_scans), queries),
+            pct(seq_scans, queries),
+        ));
         out.push_str(&format!(
             "commits:        {} ({} fast, {} rebased), {} conflicts ({:.1}%), {} retries\n",
             commits,
@@ -835,6 +818,14 @@ impl Repl {
         let db = self.session.database();
         db.entity_by_name(db.class(class)?.base, token)
             .map_err(|_| ReplError::Unknown(token.into()))
+    }
+}
+
+/// The counter `name` in `snap` (0 when it was never created).
+fn snapshot_counter(snap: &isis_obs::MetricsSnapshot, name: &str) -> u64 {
+    match snap.get(name) {
+        Some(isis_obs::MetricValue::Counter(c)) => *c,
+        _ => 0,
     }
 }
 
@@ -1437,9 +1428,9 @@ mod tests {
         isis_obs::global().set_enabled(false);
     }
 
-    /// The slow-query threshold and the captures live on the journal, not
-    /// on the index service, so a full refresh that rebuilds the service
-    /// keeps both.
+    /// The slow-query threshold and the captures live on the journal, and
+    /// the query counters in the session's scope, not on the index
+    /// service, so a full refresh that rebuilds the service keeps them.
     #[test]
     fn slowlog_threshold_and_captures_survive_a_service_rebuild() {
         let _obs = obs_switch();
@@ -1492,14 +1483,64 @@ mod tests {
         }
         r.exec("refresh").unwrap();
         let svc = r.session.index_service().unwrap();
-        assert_eq!(
-            svc.query_stats().queries,
-            0,
+        assert!(
+            svc.program_cache().is_empty(),
             "the refresh built a new service"
         );
+        assert_eq!(svc.query_stats().queries, 1);
         let after = r.exec("slowlog").unwrap();
         assert!(after.contains("1 slow queries (threshold 5ms"), "{after}");
         assert!(after.contains("music_groups where"), "{after}");
+    }
+
+    /// `health` shows only per-query shares as percentages: a two-clause
+    /// CNF makes one query and two index probes, which must not read as
+    /// 200%.
+    #[test]
+    fn health_query_shares_stay_within_100_percent() {
+        // Its query lands in the process-global journal the slowlog tests
+        // read: run it under the same lock.
+        let _obs = obs_switch();
+        let mut r = repl();
+        for line in [
+            "pick musicians",
+            "subclass unionised_pianists",
+            "define",
+            "atom",
+            "clause 1",
+            "push plays",
+            "op ~",
+            "const",
+            "toggle piano",
+            "done",
+            "atom",
+            "clause 2",
+            "push union",
+            "op ~",
+            "const",
+            "toggle yes",
+            "done",
+            "switch",
+            "commit",
+            "refresh",
+            "explain unionised_pianists",
+        ] {
+            r.exec(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let health = r.exec("health").unwrap();
+        assert!(
+            health.contains(
+                "queries:        1 (100% pruned, 0% seq-scanned; 2 index probes, \
+                 0 grouping scans, 0 unassisted)"
+            ),
+            "{health}"
+        );
+        for word in health.split_whitespace() {
+            if let Some(n) = word.trim_start_matches('(').strip_suffix('%') {
+                let pct: f64 = n.parse().unwrap();
+                assert!(pct <= 100.0, "{word} in:\n{health}");
+            }
+        }
     }
 
     /// `health` reads the retry counter of the one commit-retry loop,

@@ -176,8 +176,8 @@ fn apply_op(
 /// not converge or its window was evicted.
 fn refresh(db: &mut Database, state: &mut Option<DerivedState>) {
     let first = state.is_none();
-    let mut changed = Vec::new();
-    *state = Some(DerivedState::refresh(state.take(), db, 1, &mut changed).unwrap());
+    let (scope, mut changed) = (isis_obs::Registry::new(), Vec::new());
+    *state = Some(DerivedState::refresh(state.take(), db, 1, &scope, &mut changed).unwrap());
     assert!(
         first
             || !changed
