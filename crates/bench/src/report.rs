@@ -23,7 +23,7 @@
 //! ```
 //!
 //! `results` carries one entry per measurement: criterion-harness runs are
-//! imported wholesale from [`criterion::Measurement`]-shaped tuples, and
+//! imported wholesale from the vendored criterion's `Measurement` rows, and
 //! report loops add their own aggregate rows. Under `--test` the `smoke`
 //! flag is set so consumers know the numbers are one-shot placeholders.
 

@@ -1,7 +1,9 @@
 //! Structured change notification: every mutation of a [`Database`] is
-//! recorded into a bounded [`DeltaLog`] as a sequence of [`Change`] entries,
-//! and every mutator that used to return `()` now returns the [`ChangeSet`]
-//! it produced.
+//! recorded into a bounded [`DeltaLog`] as a sequence of [`Change`] entries.
+//! The log is the one record of what a mutation changed: mutators return
+//! only their result, and a caller that needs the changes remembers
+//! [`Database::delta_epoch`] before the call and reads
+//! [`Database::changes_since`] after it.
 //!
 //! The paper keeps derived subclasses stale between commits (§2); the delta
 //! log is what lets the engine do better than the paper without giving up
@@ -144,8 +146,7 @@ impl Change {
     }
 }
 
-/// An ordered batch of changes — what one mutator call (or one
-/// `changes_since` window) produced.
+/// An ordered batch of changes: one `changes_since` window of the log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChangeSet {
     /// The recorded changes, in application order.
@@ -153,11 +154,6 @@ pub struct ChangeSet {
 }
 
 impl ChangeSet {
-    /// An empty change set.
-    pub fn new() -> ChangeSet {
-        ChangeSet::default()
-    }
-
     /// `true` if no changes were recorded.
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
@@ -231,27 +227,6 @@ impl ChangeSet {
             }
         }
         out
-    }
-
-    /// Appends all changes of `other`.
-    pub fn merge(&mut self, other: ChangeSet) {
-        self.changes.extend(other.changes);
-    }
-}
-
-impl IntoIterator for ChangeSet {
-    type Item = Change;
-    type IntoIter = std::vec::IntoIter<Change>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.changes.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a ChangeSet {
-    type Item = &'a Change;
-    type IntoIter = std::slice::Iter<'a, Change>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.changes.iter()
     }
 }
 
@@ -388,7 +363,14 @@ impl Database {
     /// Rebounds the delta log window (see [`DeltaLog::set_capacity`]).
     /// Databases that never use incremental consumers can shrink it;
     /// long-lived interactive sessions with many maintained views can
-    /// grow it to avoid rebuild storms.
+    /// grow it to avoid rebuild storms. On a [`SharedDatabase`] head the
+    /// window also bounds one commit: a write set, or a rebase replay,
+    /// that records more changes than the window holds is refused with
+    /// [`CommitConflict::SnapshotTooOld`], so the durability hook only
+    /// ever sees whole commits.
+    ///
+    /// [`SharedDatabase`]: crate::SharedDatabase
+    /// [`CommitConflict::SnapshotTooOld`]: crate::CommitConflict::SnapshotTooOld
     pub fn set_delta_capacity(&mut self, capacity: usize) {
         self.delta.set_capacity(capacity);
     }
@@ -399,18 +381,6 @@ impl Database {
 
     pub(crate) fn record_schema(&mut self, edit: SchemaEdit) {
         self.delta.record(Change::Schema(edit));
-    }
-
-    /// The suffix of the log recorded since `mark` (taken from
-    /// [`Database::delta_epoch`] at the start of a mutator). Falls back to
-    /// the whole retained window in the pathological case where a single
-    /// mutation overflowed the log capacity.
-    pub(crate) fn delta_suffix(&self, mark: u64) -> ChangeSet {
-        self.delta.since(mark).unwrap_or_else(|| {
-            self.delta
-                .since(self.delta.base_epoch())
-                .unwrap_or_default()
-        })
     }
 }
 
@@ -495,7 +465,7 @@ mod tests {
 
     #[test]
     fn changeset_helpers() {
-        let mut cs = ChangeSet::new();
+        let mut cs = ChangeSet::default();
         assert!(cs.is_empty());
         cs.changes.push(Change::AttrAssigned {
             entity: EntityId::from_raw(1),

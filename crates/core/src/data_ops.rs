@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::attribute::{AttrValue, Multiplicity, ValueClass};
-use crate::change::{Change, ChangeSet};
+use crate::change::Change;
 use crate::column::ValueRef;
 use crate::entity::EntityRecord;
 use crate::error::{CoreError, Result};
@@ -72,25 +72,21 @@ impl Database {
     /// derived ancestor is permitted: derivation predicates "do not (at
     /// present) form part of the consistency requirements".)
     ///
-    /// Returns the [`ChangeSet`] of memberships actually gained (empty if
-    /// the entity was already a member everywhere).
-    pub fn add_to_class(&mut self, entity: EntityId, class: ClassId) -> Result<ChangeSet> {
+    /// Records one [`Change::MembershipAdded`] per class the entity
+    /// entered (nothing if it was already a member everywhere).
+    pub fn add_to_class(&mut self, entity: EntityId, class: ClassId) -> Result<()> {
         if self.class(class)?.is_derived() {
             return Err(CoreError::DerivedClass(class));
         }
-        let mark = self.delta_epoch();
-        self.add_to_class_unchecked(entity, class)?;
-        Ok(self.delta_suffix(mark))
+        self.add_to_class_unchecked(entity, class)
     }
 
     /// Membership insertion bypassing the derived-class guard, for derived-
     /// class *maintainers* (code that re-evaluates a predicate and installs
     /// the result, e.g. incremental maintenance in `isis-query`). Regular
     /// callers should use [`Database::add_to_class`].
-    pub fn force_membership(&mut self, entity: EntityId, class: ClassId) -> Result<ChangeSet> {
-        let mark = self.delta_epoch();
-        self.add_to_class_unchecked(entity, class)?;
-        Ok(self.delta_suffix(mark))
+    pub fn force_membership(&mut self, entity: EntityId, class: ClassId) -> Result<()> {
+        self.add_to_class_unchecked(entity, class)
     }
 
     /// Membership insertion without the derived-class guard; used by the
@@ -125,9 +121,8 @@ impl Database {
     /// for attributes those classes own (only members carry them, §2), and
     /// scrubbing any attribute values that drew on the classes it left.
     ///
-    /// Returns the [`ChangeSet`] of memberships lost and values dropped or
-    /// scrubbed.
-    pub fn remove_from_class(&mut self, entity: EntityId, class: ClassId) -> Result<ChangeSet> {
+    /// Records the memberships lost and the values dropped or scrubbed.
+    pub fn remove_from_class(&mut self, entity: EntityId, class: ClassId) -> Result<()> {
         let crec = self.class(class)?;
         if crec.is_base() {
             return Err(CoreError::Inconsistent(
@@ -135,7 +130,6 @@ impl Database {
             ));
         }
         self.entity(entity)?;
-        let mark = self.delta_epoch();
         let mut left = Vec::new();
         self.remove_from_class_rec(entity, class, &mut left)?;
         // Replays of a removal re-derive these drops, so commit rebase and
@@ -145,8 +139,7 @@ impl Database {
                 self.drop_value(entity, AttrId::from_raw(a as u32));
             }
         }
-        self.scrub_values(entity, &left)?;
-        Ok(self.delta_suffix(mark))
+        self.scrub_values(entity, &left)
     }
 
     /// Removes the value `entity` carries for `attr`, recording the
@@ -198,17 +191,16 @@ impl Database {
     /// attribute value that references it, and every value it carries.
     /// Interned literals are immutable and cannot be deleted.
     ///
-    /// Returns the [`ChangeSet`]: one membership removal per extent the
-    /// entity occupied, one value transition per scrubbed assignment, then
-    /// the final [`Change::EntityDeleted`].
-    pub fn delete_entity(&mut self, entity: EntityId) -> Result<ChangeSet> {
+    /// Records one membership removal per extent the entity occupied, one
+    /// value transition per dropped or scrubbed assignment, then the final
+    /// [`Change::EntityDeleted`].
+    pub fn delete_entity(&mut self, entity: EntityId) -> Result<()> {
         let rec = self.entity(entity)?;
         if rec.is_literal() {
             return Err(CoreError::LiteralEntity(entity));
         }
         let base = rec.base;
         let name = rec.name.clone();
-        let mark = self.delta_epoch();
         for c in self.descendants(base)? {
             if self.classes[c.index()].members.remove(entity) {
                 self.record_change(Change::MembershipRemoved { entity, class: c });
@@ -226,7 +218,7 @@ impl Database {
         self.entity_names.remove(&(base, name));
         self.entity_mut(entity)?.alive = false;
         self.record_change(Change::EntityDeleted { entity, base });
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// After `entity` left the classes in `left`, remove references to it
@@ -295,10 +287,11 @@ impl Database {
     /// Renames an entity (assigning its naming attribute). Names must stay
     /// unique within the baseclass; literals are immutable.
     ///
-    /// The returned [`ChangeSet`] carries the naming-attribute value
-    /// transition (old string entity → new string entity) so index
-    /// consumers see renames as ordinary assignments.
-    pub fn rename_entity(&mut self, entity: EntityId, name: &str) -> Result<ChangeSet> {
+    /// Records the naming-attribute value transition (old string entity →
+    /// new string entity), so index consumers see renames as ordinary
+    /// assignments, then [`Change::EntityRenamed`]. Renaming an entity to
+    /// its own name records nothing.
+    pub fn rename_entity(&mut self, entity: EntityId, name: &str) -> Result<()> {
         let rec = self.entity(entity)?;
         if rec.is_literal() {
             return Err(CoreError::LiteralEntity(entity));
@@ -309,7 +302,7 @@ impl Database {
         let base = rec.base;
         let old = rec.name.clone();
         if old == name {
-            return Ok(ChangeSet::new());
+            return Ok(());
         }
         if self.entity_names.contains_key(&(base, name.to_string())) {
             return Err(CoreError::DuplicateEntityName {
@@ -317,7 +310,6 @@ impl Database {
                 name: name.into(),
             });
         }
-        let mark = self.delta_epoch();
         let new_str = self.intern(crate::literal::Literal::Str(name.to_string()))?;
         let strings = self.predefined(crate::literal::BaseKind::Strings);
         let old_str = self
@@ -339,7 +331,7 @@ impl Database {
             entity,
             name: name.to_string(),
         });
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     fn check_value_membership(&self, attr: AttrId, value: EntityId) -> Result<()> {
@@ -415,21 +407,15 @@ impl Database {
     /// value"). On a multivalued attribute this installs a singleton set.
     /// Assigning the naming attribute renames the entity.
     ///
-    /// Returns the [`ChangeSet`] carrying the `(entity, attr, old, new)`
-    /// transition (empty if the value was unchanged).
-    pub fn assign_single(
-        &mut self,
-        entity: EntityId,
-        attr: AttrId,
-        value: EntityId,
-    ) -> Result<ChangeSet> {
+    /// Records the `(entity, attr, old, new)` transition (nothing if the
+    /// value was unchanged).
+    pub fn assign_single(&mut self, entity: EntityId, attr: AttrId, value: EntityId) -> Result<()> {
         if self.attr(attr)?.naming {
             let name = self.entity(value)?.name.clone();
             return self.rename_entity(entity, &name);
         }
         self.check_assignable(entity, attr)?;
         self.check_value_membership(attr, value)?;
-        let mark = self.delta_epoch();
         let rec = self.attr(attr)?;
         let old = rec.value_of(entity);
         let v = match rec.multiplicity {
@@ -442,7 +428,7 @@ impl Database {
         };
         self.attr_mut(attr)?.values.set(entity, v);
         self.record_assignment(entity, attr, old);
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Assigns a set of values to a multivalued attribute for `entity`.
@@ -451,7 +437,7 @@ impl Database {
         entity: EntityId,
         attr: AttrId,
         values: impl IntoIterator<Item = EntityId>,
-    ) -> Result<ChangeSet> {
+    ) -> Result<()> {
         self.check_assignable(entity, attr)?;
         if self.attr(attr)?.multiplicity == Multiplicity::Single {
             return Err(CoreError::SingleValuedAttr(attr));
@@ -460,147 +446,35 @@ impl Database {
         for v in set.iter() {
             self.check_value_membership(attr, v)?;
         }
-        let mark = self.delta_epoch();
         let old = self.attr(attr)?.value_of(entity);
         self.attr_mut(attr)?
             .values
             .set(entity, AttrValue::Multi(set));
         self.record_assignment(entity, attr, old);
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Adds one value to a multivalued attribute without replacing the set.
-    pub fn add_value(
-        &mut self,
-        entity: EntityId,
-        attr: AttrId,
-        value: EntityId,
-    ) -> Result<ChangeSet> {
+    pub fn add_value(&mut self, entity: EntityId, attr: AttrId, value: EntityId) -> Result<()> {
         self.check_assignable(entity, attr)?;
         if self.attr(attr)?.multiplicity == Multiplicity::Single {
             return Err(CoreError::SingleValuedAttr(attr));
         }
         self.check_value_membership(attr, value)?;
-        let mark = self.delta_epoch();
         let old = self.attr(attr)?.value_of(entity);
         let rec = self.attr_mut(attr)?;
         rec.values.multi_entry(entity).insert(value);
         self.record_assignment(entity, attr, old);
-        Ok(self.delta_suffix(mark))
-    }
-
-    /// Applies many attribute assignments under ONE delta suffix.
-    ///
-    /// The per-call [`ChangeSet`] materialisation of
-    /// [`Database::assign_single`] / [`Database::assign_multi`] dominates
-    /// bulk loads, so loaders batch thousands of assignments and take a
-    /// single suffix per batch. Per-item semantics — validation order,
-    /// naming renames, recorded changes — are identical to the scalar
-    /// calls; on error the items already applied remain applied (exactly
-    /// as the equivalent scalar sequence would leave them) and the first
-    /// failing item's error is returned.
-    pub fn assign_batch(
-        &mut self,
-        items: impl IntoIterator<Item = (EntityId, AttrId, AttrValue)>,
-    ) -> Result<ChangeSet> {
-        let mark = self.delta_epoch();
-        for (entity, attr, value) in items {
-            match value {
-                AttrValue::Single(v) => {
-                    if self.attr(attr)?.naming {
-                        let name = self.entity(v)?.name.clone();
-                        self.rename_entity(entity, &name)?;
-                        continue;
-                    }
-                    self.check_assignable(entity, attr)?;
-                    self.check_value_membership(attr, v)?;
-                    let rec = self.attr(attr)?;
-                    let old = rec.value_of(entity);
-                    let val = match rec.multiplicity {
-                        Multiplicity::Single => AttrValue::Single(v),
-                        Multiplicity::Multi => AttrValue::Multi(if v.is_null() {
-                            OrderedSet::new()
-                        } else {
-                            [v].into_iter().collect()
-                        }),
-                    };
-                    self.attr_mut(attr)?.values.set(entity, val);
-                    self.record_assignment(entity, attr, old);
-                }
-                AttrValue::Multi(set) => {
-                    self.check_assignable(entity, attr)?;
-                    if self.attr(attr)?.multiplicity == Multiplicity::Single {
-                        return Err(CoreError::SingleValuedAttr(attr));
-                    }
-                    for v in set.iter() {
-                        self.check_value_membership(attr, v)?;
-                    }
-                    let old = self.attr(attr)?.value_of(entity);
-                    self.attr_mut(attr)?
-                        .values
-                        .set(entity, AttrValue::Multi(set));
-                    self.record_assignment(entity, attr, old);
-                }
-            }
-        }
-        Ok(self.delta_suffix(mark))
-    }
-
-    /// Bulk entity insertion: validates the baseclass once, reserves
-    /// arena capacity up front, and inserts every name with the same
-    /// per-entity semantics (and recorded changes) as
-    /// [`Database::insert_entity`]. Returns the new ids in input order.
-    pub fn insert_entities(
-        &mut self,
-        base: ClassId,
-        names: impl IntoIterator<Item = String>,
-    ) -> Result<Vec<EntityId>> {
-        let rec = self.class(base)?;
-        if !rec.is_base() {
-            return Err(CoreError::Inconsistent(format!(
-                "{} is not a baseclass; insert into the baseclass and add_to_class",
-                rec.name
-            )));
-        }
-        if rec.is_predefined() {
-            return Err(CoreError::Predefined);
-        }
-        let names: Vec<String> = names.into_iter().collect();
-        let mut ids = Vec::with_capacity(names.len());
-        for name in names {
-            if name.is_empty() {
-                return Err(CoreError::InvalidLiteral("empty entity name".into()));
-            }
-            if self.entity_names.contains_key(&(base, name.clone())) {
-                return Err(CoreError::DuplicateEntityName { base, name });
-            }
-            self.intern(crate::literal::Literal::Str(name.clone()))?;
-            let id = EntityId::from_raw(self.entities.len() as u32);
-            self.entities.push(EntityRecord::user(&name, base));
-            self.entity_names.insert((base, name.clone()), id);
-            self.classes[base.index()].members.insert(id);
-            self.record_change(Change::EntityInserted {
-                entity: id,
-                base,
-                name: name.clone(),
-            });
-            self.record_change(Change::MembershipAdded {
-                entity: id,
-                class: base,
-            });
-            ids.push(id);
-        }
-        Ok(ids)
+        Ok(())
     }
 
     /// Resets an attribute to its default (null / empty set) for `entity`.
-    pub fn unassign(&mut self, entity: EntityId, attr: AttrId) -> Result<ChangeSet> {
+    pub fn unassign(&mut self, entity: EntityId, attr: AttrId) -> Result<()> {
         self.check_assignable(entity, attr)?;
-        let mark = self.delta_epoch();
         let old = self.attr(attr)?.value_of(entity);
         self.attr_mut(attr)?.values.remove(entity);
         self.record_assignment(entity, attr, old);
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// The stored (or default) value of `attr` for `entity`. The naming
@@ -894,6 +768,90 @@ mod tests {
             flagged,
             [(fee, true), (encores, true), (fee, false)],
             "{window:?}"
+        );
+    }
+
+    /// The delta log is the one record of a mutation: what each call
+    /// recorded is the log's window since the epoch taken before it.
+    #[test]
+    fn each_mutator_records_its_changes_in_the_log() {
+        let mut f = fixture();
+        let star = f.db.create_subclass(f.soloists, "star_soloists").unwrap();
+        let edith = f.db.insert_entity(f.musicians, "Edith").unwrap();
+        let viola = f.db.insert_entity(f.instruments, "viola").unwrap();
+        let yes = f.db.boolean(true);
+        fn recorded(
+            db: &mut Database,
+            call: impl FnOnce(&mut Database) -> Result<()>,
+        ) -> Vec<Change> {
+            let mark = db.delta_epoch();
+            call(db).unwrap();
+            db.changes_since(mark).unwrap().changes
+        }
+
+        // Re-assigning a value the entity already holds records nothing.
+        let union = |db: &mut Database| db.assign_single(edith, f.union, yes);
+        let plays = |db: &mut Database| db.assign_multi(edith, f.plays, [viola]);
+        assert_eq!(recorded(&mut f.db, union).len(), 1);
+        assert_eq!(recorded(&mut f.db, union), []);
+        assert_eq!(recorded(&mut f.db, plays).len(), 1);
+        assert_eq!(recorded(&mut f.db, plays), []);
+
+        // Renaming to its own name records nothing; a rename ends with the
+        // naming attribute's transition, then `EntityRenamed`.
+        assert_eq!(
+            recorded(&mut f.db, |db| db.rename_entity(edith, "Edith")),
+            []
+        );
+        let naming = f.db.naming_attr(f.musicians).unwrap();
+        let rename = recorded(&mut f.db, |db| db.rename_entity(edith, "Edie"));
+        assert!(
+            matches!(
+                &rename[rename.len() - 2..],
+                [
+                    Change::AttrAssigned { entity, attr, .. },
+                    Change::EntityRenamed { entity: renamed, name },
+                ] if *entity == edith && *attr == naming && *renamed == edith && name == "Edie"
+            ),
+            "{rename:?}"
+        );
+
+        // Entering a sub-subclass records one `MembershipAdded` per class
+        // entered; entering it again records nothing.
+        assert_eq!(
+            recorded(&mut f.db, |db| db.add_to_class(edith, star)),
+            [
+                Change::MembershipAdded {
+                    entity: edith,
+                    class: star
+                },
+                Change::MembershipAdded {
+                    entity: edith,
+                    class: f.soloists
+                },
+            ]
+        );
+        assert_eq!(recorded(&mut f.db, |db| db.add_to_class(edith, star)), []);
+
+        // A delete records its membership removals first and the
+        // `EntityDeleted` last, with the value drops in between.
+        let delete = recorded(&mut f.db, |db| db.delete_entity(edith));
+        let removed = delete
+            .iter()
+            .take_while(
+                |c| matches!(c, Change::MembershipRemoved { entity, .. } if *entity == edith),
+            )
+            .count();
+        assert_eq!(removed, 3, "{delete:?}");
+        assert!(delete[removed..delete.len() - 1]
+            .iter()
+            .all(|c| matches!(c, Change::AttrAssigned { entity, .. } if *entity == edith)));
+        assert_eq!(
+            delete.last(),
+            Some(&Change::EntityDeleted {
+                entity: edith,
+                base: f.musicians
+            })
         );
     }
 

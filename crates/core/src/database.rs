@@ -585,15 +585,13 @@ mod tests {
         let age = db
             .create_attribute(people, "age", ints, Multiplicity::Single)
             .unwrap();
-        let ids = db
-            .insert_entities(people, (0..3000).map(|i| format!("p{i}")))
-            .unwrap();
+        let ids: Vec<EntityId> = (0..3000)
+            .map(|i| db.insert_entity(people, &format!("p{i}")).unwrap())
+            .collect();
         let forty = db.int(40);
-        db.assign_batch(
-            ids.iter()
-                .map(|&e| (e, age, crate::AttrValue::Single(forty))),
-        )
-        .unwrap();
+        for &e in &ids {
+            db.assign_single(e, age, forty).unwrap();
+        }
         db.int(41);
         assert!(db.entities.chunks().len() > 3);
         assert!(db.attrs[age.index()].values.chunk_count() > 3);

@@ -42,7 +42,11 @@
 //!
 //! The shared delta log's capacity bounds writer staleness: a commit whose
 //! base epoch has slid out of the retained window fails with
-//! [`CommitConflict::SnapshotTooOld`] and must re-pin.
+//! [`CommitConflict::SnapshotTooOld`] and must re-pin. It also bounds one
+//! commit: the hook is handed the changes the commit recorded, read back
+//! from the log, so a write set or a rebase replay that outgrows the
+//! window is refused the same way, before the hook runs, instead of being
+//! logged truncated.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -85,6 +89,13 @@ pub enum CommitConflict {
     Schema,
     /// The writer's base epoch has been evicted from the shared delta
     /// window (or belongs to another database line); re-pin and retry.
+    ///
+    /// Also the answer when the commit itself records more changes than a
+    /// window holds: a local write set that outgrew the writer's window, or
+    /// a rebase whose replay outgrew the head's window. Either is refused
+    /// before the durability hook runs, with the head untouched, so the
+    /// hook only ever logs whole commits. A commit that large needs a wider
+    /// window ([`Database::set_delta_capacity`]).
     SnapshotTooOld {
         /// The epoch the writer pinned.
         base: u64,
@@ -509,7 +520,14 @@ impl SharedDatabase {
         let mut next = inner.db.clone();
         let mark = next.delta_epoch();
         replay(&mut next, local, &w).map_err(CommitConflict::Rebase)?;
-        let applied = next.delta_suffix(mark);
+        // The hook logs what the replay recorded; a replay that outgrew the
+        // head's window cannot be logged whole, so it is refused.
+        let applied = next
+            .changes_since(mark)
+            .ok_or_else(|| CommitConflict::SnapshotTooOld {
+                base: base_epoch,
+                oldest: next.delta_log().base_epoch(),
+            })?;
         if applied.is_empty() {
             // Replay degenerated to a no-op (e.g. idempotent memberships
             // already present on the head); nothing to publish.
@@ -913,6 +931,97 @@ mod tests {
             CommitConflict::SnapshotTooOld { base, .. } => assert_eq!(base, b_late),
             other => panic!("expected SnapshotTooOld, got {other:?}"),
         }
+    }
+
+    /// Keeps every change set the durability hook is handed.
+    #[derive(Clone, Default)]
+    struct Logged(Arc<Mutex<Vec<ChangeSet>>>);
+
+    impl CommitHook for Logged {
+        fn on_commit(&mut self, _: &Database, applied: &ChangeSet) -> Result<(), String> {
+            self.0.lock().unwrap().push(applied.clone());
+            Ok(())
+        }
+    }
+
+    /// Fourteen people whose `friend` a commit points at `x`, committed
+    /// after writer `a` pinned; `a` then inserts `y` and deletes `x`, so its
+    /// rebase replays the delete's fourteen scrubs on top of its insert.
+    fn friends_of_x(capacity: usize) -> (SharedDatabase, Logged, ClassId, EntityId, Database, u64) {
+        let mut db = Database::new("friends");
+        let people = db.create_baseclass("people").unwrap();
+        let friend = db
+            .create_attribute(
+                people,
+                "friend",
+                people,
+                crate::attribute::Multiplicity::Single,
+            )
+            .unwrap();
+        let x = db.insert_entity(people, "x").unwrap();
+        let others: Vec<EntityId> = (0..14)
+            .map(|i| db.insert_entity(people, &format!("p{i}")).unwrap())
+            .collect();
+        db.set_delta_capacity(capacity);
+        let shared = SharedDatabase::new(db);
+        let hook = Logged::default();
+        shared.set_commit_hook(Some(Box::new(hook.clone())));
+
+        let mut a = shared.pin();
+        let base_a = a.delta_epoch();
+        let mut b = shared.pin();
+        let base_b = b.delta_epoch();
+        for &p in &others {
+            b.assign_single(p, friend, x).unwrap();
+        }
+        assert!(!shared.commit(base_b, &b).unwrap().rebased);
+        a.insert_entity(people, "y").unwrap();
+        a.delete_entity(x).unwrap();
+        (shared, hook, people, x, a, base_a)
+    }
+
+    #[test]
+    fn a_rebase_that_outgrows_the_window_is_refused() {
+        let (shared, hook, people, x, a, base_a) = friends_of_x(16);
+        let epoch = shared.epoch();
+        match shared.commit(base_a, &a) {
+            Err(CommitConflict::SnapshotTooOld { base, oldest }) => {
+                assert_eq!(base, base_a);
+                assert!(oldest > base, "oldest {oldest} vs base {base}");
+            }
+            other => panic!("expected SnapshotTooOld, got {other:?}"),
+        }
+        // The head is untouched and the hook never saw the refused commit.
+        assert_eq!((shared.epoch(), shared.commits()), (epoch, 1));
+        shared.read(|db| {
+            assert_eq!(db.entity_by_name(people, "x").unwrap(), x);
+            assert!(db.entity_by_name(people, "y").is_err());
+        });
+        assert_eq!(hook.0.lock().unwrap().len(), 1, "only the first commit");
+    }
+
+    #[test]
+    fn a_rebase_that_fits_hands_the_hook_what_the_head_recorded() {
+        let (shared, hook, people, x, a, base_a) = friends_of_x(64);
+        let epoch = shared.epoch();
+        let receipt = shared.commit(base_a, &a).unwrap();
+        assert!(receipt.rebased);
+        let recorded = shared.read(|db| {
+            assert!(db.entity_by_name(people, "y").is_ok());
+            assert!(db.entity(x).is_err());
+            db.changes_since(epoch).unwrap()
+        });
+        assert_eq!(receipt.changes, recorded.len());
+        let logged = hook.0.lock().unwrap();
+        assert_eq!(logged.len(), 2);
+        assert_eq!(logged[1], recorded);
+        assert!(recorded
+            .iter()
+            .any(|c| matches!(c, Change::EntityInserted { name, .. } if name.as_str() == "y")));
+        assert!(matches!(
+            recorded.iter().last(),
+            Some(Change::EntityDeleted { entity, .. }) if *entity == x
+        ));
     }
 
     #[test]

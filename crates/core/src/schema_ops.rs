@@ -2,7 +2,7 @@
 //! classes, attributes and groupings (§2, §3.2).
 
 use crate::attribute::{AttrRecord, Multiplicity, ValueClass};
-use crate::change::{ChangeSet, SchemaEdit};
+use crate::change::SchemaEdit;
 use crate::class::{ClassKind, ClassRecord};
 use crate::error::{CoreError, Result};
 use crate::fillpattern::FillPattern;
@@ -95,36 +95,34 @@ impl Database {
     }
 
     /// Renames a class ((re)name menu command).
-    pub fn rename_class(&mut self, class: ClassId, name: &str) -> Result<ChangeSet> {
+    pub fn rename_class(&mut self, class: ClassId, name: &str) -> Result<()> {
         if self.class(class)?.is_predefined() {
             return Err(CoreError::Predefined);
         }
         if self.class(class)?.name == name {
-            return Ok(ChangeSet::new());
+            return Ok(());
         }
         self.check_schema_name(name)?;
-        let mark = self.delta_epoch();
         self.class_mut(class)?.name = name.to_string();
         self.record_schema(SchemaEdit::ClassRenamed(class));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Renames a grouping.
-    pub fn rename_grouping(&mut self, grouping: GroupingId, name: &str) -> Result<ChangeSet> {
+    pub fn rename_grouping(&mut self, grouping: GroupingId, name: &str) -> Result<()> {
         if self.grouping(grouping)?.name == name {
-            return Ok(ChangeSet::new());
+            return Ok(());
         }
         self.check_schema_name(name)?;
-        let mark = self.delta_epoch();
         self.groupings[grouping.index()].name = name.to_string();
         self.record_schema(SchemaEdit::GroupingRenamed(grouping));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Deletes a class. Refused while the class "is the parent of some other
     /// class or the value class of some attribute" (§2), has groupings, or
     /// is predefined. The class's own attributes are deleted with it.
-    pub fn delete_class(&mut self, class: ClassId) -> Result<ChangeSet> {
+    pub fn delete_class(&mut self, class: ClassId) -> Result<()> {
         let rec = self.class(class)?;
         if rec.is_predefined() {
             return Err(CoreError::Predefined);
@@ -145,7 +143,6 @@ impl Database {
         {
             return Err(CoreError::ClassInUse(class));
         }
-        let mark = self.delta_epoch();
         // Baseclass deletion also deletes its entities.
         if self.class(class)?.is_base() {
             let members: Vec<_> = self.class(class)?.members.iter().collect();
@@ -167,7 +164,7 @@ impl Database {
         rec.members.clear();
         rec.own_attrs.clear();
         self.record_schema(SchemaEdit::ClassDeleted(class));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Creates an attribute on `class` drawing values from `value_class`.
@@ -229,7 +226,7 @@ impl Database {
     /// Renames an attribute. Naming attributes may be renamed (the paper's
     /// *musicians* baseclass names its entities with *stage_name*), but not
     /// deleted or retargeted.
-    pub fn rename_attr(&mut self, attr: AttrId, name: &str) -> Result<ChangeSet> {
+    pub fn rename_attr(&mut self, attr: AttrId, name: &str) -> Result<()> {
         let rec = self.attr(attr)?;
         if rec.naming && self.class(rec.owner)?.is_predefined() {
             return Err(CoreError::Predefined);
@@ -241,12 +238,11 @@ impl Database {
             }
         }
         if self.attr(attr)?.name == name {
-            return Ok(ChangeSet::new());
+            return Ok(());
         }
-        let mark = self.delta_epoch();
         self.attr_mut(attr)?.name = name.to_string();
         self.record_schema(SchemaEdit::AttrRenamed(attr));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// (Re)specifies the value class of an attribute ((re)specify value
@@ -256,7 +252,7 @@ impl Database {
         &mut self,
         attr: AttrId,
         value_class: impl Into<ValueClassSpec>,
-    ) -> Result<ChangeSet> {
+    ) -> Result<()> {
         if self.attr(attr)?.naming {
             return Err(CoreError::Predefined);
         }
@@ -270,17 +266,16 @@ impl Database {
                 ValueClass::Grouping(g)
             }
         };
-        let mark = self.delta_epoch();
         let rec = self.attr_mut(attr)?;
         rec.value_class = vc;
         rec.values.clear();
         self.record_schema(SchemaEdit::ValueClassChanged(attr));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Deletes an attribute. Refused for naming attributes and for
     /// attributes some grouping is defined on.
-    pub fn delete_attr(&mut self, attr: AttrId) -> Result<ChangeSet> {
+    pub fn delete_attr(&mut self, attr: AttrId) -> Result<()> {
         if self.attr(attr)?.naming {
             return Err(CoreError::Predefined);
         }
@@ -290,13 +285,12 @@ impl Database {
             ));
         }
         let owner = self.attr(attr)?.owner;
-        let mark = self.delta_epoch();
         self.classes[owner.index()].own_attrs.retain(|&a| a != attr);
         let rec = &mut self.attrs[attr.index()];
         rec.alive = false;
         rec.values.clear();
         self.record_schema(SchemaEdit::AttrDeleted(attr));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// Creates a grouping of `parent` on attribute `attr` ("in ISIS a
@@ -337,7 +331,7 @@ impl Database {
 
     /// Deletes a grouping. Refused while it is the value class of an
     /// attribute.
-    pub fn delete_grouping(&mut self, grouping: GroupingId) -> Result<ChangeSet> {
+    pub fn delete_grouping(&mut self, grouping: GroupingId) -> Result<()> {
         self.grouping(grouping)?;
         if self
             .attrs()
@@ -346,13 +340,12 @@ impl Database {
             return Err(CoreError::GroupingInUse(grouping));
         }
         let parent = self.grouping(grouping)?.parent;
-        let mark = self.delta_epoch();
         self.classes[parent.index()]
             .groupings
             .retain(|&g| g != grouping);
         self.groupings[grouping.index()].alive = false;
         self.record_schema(SchemaEdit::GroupingDeleted(grouping));
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// All classes at or below `class` in the forest (preorder).
@@ -374,7 +367,7 @@ impl Database {
     /// Requirements: the extension is enabled; both classes share a
     /// baseclass; no inheritance cycle; every current member of `class` is
     /// already a member of `parent`; and no attribute-name conflicts arise.
-    pub fn add_secondary_parent(&mut self, class: ClassId, parent: ClassId) -> Result<ChangeSet> {
+    pub fn add_secondary_parent(&mut self, class: ClassId, parent: ClassId) -> Result<()> {
         if !self.multi_inheritance {
             return Err(CoreError::MultipleInheritance(
                 "enable_multiple_inheritance() has not been called".into(),
@@ -392,7 +385,7 @@ impl Database {
             ));
         }
         if self.class(class)?.extra_parents.contains(&parent) {
-            return Ok(ChangeSet::new());
+            return Ok(());
         }
         // No cycles: parent must not already (transitively) inherit from class.
         if self.inherits_from(parent, class)? {
@@ -432,10 +425,9 @@ impl Database {
                 }
             }
         }
-        let mark = self.delta_epoch();
         self.class_mut(class)?.extra_parents.push(parent);
         self.record_schema(SchemaEdit::SecondaryParentAdded { class, parent });
-        Ok(self.delta_suffix(mark))
+        Ok(())
     }
 
     /// `true` if `class` inherits (primary or secondary, transitively) from

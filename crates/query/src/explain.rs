@@ -76,7 +76,8 @@ pub struct ExplainRecord {
     pub plan_reused: bool,
     /// The (re)computed plan qualified for pinning in the cache.
     pub pinned: bool,
-    /// Largest candidate list the cache will pin ([`MAX_PLAN_CANDIDATES`]).
+    /// Largest candidate list the cache will pin (the planner's
+    /// `MAX_PLAN_CANDIDATES`).
     pub pin_limit: usize,
     /// Pruned pool size (`None` = no prunable atom; sequential scan).
     pub pool_len: Option<usize>,

@@ -476,10 +476,11 @@ impl DerivedState {
         DerivedState::full(db, eval_threads, scope, changed)
     }
 
-    /// `true` when nothing was recorded in `db` since the last refresh, so
-    /// the service's postings describe it as it is now.
+    /// `true` when nothing was recorded in `db` since the last refresh (the
+    /// service's cursor is the log's current epoch), so the service's
+    /// postings describe it as it is now.
     pub fn in_sync(&self, db: &Database) -> bool {
-        matches!(db.changes_since(self.service.cursor()), Some(cs) if cs.is_empty())
+        self.service.cursor() == db.delta_epoch()
     }
 
     /// The shared index service.

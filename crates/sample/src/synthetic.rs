@@ -6,7 +6,7 @@
 //! `n_families` families and `n_groups` music groups, with deterministic
 //! pseudo-random attribute assignments driven by `seed`.
 
-use isis_core::{AttrId, AttrValue, ClassId, Database, EntityId, Multiplicity, Result};
+use isis_core::{AttrId, ClassId, Database, EntityId, Multiplicity, Result};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -333,95 +333,63 @@ pub fn synthetic_scaled(spec: SynthSpec) -> Result<ScaledMusic> {
         ValueDist::Zipf => Some(zipf_cum(scale.instruments)),
     };
 
-    // Bulk load: entities land through `insert_entities` (baseclass
-    // validated once, arena capacity reserved) and assignments through
-    // `assign_batch` in BULK-sized batches, so the generator materialises
-    // one ChangeSet per batch instead of one per assignment. Semantics per
-    // item are identical to the scalar calls; only the delta-suffix count
-    // changes.
-    const BULK: usize = 4096;
-    fn flush(db: &mut Database, batch: &mut Vec<(EntityId, AttrId, AttrValue)>) -> Result<()> {
-        if !batch.is_empty() {
-            db.assign_batch(batch.drain(..))?;
-        }
-        Ok(())
-    }
-    let mut batch: Vec<(EntityId, AttrId, AttrValue)> = Vec::with_capacity(BULK);
-
+    // One scalar mutator call per entity and value, as interactive edits
+    // make them. The call order fixes the RNG stream and the entity ids,
+    // which `tests/persistence.rs` pins byte for byte.
     let region_ids: Vec<EntityId> = match regions {
-        Some(r) => db.insert_entities(
-            r,
-            (0..(scale.families / 4).max(2)).map(|i| format!("region{i}")),
-        )?,
+        Some(r) => (0..(scale.families / 4).max(2))
+            .map(|i| db.insert_entity(r, &format!("region{i}")))
+            .collect::<Result<_>>()?,
         None => Vec::new(),
     };
-    let family_ids: Vec<EntityId> =
-        db.insert_entities(families, (0..scale.families).map(|i| format!("family{i}")))?;
+    let family_ids: Vec<EntityId> = (0..scale.families)
+        .map(|i| db.insert_entity(families, &format!("family{i}")))
+        .collect::<Result<_>>()?;
     if let Some(attr) = region {
         for &f in &family_ids {
             let r = region_ids[pick_index(&mut rng, None, region_ids.len())];
-            batch.push((f, attr, AttrValue::Single(r)));
-            if batch.len() >= BULK {
-                flush(&mut db, &mut batch)?;
-            }
+            db.assign_single(f, attr, r)?;
         }
-        flush(&mut db, &mut batch)?;
     }
-    let instrument_ids: Vec<EntityId> = db.insert_entities(
-        instruments,
-        (0..scale.instruments).map(|i| format!("instrument{i}")),
-    )?;
+    let instrument_ids: Vec<EntityId> = (0..scale.instruments)
+        .map(|i| db.insert_entity(instruments, &format!("instrument{i}")))
+        .collect::<Result<_>>()?;
     for &i in &instrument_ids {
         let f = family_ids[pick_index(&mut rng, fam_cum.as_deref(), family_ids.len())];
-        batch.push((i, family, AttrValue::Single(f)));
-        if batch.len() >= BULK {
-            flush(&mut db, &mut batch)?;
-        }
+        db.assign_single(i, family, f)?;
     }
-    flush(&mut db, &mut batch)?;
     let yes = db.boolean(true);
     let no = db.boolean(false);
-    let musician_ids: Vec<EntityId> = db.insert_entities(
-        musicians,
-        (0..scale.musicians).map(|i| format!("musician{i}")),
-    )?;
+    let musician_ids: Vec<EntityId> = (0..scale.musicians)
+        .map(|i| db.insert_entity(musicians, &format!("musician{i}")))
+        .collect::<Result<_>>()?;
     for &m in &musician_ids {
         let k = rng.gen_range(1..=scale.max_plays.min(instrument_ids.len()));
-        let chosen = pick_distinct(&mut rng, inst_cum.as_deref(), instrument_ids.len(), k)
-            .into_iter()
-            .map(|i| instrument_ids[i])
-            .collect();
-        batch.push((m, plays, AttrValue::Multi(chosen)));
-        batch.push((
-            m,
-            union_attr,
-            AttrValue::Single(if rng.gen_bool(0.7) { yes } else { no }),
-        ));
+        let chosen: Vec<EntityId> =
+            pick_distinct(&mut rng, inst_cum.as_deref(), instrument_ids.len(), k)
+                .into_iter()
+                .map(|i| instrument_ids[i])
+                .collect();
+        db.assign_multi(m, plays, chosen)?;
+        db.assign_single(m, union_attr, if rng.gen_bool(0.7) { yes } else { no })?;
         for &w in &wide_attrs {
             let v = db.int(rng.gen_range(0..100));
-            batch.push((m, w, AttrValue::Single(v)));
-        }
-        if batch.len() >= BULK {
-            flush(&mut db, &mut batch)?;
+            db.assign_single(m, w, v)?;
         }
     }
-    flush(&mut db, &mut batch)?;
-    let group_ids: Vec<EntityId> =
-        db.insert_entities(music_groups, (0..scale.groups).map(|i| format!("group{i}")))?;
+    let group_ids: Vec<EntityId> = (0..scale.groups)
+        .map(|i| db.insert_entity(music_groups, &format!("group{i}")))
+        .collect::<Result<_>>()?;
     for &g in &group_ids {
         let k = rng.gen_range(1..=scale.max_members.min(musician_ids.len()));
-        let chosen: isis_core::OrderedSet = pick_distinct(&mut rng, None, musician_ids.len(), k)
+        let chosen: Vec<EntityId> = pick_distinct(&mut rng, None, musician_ids.len(), k)
             .into_iter()
             .map(|i| musician_ids[i])
             .collect();
         let n = db.int(chosen.len() as i64);
-        batch.push((g, members, AttrValue::Multi(chosen)));
-        batch.push((g, size, AttrValue::Single(n)));
-        if batch.len() >= BULK {
-            flush(&mut db, &mut batch)?;
-        }
+        db.assign_multi(g, members, chosen)?;
+        db.assign_single(g, size, n)?;
     }
-    flush(&mut db, &mut batch)?;
     Ok(ScaledMusic {
         s: SyntheticMusic {
             db,

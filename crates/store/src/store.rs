@@ -20,8 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use isis_core::{
-    AttrDerivation, AttrId, ChangeSet, ClassId, ConstraintId, ConstraintKind, CoreError, Database,
-    EntityId, GroupingId, Literal, Multiplicity, Predicate, ValueClassSpec,
+    AttrDerivation, AttrId, ClassId, ConstraintId, ConstraintKind, CoreError, Database, EntityId,
+    GroupingId, Literal, Multiplicity, Predicate, ValueClassSpec,
 };
 
 use crate::codec::{read_frame, seal_frame, CodecError, FRAME_HEADER};
@@ -431,22 +431,22 @@ impl LoggedDatabase {
     );
     logged!(
         /// Logged [`Database::rename_class`].
-        rename_class(class: ClassId, name: &str) -> ChangeSet,
+        rename_class(class: ClassId, name: &str) -> (),
         |class, name: &str| LogOp::RenameClass(class, name.to_string())
     );
     logged!(
         /// Logged [`Database::delete_class`].
-        delete_class(class: ClassId) -> ChangeSet,
+        delete_class(class: ClassId) -> (),
         LogOp::DeleteClass
     );
     logged!(
         /// Logged [`Database::rename_attr`].
-        rename_attr(attr: AttrId, name: &str) -> ChangeSet,
+        rename_attr(attr: AttrId, name: &str) -> (),
         |attr, name: &str| LogOp::RenameAttr(attr, name.to_string())
     );
     logged!(
         /// Logged [`Database::delete_attr`].
-        delete_attr(attr: AttrId) -> ChangeSet,
+        delete_attr(attr: AttrId) -> (),
         LogOp::DeleteAttr
     );
     logged!(
@@ -456,12 +456,12 @@ impl LoggedDatabase {
     );
     logged!(
         /// Logged [`Database::rename_grouping`].
-        rename_grouping(grouping: GroupingId, name: &str) -> ChangeSet,
+        rename_grouping(grouping: GroupingId, name: &str) -> (),
         |grouping, name: &str| LogOp::RenameGrouping(grouping, name.to_string())
     );
     logged!(
         /// Logged [`Database::delete_grouping`].
-        delete_grouping(grouping: GroupingId) -> ChangeSet,
+        delete_grouping(grouping: GroupingId) -> (),
         LogOp::DeleteGrouping
     );
     logged!(
@@ -471,37 +471,37 @@ impl LoggedDatabase {
     );
     logged!(
         /// Logged [`Database::add_to_class`].
-        add_to_class(entity: EntityId, class: ClassId) -> ChangeSet,
+        add_to_class(entity: EntityId, class: ClassId) -> (),
         LogOp::AddToClass
     );
     logged!(
         /// Logged [`Database::remove_from_class`].
-        remove_from_class(entity: EntityId, class: ClassId) -> ChangeSet,
+        remove_from_class(entity: EntityId, class: ClassId) -> (),
         LogOp::RemoveFromClass
     );
     logged!(
         /// Logged [`Database::delete_entity`].
-        delete_entity(entity: EntityId) -> ChangeSet,
+        delete_entity(entity: EntityId) -> (),
         LogOp::DeleteEntity
     );
     logged!(
         /// Logged [`Database::rename_entity`].
-        rename_entity(entity: EntityId, name: &str) -> ChangeSet,
+        rename_entity(entity: EntityId, name: &str) -> (),
         |entity, name: &str| LogOp::RenameEntity(entity, name.to_string())
     );
     logged!(
         /// Logged [`Database::assign_single`].
-        assign_single(entity: EntityId, attr: AttrId, value: EntityId) -> ChangeSet,
+        assign_single(entity: EntityId, attr: AttrId, value: EntityId) -> (),
         LogOp::AssignSingle
     );
     logged!(
         /// Logged [`Database::add_value`].
-        add_value(entity: EntityId, attr: AttrId, value: EntityId) -> ChangeSet,
+        add_value(entity: EntityId, attr: AttrId, value: EntityId) -> (),
         LogOp::AddValue
     );
     logged!(
         /// Logged [`Database::unassign`].
-        unassign(entity: EntityId, attr: AttrId) -> ChangeSet,
+        unassign(entity: EntityId, attr: AttrId) -> (),
         LogOp::Unassign
     );
     logged!(
@@ -516,7 +516,7 @@ impl LoggedDatabase {
     );
     logged!(
         /// Logged [`Database::add_secondary_parent`].
-        add_secondary_parent(class: ClassId, parent: ClassId) -> ChangeSet,
+        add_secondary_parent(class: ClassId, parent: ClassId) -> (),
         LogOp::AddSecondaryParent
     );
     logged!(
@@ -561,7 +561,7 @@ impl LoggedDatabase {
         &mut self,
         attr: AttrId,
         value_class: impl Into<ValueClassSpec>,
-    ) -> Result<ChangeSet, StoreError> {
+    ) -> Result<(), StoreError> {
         let vc = value_class.into();
         self.logged(LogOp::RespecifyValueClass(attr, vc), |db| {
             db.respecify_value_class(attr, vc)
@@ -574,7 +574,7 @@ impl LoggedDatabase {
         entity: EntityId,
         attr: AttrId,
         values: impl IntoIterator<Item = EntityId>,
-    ) -> Result<ChangeSet, StoreError> {
+    ) -> Result<(), StoreError> {
         let values: Vec<EntityId> = values.into_iter().collect();
         let op = LogOp::AssignMulti(entity, attr, values.clone());
         self.logged(op, |db| db.assign_multi(entity, attr, values))

@@ -335,11 +335,13 @@ impl Repl {
                     count("query.index.rebuilds"),
                 );
                 // With observability live, add the process-wide latency
-                // histogram.
-                if let (true, Some(isis_obs::MetricValue::Histogram(h))) = (
-                    isis_obs::global().enabled(),
-                    snap.get("query.service.evaluate"),
-                ) {
+                // histogram once it holds a query (`metrics reset` leaves
+                // it registered at zero).
+                let evaluate = match snap.get("query.service.evaluate") {
+                    Some(isis_obs::MetricValue::Histogram(h)) if h.count > 0 => Some(h),
+                    _ => None,
+                };
+                if let (true, Some(h)) = (isis_obs::global().enabled(), evaluate) {
                     out.push_str(&format!(
                         "\nevaluate:       p50<={}ns p95<={}ns p99<={}ns \
                          over {} queries (process-wide; see 'metrics')",
@@ -1328,6 +1330,37 @@ mod tests {
         r.exec("metrics reset").unwrap();
         assert!(r.exec("trace nonsense").is_err());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `metrics reset` zeroes the process-wide evaluate histogram but keeps
+    /// it registered; `stats` leaves the empty histogram out.
+    #[test]
+    fn stats_after_metrics_reset_omits_the_empty_evaluate_histogram() {
+        let _obs = obs_switch();
+        let mut r = repl();
+        r.exec("metrics on").unwrap();
+        for line in [
+            "pick music_groups",
+            "subclass quartets",
+            "define",
+            "atom",
+            "clause 1",
+            "push size",
+            "op =",
+            "const",
+            "toggle 4",
+            "done",
+            "commit",
+            "refresh",
+            "explain quartets",
+        ] {
+            r.exec(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let stats = r.exec("stats").unwrap();
+        assert!(stats.contains("evaluate:"), "{stats}");
+        r.exec("metrics reset").unwrap();
+        let stats = r.exec("stats").unwrap();
+        assert!(!stats.contains("over 0 queries"), "{stats}");
     }
 
     #[test]

@@ -260,19 +260,16 @@ fn chunked_base() -> Database {
     let likes = db
         .create_attribute(people, "likes", people, Multiplicity::Multi)
         .unwrap();
-    let ids = db
-        .insert_entities(people, (0..CHUNKED_PEOPLE).map(|i| format!("P{i}")))
-        .unwrap();
+    let ids: Vec<EntityId> = (0..CHUNKED_PEOPLE)
+        .map(|i| db.insert_entity(people, &format!("P{i}")).unwrap())
+        .collect();
     let ages: Vec<EntityId> = (0..50).map(|a| db.intern(a as i64).unwrap()).collect();
     let n = ids.len();
-    db.assign_batch(ids.iter().enumerate().flat_map(|(i, &e)| {
-        let liked = [ids[(i * 7 + 1) % n], ids[(i * 13 + 5) % n]];
-        [
-            (e, age, AttrValue::Single(ages[i % ages.len()])),
-            (e, likes, AttrValue::Multi(liked.into_iter().collect())),
-        ]
-    }))
-    .unwrap();
+    for (i, &e) in ids.iter().enumerate() {
+        db.assign_single(e, age, ages[i % ages.len()]).unwrap();
+        db.assign_multi(e, likes, [ids[(i * 7 + 1) % n], ids[(i * 13 + 5) % n]])
+            .unwrap();
+    }
     db
 }
 
