@@ -23,7 +23,10 @@
 //! recompilation at 1e5+ entities, so must the column-streaming batch
 //! scans (a set compare, and on wide shapes an ordering compare) against
 //! the per-candidate scalar loop, and the pooled settle must beat the
-//! serial settle on affected sets of 1e5 entities. The settle comparison
+//! serial settle on affected sets of 1e5 entities, and the service must
+//! answer the Zipf-rank-0 two-step `members·plays ⊇ {instrument0}` over
+//! `music_groups` from its exact index walk at least 4x faster than the
+//! batch body re-checks the walk's candidates. The settle comparison
 //! is asserted only when the host actually has ≥ 2 cores — the sharded
 //! path is still exercised and recorded on a single-core host, where
 //! beating serial is physically impossible. The views floor holds a data
@@ -67,6 +70,8 @@ struct ConfigResult {
     scan_scalar_ns: f64,
     /// (batch, scalar) for the ordering scan; wide shapes only.
     ordering_scan: Option<(f64, f64)>,
+    /// (service answer, batch re-check) for the two-step walk.
+    walk: (f64, f64),
     affected: usize,
     settle_serial_ns: f64,
     settle_pool_ns: f64,
@@ -185,6 +190,70 @@ fn scan_arms(
             rounds as u64,
         );
     (batch_ns, scalar_ns)
+}
+
+/// Times the two-step `members·plays ⊇ {instrument0}` over `music_groups`
+/// (`instrument0` is the Zipf rank-0 instrument): the service's answer,
+/// which its exact index walk gives without running the program, against
+/// the batch body of the same program over the walk's extent-ordered
+/// candidates, the work the answer did before the walk was the answer.
+/// Records `scaling/walk_{answer,recheck}/{tag}` and returns the median
+/// (answer, re-check) nanoseconds per round, the arms interleaved.
+fn walk_arms(g: &ScaledMusic, rounds: usize, tag: &str, report: &mut BenchReport) -> (f64, f64) {
+    let (db, groups) = (&g.s.db, g.s.music_groups);
+    let pred = Predicate::cnf(vec![Clause::new(vec![Atom::new(
+        Map::new(vec![g.s.members, g.s.plays]),
+        CompareOp::Superset,
+        Rhs::constant(g.s.instruments, [g.s.instrument_ids[0]]),
+    )])]);
+    let mut svc = IndexService::new(db);
+    svc.ensure_index(db, g.s.members).unwrap();
+    svc.ensure_index(db, g.s.plays).unwrap();
+    let (answer, rec) = svc.explain(db, groups, &pred).unwrap();
+    assert_eq!(rec.eval_mode, "walk", "{pred} must be answered by its walk");
+    let pool = rec.pool_len.expect("the walk pools");
+    let candidates: Vec<EntityId> = answer.iter().collect();
+    let prog = PredicateProgram::compile(db, groups, &pred).unwrap();
+    let mut memo = MemoTable::new(&prog);
+    let rechecked = prog.eval_batch(db, &candidates, None, &mut memo).unwrap();
+    assert_eq!(
+        rechecked, candidates,
+        "the program accepts every walked group"
+    );
+    let ((answer_ns, answer_iqr), (recheck_ns, recheck_iqr)) = time_interleaved(
+        rounds,
+        || assert_eq!(svc.evaluate(db, groups, &pred).unwrap().len(), answer.len()),
+        || {
+            let mut memo = MemoTable::new(&prog);
+            let n = prog
+                .eval_batch(db, &candidates, None, &mut memo)
+                .unwrap()
+                .len();
+            assert_eq!(n, candidates.len());
+        },
+    );
+    eprintln!(
+        "   two-step walk, pool {pool} -> {} groups, {rounds} rounds: answer {:.2}ms \
+         (IQR {:.2}ms) vs batch re-check {:.2}ms (IQR {:.2}ms) ({:.2}x)",
+        answer.len(),
+        answer_ns / 1e6,
+        answer_iqr / 1e6,
+        recheck_ns / 1e6,
+        recheck_iqr / 1e6,
+        recheck_ns / answer_ns
+    );
+    *report = std::mem::replace(report, BenchReport::new("scaling"))
+        .result(
+            format!("scaling/walk_answer/{tag}"),
+            answer_ns,
+            rounds as u64,
+        )
+        .result(
+            format!("scaling/walk_recheck/{tag}"),
+            recheck_ns,
+            rounds as u64,
+        );
+    (answer_ns, recheck_ns)
 }
 
 /// The views arm's inputs over `g`: a musicians page scrolled to
@@ -370,6 +439,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         )])]);
         scan_arms(&g, &pred, cfg.scan_rounds, "scan_ordering", &tag, report)
     });
+    let walk = walk_arms(&g, cfg.scan_rounds, &tag, report);
 
     // --- Data-page scenes, which must cost the rows on screen: timed
     // against the same distribution and shape at 1e4.
@@ -468,6 +538,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         scan_batch_ns,
         scan_scalar_ns,
         ordering_scan,
+        walk,
         affected: affected.len(),
         settle_serial_ns,
         settle_pool_ns,
@@ -618,6 +689,15 @@ fn main() {
                     r.entities
                 );
             }
+        }
+        if r.entities >= 100_000 {
+            let (answer_ns, recheck_ns) = r.walk;
+            assert!(
+                answer_ns * 4.0 <= recheck_ns,
+                "the two-step walk's answer must be >=4x faster than its batch \
+                 re-check at {} (answer {answer_ns:.0}ns vs re-check {recheck_ns:.0}ns)",
+                r.tag
+            );
         }
         if r.affected >= 100_000 {
             if cores >= 2 {

@@ -488,33 +488,38 @@ fn ordering_holds(op: CompareOp, ord: std::cmp::Ordering) -> bool {
 ///
 /// Returns `None` for ordering operators: those need the literal table
 /// and can fail, so they go through [`Database::compare_value`].
+///
+/// A one-element rhs, the usual constant, is decided by equality with its
+/// member; only a larger rhs is hash-probed.
 pub(crate) fn compare_single(v: EntityId, op: CompareOp, rhs: &OrderedSet) -> Option<bool> {
     let null = v.is_null();
+    let only = rhs.as_singleton();
+    let holds = || only.map_or_else(|| rhs.contains(v), |w| w == v);
     Some(match op {
         CompareOp::SetEq => {
             if null {
                 rhs.is_empty()
             } else {
-                rhs.len() == 1 && rhs.contains(v)
+                only == Some(v)
             }
         }
-        CompareOp::Subset => null || rhs.contains(v),
+        CompareOp::Subset => null || holds(),
         CompareOp::Superset => {
             if null {
                 rhs.is_empty()
             } else {
-                rhs.is_empty() || (rhs.len() == 1 && rhs.contains(v))
+                rhs.is_empty() || only == Some(v)
             }
         }
         CompareOp::ProperSubset => {
             if null {
                 !rhs.is_empty()
             } else {
-                rhs.contains(v) && rhs.len() > 1
+                rhs.len() > 1 && rhs.contains(v)
             }
         }
         CompareOp::ProperSuperset => !null && rhs.is_empty(),
-        CompareOp::Match => !null && rhs.contains(v),
+        CompareOp::Match => !null && holds(),
         CompareOp::Lt | CompareOp::Le | CompareOp::Gt | CompareOp::Ge => return None,
     })
 }

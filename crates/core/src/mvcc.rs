@@ -95,7 +95,9 @@ pub enum CommitConflict {
     /// a rebase whose replay outgrew the head's window. Either is refused
     /// before the durability hook runs, with the head untouched, so the
     /// hook only ever logs whole commits. A commit that large needs a wider
-    /// window ([`Database::set_delta_capacity`]).
+    /// window ([`Database::set_delta_capacity`]); re-pinning cannot shrink
+    /// it, so `Session::transact_with_retry` returns this conflict at once
+    /// when the writer's own write set is the one that outgrew its window.
     SnapshotTooOld {
         /// The epoch the writer pinned.
         base: u64,

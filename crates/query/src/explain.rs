@@ -81,7 +81,8 @@ pub struct ExplainRecord {
     pub pin_limit: usize,
     /// Pruned pool size (`None` = no prunable atom; sequential scan).
     pub pool_len: Option<usize>,
-    /// Extent-ordered candidates the program actually ran over.
+    /// Extent-ordered candidates the program actually ran over: none when
+    /// the walk was the answer (`eval_mode` `"walk"`).
     pub candidates: usize,
     /// Per-atom access paths and estimates, in evaluation order.
     pub atoms: Vec<AtomPlan>,
@@ -90,8 +91,9 @@ pub struct ExplainRecord {
     /// The chunking decision for this candidate count and thread count:
     /// `Some((chunks, chunk_size))`, or `None` for the serial fallback.
     pub chunks: Option<(usize, usize)>,
-    /// Candidates scanned (== `candidates`; what this evaluation added to
-    /// `query.service.rows_scanned` in the service's scope).
+    /// Rows the program evaluated (== `candidates`, so 0 for a walk;
+    /// what this evaluation added to `query.service.rows_scanned` in the
+    /// service's scope).
     pub scanned: u64,
     /// Members returned.
     pub returned: u64,
@@ -101,10 +103,13 @@ pub struct ExplainRecord {
     pub eval_ns: u64,
     /// Wall-clock whole evaluation.
     pub total_ns: u64,
-    /// `"batch"` when the compiled program streams attribute columns
-    /// ([`crate::PredicateProgram::batch_compatible`]; a run it cannot
-    /// decide is interpreted per candidate), `"scalar"` when it interprets
-    /// every candidate.
+    /// `"walk"` when the exact index walk is the answer and the program
+    /// runs over no row (a lone non-negated `~` or `⊇` atom whose map is
+    /// indexed on every step, on a service at its database's epoch;
+    /// DESIGN.md §4d), `"batch"` when the compiled program streams
+    /// attribute columns ([`crate::PredicateProgram::batch_compatible`]; a
+    /// run it cannot decide is interpreted per candidate), `"scalar"` when
+    /// it interprets every candidate.
     pub eval_mode: &'static str,
     /// Candidates per streamed run ([`crate::program::BATCH_ROWS`]);
     /// meaningful only in batch mode.
@@ -161,7 +166,8 @@ impl ExplainRecord {
     }
 
     /// The machine-readable form (schema `isis-query/explain/2`; version 2
-    /// added `eval_mode`, `batch_rows`, and `columns`).
+    /// added `eval_mode` (`walk`, `batch` or `scalar`), `batch_rows`, and
+    /// `columns`).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("schema", Json::from("isis-query/explain/2")),
@@ -258,6 +264,10 @@ impl ExplainRecord {
             self.cache, self.pin_limit
         ));
         match self.pool_len {
+            Some(n) if self.eval_mode == "walk" => out.push_str(&format!(
+                "├─ pool: {n} candidate(s) walked, exact → {} in extent order\n",
+                self.returned
+            )),
             Some(n) => out.push_str(&format!(
                 "├─ pool: {n} candidate(s) pruned → {} in extent order\n",
                 self.candidates
@@ -280,6 +290,9 @@ impl ExplainRecord {
             ));
         }
         match self.chunks {
+            None if self.eval_mode == "walk" => {
+                out.push_str("├─ parallel: none (the program evaluated no row)\n")
+            }
             Some((n, sz)) => out.push_str(&format!(
                 "├─ parallel: {n} chunk(s) of ≤{sz} over {} worker(s)\n",
                 self.threads
@@ -290,6 +303,7 @@ impl ExplainRecord {
             )),
         }
         match self.eval_mode {
+            "walk" => out.push_str("├─ eval: walk (the exact index walk is the answer)\n"),
             "batch" => out.push_str(&format!(
                 "├─ eval: batch (column streaming, {} rows per run)\n",
                 self.batch_rows
@@ -471,17 +485,17 @@ impl IndexService {
             pinned: cap.pinned,
             pin_limit: MAX_PLAN_CANDIDATES,
             pool_len: cap.pool_len,
-            candidates: cap.candidates,
+            candidates: cap.scanned as usize,
             atoms,
             threads,
-            chunks: crate::parallel::chunk_decision(cap.candidates, threads),
+            chunks: crate::parallel::chunk_decision(cap.scanned as usize, threads),
             scanned: cap.scanned,
             returned: cap.returned,
             plan_ns: cap.plan_ns,
             eval_ns: cap.eval_ns,
             total_ns,
-            eval_mode: if cap.batch { "batch" } else { "scalar" },
-            batch_rows: if cap.batch {
+            eval_mode: cap.eval_mode,
+            batch_rows: if cap.eval_mode == "batch" {
                 crate::program::BATCH_ROWS
             } else {
                 0
@@ -502,9 +516,10 @@ mod tests {
         let mut im = instrumental_music().unwrap();
         let mut svc = IndexService::new(&im.db);
         svc.ensure_index(&im.db, im.plays).unwrap();
+        // `=` probes the index for a superset, which the program re-checks.
         let pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
             Map::single(im.plays),
-            CompareOp::Match,
+            CompareOp::SetEq,
             Rhs::constant(im.instruments, [im.piano]),
         )])]);
         let want = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
@@ -624,7 +639,8 @@ mod tests {
         assert_eq!(record.atoms[0].path, "index probe on members·plays");
         assert!(record.atoms[0].why.contains("walked back"));
         assert_eq!(record.pool_len, Some(got.len()), "the walk is exact");
-        assert_eq!(record.eval_mode, "scalar", "a two-step map does not stream");
+        assert_eq!(record.eval_mode, "walk", "the exact walk is the answer");
+        assert_eq!((record.scanned, record.candidates), (0, 0));
         // An ordering atom over one column streams.
         let ints = im.db.predefined(isis_core::BaseKind::Integers);
         let five = im.db.int(5);
@@ -637,5 +653,42 @@ mod tests {
         let want = im.db.evaluate_derived_members(im.music_groups, &small);
         assert_eq!(Ok(got), want);
         assert_eq!(record.eval_mode, "batch");
+        // Behind its database the service re-checks the walk's pool with
+        // the program, which does not stream a two-step map.
+        im.db
+            .assign_single(im.flute, im.family, im.woodwind)
+            .unwrap();
+        let (got, record) = svc.explain(&im.db, im.music_groups, &pianists).unwrap();
+        let want = im.db.evaluate_derived_members(im.music_groups, &pianists);
+        assert_eq!(Ok(got), want);
+        assert_eq!(record.eval_mode, "scalar", "a two-step map does not stream");
+        assert_eq!(record.scanned as usize, record.candidates);
+        assert!(record.scanned > 0);
+    }
+
+    #[test]
+    fn explain_renders_a_walk() {
+        let im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+            Map::single(im.plays),
+            CompareOp::Match,
+            Rhs::constant(im.instruments, [im.piano, im.viola]),
+        )])]);
+        let (got, record) = svc.explain(&im.db, im.musicians, &pred).unwrap();
+        let want = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(record.eval_mode, "walk");
+        assert_eq!((record.scanned, record.candidates), (0, 0));
+        assert_eq!(record.returned as usize, got.len());
+        assert_eq!((record.batch_rows, record.chunks), (0, None));
+        let text = record.to_text();
+        assert!(text.contains("eval: walk"), "{text}");
+        assert!(text.contains("walked, exact"), "{text}");
+        assert!(text.contains("rows: 0 scanned"), "{text}");
+        let json = record.to_json();
+        assert_eq!(json.get("eval_mode").unwrap().as_str(), Some("walk"));
+        assert_eq!(json.get("scanned"), Some(&Json::from(0u64)));
     }
 }

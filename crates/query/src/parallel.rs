@@ -114,20 +114,23 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Evaluates one chunk with its own memo table, containing panics.
+/// Evaluates the chunk of `members` at `range` with its own memo table,
+/// containing panics.
 fn eval_chunk(
     db: &Database,
     prog: &PredicateProgram,
-    chunk: &[EntityId],
+    members: &[EntityId],
+    range: Range<usize>,
     source: Option<EntityId>,
 ) -> ChunkResult {
+    let chunk = &members[range.clone()];
     let run = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<EntityId>, CoreError> {
         let trap = test_hooks::PANIC_ON_ENTITY.load(std::sync::atomic::Ordering::Relaxed);
         if trap != u32::MAX && chunk.iter().any(|e| e.raw() == trap) {
             panic!("injected worker fault on entity {trap}");
         }
         let mut memo = MemoTable::new(prog);
-        let keep = prog.eval_batch(db, chunk, source, &mut memo)?;
+        let keep = prog.eval_batch_at(db, chunk, range.start, source, &mut memo)?;
         memo.flush_obs();
         Ok(keep)
     }));
@@ -136,6 +139,16 @@ fn eval_chunk(
         Ok(Err(e)) => Err(WorkerFailure::Core(e)),
         Err(p) => Err(WorkerFailure::Panic(panic_message(p.as_ref()))),
     }
+}
+
+/// The answer set of extent-ordered survivor runs, allocated once at its
+/// final size instead of grown insert by insert.
+pub(crate) fn answer(runs: &[&[EntityId]]) -> OrderedSet {
+    let mut out = OrderedSet::with_capacity(runs.iter().map(|r| r.len()).sum());
+    for &e in runs.iter().copied().flatten() {
+        out.insert(e);
+    }
+    out
 }
 
 /// The serial path (width 1, or a slice too small to split): one memo
@@ -147,12 +160,9 @@ fn eval_serial(
     source: Option<EntityId>,
 ) -> Result<OrderedSet, QueryError> {
     let mut memo = MemoTable::new(prog);
-    let mut out = OrderedSet::new();
-    for e in prog.eval_batch(db, members, source, &mut memo)? {
-        out.insert(e);
-    }
+    let keep = prog.eval_batch(db, members, source, &mut memo)?;
     memo.flush_obs();
-    Ok(out)
+    Ok(answer(&[&keep]))
 }
 
 /// Runs the chunk plan on a persistent pool, filling one result slot per
@@ -168,9 +178,9 @@ fn run_on_pool(
     let mut results: Vec<Option<ChunkResult>> = ranges.iter().map(|_| None).collect();
     pool.scoped(|scope| {
         for (slot, range) in results.iter_mut().zip(ranges) {
-            let chunk = &members[range.clone()];
+            let range = range.clone();
             scope.execute(move || {
-                *slot = Some(eval_chunk(db, prog, chunk, source));
+                *slot = Some(eval_chunk(db, prog, members, range, source));
             });
         }
     });
@@ -181,19 +191,17 @@ fn run_on_pool(
 /// ordered ranges scanned in order, so the first failing chunk reproduces
 /// the serial evaluator's first error.
 fn splice(results: Vec<Option<ChunkResult>>) -> Result<OrderedSet, QueryError> {
-    let mut out = OrderedSet::new();
+    let mut parts = Vec::with_capacity(results.len());
     for slot in results {
-        let part = match slot {
+        parts.push(match slot {
             Some(Ok(p)) => p,
             Some(Err(WorkerFailure::Core(e))) => return Err(QueryError::Core(e)),
             Some(Err(WorkerFailure::Panic(m))) => return Err(QueryError::WorkerPanic(m)),
             None => return Err(QueryError::WorkerPanic("worker produced no result".into())),
-        };
-        for e in part {
-            out.insert(e);
-        }
+        });
     }
-    Ok(out)
+    let runs: Vec<&[EntityId]> = parts.iter().map(Vec::as_slice).collect();
+    Ok(answer(&runs))
 }
 
 /// A lazily-initialised persistent worker pool for parallel predicate

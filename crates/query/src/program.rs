@@ -529,10 +529,31 @@ impl PredicateProgram {
     ///   since died — is handed to the scalar loop wholesale, in
     ///   candidate order. Every earlier run was decided without error, so
     ///   the first failing candidate surfaces the scalar error.
+    ///
+    /// A run equal to the parent extent's window at the run's own position
+    /// is a member run without a per-row probe: that is every run of a
+    /// full-extent scan. Any other run (pooled or foreign candidates) is
+    /// proven member by member.
     pub fn eval_batch(
         &self,
         db: &Database,
         candidates: &[EntityId],
+        source: Option<EntityId>,
+        memo: &mut MemoTable,
+    ) -> Result<Vec<EntityId>> {
+        self.eval_batch_at(db, candidates, 0, source, memo)
+    }
+
+    /// [`PredicateProgram::eval_batch`] over `candidates`, which sit at
+    /// position `at` of the caller's candidate list (a pool worker's chunk
+    /// of a longer list), so their runs are compared with the extent
+    /// window at that position. `at` only guides the comparison: a run
+    /// that does not equal its window is still proven member by member.
+    pub(crate) fn eval_batch_at(
+        &self,
+        db: &Database,
+        candidates: &[EntityId],
+        at: usize,
         source: Option<EntityId>,
         memo: &mut MemoTable,
     ) -> Result<Vec<EntityId>> {
@@ -557,8 +578,13 @@ impl PredicateProgram {
             self.eval_scalar(db, candidates, source, memo, &mut out)?;
             return Ok(out);
         }
-        for chunk in candidates.chunks(BATCH_ROWS) {
-            let decided = if chunk.iter().all(|&e| members.contains(e)) {
+        let extent = members.as_slice();
+        for (start, chunk) in (at..)
+            .step_by(BATCH_ROWS)
+            .zip(candidates.chunks(BATCH_ROWS))
+        {
+            let window = extent.get(start..start + chunk.len());
+            let decided = if window == Some(chunk) || chunk.iter().all(|&e| members.contains(e)) {
                 self.stream_chunk(db, batch, chunk)
             } else {
                 None
@@ -992,6 +1018,48 @@ mod tests {
         match (want, got) {
             (Err(a), Err(b)) => assert_eq!(a, b, "identical error"),
             (a, b) => panic!("both paths must fail identically: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// A run equal to its extent window skips the per-row probe at every
+    /// pool width; a foreign candidate in place of a member keeps the
+    /// run's length, so only the probe can catch it, and the scalar error
+    /// surfaces.
+    #[test]
+    fn batch_proves_extent_windows_and_probes_every_other_run() {
+        let s = isis_sample::synthetic_music(isis_sample::Scale::of(3000), 5).unwrap();
+        let pred = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+            isis_core::Map::single(s.plays),
+            CompareOp::Match,
+            Rhs::constant(s.instruments, [s.instrument_ids[0]]),
+        )])]);
+        let prog = PredicateProgram::compile(&s.db, s.musicians, &pred).unwrap();
+        assert!(prog.batch_compatible());
+        let extent: Vec<EntityId> = s.db.members(s.musicians).unwrap().iter().collect();
+        assert!(extent.len() > 2 * BATCH_ROWS);
+        let scalar = |cands: &[EntityId]| -> Result<Vec<EntityId>> {
+            let mut memo = MemoTable::new(&prog);
+            let mut out = Vec::new();
+            prog.eval_scalar(&s.db, cands, None, &mut memo, &mut out)?;
+            Ok(out)
+        };
+        let mut rogue = extent.clone();
+        rogue[BATCH_ROWS + 7] = s.instrument_ids[0];
+        let shifted = &extent[1..];
+        for threads in [1, 2, 4] {
+            let pool = crate::EvalPool::new(threads);
+            for cands in [&extent[..], shifted] {
+                let got = pool.evaluate(&s.db, &prog, cands, None).unwrap();
+                assert_eq!(got.as_slice(), scalar(cands).unwrap(), "threads={threads}");
+            }
+            let got = pool.evaluate(&s.db, &prog, &rogue, None);
+            let want = scalar(&rogue).map_err(crate::QueryError::Core);
+            assert!(want.is_err());
+            assert_eq!(
+                got.map(|o| o.as_slice().to_vec()),
+                want,
+                "threads={threads}"
+            );
         }
     }
 

@@ -58,7 +58,7 @@ use crate::cache::{CachedPlan, ProgramCache, DEFAULT_PROGRAM_CACHE_CAPACITY};
 use crate::error::QueryError;
 use crate::index::{walk_back, AttrIndex};
 use crate::manager::{IndexManager, IndexStats};
-use crate::parallel::EvalPool;
+use crate::parallel::{answer, EvalPool};
 use crate::program::PredicateProgram;
 
 /// The access-path decisions counted in a service's registry scope, read
@@ -157,15 +157,18 @@ pub(crate) struct EvalCapture {
     pub(crate) pinned: bool,
     /// Pruned pool size (`None` = no prunable atom; sequential scan).
     pub(crate) pool_len: Option<usize>,
-    /// Extent-ordered candidates actually evaluated.
-    pub(crate) candidates: usize,
+    /// Extent-ordered candidates the program evaluated: 0 when the walk
+    /// was the answer.
     pub(crate) scanned: u64,
     pub(crate) returned: u64,
     pub(crate) plan_ns: u64,
     pub(crate) eval_ns: u64,
-    /// The program was batch-compatible: evaluation streamed attribute
-    /// columns in [`crate::program::BATCH_ROWS`]-candidate runs.
-    pub(crate) batch: bool,
+    /// How the answer was produced: `"walk"` when the exact index walk
+    /// was the answer and the program ran over no row, `"batch"` when the
+    /// program streamed attribute columns in
+    /// [`crate::program::BATCH_ROWS`]-candidate runs, `"scalar"` when it
+    /// interpreted every candidate.
+    pub(crate) eval_mode: &'static str,
 }
 
 impl IndexService {
@@ -460,6 +463,32 @@ impl IndexService {
         Ok(out)
     }
 
+    /// `true` when the planner `pooled` `pred`'s candidates by an index
+    /// walk that is the answer itself, so the program need not run over
+    /// them (DESIGN.md §4d): `pred` is one clause of one non-negated `~` or
+    /// `⊇` atom against an identity-map constant, every step of its map
+    /// plans as an [`AccessPath::IndexProbe`], and the service's cursor is
+    /// `db`'s epoch. Postings hold the expanded values map evaluation
+    /// reads, `~` unions the per-anchor walks and `⊇` intersects them, and
+    /// such an atom cannot fail for a member of the parent, so the walk
+    /// restricted to the parent extent is exact. The cursor guard keeps
+    /// the program wherever the postings may be stale: in a full refresh
+    /// after an install, or on a service behind its database.
+    fn walk_is_answer(&self, db: &Database, pred: &Predicate, pooled: bool) -> bool {
+        if !pooled {
+            return false;
+        }
+        let [clause] = pred.clauses.as_slice() else {
+            return false;
+        };
+        let [atom] = clause.atoms.as_slice() else {
+            return false;
+        };
+        matches!(atom.op.op, CompareOp::Match | CompareOp::Superset)
+            && self.indexable(atom)
+            && self.manager.cursor() == db.delta_epoch()
+    }
+
     /// Combines per-anchor owner sets, one per anchor in anchor order,
     /// under the atom's operator: union for `~` (some anchor present),
     /// rarest-first intersection for `⊇`/`=` (every anchor present).
@@ -651,9 +680,16 @@ impl IndexService {
                     self.seq_scans.inc();
                 }
                 span.field("pool", || pool_len.map_or(isis_obs::Json::Null, Into::into));
-                let scanned = candidates.len() as u64;
+                let walk = self.walk_is_answer(db, pred, pool_len.is_some());
+                // The rows the program evaluated: none when the walk is
+                // the answer.
+                let scanned = if walk { 0 } else { candidates.len() as u64 };
                 let t_eval = if timed { Some(Instant::now()) } else { None };
-                let out = self.eval_pool.evaluate(db, prog, &candidates, None)?;
+                let out = if walk {
+                    answer(&[&candidates])
+                } else {
+                    self.eval_pool.evaluate(db, prog, &candidates, None)?
+                };
                 let eval_ns = t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 self.rows_scanned.add(scanned);
                 self.rows_returned.add(out.len() as u64);
@@ -667,12 +703,15 @@ impl IndexService {
                         // candidate list here).
                         pinned: pool_len.is_some() && candidates.len() <= MAX_PLAN_CANDIDATES,
                         pool_len,
-                        candidates: candidates.len(),
                         scanned,
                         returned: out.len() as u64,
                         plan_ns,
                         eval_ns,
-                        batch,
+                        eval_mode: match (walk, batch) {
+                            (true, _) => "walk",
+                            (false, true) => "batch",
+                            (false, false) => "scalar",
+                        },
                     };
                 }
                 Ok(out)
@@ -681,9 +720,9 @@ impl IndexService {
 
     /// Evaluates `prog`, compiled from `pred` over `parent`, through the
     /// planner and the pool exactly as [`IndexService::evaluate`] would,
-    /// but records nothing: no [`QueryStats`], no program-cache entry, no
-    /// slow-query event. The derived-class refresh settles through this
-    /// ([`crate::DerivedMaintainer::recompute`]).
+    /// an exact walk included, but records nothing: no [`QueryStats`], no
+    /// program-cache entry, no slow-query event. The derived-class refresh
+    /// settles through this ([`crate::DerivedMaintainer::recompute`]).
     pub(crate) fn evaluate_program(
         &self,
         db: &Database,
@@ -693,6 +732,9 @@ impl IndexService {
     ) -> Result<OrderedSet, QueryError> {
         let pool = self.pool_for(db, pred, false)?;
         let candidates = self.ordered_candidates(db, parent, pool.as_ref())?;
+        if self.walk_is_answer(db, pred, pool.is_some()) {
+            return Ok(answer(&[&candidates]));
+        }
         self.eval_pool.evaluate(db, prog, &candidates, None)
     }
 
@@ -946,6 +988,39 @@ mod tests {
         }
         let stats = svc.query_stats();
         assert_eq!((stats.index_probes, stats.seq_scans), (3, 0));
+    }
+
+    /// A `~` with no anchors holds for no one: its walk pools nothing,
+    /// and that empty pool is its answer. A `⊇` with no anchors holds for
+    /// everyone and pools nothing to prune with, so it scans and runs the
+    /// program.
+    #[test]
+    fn zero_anchor_walks_answer_as_the_oracle() {
+        let im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.members).unwrap();
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let groups = im.db.members(im.music_groups).unwrap().len();
+        for (op, mode, returned) in [
+            (CompareOp::Match, "walk", 0),
+            (CompareOp::Superset, "scalar", groups),
+        ] {
+            let atom = Atom::new(
+                Map::new(vec![im.members, im.plays]),
+                op,
+                Rhs::constant(im.instruments, []),
+            );
+            let pred = Predicate::cnf(vec![Clause::new(vec![atom])]);
+            let want = im
+                .db
+                .evaluate_derived_members(im.music_groups, &pred)
+                .unwrap();
+            let got = svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
+            assert_eq!(got.as_slice(), want.as_slice(), "{pred}");
+            let (_, record) = svc.explain(&im.db, im.music_groups, &pred).unwrap();
+            assert_eq!(record.eval_mode, mode, "{pred}");
+            assert_eq!(record.returned as usize, returned, "{pred}");
+        }
     }
 
     #[test]

@@ -44,9 +44,15 @@ impl Session {
     /// Only retryable conflicts are retried (see
     /// [`CommitConflict::is_retryable`](isis_core::CommitConflict::is_retryable)):
     /// a durability veto means the store refused the write and repeating
-    /// it cannot help. Errors from `f` itself propagate immediately with
-    /// the buffered changes discarded. Refuses to start while the session
-    /// is dirty — buffered changes would be swept into the first commit.
+    /// it cannot help. Nor is a write set that outgrew the session's own
+    /// delta window: no re-pin makes it fit, so its
+    /// [`SnapshotTooOld`](isis_core::CommitConflict::SnapshotTooOld) is
+    /// returned after the first attempt. A base that other sessions'
+    /// commits evicted from the head's window is retried as usual. Errors
+    /// from `f` itself propagate immediately with the buffered changes
+    /// discarded; every error leaves the session clean. Refuses to start
+    /// while the session is dirty — buffered changes would be swept into
+    /// the first commit.
     ///
     /// ```
     /// use isis_core::{RetryBackoff, SharedDatabase};
@@ -80,7 +86,11 @@ impl Session {
                     return Ok(receipt);
                 }
                 Err(SessionError::Conflict(c))
-                    if c.is_retryable() && attempt < backoff.max_retries =>
+                    if c.is_retryable()
+                        && attempt < backoff.max_retries
+                        // A write set the session's own window cannot hold
+                        // outgrows it again on every replay.
+                        && self.db.changes_since(self.base_epoch).is_some() =>
                 {
                     self.discard_changes()?;
                     let delay = backoff.delay(attempt);

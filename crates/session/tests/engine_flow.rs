@@ -939,3 +939,72 @@ fn query_counters_survive_every_service_rebuild() {
     after_rebuild(&mut s, "schema edit + refresh");
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// A write set that outgrows the session's own delta window is refused
+/// with `SnapshotTooOld`, and no re-pin can make it fit: the retry loop
+/// runs the intent once, returns the conflict, and leaves the session
+/// clean and the head untouched.
+#[test]
+fn a_write_set_that_outgrows_its_window_is_not_retried() {
+    let mut im = instrumental_music().unwrap();
+    im.db.set_delta_capacity(4);
+    let shared = isis_core::SharedDatabase::new(im.db);
+    let head = shared.epoch();
+    let mut s = Session::open(&shared).build();
+    let mut runs = 0;
+    let got = s.transact_with_retry(&isis_core::RetryBackoff::unslept(16), |db| {
+        runs += 1;
+        for name in ["Ann", "Bea", "Cyd"] {
+            db.insert_entity(im.musicians, name)?;
+        }
+        Ok(())
+    });
+    assert!(
+        matches!(
+            got,
+            Err(SessionError::Conflict(
+                isis_core::CommitConflict::SnapshotTooOld { .. }
+            ))
+        ),
+        "{got:?}"
+    );
+    assert_eq!(runs, 1, "no re-pin makes the write set fit");
+    assert_eq!(shared.epoch(), head, "the head is untouched");
+    assert!(!s.is_dirty(), "the session is left clean");
+    assert!(s.database().entity_by_name(im.musicians, "Ann").is_err());
+}
+
+/// A base that other sessions' commits evicted from the head's window is
+/// retried: the re-pin lands inside the window and the intent commits.
+#[test]
+fn a_base_evicted_by_other_commits_is_retried() {
+    let mut im = instrumental_music().unwrap();
+    im.db.set_delta_capacity(8);
+    let shared = isis_core::SharedDatabase::new(im.db);
+    let mut s = Session::open(&shared).build();
+    let mut rival = Session::open(&shared).build();
+    let mut runs = 0;
+    let receipt = s
+        .transact_with_retry(&isis_core::RetryBackoff::unslept(16), |db| {
+            runs += 1;
+            if runs == 1 {
+                // Rival commits push the head past this attempt's base.
+                for i in 0..8 {
+                    rival
+                        .transact_with_retry(&isis_core::RetryBackoff::unslept(0), |db| {
+                            db.insert_entity(im.musicians, &format!("rival{i}"))
+                                .map(|_| ())
+                        })
+                        .unwrap();
+                }
+            }
+            db.insert_entity(im.musicians, "Dot").map(|_| ())
+        })
+        .unwrap();
+    assert_eq!(runs, 2, "one evicted attempt, one retry");
+    assert!(!s.is_dirty());
+    assert_eq!(receipt.epoch, shared.epoch());
+    let head = shared.pin();
+    assert!(head.entity_by_name(im.musicians, "Dot").is_ok());
+    assert!(head.entity_by_name(im.musicians, "rival7").is_ok());
+}

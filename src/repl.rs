@@ -1461,6 +1461,36 @@ mod tests {
         isis_obs::global().set_enabled(false);
     }
 
+    /// A lone `~` over an indexed attribute is answered by its exact walk,
+    /// and `explain` says so in both renderings.
+    #[test]
+    fn explain_shows_the_walk_mode() {
+        let _obs = obs_switch();
+        let mut r = repl();
+        for line in [
+            "pick musicians",
+            "subclass piano_players",
+            "define",
+            "atom",
+            "clause 1",
+            "push plays",
+            "op ~",
+            "const",
+            "toggle piano",
+            "done",
+            "commit",
+            "refresh",
+        ] {
+            r.exec(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let plan = r.exec("explain piano_players").unwrap();
+        assert!(plan.contains("eval: walk"), "{plan}");
+        assert!(plan.contains("rows: 0 scanned"), "{plan}");
+        let json = r.exec("explain piano_players json").unwrap();
+        let parsed = isis_obs::Json::parse(&json).expect("explain json parses");
+        assert_eq!(parsed.get("eval_mode").unwrap().as_str(), Some("walk"));
+    }
+
     /// The slow-query threshold and the captures live on the journal, and
     /// the query counters in the session's scope, not on the index
     /// service, so a full refresh that rebuilds the service keeps them.

@@ -220,3 +220,61 @@ fn explain_counter_deltas_match_evaluate() {
         );
     }
 }
+
+/// A two-step lone `⊇` is answered by its exact walk: EXPLAIN says so,
+/// and with observability on and off it answers as `evaluate` does and
+/// moves the planner and program-cache counters by the same deltas.
+#[test]
+fn a_two_step_walk_explains_like_it_evaluates() {
+    let _lock = obs_lock();
+    let im = instrumental_music().unwrap();
+    let pred = Predicate::cnf(vec![Clause::new(vec![Atom::new(
+        Map::new(vec![im.members, im.plays]),
+        CompareOp::Superset,
+        Rhs::constant(im.instruments, [im.piano]),
+    )])]);
+    let want = im
+        .db
+        .evaluate_derived_members(im.music_groups, &pred)
+        .unwrap();
+    assert!(!want.is_empty());
+    let mut runs = Vec::new();
+    for enabled in [false, true] {
+        isis_obs::global().set_enabled(enabled);
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.members).unwrap();
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let counters = |svc: &IndexService| {
+            let (q, c) = (svc.query_stats(), svc.program_cache().stats());
+            [
+                q.queries,
+                q.index_probes,
+                q.grouping_scans,
+                q.seq_scans,
+                q.index_misses,
+                c.hits,
+                c.misses,
+            ]
+        };
+        svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
+        let s0 = counters(&svc);
+        let out = svc.evaluate(&im.db, im.music_groups, &pred).unwrap();
+        let s1 = counters(&svc);
+        let (explained, record) = svc.explain(&im.db, im.music_groups, &pred).unwrap();
+        let s2 = counters(&svc);
+        assert_eq!(out.as_slice(), want.as_slice(), "obs {enabled}");
+        assert_eq!(explained.as_slice(), want.as_slice(), "obs {enabled}");
+        let delta = |a: [u64; 7], b: [u64; 7]| -> Vec<u64> {
+            a.iter().zip(b).map(|(x, y)| y - x).collect()
+        };
+        assert_eq!(delta(s0, s1), delta(s1, s2), "obs {enabled}");
+        assert_eq!(record.eval_mode, "walk");
+        assert_eq!((record.scanned, record.candidates), (0, 0));
+        assert_eq!(record.returned as usize, want.len());
+        assert_eq!(record.pool_len, Some(want.len()), "the walk is exact");
+        assert_eq!(record.cache, "hit");
+        assert!(record.plan_reused);
+        runs.push(s2);
+    }
+    assert_eq!(runs[0], runs[1], "observability moved the counters");
+}

@@ -39,6 +39,12 @@ struct Fixture {
     /// Musicians that left `pianists`, and with it their section.
     former: Vec<EntityId>,
     derived: Vec<ClassId>,
+    /// `music_groups.lead`, ranged over `pianists`.
+    lead: AttrId,
+    /// `lead·section ~ {late_section}`: a lone walk settled after the
+    /// pianists install.
+    led_late: ClassId,
+    late_section: EntityId,
 }
 
 fn single(atoms: Vec<Atom>) -> Predicate {
@@ -127,7 +133,7 @@ fn build(seed: u64) -> Fixture {
         CompareOp::Match,
         Rhs::constant(s.instruments, [first_sections[1]]),
     );
-    commit(&mut s, groups, "led_late", single(vec![lead_section_late]));
+    let led_late = commit(&mut s, groups, "led_late", single(vec![lead_section_late]));
     // Every third pianist stops playing the hot instrument and leaves,
     // dropping its section. When pianists leave or rejoin during the
     // refresh, `led_early` has already indexed `lead` and `section`, so
@@ -171,6 +177,9 @@ fn build(seed: u64) -> Fixture {
         pianists,
         former,
         derived,
+        lead,
+        led_late,
+        late_section: first_sections[1],
     }
 }
 
@@ -335,4 +344,54 @@ fn follower_refresh_after_pull_matches_the_interpreted_refresh() {
         let twin = shared.pin();
         compare(&f, &mut follower, twin, &format!("follower seed {seed}"));
     }
+}
+
+/// The stale-wide postings case, pinned down: a group led by a pianist
+/// whose section `led_late` walks, and that pianist stops playing the hot
+/// instrument. The full refresh indexes `lead` and `section` for
+/// `led_early`, then the pianists install drops the pianist's section and
+/// scrubs the group's lead, so the postings `led_late` would walk still
+/// reach the group. The walk is not the answer there: the program
+/// re-checks it, and the group leaves `led_late` as in the interpreted
+/// refresh.
+#[test]
+fn a_lone_walk_over_postings_an_earlier_install_left_stale_is_rechecked() {
+    let mut checked = 0;
+    for seed in 0..SEEDS / 4 {
+        let f = build(seed);
+        let mut db = f.s.db.clone();
+        let hot = f.s.instrument_ids[0];
+        let Some((group, pianist)) = db.members(f.led_late).unwrap().iter().find_map(|g| {
+            let p = db.attr_value_set(g, f.lead).unwrap().as_singleton()?;
+            db.attr_value_set(p, f.s.plays)
+                .unwrap()
+                .contains(hot)
+                .then_some((g, p))
+        }) else {
+            continue;
+        };
+        assert_eq!(
+            db.attr_value_set(pianist, f.section)
+                .unwrap()
+                .as_singleton(),
+            Some(f.late_section)
+        );
+        let mut plays = db.attr_value_set(pianist, f.s.plays).unwrap();
+        plays.remove(hot);
+        db.assign_multi(pianist, f.s.plays, plays.iter()).unwrap();
+        let twin = db.clone();
+        let mut session = Session::builder(db).build();
+        assert!(!compare(
+            &f,
+            &mut session,
+            twin,
+            &format!("stale seed {seed}")
+        ));
+        let db = session.database();
+        assert!(!db.members(f.pianists).unwrap().contains(pianist));
+        assert!(db.attr_value_set(group, f.lead).unwrap().is_empty());
+        assert!(!db.members(f.led_late).unwrap().contains(group));
+        checked += 1;
+    }
+    assert!(checked > 0, "no seed led a late-section group by a pianist");
 }

@@ -365,3 +365,122 @@ proptest! {
         prop_assert!(svc.query_stats().queries >= 1);
     }
 }
+
+/// A lone atom: `~`, `⊇` or `=`, maybe negated, against 0–3 anchors, over
+/// any of the five generated maps.
+fn lone_atom_strategy() -> impl Strategy<Value = GenAtom> {
+    (
+        0u8..5,
+        0u8..3,
+        any::<bool>(),
+        proptest::collection::vec(any::<u8>(), 0..4),
+    )
+        .prop_map(|(lhs, op, negated, consts)| GenAtom {
+            lhs,
+            // `~`, `⊇` and `=` in `build_atom`'s operator table.
+            op_idx: [3, 2, 0][op as usize],
+            negated,
+            consts,
+        })
+}
+
+/// Whether the service's exact walk answers `atom` alone: a non-negated
+/// `~`, or `⊇` against at least one anchor, over a map indexed on every
+/// step, by a service at the database's epoch.
+fn walk_expected(db: &Database, svc: &IndexService, atom: &Atom, indexed: &[AttrId]) -> bool {
+    let Rhs::Constant { anchors, .. } = &atom.rhs else {
+        return false;
+    };
+    !atom.op.negated
+        && match atom.op.op {
+            CompareOp::Match => true,
+            CompareOp::Superset => !anchors.is_empty(),
+            _ => false,
+        }
+        && atom.lhs.steps().iter().all(|a| indexed.contains(a))
+        && svc.cursor() == db.delta_epoch()
+}
+
+/// The service answers a lone atom as the naive evaluator does, order
+/// included, and EXPLAIN reports `walk` exactly when the walk is the
+/// answer. A service behind its database is only asked for its mode.
+fn check_lone(
+    db: &Database,
+    svc: &IndexService,
+    ids: &Ids,
+    pred: &Predicate,
+    indexed: &[AttrId],
+    when: &str,
+) {
+    let atom = &pred.clauses[0].atoms[0];
+    let walk = walk_expected(db, svc, atom, indexed);
+    let (explained, record) = svc.explain(db, ids.musicians, pred).unwrap();
+    assert_eq!(
+        record.eval_mode == "walk",
+        walk,
+        "{when}: eval mode {} for {pred} (indexed {indexed:?})",
+        record.eval_mode
+    );
+    if walk {
+        assert_eq!(
+            (record.scanned, record.candidates),
+            (0, 0),
+            "{when}: {pred}"
+        );
+    }
+    if svc.cursor() != db.delta_epoch() {
+        return;
+    }
+    let naive = db.evaluate_derived_members(ids.musicians, pred).unwrap();
+    let indexed_answer = svc.evaluate(db, ids.musicians, pred).unwrap();
+    assert_eq!(
+        indexed_answer.as_slice(),
+        naive.as_slice(),
+        "{when}: indexed disagrees with naive for {pred}"
+    );
+    assert_eq!(explained.as_slice(), naive.as_slice(), "{when}: {pred}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Lone atoms, the shape the exact walk answers without running the
+    /// program: random operator, negation, anchor count and map, random
+    /// index subset, random mutations with and without a drain after each.
+    #[test]
+    fn lone_atoms_match_naive_and_walk_exactly_when_exact(
+        gen in lone_atom_strategy(),
+        dnf in any::<bool>(),
+        index_mask in proptest::collection::vec(any::<bool>(), 4),
+        ops in proptest::collection::vec(op_strategy(), 0..12),
+        drain_each in any::<bool>(),
+    ) {
+        let (mut db, ids, mut live) = setup();
+        let pred = build_predicate(&ids, &[vec![gen]], dnf);
+        db.validate_predicate(ids.musicians, None, &pred).unwrap();
+
+        let mut svc = IndexService::new(&db);
+        let mut indexed = Vec::new();
+        for (on, attr) in index_mask
+            .iter()
+            .zip([ids.plays, ids.union_attr, ids.likes, ids.family])
+        {
+            if *on {
+                svc.ensure_index(&db, attr).unwrap();
+                indexed.push(attr);
+            }
+        }
+        check_lone(&db, &svc, &ids, &pred, &indexed, "before any mutation");
+
+        let mut fresh = 0u32;
+        for op in &ops {
+            apply_op(&mut db, &ids, &mut live, &mut fresh, op);
+            if drain_each {
+                svc.refresh(&db).unwrap();
+            }
+            check_lone(&db, &svc, &ids, &pred, &indexed, "after a mutation");
+        }
+        svc.refresh(&db).unwrap();
+        check_lone(&db, &svc, &ids, &pred, &indexed, "after the final drain");
+    }
+}
