@@ -19,10 +19,11 @@
 //!   the report's `smoke` flag set; performance assertions are skipped.
 //!
 //! Outside smoke mode the harness enforces the scaling floor directly:
-//! cached-program query rounds must be ≥ 2x faster than per-query
-//! recompilation at 1e5+ entities, so must the column-streaming batch
-//! scans (a set compare, and on wide shapes an ordering compare) against
-//! the per-candidate scalar loop, and the pooled settle must beat the
+//! cached-program query rounds, over at least two navigation steps that
+//! answer, must be ≥ 2x faster than per-query recompilation at 1e5+
+//! entities, so must the column-streaming batch set-compare scan against
+//! the per-candidate scalar loop, the batch ordering scan (wide shapes)
+//! must be ≥ 10x faster than that loop, the pooled settle must beat the
 //! serial settle on affected sets of 1e5 entities, and the service must
 //! answer the Zipf-rank-0 two-step `members·plays ⊇ {instrument0}` over
 //! `music_groups` from its exact index walk at least 4x faster than the
@@ -64,6 +65,8 @@ struct Config {
 struct ConfigResult {
     entities: usize,
     tag: String,
+    /// Steps of the navigation chain the query rounds time.
+    steps: usize,
     cached_ns: f64,
     recompiled_ns: f64,
     scan_batch_ns: f64,
@@ -358,11 +361,24 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         1,
     );
 
-    // --- Navigation query rounds: cached program vs per-query recompile.
-    let chain = navigation_chain(&mut g.s, 6, SEED ^ 1);
+    // --- Navigation query rounds: cached program vs per-query recompile,
+    // over the longest prefix of the chain whose every step answers. Each
+    // step but the second asks for one more instrument, so the sixth asks
+    // one musician to play five, more than `Scale::max_plays`: a full
+    // chain would time an empty pool.
+    let mut chain = navigation_chain(&mut g.s, 6, SEED ^ 1);
     let mut svc = IndexService::new(&g.s.db);
     svc.ensure_index(&g.s.db, g.s.plays).unwrap();
     svc.ensure_index(&g.s.db, g.s.union_attr).unwrap();
+    let answering = chain
+        .iter()
+        .take_while(|pred| {
+            !svc.evaluate(&g.s.db, g.s.musicians, pred)
+                .unwrap()
+                .is_empty()
+        })
+        .count();
+    chain.truncate(answering);
     let run_chain = |svc: &IndexService, db: &Database| {
         let mut total = 0usize;
         for pred in &chain {
@@ -401,7 +417,8 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         );
     }
     eprintln!(
-        "   query round: cached {:.1}us vs recompiled {:.1}us ({:.2}x)",
+        "   query round ({} steps): cached {:.1}us vs recompiled {:.1}us ({:.2}x)",
+        chain.len(),
         cached_ns / 1e3,
         recompiled_ns / 1e3,
         recompiled_ns / cached_ns
@@ -533,6 +550,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
     ConfigResult {
         entities: cfg.entities,
         tag,
+        steps: chain.len(),
         cached_ns,
         recompiled_ns,
         scan_batch_ns,
@@ -653,6 +671,14 @@ fn main() {
     // The scaling floor, enforced (ISSUE 8 acceptance criteria).
     for r in &results {
         if r.entities >= 100_000 {
+            // The first step, a lone `~`, is answered by its index walk;
+            // the second is the first whose program runs.
+            assert!(
+                r.steps >= 2,
+                "the query rounds at {} time only {} answering navigation steps",
+                r.tag,
+                r.steps
+            );
             assert!(
                 r.cached_ns * 2.0 <= r.recompiled_ns,
                 "cached query rounds must be >=2x faster than per-query \
@@ -663,7 +689,8 @@ fn main() {
             );
         }
         // Columnar batch evaluation must never lose to the scalar loop,
-        // and must clear 2x on full-extent scans at 1e5+ (ISSUE 10).
+        // and must clear 2x on full-extent set-compare scans and 10x on
+        // ordering scans at 1e5+.
         assert!(
             r.scan_batch_ns <= r.scan_scalar_ns,
             "batch scan regressed below scalar at {} entities \
@@ -683,8 +710,8 @@ fn main() {
             );
             if let Some((batch_ns, scalar_ns)) = r.ordering_scan {
                 assert!(
-                    batch_ns * 2.0 <= scalar_ns,
-                    "batch ordering scan must be >=2x faster than scalar at \
+                    batch_ns * 10.0 <= scalar_ns,
+                    "batch ordering scan must be >=10x faster than scalar at \
                      {} entities (batch {batch_ns:.0}ns vs scalar {scalar_ns:.0}ns)",
                     r.entities
                 );

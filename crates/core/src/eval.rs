@@ -10,6 +10,7 @@ use crate::attribute::{AttrValue, Multiplicity, ValueClass};
 use crate::class::ClassKind;
 use crate::error::{CoreError, Result};
 use crate::ids::{AttrId, ClassId, EntityId};
+use crate::literal::Literal;
 use crate::map::{Map, MapTrace};
 use crate::op::{CompareOp, Operator};
 use crate::orderedset::OrderedSet;
@@ -152,57 +153,44 @@ impl Database {
         })
     }
 
-    /// Orders two singleton sets by [`Database::order_literals`].
+    /// Orders two singleton sets of literal entities by [`order_literals`].
     fn order_singletons(&self, lhs: &OrderedSet, rhs: &OrderedSet) -> Result<std::cmp::Ordering> {
-        match (lhs.as_singleton(), rhs.as_singleton()) {
-            (Some(a), Some(b)) => self.order_literals(a, b),
-            _ => Err(CoreError::NotComparable(
+        let (Some(a), Some(b)) = (lhs.as_singleton(), rhs.as_singleton()) else {
+            return Err(CoreError::NotComparable(
                 "ordering operators require singleton sets".into(),
+            ));
+        };
+        match (self.literal_of(a), self.literal_of(b)) {
+            (Some(la), Some(lb)) => order_literals(la, lb),
+            _ => Err(CoreError::NotComparable(
+                "ordering operators compare literal entities only".into(),
             )),
         }
     }
 
     /// [`Database::compare_sets`] for a left-hand side of at most one value
     /// — the empty set when `v` is NULL (an unassigned cell), `{v}`
-    /// otherwise — or `None` wherever `compare_sets` would fail. The batch
-    /// body of isis-query's compiled programs streams single-valued
-    /// column cells through this entry, ordering operators included, and
-    /// hands a candidate it cannot decide to the per-candidate path.
+    /// otherwise — or `None` wherever `compare_sets` would fail.
     pub fn compare_value(&self, v: EntityId, op: CompareOp, rhs: &OrderedSet) -> Option<bool> {
-        if !op.is_ordering() {
-            return compare_single(v, op, rhs);
-        }
-        if v.is_null() {
-            return None;
-        }
-        let ord = self.order_literals(v, rhs.as_singleton()?).ok()?;
-        Some(ordering_holds(op, ord))
+        self.value_test(op, rhs).test(v)
     }
 
-    /// The ordering rule: two literal entities compare numerically for
-    /// INTEGERS/REALS (mixed is fine), lexicographically for STRINGS;
-    /// anything else is not comparable.
-    fn order_literals(&self, a: EntityId, b: EntityId) -> Result<std::cmp::Ordering> {
-        let (la, lb) = (self.literal_of(a), self.literal_of(b));
-        match (la, lb) {
-            (Some(la), Some(lb)) => {
-                if let (Some(x), Some(y)) = (la.as_f64(), lb.as_f64()) {
-                    x.partial_cmp(&y)
-                        .ok_or_else(|| CoreError::NotComparable("incomparable reals".into()))
-                } else {
-                    match (la, lb) {
-                        (crate::literal::Literal::Str(x), crate::literal::Literal::Str(y)) => {
-                            Ok(x.cmp(y))
-                        }
-                        _ => Err(CoreError::NotComparable(format!(
-                            "cannot order {la} against {lb}"
-                        ))),
-                    }
-                }
-            }
-            _ => Err(CoreError::NotComparable(
-                "ordering operators compare literal entities only".into(),
-            )),
+    /// [`Database::compare_value`] against `rhs`, prepared once for many
+    /// values: an ordering operator looks the constant's literal up here
+    /// instead of once per value. The batch body of isis-query's compiled
+    /// programs streams single-valued column cells through it, ordering
+    /// operators included, and hands a candidate it cannot decide to the
+    /// per-candidate path.
+    pub fn value_test<'a>(&'a self, op: CompareOp, rhs: &'a OrderedSet) -> ValueTest<'a> {
+        let key = rhs
+            .as_singleton()
+            .filter(|_| op.is_ordering())
+            .and_then(|w| self.literal_of(w));
+        ValueTest {
+            db: self,
+            op,
+            rhs,
+            key,
         }
     }
 
@@ -469,6 +457,54 @@ impl Database {
     }
 }
 
+/// A constant prepared by [`Database::value_test`] for comparing many
+/// single values against it.
+#[derive(Clone, Copy)]
+pub struct ValueTest<'a> {
+    db: &'a Database,
+    op: CompareOp,
+    rhs: &'a OrderedSet,
+    /// For an ordering operator, the literal of a one-literal constant;
+    /// without one every ordering test fails.
+    key: Option<&'a Literal>,
+}
+
+impl ValueTest<'_> {
+    /// [`Database::compare_sets`] of `lhs` against the prepared constant,
+    /// or `None` where it fails.
+    pub fn test_set(&self, lhs: &OrderedSet) -> Option<bool> {
+        self.db.compare_sets(lhs, self.op, self.rhs).ok()
+    }
+
+    /// [`Database::compare_value`] of `v` against the prepared constant.
+    pub fn test(&self, v: EntityId) -> Option<bool> {
+        if !self.op.is_ordering() {
+            return compare_single(v, self.op, self.rhs);
+        }
+        if v.is_null() {
+            return None;
+        }
+        let ord = order_literals(self.db.literal_of(v)?, self.key?).ok()?;
+        Some(ordering_holds(self.op, ord))
+    }
+}
+
+/// The ordering rule: INTEGERS and REALS compare numerically (mixed kinds
+/// allowed), STRINGS lexicographically; anything else is not comparable.
+fn order_literals(a: &Literal, b: &Literal) -> Result<std::cmp::Ordering> {
+    if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
+        return x
+            .partial_cmp(&y)
+            .ok_or_else(|| CoreError::NotComparable("incomparable reals".into()));
+    }
+    match (a, b) {
+        (Literal::Str(x), Literal::Str(y)) => Ok(x.cmp(y)),
+        _ => Err(CoreError::NotComparable(format!(
+            "cannot order {a} against {b}"
+        ))),
+    }
+}
+
 /// Whether `ord`, the order of the left operand against the right,
 /// satisfies the ordering operator `op`.
 fn ordering_holds(op: CompareOp, ord: std::cmp::Ordering) -> bool {
@@ -487,7 +523,7 @@ fn ordering_holds(op: CompareOp, ord: std::cmp::Ordering) -> bool {
 /// unassigned) or the singleton `{v}`.
 ///
 /// Returns `None` for ordering operators: those need the literal table
-/// and can fail, so they go through [`Database::compare_value`].
+/// and can fail, so they go through [`ValueTest::test`].
 ///
 /// A one-element rhs, the usual constant, is decided by equality with its
 /// member; only a larger rhs is hash-probed.

@@ -64,6 +64,7 @@ pub use constraint::{ConstraintId, ConstraintKind, ConstraintRecord, ConstraintR
 pub use database::Database;
 pub use entity::EntityRecord;
 pub use error::{CoreError, Result};
+pub use eval::ValueTest;
 pub use fillpattern::FillPattern;
 pub use forest::{ForestNode, ForestTree};
 pub use grouping::{GroupingRecord, GroupingSet};

@@ -117,10 +117,6 @@ pub struct CachedPlan {
     /// Pool ∩ parent extent, in extent (storage) order — exactly the list
     /// the evaluator walks.
     pub candidates: Vec<EntityId>,
-    /// Whether the program the plan was computed for streams columns
-    /// (every atom batch-compatible) — recorded so EXPLAIN can report the
-    /// evaluation mode a plan reuse will take without re-deriving it.
-    pub batch: bool,
 }
 
 /// What the most recent lookup on a [`ProgramCache`] did — the

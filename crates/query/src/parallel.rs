@@ -141,16 +141,6 @@ fn eval_chunk(
     }
 }
 
-/// The answer set of extent-ordered survivor runs, allocated once at its
-/// final size instead of grown insert by insert.
-pub(crate) fn answer(runs: &[&[EntityId]]) -> OrderedSet {
-    let mut out = OrderedSet::with_capacity(runs.iter().map(|r| r.len()).sum());
-    for &e in runs.iter().copied().flatten() {
-        out.insert(e);
-    }
-    out
-}
-
 /// The serial path (width 1, or a slice too small to split): one memo
 /// table, the batch loop on the calling thread.
 fn eval_serial(
@@ -162,7 +152,7 @@ fn eval_serial(
     let mut memo = MemoTable::new(prog);
     let keep = prog.eval_batch(db, members, source, &mut memo)?;
     memo.flush_obs();
-    Ok(answer(&[&keep]))
+    Ok(OrderedSet::from_distinct(keep))
 }
 
 /// Runs the chunk plan on a persistent pool, filling one result slot per
@@ -200,8 +190,7 @@ fn splice(results: Vec<Option<ChunkResult>>) -> Result<OrderedSet, QueryError> {
             None => return Err(QueryError::WorkerPanic("worker produced no result".into())),
         });
     }
-    let runs: Vec<&[EntityId]> = parts.iter().map(Vec::as_slice).collect();
-    Ok(answer(&runs))
+    Ok(OrderedSet::from_distinct(parts.concat()))
 }
 
 /// A lazily-initialised persistent worker pool for parallel predicate
@@ -271,7 +260,10 @@ impl EvalPool {
     /// Evaluates a compiled program over `members` (extent order), chunking
     /// across the pool's workers; a width of 1 or a small slice runs
     /// serially on the calling thread. Results and first-error behaviour
-    /// are identical to the serial evaluator's.
+    /// are identical to the serial evaluator's. `members` must be distinct
+    /// (asserted in debug builds); when they ascend, as every base-class
+    /// extent does, the answer keeps no hash index
+    /// ([`OrderedSet::from_distinct`]).
     pub fn evaluate(
         &self,
         db: &Database,

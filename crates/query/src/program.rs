@@ -36,8 +36,8 @@
 use std::collections::HashMap;
 
 use isis_core::{
-    AttrId, AttrRecord, ClassId, CoreError, Database, EntityId, Map, NormalForm, Operator,
-    OrderedSet, Predicate, Result, Rhs, ValueClass, ValueRef,
+    AttrColumn, AttrId, ClassId, CoreError, Database, EntityId, Map, Multiplicity, NormalForm,
+    Operator, OrderedSet, Predicate, Result, Rhs, ValueClass, ValueRef, ValueTest,
 };
 
 use crate::optimizer::{estimate_atom, AtomEstimate};
@@ -136,24 +136,160 @@ fn build_batch(
     })
 }
 
-/// Evaluates one streamable atom for one candidate by reading the
-/// attribute column directly. Exactly `eval_compiled_atom` for a member
-/// of the atom's owner class: the column cell *is* `eval_map([e], lhs)`
-/// (`None` ⇒ ∅, `Single(v)` ⇒ `{v}`, `Multi(s)` ⇒ `s`). `None` where
-/// the scalar comparison errors, which only an ordering operator does.
-fn stream_test(
-    db: &Database,
-    rec: &AttrRecord,
-    e: EntityId,
+/// Slots of an atom's value memo, a table direct-mapped by the value id.
+/// The metric columns of the synthetic schema hold 100 distinct values.
+const MEMO_SLOTS: usize = 256;
+
+/// One streamed atom, resolved once per [`PredicateProgram::eval_batch`]
+/// call: its column, its constant prepared for single values (an ordering
+/// constant's literal looked up once), its negation, and its decision for
+/// an unassigned cell.
+struct Kernel<'a> {
+    cells: &'a AttrColumn,
     op: Operator,
-    image: &OrderedSet,
-) -> Option<bool> {
-    let raw = match rec.values.get(e) {
-        None => db.compare_value(EntityId::NULL, op.op, image),
-        Some(ValueRef::Single(v)) => db.compare_value(v, op.op, image),
-        Some(ValueRef::Multi(s)) => db.compare_sets(s, op.op, image).ok(),
-    }?;
-    Some(op.finish(raw))
+    test: ValueTest<'a>,
+    /// The decision for an unassigned (NULL) cell.
+    null: Option<bool>,
+    /// Decisions of single-valued cells, `(value, decision)`, at slot
+    /// `value % len`: such a decision depends only on the value id. NULL
+    /// marks an empty slot; a stored value is never NULL, so no lookup
+    /// matches one. A short candidate list gets a table no longer than
+    /// itself, and a multivalued attribute none.
+    decisions: Vec<(EntityId, bool)>,
+}
+
+impl<'a> Kernel<'a> {
+    /// `None` when the atom's attribute has died since compilation.
+    fn new(
+        db: &'a Database,
+        prog: &'a PredicateProgram,
+        a: &BatchAtom,
+        rows: usize,
+    ) -> Option<Kernel<'a>> {
+        let rec = db.attr(a.attr).ok()?;
+        let test = db.value_test(a.op.op, &prog.consts[a.const_idx as usize].image);
+        let slots = match rec.multiplicity {
+            Multiplicity::Single => rows.next_power_of_two().min(MEMO_SLOTS),
+            Multiplicity::Multi => 0,
+        };
+        Some(Kernel {
+            cells: &rec.values,
+            op: a.op,
+            test,
+            null: test.test(EntityId::NULL).map(|raw| a.op.finish(raw)),
+            decisions: vec![(EntityId::NULL, false); slots],
+        })
+    }
+
+    /// Exactly `eval_compiled_atom` for a member of the atom's owner
+    /// class, or `None` where it errors (only an ordering operator does):
+    /// the column cell *is* `eval_map([e], lhs)` (`None` ⇒ ∅,
+    /// `Single(v)` ⇒ `{v}`, `Multi(s)` ⇒ `s`).
+    #[inline]
+    fn decide(&mut self, e: EntityId) -> Option<bool> {
+        match self.cells.get(e) {
+            None => self.null,
+            Some(ValueRef::Single(v)) => {
+                let slot = v.index() & self.decisions.len().wrapping_sub(1);
+                match self.decisions.get_mut(slot) {
+                    Some(&mut (w, d)) if w == v => Some(d),
+                    Some(memo) => {
+                        *memo = (v, self.op.finish(self.test.test(v)?));
+                        Some(memo.1)
+                    }
+                    None => Some(self.op.finish(self.test.test(v)?)),
+                }
+            }
+            Some(ValueRef::Multi(s)) => Some(self.op.finish(self.test.test_set(s)?)),
+        }
+    }
+
+    /// Keeps the rows of `live` (indices into `run`) whose decision equals
+    /// `keep`, compacting the list without branching on the decision;
+    /// `None` as soon as a row cannot be decided.
+    fn retain(&mut self, run: &[EntityId], live: &mut Vec<u32>, keep: bool) -> Option<()> {
+        let mut k = 0;
+        for j in 0..live.len() {
+            let i = live[j];
+            let d = self.decide(run[i as usize])?;
+            live[k] = i;
+            k += usize::from(d == keep);
+        }
+        live.truncate(k);
+        Some(())
+    }
+}
+
+/// The batch body's row lists, allocated once per call and reused by
+/// every run: the rows an atom keeps live, the rows no clause has decided
+/// yet, and whether some clause decided each row.
+#[derive(Default)]
+struct Scratch {
+    live: Vec<u32>,
+    rest: Vec<u32>,
+    decided: Vec<bool>,
+}
+
+/// The column path over one run of member candidates: appends the ones
+/// the program accepts to `out`, in run order, or returns `None` (leaving
+/// `out` as it was) as soon as some candidate reaches a test it cannot
+/// decide. `kernels` holds the atoms of `clauses`, clause by clause.
+///
+/// A DNF clause decides (accepts) the rows all its atoms hold for, a CNF
+/// clause decides (rejects) the rows all its atoms fail, so an atom keeps
+/// a row live while its decision is `keep` (true under DNF), and each
+/// clause sees only the rows no earlier clause decided: exactly the
+/// (candidate, atom) pairs the scalar short-circuit tests.
+fn stream_run(
+    form: NormalForm,
+    clauses: &[Vec<BatchAtom>],
+    mut kernels: &mut [Kernel<'_>],
+    run: &[EntityId],
+    s: &mut Scratch,
+    out: &mut Vec<EntityId>,
+) -> Option<()> {
+    let keep = form == NormalForm::Dnf;
+    s.rest.clear();
+    s.rest.extend(0..run.len() as u32);
+    s.decided.clear();
+    s.decided.resize(run.len(), false);
+    for (c, clause) in clauses.iter().enumerate() {
+        let (atoms, later) = std::mem::take(&mut kernels).split_at_mut(clause.len());
+        kernels = later;
+        s.live.clone_from(&s.rest);
+        for atom in atoms {
+            if s.live.is_empty() {
+                break;
+            }
+            atom.retain(run, &mut s.live, keep)?;
+        }
+        for &i in &s.live {
+            s.decided[i as usize] = true;
+        }
+        if c + 1 == clauses.len() {
+            break;
+        }
+        let mut k = 0;
+        for j in 0..s.rest.len() {
+            let i = s.rest[j];
+            s.rest[k] = i;
+            k += usize::from(!s.decided[i as usize]);
+        }
+        s.rest.truncate(k);
+        if s.rest.is_empty() {
+            break;
+        }
+    }
+    // DNF keeps the rows some clause accepted, CNF those none rejected.
+    let base = out.len();
+    out.resize(base + run.len(), EntityId::NULL);
+    let mut k = base;
+    for (&e, &decided) in run.iter().zip(&s.decided) {
+        out[k] = e;
+        k += usize::from(decided == keep);
+    }
+    out.truncate(k);
+    Some(())
 }
 
 /// A [`Predicate`] compiled for repeated evaluation over one parent class.
@@ -534,6 +670,11 @@ impl PredicateProgram {
     /// is a member run without a per-row probe: that is every run of a
     /// full-extent scan. Any other run (pooled or foreign candidates) is
     /// proven member by member.
+    ///
+    /// Each atom is resolved once per call (its column, its constant, an
+    /// ordering constant's literal, its negation) and memoises the
+    /// decision of each single-valued cell by value id; the row lists of
+    /// a run are compacted without branching on any row's decision.
     pub fn eval_batch(
         &self,
         db: &Database,
@@ -558,124 +699,46 @@ impl PredicateProgram {
         memo: &mut MemoTable,
     ) -> Result<Vec<EntityId>> {
         let mut out = Vec::new();
-        let Some(batch) = &self.batch else {
+        // An empty list has no run to stream: skip resolving the kernels.
+        let streamable = self.batch.as_ref().filter(|_| !candidates.is_empty());
+        let streamable = streamable.and_then(|batch| {
+            let members = &db.class(batch.parent).ok()?.members;
+            let rows = candidates.len().min(BATCH_ROWS);
+            let kernels = batch
+                .clauses
+                .iter()
+                .flatten()
+                .map(|a| Kernel::new(db, self, a, rows))
+                .collect::<Option<Vec<_>>>()?;
+            Some((batch, members, kernels))
+        });
+        let Some((batch, members, mut kernels)) = streamable else {
             self.eval_scalar(db, candidates, source, memo, &mut out)?;
             return Ok(out);
         };
-        let members = match db.class(batch.parent) {
-            Ok(c) => &c.members,
-            Err(_) => {
-                self.eval_scalar(db, candidates, source, memo, &mut out)?;
-                return Ok(out);
-            }
-        };
-        if batch
-            .clauses
-            .iter()
-            .flatten()
-            .any(|a| db.attr(a.attr).is_err())
-        {
-            self.eval_scalar(db, candidates, source, memo, &mut out)?;
-            return Ok(out);
-        }
         let extent = members.as_slice();
-        for (start, chunk) in (at..)
+        let mut scratch = Scratch::default();
+        for (start, run) in (at..)
             .step_by(BATCH_ROWS)
             .zip(candidates.chunks(BATCH_ROWS))
         {
-            let window = extent.get(start..start + chunk.len());
-            let decided = if window == Some(chunk) || chunk.iter().all(|&e| members.contains(e)) {
-                self.stream_chunk(db, batch, chunk)
-            } else {
-                None
-            };
-            match decided {
-                Some(accepted) => out.extend(
-                    chunk
-                        .iter()
-                        .zip(accepted)
-                        .filter_map(|(&e, yes)| yes.then_some(e)),
-                ),
-                None => self.eval_scalar(db, chunk, source, memo, &mut out)?,
+            let window = extent.get(start..start + run.len());
+            let member_run = window == Some(run) || run.iter().all(|&e| members.contains(e));
+            let streamed = member_run
+                && stream_run(
+                    self.form,
+                    &batch.clauses,
+                    &mut kernels,
+                    run,
+                    &mut scratch,
+                    &mut out,
+                )
+                .is_some();
+            if !streamed {
+                self.eval_scalar(db, run, source, memo, &mut out)?;
             }
         }
         Ok(out)
-    }
-
-    /// The column path over one run of member candidates: which of them
-    /// the program accepts, or `None` as soon as some candidate reaches a
-    /// test it cannot decide.
-    fn stream_chunk(
-        &self,
-        db: &Database,
-        batch: &BatchBody,
-        chunk: &[EntityId],
-    ) -> Option<Vec<bool>> {
-        // Runs one atom over the candidates in `live`, keeping those whose
-        // test equals `keep`; the others are decided by this atom.
-        let stream = |a: &BatchAtom, live: &mut Vec<usize>, keep: bool| -> Option<()> {
-            let rec = db
-                .attr(a.attr)
-                .expect("streamed attr checked by eval_batch");
-            let image = &self.consts[a.const_idx as usize].image;
-            let mut undecidable = false;
-            live.retain(|&i| match stream_test(db, rec, chunk[i], a.op, image) {
-                Some(t) => t == keep,
-                None => {
-                    undecidable = true;
-                    false
-                }
-            });
-            (!undecidable).then_some(())
-        };
-        let mut accepted = vec![false; chunk.len()];
-        match self.form {
-            NormalForm::Dnf => {
-                // A candidate is accepted by the first clause whose atoms
-                // all hold; an atom that fails it moves it on.
-                let mut undecided: Vec<usize> = (0..chunk.len()).collect();
-                for clause in &batch.clauses {
-                    let mut holding = undecided.clone();
-                    for a in clause {
-                        if holding.is_empty() {
-                            break;
-                        }
-                        stream(a, &mut holding, true)?;
-                    }
-                    for &i in &holding {
-                        accepted[i] = true;
-                    }
-                    undecided.retain(|i| !accepted[*i]);
-                    if undecided.is_empty() {
-                        break;
-                    }
-                }
-            }
-            NormalForm::Cnf => {
-                // A candidate survives a clause at its first true atom and
-                // is rejected when every atom of some clause fails.
-                let mut alive: Vec<usize> = (0..chunk.len()).collect();
-                for clause in &batch.clauses {
-                    if alive.is_empty() {
-                        break;
-                    }
-                    let mut failing = alive.clone();
-                    for a in clause {
-                        if failing.is_empty() {
-                            break;
-                        }
-                        stream(a, &mut failing, false)?;
-                    }
-                    // Both lists ascend and `failing ⊆ alive`: one merge.
-                    let mut failed = failing.iter().peekable();
-                    alive.retain(|i| failed.next_if_eq(&i).is_none());
-                }
-                for &i in &alive {
-                    accepted[i] = true;
-                }
-            }
-        }
-        Some(accepted)
     }
 }
 
@@ -1060,6 +1123,51 @@ mod tests {
                 want,
                 "threads={threads}"
             );
+        }
+    }
+
+    /// Every run repeats each metric value many times. The first atom
+    /// holds for every value and memoises it; the second, an ordering
+    /// atom over the same column against a constant that is not a
+    /// literal, can decide none. Its own memo must not answer for it, so
+    /// the first run still goes to the scalar loop and raises its error.
+    #[test]
+    fn undecidable_repeated_values_still_go_to_the_scalar_loop() {
+        let mut g = isis_sample::synthetic_scaled(isis_sample::SynthSpec {
+            entities: 3000,
+            dist: isis_sample::ValueDist::Zipf,
+            shape: isis_sample::SchemaShape::Wide,
+            seed: 9,
+        })
+        .unwrap();
+        let zero = g.s.db.int(0);
+        let ints = g.s.db.predefined(BaseKind::Integers);
+        let metric = Map::single(g.wide_attrs[0]);
+        let holds = Atom::new(metric.clone(), CompareOp::Ge, Rhs::constant(ints, [zero]));
+        let undecidable = Atom::new(
+            metric,
+            CompareOp::Lt,
+            Rhs::constant(g.s.instruments, [g.s.instrument_ids[0]]),
+        );
+        let extent: Vec<EntityId> = g.s.db.members(g.s.musicians).unwrap().iter().collect();
+        let clause = Clause::new(vec![holds, undecidable]);
+        for pred in [
+            Predicate::dnf(vec![clause.clone()]),
+            Predicate::cnf(vec![clause]),
+        ] {
+            let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, &pred).unwrap();
+            assert!(prog.batch_compatible());
+            let mut memo = MemoTable::new(&prog);
+            let mut scalar = Vec::new();
+            let want = prog.eval_scalar(&g.s.db, &extent, None, &mut memo, &mut scalar);
+            let got = prog.eval_batch(&g.s.db, &extent, None, &mut memo);
+            match pred.form {
+                // Every candidate reaches the undecidable atom.
+                NormalForm::Dnf => assert!(want.is_err(), "{pred}"),
+                // The first atom already satisfies the clause.
+                NormalForm::Cnf => assert_eq!(scalar, extent),
+            }
+            assert_eq!(got, want.map(|()| scalar), "{pred}");
         }
     }
 

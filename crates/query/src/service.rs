@@ -42,6 +42,7 @@
 //! discarding the service and rebuilding it against the fresh pin, exactly
 //! as it does for a database swap via load/undo.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -58,7 +59,7 @@ use crate::cache::{CachedPlan, ProgramCache, DEFAULT_PROGRAM_CACHE_CAPACITY};
 use crate::error::QueryError;
 use crate::index::{walk_back, AttrIndex};
 use crate::manager::{IndexManager, IndexStats};
-use crate::parallel::{answer, EvalPool};
+use crate::parallel::EvalPool;
 use crate::program::PredicateProgram;
 
 /// The access-path decisions counted in a service's registry scope, read
@@ -281,46 +282,41 @@ impl IndexService {
     /// `parent`, reusing the [`CachedPlan`] in `plan` when it is still
     /// valid — the delta epoch guards the data and the index cursor guards
     /// index synchronisation, so a repeat navigation query re-pays neither
-    /// the posting-list intersections nor the ordering. Oversized lists
-    /// (and unprunable predicates) are never pinned; they are recomputed
-    /// and returned owned.
+    /// the posting-list intersections nor the ordering. An unprunable
+    /// predicate borrows the parent's extent; an oversized pool is never
+    /// pinned, but recomputed and returned owned.
     pub(crate) fn plan_candidates<'a>(
         &self,
-        db: &Database,
+        db: &'a Database,
         parent: ClassId,
         pred: &Predicate,
         plan: &'a mut Option<CachedPlan>,
-        batch: bool,
-    ) -> Result<(Option<usize>, std::borrow::Cow<'a, [EntityId]>)> {
+    ) -> Result<(Option<usize>, Cow<'a, [EntityId]>)> {
         let epoch = db.delta_epoch();
         let cursor = self.manager.cursor();
         if !matches!(plan, Some(p) if p.epoch == epoch && p.cursor == cursor) {
-            let pool = self.candidate_pool(db, pred)?;
-            let pool_len = pool.as_ref().map(OrderedSet::len);
-            let candidates = self.ordered_candidates(db, parent, pool.as_ref())?;
-            if pool_len.is_none() || candidates.len() > MAX_PLAN_CANDIDATES {
-                // An unprunable predicate has no plan worth pinning; an
-                // oversized pool is an explicit pin rejection — a cost
-                // cliff worth counting (the plan is recomputed per query).
-                if pool_len.is_some() {
-                    isis_obs::global().count("query.service.plan_pin_rejections", 1);
-                }
+            let Some(pool) = self.candidate_pool(db, pred)? else {
+                // An unprunable predicate has no plan worth pinning.
                 *plan = None;
-                return Ok((pool_len, std::borrow::Cow::Owned(candidates)));
+                return Ok((None, Cow::Borrowed(db.members(parent)?.as_slice())));
+            };
+            let candidates = self.ordered_candidates(db, parent, Some(&pool))?;
+            if candidates.len() > MAX_PLAN_CANDIDATES {
+                // An oversized pool is an explicit pin rejection — a cost
+                // cliff worth counting (the plan is recomputed per query).
+                isis_obs::global().count("query.service.plan_pin_rejections", 1);
+                *plan = None;
+                return Ok((Some(pool.len()), Cow::Owned(candidates)));
             }
             *plan = Some(CachedPlan {
                 epoch,
                 cursor,
-                pool_len,
+                pool_len: Some(pool.len()),
                 candidates,
-                batch,
             });
         }
         let p = plan.as_ref().expect("plan was just installed or validated");
-        Ok((
-            p.pool_len,
-            std::borrow::Cow::Borrowed(p.candidates.as_slice()),
-        ))
+        Ok((p.pool_len, Cow::Borrowed(p.candidates.as_slice())))
     }
 
     /// Brings every index up to date with `db` by consuming the delta log
@@ -674,7 +670,7 @@ impl IndexService {
                 );
                 let batch = prog.batch_compatible();
                 let t_plan = if timed { Some(Instant::now()) } else { None };
-                let (pool_len, candidates) = self.plan_candidates(db, parent, pred, plan, batch)?;
+                let (pool_len, candidates) = self.plan_candidates(db, parent, pred, plan)?;
                 let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if pool_len.is_none() {
                     self.seq_scans.inc();
@@ -684,9 +680,12 @@ impl IndexService {
                 // The rows the program evaluated: none when the walk is
                 // the answer.
                 let scanned = if walk { 0 } else { candidates.len() as u64 };
+                // Mirrors the install condition in plan_candidates (the
+                // plan slot itself is borrowed by the candidate list here).
+                let pinned = pool_len.is_some() && candidates.len() <= MAX_PLAN_CANDIDATES;
                 let t_eval = if timed { Some(Instant::now()) } else { None };
                 let out = if walk {
-                    answer(&[&candidates])
+                    OrderedSet::from_distinct(candidates.into_owned())
                 } else {
                     self.eval_pool.evaluate(db, prog, &candidates, None)?
                 };
@@ -698,10 +697,7 @@ impl IndexService {
                 if let Some(c) = cap {
                     *c = EvalCapture {
                         plan_reused,
-                        // Mirrors the install condition in plan_candidates
-                        // (the plan slot itself is borrowed by the
-                        // candidate list here).
-                        pinned: pool_len.is_some() && candidates.len() <= MAX_PLAN_CANDIDATES,
+                        pinned,
                         pool_len,
                         scanned,
                         returned: out.len() as u64,
@@ -733,7 +729,7 @@ impl IndexService {
         let pool = self.pool_for(db, pred, false)?;
         let candidates = self.ordered_candidates(db, parent, pool.as_ref())?;
         if self.walk_is_answer(db, pred, pool.is_some()) {
-            return Ok(answer(&[&candidates]));
+            return Ok(OrderedSet::from_distinct(candidates));
         }
         self.eval_pool.evaluate(db, prog, &candidates, None)
     }

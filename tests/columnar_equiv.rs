@@ -52,8 +52,14 @@ fn batch_arm(
 }
 
 /// Both arms must agree exactly: same members in the same order on
-/// success, the same first error on failure.
-fn assert_arms_agree(prog: &PredicateProgram, db: &Database, cands: &[EntityId], ctx: &str) {
+/// success, the same first error on failure. Returns whether they
+/// answered.
+fn assert_arms_agree(
+    prog: &PredicateProgram,
+    db: &Database,
+    cands: &[EntityId],
+    ctx: &str,
+) -> bool {
     let scalar = scalar_arm(prog, db, cands);
     let batch = batch_arm(prog, db, cands);
     match (&scalar, &batch) {
@@ -61,6 +67,7 @@ fn assert_arms_agree(prog: &PredicateProgram, db: &Database, cands: &[EntityId],
         (Err(a), Err(b)) => assert_eq!(a, b, "batch/scalar errors differ ({ctx})"),
         _ => panic!("arms disagree ({ctx}): scalar={scalar:?} batch={batch:?}"),
     }
+    scalar.is_ok()
 }
 
 /// Seeded mutation storm against a reference shadow. Every round mixes
@@ -146,13 +153,19 @@ fn columnar_layout_matches_reference_semantics_under_mutation() {
     }
 }
 
-/// The constants random predicates draw from: `union ~ {yes}` and
-/// `metricN < {v}` / `metricN ≥ {v}` for the interned integers `ints`.
+/// The constants random predicates draw from: `union ~ {yes}`, and for
+/// ordering atoms over the integer metrics a constant of every literal
+/// kind the validator admits there — INTEGERS, REALS, STRINGS and YES/NO
+/// — with one element, none, or two.
 struct Consts {
     booleans: ClassId,
     yes: EntityId,
     integers: ClassId,
     ints: Vec<EntityId>,
+    reals: ClassId,
+    real_values: Vec<EntityId>,
+    strings: ClassId,
+    string_values: Vec<EntityId>,
 }
 
 impl Consts {
@@ -162,12 +175,38 @@ impl Consts {
             yes: g.s.db.boolean(true),
             integers: g.s.db.predefined(BaseKind::Integers),
             ints: (0..100).map(|v| g.s.db.int(v)).collect(),
+            reals: g.s.db.predefined(BaseKind::Reals),
+            real_values: [-0.5, 0.0, 49.5, 50.0, 99.25, 120.0]
+                .into_iter()
+                .map(|v| g.s.db.real(v).unwrap())
+                .collect(),
+            strings: g.s.db.predefined(BaseKind::Strings),
+            string_values: ["50", "alto"].into_iter().map(|v| g.s.db.str(v)).collect(),
+        }
+    }
+
+    /// An ordering constant: mostly one integer or real, which every
+    /// assigned metric cell orders against, and otherwise one that no
+    /// cell can be ordered against (a string, a boolean, an empty or a
+    /// two-element constant), which must raise the scalar loop's error.
+    fn ordering(&self, rng: &mut StdRng) -> Rhs {
+        let pick = |vs: &[EntityId], rng: &mut StdRng| vs[rng.gen_range(0..vs.len())];
+        match rng.gen_range(0..20) {
+            0..=11 => Rhs::constant(self.integers, [pick(&self.ints, rng)]),
+            12..=15 => Rhs::constant(self.reals, [pick(&self.real_values, rng)]),
+            16 => Rhs::constant(self.strings, [pick(&self.string_values, rng)]),
+            17 => Rhs::constant(self.booleans, [self.yes]),
+            18 => Rhs::constant(self.integers, []),
+            _ => Rhs::constant(
+                self.integers,
+                [pick(&self.ints[..50], rng), pick(&self.ints[50..], rng)],
+            ),
         }
     }
 }
 
 fn random_pred(g: &ScaledMusic, c: &Consts, rng: &mut StdRng) -> Predicate {
-    let ops = [
+    let set_ops = [
         CompareOp::Match,
         CompareOp::Subset,
         CompareOp::Superset,
@@ -175,42 +214,43 @@ fn random_pred(g: &ScaledMusic, c: &Consts, rng: &mut StdRng) -> Predicate {
         CompareOp::ProperSubset,
         CompareOp::ProperSuperset,
     ];
+    let ordering_ops = [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge];
     let clause = |rng: &mut StdRng| {
-        let n = rng.gen_range(1..=2);
+        let n = rng.gen_range(1..=3);
         Clause::new(
             (0..n)
                 .map(|_| match rng.gen_range(0..10) {
-                    0..=5 => {
+                    0..=3 => {
                         let k = rng.gen_range(1..=3);
                         let insts: Vec<EntityId> = (0..k)
                             .map(|_| g.s.instrument_ids[rng.gen_range(0..g.s.instrument_ids.len())])
                             .collect();
                         Atom::new(
                             Map::single(g.s.plays),
-                            ops[rng.gen_range(0..ops.len())],
+                            set_ops[rng.gen_range(0..set_ops.len())],
                             Rhs::constant(g.s.instruments, insts),
                         )
                     }
-                    6 | 7 => Atom::new(
+                    4 => Atom::new(
                         Map::single(g.s.union_attr),
                         CompareOp::Match,
                         Rhs::constant(c.booleans, [c.yes]),
                     ),
                     _ => {
                         let metric = g.wide_attrs[rng.gen_range(0..g.wide_attrs.len())];
-                        let op = if rng.gen_bool(0.5) {
-                            CompareOp::Lt
+                        let op = ordering_ops[rng.gen_range(0..ordering_ops.len())];
+                        let op = if rng.gen_bool(0.3) {
+                            Operator::negated(op)
                         } else {
-                            CompareOp::Ge
+                            Operator::plain(op)
                         };
-                        let v = c.ints[rng.gen_range(0..c.ints.len())];
-                        Atom::new(Map::single(metric), op, Rhs::constant(c.integers, [v]))
+                        Atom::new(Map::single(metric), op, c.ordering(rng))
                     }
                 })
                 .collect(),
         )
     };
-    let clauses: Vec<Clause> = (0..rng.gen_range(1..=2)).map(|_| clause(rng)).collect();
+    let clauses: Vec<Clause> = (0..rng.gen_range(1..=3)).map(|_| clause(rng)).collect();
     if rng.gen_bool(0.5) {
         Predicate::dnf(clauses)
     } else {
@@ -233,13 +273,22 @@ fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
     let members: Vec<EntityId> = g.s.db.members(g.s.musicians).unwrap().iter().collect();
     let mut bare = vec![1023, 1024];
     bare.extend((0..3).map(|_| rng.gen_range(2049..members.len())));
-    for pos in bare {
+    for &pos in &bare {
         for &metric in &g.wide_attrs {
             g.s.db.unassign(members[pos], metric).unwrap();
         }
     }
+    // The extent without its bare members, where an ordering atom against
+    // a one-number constant decides every candidate it reaches.
+    let assigned: Vec<EntityId> = (0..members.len())
+        .filter(|i| !bare.contains(i))
+        .map(|i| members[i])
+        .collect();
 
-    for trial in 0..12 {
+    // Trials over the assigned members that failed and that answered:
+    // both must occur.
+    let mut answered = [0; 2];
+    for trial in 0..24 {
         let pred = random_pred(&g, &c, &mut rng);
         let prog = PredicateProgram::compile(&g.s.db, g.s.musicians, &pred).unwrap();
         assert!(
@@ -253,6 +302,13 @@ fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
             &members,
             &format!("trial {trial}, full extent"),
         );
+        let ok = assert_arms_agree(
+            &prog,
+            &g.s.db,
+            &assigned,
+            &format!("trial {trial}, assigned members"),
+        );
+        answered[usize::from(ok)] += 1;
 
         let stride = rng.gen_range(2..7);
         let subset: Vec<EntityId> = members.iter().copied().step_by(stride).collect();
@@ -282,6 +338,11 @@ fn batch_and_scalar_agree_on_random_predicates_and_candidates() {
         );
         assert_arms_agree(&prog, &g.s.db, &rogue, &format!("trial {trial}, rogue"));
     }
+
+    assert!(
+        answered.iter().all(|&n| n > 0),
+        "trials over the assigned members [failed, answered]: {answered:?}"
+    );
 
     // An ordering atom over a multivalued map streams, but no candidate
     // that reaches it can be decided (instruments are not literals): both
