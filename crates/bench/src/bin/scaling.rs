@@ -33,14 +33,17 @@
 //! beating serial is physically impossible. The views floor holds a data
 //! page's scene at every size ≥ 1e5 within 2x of the same distribution
 //! and shape at 1e4, timed round by round against a 1e4 database kept
-//! beside it: a page costs the rows on screen, not its extent.
+//! beside it: a page costs the rows on screen, not its extent. The pin
+//! floor holds a `SharedDatabase::pin` of the generated database with its
+//! full delta window within 2x of a pin of the same database with its
+//! window emptied, at 1e5+: a pin costs its chunks, not its window.
 
 use std::time::{Duration, Instant};
 
 use isis_bench::BenchReport;
 use isis_core::{
     Atom, BaseKind, Clause, CompareOp, Database, EntityId, Map, OrderedSet, Predicate, Rhs,
-    SchemaNode,
+    SchemaNode, SharedDatabase,
 };
 use isis_query::{
     DerivedMaintainer, DerivedState, EvalPool, IndexService, MemoTable, PredicateProgram,
@@ -80,6 +83,8 @@ struct ConfigResult {
     settle_pool_ns: f64,
     /// Per view arm: the median scene here and at 1e4, interleaved.
     views: [(&'static str, f64, f64); 2],
+    /// (full window, emptied window) median pin.
+    pin: (f64, f64),
 }
 
 fn time_rounds(rounds: usize, mut f: impl FnMut()) -> f64 {
@@ -259,6 +264,42 @@ fn walk_arms(g: &ScaledMusic, rounds: usize, tag: &str, report: &mut BenchReport
     (answer_ns, recheck_ns)
 }
 
+/// Times a `SharedDatabase::pin` (and its release) of `db` with its full
+/// delta window against one of the same database after
+/// `set_delta_capacity(0)`, interleaved round by round, and records
+/// `scaling/pin_{full,empty}_window/{tag}`. Returns the median (full,
+/// empty) nanoseconds per pin.
+fn pin_arms(db: &Database, rounds: usize, tag: &str, report: &mut BenchReport) -> (f64, f64) {
+    let window = db.delta_log().len();
+    let full = SharedDatabase::new(db.clone());
+    let mut emptied = db.clone();
+    emptied.set_delta_capacity(0);
+    let empty = SharedDatabase::new(emptied);
+    let ((full_ns, full_iqr), (empty_ns, empty_iqr)) =
+        time_interleaved(rounds, || drop(full.pin()), || drop(empty.pin()));
+    eprintln!(
+        "   pin, {window}-entry window vs emptied, {rounds} rounds: {:.1}us (IQR {:.1}us) \
+         vs {:.1}us (IQR {:.1}us) ({:.2}x)",
+        full_ns / 1e3,
+        full_iqr / 1e3,
+        empty_ns / 1e3,
+        empty_iqr / 1e3,
+        full_ns / empty_ns
+    );
+    *report = std::mem::replace(report, BenchReport::new("scaling"))
+        .result(
+            format!("scaling/pin_full_window/{tag}"),
+            full_ns,
+            rounds as u64,
+        )
+        .result(
+            format!("scaling/pin_empty_window/{tag}"),
+            empty_ns,
+            rounds as u64,
+        );
+    (full_ns, empty_ns)
+}
+
 /// The views arm's inputs over `g`: a musicians page scrolled to
 /// mid-extent, and the musicians + instruments stack that following
 /// `plays` from two of its rows builds.
@@ -360,6 +401,10 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         gen_ns,
         1,
     );
+
+    // --- Pin cost: the generated database's full delta window against
+    // the same database with its window emptied.
+    let pin = pin_arms(&g.s.db, cfg.scan_rounds, &tag, report);
 
     // --- Navigation query rounds: cached program vs per-query recompile,
     // over the longest prefix of the chain whose every step answers. Each
@@ -561,6 +606,7 @@ fn run_config(cfg: &Config, threads: usize, report: &mut BenchReport) -> ConfigR
         settle_serial_ns,
         settle_pool_ns,
         views,
+        pin,
     }
 }
 
@@ -756,6 +802,14 @@ fn main() {
                     r.tag
                 );
             }
+            // The pin floor: a pin stays flat in the delta window.
+            let (full_ns, empty_ns) = r.pin;
+            assert!(
+                full_ns <= 2.0 * empty_ns,
+                "a pin with a full delta window must stay within 2x of one with \
+                 its window emptied at {} ({full_ns:.0}ns vs {empty_ns:.0}ns)",
+                r.tag
+            );
         }
     }
     eprintln!("scaling floor assertions passed");

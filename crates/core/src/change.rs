@@ -19,6 +19,7 @@
 //! `new`).
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use crate::attribute::AttrValue;
 use crate::ids::{AttrId, ClassId, EntityId, GroupingId};
@@ -234,15 +235,31 @@ impl ChangeSet {
 /// consumers whose epoch predates the window fall back to a full rebuild.
 pub const DELTA_LOG_DEFAULT_CAPACITY: usize = 1 << 16;
 
+/// Entries per delta-log chunk: a clone shares a full window's 256 chunks
+/// instead of copying its 65,536 entries, and the first record after a
+/// clone copies at most one chunk.
+const LOG_CHUNK: usize = 256;
+
 /// Bounded in-memory log of every change applied to a database, addressed
 /// by monotonically increasing epochs. Epoch `e` denotes the state after
 /// the first `e` changes ever recorded; the log retains a sliding window
 /// of the most recent entries.
+///
+/// The window is stored in 256-entry `Arc` chunks in the `chunk.rs`
+/// idiom, so a clone costs O(#chunks) and shares every chunk.
+/// Every chunk but the last is full; entries are evicted one at a time by
+/// advancing an offset into the first chunk, which is dropped once all its
+/// entries are evicted. The log therefore holds at most `capacity` plus
+/// one partly evicted chunk of entries, and a clone keeps alive the
+/// chunks it shares.
 #[derive(Debug, Clone)]
 pub struct DeltaLog {
     /// Epoch of the oldest retained entry.
     base: u64,
-    entries: VecDeque<Change>,
+    /// The window: `chunks[0][head..]`, then the later chunks whole.
+    chunks: VecDeque<Arc<Vec<Change>>>,
+    /// Entries of the first chunk already evicted.
+    head: usize,
     capacity: usize,
 }
 
@@ -250,7 +267,8 @@ impl Default for DeltaLog {
     fn default() -> Self {
         DeltaLog {
             base: 0,
-            entries: VecDeque::new(),
+            chunks: VecDeque::new(),
+            head: 0,
             capacity: DELTA_LOG_DEFAULT_CAPACITY,
         }
     }
@@ -276,15 +294,12 @@ impl DeltaLog {
     /// to a rebuild); growing simply allows the window to fill further.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.entries.len() > self.capacity {
-            self.entries.pop_front();
-            self.base += 1;
-        }
+        self.evict(self.len().saturating_sub(capacity));
     }
 
     /// The epoch after the most recent change.
     pub fn epoch(&self) -> u64 {
-        self.base + self.entries.len() as u64
+        self.base + self.len() as u64
     }
 
     /// The oldest epoch still addressable by [`DeltaLog::since`].
@@ -294,45 +309,82 @@ impl DeltaLog {
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chunks.back().map_or(0, |last| {
+            (self.chunks.len() - 1) * LOG_CHUNK + last.len() - self.head
+        })
     }
 
     /// `true` if no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.chunks.is_empty()
     }
 
     /// Empties the window and renumbers it to start at `epoch` (the
     /// capacity is kept).
     pub(crate) fn restart_at(&mut self, epoch: u64) {
-        self.entries.clear();
+        self.chunks.clear();
+        self.head = 0;
         self.base = epoch;
     }
 
+    /// Evicts the `n` oldest entries (at most [`DeltaLog::len`]), dropping
+    /// every chunk they empty.
+    fn evict(&mut self, n: usize) {
+        self.base += n as u64;
+        self.head += n;
+        while let Some(first) = self.chunks.front() {
+            if self.head < first.len() {
+                break;
+            }
+            self.head -= first.len();
+            self.chunks.pop_front();
+        }
+    }
+
     pub(crate) fn record(&mut self, change: Change) {
-        // Evict before appending: appending to a full window first would
-        // double the deque's allocation for one entry it drops at once.
+        // Evict before appending, so a full window never holds more than
+        // its capacity plus the evicted head of its first chunk.
         if self.capacity == 0 {
             self.base += 1;
             return;
         }
-        while self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.base += 1;
+        self.evict((self.len() + 1).saturating_sub(self.capacity));
+        match self.chunks.back_mut() {
+            Some(last) if last.len() < LOG_CHUNK => {
+                // Copies the chunk first if a clone shares it.
+                let last = Arc::make_mut(last);
+                if last.len() == last.capacity() {
+                    // Grow by doubling, but never past one chunk (a copy
+                    // has no spare room, so `push` alone would overshoot).
+                    last.reserve_exact(last.len().min(LOG_CHUNK - last.len()));
+                }
+                last.push(change);
+            }
+            _ => self.chunks.push_back(Arc::new(vec![change])),
         }
-        self.entries.push_back(change);
     }
 
     /// The changes recorded at or after `epoch`, or `None` if the window
-    /// has slid past it (the consumer must rebuild).
+    /// has slid past it (the consumer must rebuild). Copies only the
+    /// suffix it returns.
     pub fn since(&self, epoch: u64) -> Option<ChangeSet> {
         if epoch < self.base || epoch > self.epoch() {
             return None;
         }
-        let skip = (epoch - self.base) as usize;
-        Some(ChangeSet {
-            changes: self.entries.iter().skip(skip).cloned().collect(),
-        })
+        let start = self.head + (epoch - self.base) as usize;
+        let mut changes = Vec::with_capacity((self.epoch() - epoch) as usize);
+        let (first, offset) = (start / LOG_CHUNK, start % LOG_CHUNK);
+        for (i, chunk) in self.chunks.range(first..).enumerate() {
+            changes.extend_from_slice(&chunk[if i == 0 { offset } else { 0 }..]);
+        }
+        Some(ChangeSet { changes })
+    }
+}
+
+#[cfg(test)]
+impl DeltaLog {
+    pub(crate) fn chunks(&self) -> &VecDeque<Arc<Vec<Change>>> {
+        &self.chunks
     }
 }
 
@@ -387,6 +439,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn change(i: u32) -> Change {
         Change::MembershipAdded {
@@ -448,19 +501,248 @@ mod tests {
         assert_eq!(log.epoch(), 10);
     }
 
-    /// A full window evicts before it records, so its deque never grows
-    /// past the window; a zero window keeps nothing but still counts.
+    /// A full window evicts before it records, so it holds at most its
+    /// capacity plus the evicted head of one chunk, and no chunk grows past
+    /// [`LOG_CHUNK`] entries, also when a clone made it copy its last
+    /// chunk; a zero window keeps nothing but still counts.
     #[test]
     fn a_full_window_does_not_outgrow_its_capacity() {
-        let mut log = DeltaLog::with_capacity(8);
-        for i in 0..100 {
-            log.record(change(i));
+        for capacity in [8, LOG_CHUNK + 8, 3 * LOG_CHUNK] {
+            let mut log = DeltaLog::with_capacity(capacity);
+            let mut clones = Vec::new();
+            let n = 5 * LOG_CHUNK as u32;
+            for i in 0..n {
+                log.record(change(i));
+                let held: usize = log.chunks.iter().map(|c| c.len()).sum();
+                assert!(held < capacity + LOG_CHUNK, "{capacity}: {held}");
+                if i.is_multiple_of(100) {
+                    clones.push(log.clone());
+                }
+            }
+            let n = u64::from(n);
+            let want = (capacity, n - capacity as u64, n);
+            assert_eq!((log.len(), log.base_epoch(), log.epoch()), want);
+            assert!(log.chunks.iter().all(|c| c.capacity() <= LOG_CHUNK));
         }
-        assert_eq!((log.len(), log.base_epoch(), log.epoch()), (8, 92, 100));
-        assert!(log.entries.capacity() < 16, "{}", log.entries.capacity());
         let mut none = DeltaLog::with_capacity(0);
         none.record(change(0));
         assert_eq!((none.len(), none.base_epoch(), none.epoch()), (0, 1, 1));
+        assert!(none.chunks.is_empty());
+    }
+
+    /// A clone shares every chunk; the original evicting a chunk the clone
+    /// still holds, or copying the last chunk to record, leaves the clone
+    /// whole.
+    #[test]
+    fn a_clone_keeps_the_chunks_its_original_evicts() {
+        let mut log = DeltaLog::with_capacity(2 * LOG_CHUNK);
+        for i in 0..2 * LOG_CHUNK as u32 + 10 {
+            log.record(change(i));
+        }
+        let copy = log.clone();
+        assert_eq!(copy.chunks.len(), 3);
+        assert!(log
+            .chunks
+            .iter()
+            .zip(&copy.chunks)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        let window = copy.since(copy.base_epoch()).unwrap();
+        log.record(change(9999));
+        assert!(!Arc::ptr_eq(
+            log.chunks.back().unwrap(),
+            copy.chunks.back().unwrap()
+        ));
+        for i in 0..LOG_CHUNK as u32 {
+            log.record(change(10_000 + i));
+        }
+        assert!(!log.chunks.iter().any(|c| Arc::ptr_eq(c, &copy.chunks[0])));
+        assert_eq!(copy.since(copy.base_epoch()), Some(window));
+        assert_eq!(log.since(log.base_epoch()).unwrap().len(), 2 * LOG_CHUNK);
+    }
+
+    /// The window the chunked log replaces: a `VecDeque` of every retained
+    /// entry, evicted one at a time.
+    #[derive(Debug, Clone)]
+    struct Model {
+        base: u64,
+        entries: VecDeque<Change>,
+        capacity: usize,
+    }
+
+    impl Model {
+        fn epoch(&self) -> u64 {
+            self.base + self.entries.len() as u64
+        }
+
+        fn evict_to(&mut self, keep: usize) {
+            while self.entries.len() > keep {
+                self.entries.pop_front();
+                self.base += 1;
+            }
+        }
+
+        fn record(&mut self, change: Change) {
+            if self.capacity == 0 {
+                self.base += 1;
+                return;
+            }
+            self.evict_to(self.capacity - 1);
+            self.entries.push_back(change);
+        }
+
+        fn since(&self, epoch: u64) -> Option<Vec<Change>> {
+            let skip = epoch.checked_sub(self.base)? as usize;
+            (epoch <= self.epoch()).then(|| self.entries.iter().skip(skip).cloned().collect())
+        }
+    }
+
+    /// A log and its model agree on every epoch, length, capacity and
+    /// window, and the chunks keep their shape: non-empty, full but for
+    /// the last, never past [`LOG_CHUNK`].
+    fn check(log: &DeltaLog, model: &Model) {
+        let (base, epoch) = (model.base, model.epoch());
+        assert_eq!((log.base_epoch(), log.epoch()), (base, epoch));
+        assert_eq!(
+            (log.len(), log.is_empty()),
+            (model.entries.len(), model.entries.is_empty())
+        );
+        assert_eq!(log.capacity(), model.capacity);
+        let probes = [
+            base.saturating_sub(1),
+            base,
+            (base + epoch) / 2,
+            epoch,
+            epoch + 1,
+        ];
+        for e in probes {
+            assert_eq!(
+                log.since(e).map(|cs| cs.changes),
+                model.since(e),
+                "since({e})"
+            );
+        }
+        let n = log.chunks.len();
+        for (i, c) in log.chunks.iter().enumerate() {
+            assert!(!c.is_empty() && c.capacity() <= LOG_CHUNK);
+            assert!(i + 1 == n || c.len() == LOG_CHUNK);
+        }
+        assert!(log
+            .chunks
+            .front()
+            .map_or(log.head == 0, |c| log.head < c.len()));
+        let held: usize = log.chunks.iter().map(|c| c.len()).sum();
+        assert!(held < model.capacity + LOG_CHUNK, "{held} held");
+    }
+
+    /// The capacities the model test runs at: empty, tiny, either side of
+    /// one chunk, and four chunks.
+    const CAPACITIES: [usize; 7] = [0, 1, 4, LOG_CHUNK - 1, LOG_CHUNK, LOG_CHUNK + 1, 1024];
+
+    /// One step of the model test. `side` picks the log it acts on: the
+    /// original (0) or one of its live clones.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Record { side: usize, n: usize },
+        SetCapacity { side: usize, capacity: usize },
+        RestartAt { side: usize, ahead: u64 },
+        Clone { side: usize },
+        Drop { side: usize },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..8, 0usize..4, 1usize..700, 0usize..CAPACITIES.len()).prop_map(|(k, side, n, c)| {
+            match k {
+                0..=3 => Step::Record { side, n },
+                4 => Step::SetCapacity {
+                    side,
+                    capacity: CAPACITIES[c],
+                },
+                5 => Step::RestartAt {
+                    side,
+                    ahead: n as u64 % 3,
+                },
+                6 => Step::Clone { side },
+                _ => Step::Drop { side },
+            }
+        })
+    }
+
+    /// A change that owns heap data every third entry, so a chunk copy
+    /// clones strings too.
+    fn entry(i: u32) -> Change {
+        if i.is_multiple_of(3) {
+            Change::EntityInserted {
+                entity: EntityId::from_raw(i),
+                base: ClassId::from_raw(4),
+                name: format!("e{i}"),
+            }
+        } else {
+            change(i)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// Records, capacity changes, restarts, clones and drops on any
+        /// side leave every log equal to its own `VecDeque` model: a
+        /// clone is untouched by what its original records and evicts,
+        /// chunks the clone still holds included, and the other way round.
+        #[test]
+        fn the_chunked_log_matches_a_deque_model(
+            capacity in 0usize..CAPACITIES.len(),
+            steps in prop::collection::vec(step(), 0..24)
+        ) {
+            let capacity = CAPACITIES[capacity];
+            let mut sides = vec![(
+                DeltaLog::with_capacity(capacity),
+                Model { base: 0, entries: VecDeque::new(), capacity },
+            )];
+            let mut next = 0u32;
+            for st in steps {
+                let k = sides.len();
+                match st {
+                    Step::Record { side, n } => {
+                        let (log, model) = &mut sides[side % k];
+                        for _ in 0..n {
+                            log.record(entry(next));
+                            model.record(entry(next));
+                            next += 1;
+                        }
+                    }
+                    Step::SetCapacity { side, capacity } => {
+                        let (log, model) = &mut sides[side % k];
+                        log.set_capacity(capacity);
+                        model.capacity = capacity;
+                        model.evict_to(capacity);
+                    }
+                    Step::RestartAt { side, ahead } => {
+                        let (log, model) = &mut sides[side % k];
+                        let epoch = model.epoch() + ahead;
+                        log.restart_at(epoch);
+                        model.entries.clear();
+                        model.base = epoch;
+                    }
+                    Step::Clone { side } => {
+                        let (log, model) = &sides[side % k];
+                        let copy = (log.clone(), model.clone());
+                        prop_assert!(log.chunks.iter().zip(&copy.0.chunks).all(|(a, b)| Arc::ptr_eq(a, b)));
+                        if k == 4 {
+                            sides.remove(1);
+                        }
+                        sides.push(copy);
+                    }
+                    Step::Drop { side } => {
+                        if k > 1 {
+                            sides.remove(1 + side % (k - 1));
+                        }
+                    }
+                }
+                for (log, model) in &sides {
+                    check(log, model);
+                }
+            }
+        }
     }
 
     #[test]

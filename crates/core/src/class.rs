@@ -1,5 +1,7 @@
 //! Class records.
 
+use std::sync::Arc;
+
 use crate::fillpattern::FillPattern;
 use crate::ids::{AttrId, ClassId, GroupingId};
 use crate::literal::BaseKind;
@@ -64,8 +66,10 @@ pub struct ClassRecord {
     /// Groupings whose parent is this class, in creation order.
     pub groupings: Vec<GroupingId>,
     /// The extent: members in insertion order. For the predefined
-    /// baseclasses this holds the interned literals used so far.
-    pub members: OrderedSet,
+    /// baseclasses this holds the interned literals used so far. Shared
+    /// copy-on-write between database clones: the first write to an
+    /// extent another clone still holds copies that one extent.
+    pub members: Arc<OrderedSet>,
     /// Secondary parents, used only when the multiple-inheritance extension
     /// is enabled (§5 future work). Always empty in single-parent mode.
     pub extra_parents: Vec<ClassId>,
@@ -111,7 +115,7 @@ mod tests {
             own_attrs: vec![],
             children: vec![],
             groupings: vec![],
-            members: OrderedSet::new(),
+            members: Arc::default(),
             extra_parents: vec![],
             alive: true,
         }

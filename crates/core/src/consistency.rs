@@ -359,6 +359,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::literal::BaseKind;
+    use std::sync::Arc;
 
     #[test]
     fn fresh_database_is_consistent() {
@@ -401,8 +402,8 @@ mod tests {
         let s = db.create_subclass(m, "soloists").unwrap();
         let edith = db.insert_entity(m, "Edith").unwrap();
         // Corrupt: force Edith into soloists without the parent link…
-        db.classes[s.index()].members.insert(edith);
-        db.classes[m.index()].members.remove(edith);
+        Arc::make_mut(&mut db.classes[s.index()].members).insert(edith);
+        Arc::make_mut(&mut db.classes[m.index()].members).remove(edith);
         let v = db.check_consistency().unwrap();
         assert!(v
             .iter()
@@ -421,7 +422,7 @@ mod tests {
         let viola = db.insert_entity(i, "viola").unwrap();
         db.assign_multi(edith, plays, [viola]).unwrap();
         // Corrupt: remove viola from instruments behind the engine's back.
-        db.classes[i.index()].members.remove(viola);
+        Arc::make_mut(&mut db.classes[i.index()].members).remove(viola);
         let v = db.check_consistency().unwrap();
         assert!(v
             .iter()

@@ -50,7 +50,7 @@ impl Database {
         let id = EntityId::from_raw(self.entities.len() as u32);
         self.entities.push(EntityRecord::user(name, base));
         self.entity_names.insert((base, name.to_string()), id);
-        self.classes[base.index()].members.insert(id);
+        self.extent_mut(base).insert(id);
         self.record_change(Change::EntityInserted {
             entity: id,
             base,
@@ -108,7 +108,7 @@ impl Database {
         if self.classes[class.index()].members.contains(entity) {
             return Ok(());
         }
-        self.classes[class.index()].members.insert(entity);
+        self.extent_mut(class).insert(entity);
         self.record_change(Change::MembershipAdded { entity, class });
         for p in self.class(class)?.all_parents().collect::<Vec<_>>() {
             self.add_to_class_unchecked(entity, p)?;
@@ -168,7 +168,7 @@ impl Database {
         if !self.classes[class.index()].members.contains(entity) {
             return Ok(());
         }
-        self.classes[class.index()].members.remove(entity);
+        self.extent_mut(class).remove(entity);
         self.record_change(Change::MembershipRemoved { entity, class });
         left.push(class);
         // Cascade into subclasses (primary children) …
@@ -201,8 +201,11 @@ impl Database {
         }
         let base = rec.base;
         let name = rec.name.clone();
+        // Only the extents that hold the entity are written (and so copied
+        // if a clone shares them).
         for c in self.descendants(base)? {
-            if self.classes[c.index()].members.remove(entity) {
+            if self.classes[c.index()].members.contains(entity) {
+                self.extent_mut(c).remove(entity);
                 self.record_change(Change::MembershipRemoved { entity, class: c });
             }
         }

@@ -1,6 +1,8 @@
 //! The database: a schema (inheritance forest + semantic network) together
 //! with data consistent with it (§2).
 
+use std::sync::Arc;
+
 use crate::attribute::{AttrRecord, Multiplicity, ValueClass};
 use crate::chunk::{ChunkedVec, ShardedMap};
 use crate::class::{ClassKind, ClassRecord};
@@ -18,7 +20,9 @@ use crate::orderedset::OrderedSet;
 /// `Database` is a single-writer, in-memory structure (matching the paper's
 /// one-workstation model); persistence lives in the `isis-store` crate.
 /// Cloning is cheap: the entity arena, the name indexes and the attribute
-/// columns are copy-on-write chunks shared between clones (`chunk.rs`).
+/// columns are copy-on-write chunks shared between clones (`chunk.rs`),
+/// each class extent is an `Arc` shared until its first write, and the
+/// delta log is a window of shared `Arc` chunks (`change.rs`).
 ///
 /// ```
 /// use isis_core::{Atom, Clause, CompareOp, Database, Map, Multiplicity, Predicate, Rhs};
@@ -106,7 +110,7 @@ impl Database {
                 own_attrs: Vec::new(),
                 children: Vec::new(),
                 groupings: Vec::new(),
-                members: OrderedSet::new(),
+                members: Arc::default(),
                 extra_parents: Vec::new(),
                 alive: true,
             });
@@ -181,6 +185,13 @@ impl Database {
             .get_mut(id.index())
             .filter(|c| c.alive)
             .ok_or(CoreError::NoSuchClass(id))
+    }
+
+    /// The extent of `class`, for writing: the one write path into a class
+    /// extent. Copies the extent first if a clone shares it, so call it
+    /// only for a write that changes the extent.
+    pub(crate) fn extent_mut(&mut self, class: ClassId) -> &mut OrderedSet {
+        Arc::make_mut(&mut self.classes[class.index()].members)
     }
 
     /// The record of a live attribute.
@@ -428,7 +439,7 @@ impl Database {
         self.entities.push(EntityRecord::literal(lit, base));
         self.literal_index.insert(key, id);
         self.entity_names.insert((base, name.clone()), id);
-        self.classes[base.index()].members.insert(id);
+        self.extent_mut(base).insert(id);
         self.record_change(crate::change::Change::EntityInserted {
             entity: id,
             base,
@@ -668,6 +679,89 @@ mod tests {
         assert!(columns.iter().all(|&n| n == 0));
         assert!(db.entity_by_name(people, &name).is_err());
         assert!(copy.is_consistent().unwrap());
+    }
+
+    /// The classes whose extent `later` holds in a different `Arc` than
+    /// `db` does.
+    fn unshared_extents(db: &Database, later: &Database) -> Vec<ClassId> {
+        db.classes
+            .iter()
+            .zip(&later.classes)
+            .enumerate()
+            .filter(|(_, (a, b))| !Arc::ptr_eq(&a.members, &b.members))
+            .map(|(i, _)| ClassId::from_raw(i as u32))
+            .collect()
+    }
+
+    /// How many of `db`'s delta-log chunks, from the front, `later` still
+    /// holds at the same position.
+    fn shared_log_prefix(db: &Database, later: &Database) -> usize {
+        let (a, b) = (db.delta.chunks(), later.delta.chunks());
+        a.iter()
+            .zip(b)
+            .take_while(|(x, y)| Arc::ptr_eq(x, y))
+            .count()
+    }
+
+    /// A clone shares every extent and every log chunk. An insert, a
+    /// delete, a leave and a class deletion on one side each copy only the
+    /// extents they change and at most the log's last chunk, and leave the
+    /// other side's extents and window as they were.
+    #[test]
+    fn clone_shares_every_extent_and_log_chunk_until_written() {
+        let (mut db, people, _) = chunked();
+        let strings = db.predefined(BaseKind::Strings);
+        let adults = db.create_subclass(people, "adults").unwrap();
+        let elders = db.create_subclass(adults, "elders").unwrap();
+        let kids = db.create_subclass(people, "kids").unwrap();
+        let guests = db.create_subclass(people, "guests").unwrap();
+        let p = |db: &Database, i: u32| db.entity_by_name(people, &format!("p{i}")).unwrap();
+        for i in 0..40 {
+            db.add_to_class(p(&db, i), if i < 20 { elders } else { kids })
+                .unwrap();
+            db.add_to_class(p(&db, i), guests).unwrap();
+        }
+        let (young, old) = (p(&db, 30), p(&db, 5));
+        let sealed = db.delta.chunks().len() - 1;
+        assert!(sealed > 2, "the window spans several chunks");
+        let pristine = db.clone();
+        assert!(unshared_extents(&db, &pristine).is_empty());
+        assert_eq!(shared_log_prefix(&db, &pristine), sealed + 1);
+
+        type Edit = Box<dyn Fn(&mut Database)>;
+        let edits: [(Edit, Vec<ClassId>); 4] = [
+            (
+                Box::new(move |d| {
+                    d.insert_entity(people, "newcomer").unwrap();
+                }),
+                vec![strings, people],
+            ),
+            (
+                Box::new(move |d| d.delete_entity(young).unwrap()),
+                vec![people, kids, guests],
+            ),
+            (
+                Box::new(move |d| d.remove_from_class(old, adults).unwrap()),
+                vec![adults, elders],
+            ),
+            (
+                Box::new(move |d| d.delete_class(guests).unwrap()),
+                vec![guests],
+            ),
+        ];
+        let window = db.changes_since(db.delta_log().base_epoch());
+        for (edit, changed) in edits {
+            let mut side = db.clone();
+            edit(&mut side);
+            let mut got = unshared_extents(&db, &side);
+            got.sort();
+            assert_eq!(got, changed);
+            assert!(shared_log_prefix(&db, &side) >= sealed);
+            assert!(side.is_consistent().unwrap());
+            assert!(unshared_extents(&pristine, &db).is_empty());
+            assert_eq!(shared_log_prefix(&pristine, &db), sealed + 1);
+            assert_eq!(db.changes_since(db.delta_log().base_epoch()), window);
+        }
     }
 
     #[test]

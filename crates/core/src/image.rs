@@ -129,6 +129,7 @@ pub fn class_slots(image: &DatabaseImage) -> impl Iterator<Item = (ClassId, &Cla
 mod tests {
     use super::*;
     use crate::attribute::Multiplicity;
+    use std::sync::Arc;
 
     fn sample() -> Database {
         let mut db = Database::new("img");
@@ -191,7 +192,7 @@ mod tests {
         // Sever a subclass membership invariant.
         let m = db.class_by_name("musicians").unwrap();
         let e = db.entity_by_name(m, "Edith").unwrap();
-        img.classes[m.index()].members.remove(e);
+        Arc::make_mut(&mut img.classes[m.index()].members).remove(e);
         assert!(matches!(
             Database::from_image(img).unwrap_err(),
             CoreError::Inconsistent(_)
@@ -206,8 +207,7 @@ mod tests {
         // Forge a second Edith.
         img.entities
             .push(crate::entity::EntityRecord::user("Edith", m));
-        img.classes[m.index()]
-            .members
+        Arc::make_mut(&mut img.classes[m.index()].members)
             .insert(EntityId::from_raw((img.entities.len() - 1) as u32));
         assert!(Database::from_image(img).is_err());
     }

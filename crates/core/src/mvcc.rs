@@ -6,9 +6,9 @@
 //!
 //! * **Readers pin.** [`SharedDatabase::pin`] clones the head under the
 //!   lock. The clone shares the head's copy-on-write chunks (entity arena,
-//!   name indexes, attribute columns), so it costs O(#chunks) plus the
-//!   class extents and the delta log it still copies; either side's first
-//!   write to a shared chunk copies that chunk alone. The clone carries the
+//!   name indexes, attribute columns, class extents and delta-log chunks),
+//!   so it costs O(#chunks) at any window size; either side's first write
+//!   to a shared chunk copies that chunk alone. The clone carries the
 //!   delta log, so the pinned epoch ([`Database::delta_epoch`] of the
 //!   clone) addresses the shared history: a reader at epoch `E` never
 //!   observes state newer than `E` until it explicitly re-pins.
@@ -334,8 +334,10 @@ impl SharedDatabase {
     /// Pins the current head: a clone, delta log included, whose
     /// [`Database::delta_epoch`] is the pinned epoch. The clone is a stable
     /// snapshot — later commits to the shared head never show through. It
-    /// shares the head's chunks instead of copying them, so the lock is
-    /// held for O(#chunks) plus the class extents and delta log.
+    /// shares the head's chunks, shards, class extents and delta-log
+    /// chunks instead of copying them, so the lock is held for
+    /// O(#chunks) at any window size; the snapshot's first write to an
+    /// extent or a chunk copies that one.
     pub fn pin(&self) -> Database {
         self.lock().db.clone()
     }

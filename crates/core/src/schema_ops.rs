@@ -1,6 +1,8 @@
 //! Schema-level modification operations: creating, renaming and deleting
 //! classes, attributes and groupings (§2, §3.2).
 
+use std::sync::Arc;
+
 use crate::attribute::{AttrRecord, Multiplicity, ValueClass};
 use crate::change::SchemaEdit;
 use crate::class::{ClassKind, ClassRecord};
@@ -8,7 +10,6 @@ use crate::error::{CoreError, Result};
 use crate::fillpattern::FillPattern;
 use crate::grouping::GroupingRecord;
 use crate::ids::{AttrId, ClassId, GroupingId};
-use crate::orderedset::OrderedSet;
 use crate::Database;
 
 impl Database {
@@ -43,7 +44,7 @@ impl Database {
             own_attrs: Vec::new(),
             children: Vec::new(),
             groupings: Vec::new(),
-            members: OrderedSet::new(),
+            members: Arc::default(),
             extra_parents: Vec::new(),
             alive: true,
         });
@@ -67,7 +68,7 @@ impl Database {
             own_attrs: Vec::new(),
             children: Vec::new(),
             groupings: Vec::new(),
-            members: OrderedSet::new(),
+            members: Arc::default(),
             extra_parents: Vec::new(),
             alive: true,
         });
@@ -161,7 +162,8 @@ impl Database {
         }
         let rec = &mut self.classes[class.index()];
         rec.alive = false;
-        rec.members.clear();
+        // An empty extent of its own: a clone keeps the old one.
+        rec.members = Arc::default();
         rec.own_attrs.clear();
         self.record_schema(SchemaEdit::ClassDeleted(class));
         Ok(())

@@ -726,9 +726,14 @@ impl IndexService {
         pred: &Predicate,
         prog: &PredicateProgram,
     ) -> Result<OrderedSet, QueryError> {
-        let pool = self.pool_for(db, pred, false)?;
-        let candidates = self.ordered_candidates(db, parent, pool.as_ref())?;
-        if self.walk_is_answer(db, pred, pool.is_some()) {
+        let Some(pool) = self.pool_for(db, pred, false)? else {
+            // An unprunable predicate runs over the borrowed extent.
+            return self
+                .eval_pool
+                .evaluate(db, prog, db.members(parent)?.as_slice(), None);
+        };
+        let candidates = self.ordered_candidates(db, parent, Some(&pool))?;
+        if self.walk_is_answer(db, pred, true) {
             return Ok(OrderedSet::from_distinct(candidates));
         }
         self.eval_pool.evaluate(db, prog, &candidates, None)

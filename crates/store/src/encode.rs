@@ -6,6 +6,8 @@
 //!
 //! [`codec`]: crate::codec
 
+use std::sync::Arc;
+
 use isis_core::{
     Atom, AttrDerivation, AttrId, AttrRecord, AttrValue, BaseKind, ClassId, ClassKind, ClassRecord,
     Clause, CompareOp, DatabaseImage, EntityId, EntityRecord, FillPattern, GroupingId,
@@ -253,7 +255,7 @@ fn r_class_record(r: &mut Reader) -> Result<ClassRecord, CodecError> {
         own_attrs: r.seq(r_attr)?,
         children: r.seq(r_class)?,
         groupings: r.seq(r_grouping)?,
-        members: r_set(r)?,
+        members: Arc::new(r_set(r)?),
         extra_parents: r.seq(r_class)?,
         alive: r.boolean()?,
     })
