@@ -54,15 +54,16 @@
 //!
 //! ## Cached access plans
 //!
-//! An entry can additionally carry a [`CachedPlan`] — the pruned candidate
-//! pool and its extent-ordered evaluation list, which for a navigation
-//! round are as repetitive as the compile itself. The cache stores the
-//! plan opaquely ([`ProgramCache::with_plan`] hands `f` a `&mut
-//! Option<CachedPlan>`); *validity is the caller's contract*, which is why
-//! the plan records both the delta epoch and the index cursor it was
-//! computed at (`IndexService` reuses it only when both still match — the
-//! epoch guards the data, the cursor guards index synchronisation).
-//! Whenever the entry's program is recompiled the plan is dropped with it.
+//! An entry can additionally carry a crate-private `CachedPlan` — the
+//! pruned candidate pool and its extent-ordered evaluation list, which for
+//! a navigation round are as repetitive as the compile itself. The cache
+//! stores the plan opaquely (`ProgramCache::with_plan` hands its closure
+//! the entry's plan slot); *validity is the caller's contract*, which is
+//! why the plan records the delta epoch it was computed at.
+//! [`IndexService`] pins a plan only while its postings describe the
+//! database and reuses it only at the same epoch, so the epoch guards both
+//! the data and the postings. Whenever the entry's program is recompiled
+//! the plan is dropped with it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
@@ -102,21 +103,19 @@ struct CacheEntry {
 }
 
 /// A cached per-predicate access plan: the pruned candidate pool summary
-/// and the extent-ordered evaluation list computed from it. Valid for
-/// exactly one `(delta epoch, index cursor)` pair — the owner revalidates
-/// both before trusting it (see the module docs).
+/// and the extent-ordered evaluation list computed from it. Pinned only by
+/// a service whose postings describe the database, so it is valid for
+/// exactly the delta epoch it records (see the module docs).
 #[derive(Debug, Clone)]
-pub struct CachedPlan {
+pub(crate) struct CachedPlan {
     /// Delta epoch of the database the plan was computed against.
-    pub epoch: u64,
-    /// Cursor of the index structure the pool was read from.
-    pub cursor: u64,
+    pub(crate) epoch: u64,
     /// Size of the pruned pool (`None` = no prunable atom: the plan
     /// describes a sequential scan).
-    pub pool_len: Option<usize>,
+    pub(crate) pool_len: Option<usize>,
     /// Pool ∩ parent extent, in extent (storage) order — exactly the list
     /// the evaluator walks.
-    pub candidates: Vec<EntityId>,
+    pub(crate) candidates: Vec<EntityId>,
 }
 
 /// What the most recent lookup on a [`ProgramCache`] did — the
@@ -240,9 +239,9 @@ impl ProgramCache {
         }
     }
 
-    /// What the most recent [`ProgramCache::with_plan`] /
-    /// [`ProgramCache::with_program`] lookup did, or `None` before the
-    /// first lookup. EXPLAIN reads this immediately after an evaluation to
+    /// What the most recent lookup ([`ProgramCache::with_program`], or an
+    /// [`IndexService`] evaluation) did, or `None` before the first
+    /// lookup. EXPLAIN reads this immediately after an evaluation to
     /// report the cache decision that evaluation actually took.
     pub fn last_outcome(&self) -> Option<CacheOutcome> {
         self.last_outcome.get()
@@ -279,7 +278,7 @@ impl ProgramCache {
     /// cached access plan slot. `f` owns the validity check (see the
     /// module docs); the cache only guarantees the slot is emptied
     /// whenever the program it was computed alongside is recompiled.
-    pub fn with_plan<R, E>(
+    pub(crate) fn with_plan<R, E>(
         &self,
         db: &Database,
         parent: ClassId,

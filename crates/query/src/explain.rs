@@ -10,6 +10,12 @@
 //! evaluation order, the chunking decision the service's [`EvalPool`]
 //! took, and per-phase wall-clock timings.
 //!
+//! Every evaluation yields a record of this one shape: on a service behind
+//! its database each atom's row is a `seq scan` whose reason says a
+//! refresh is pending. The predicate and its atoms are rendered with
+//! attribute and entity names (`members·plays(e) ⊇ {piano}`), in the
+//! notation of the access-path column.
+//!
 //! [`EvalPool`]: crate::EvalPool
 //!
 //! The record renders two ways: [`ExplainRecord::to_text`] is the REPL's
@@ -18,7 +24,7 @@
 //! `query.service.slow` events, so a slow capture is a full plan, not
 //! just a timing.
 
-use isis_core::{Atom, ClassId, Database, NormalForm, OrderedSet, Predicate};
+use isis_core::{Atom, ClassId, Database, Map, NormalForm, OrderedSet, Predicate, Rhs};
 use isis_obs::journal::fmt_ns;
 use isis_obs::Json;
 
@@ -33,7 +39,8 @@ pub struct AtomPlan {
     pub clause: usize,
     /// Evaluation position within the clause after cost ordering.
     pub order: usize,
-    /// The atom, rendered (`plays(e) ~ {e9}`).
+    /// The atom, rendered with attribute and entity names
+    /// (`plays(e) ~ {piano}`, `members·plays(e) ⊇ {piano}`).
     pub atom: String,
     /// The chosen access path (`index probe on plays`, `seq scan`, …).
     pub path: String,
@@ -64,7 +71,8 @@ pub struct ColumnStat {
 pub struct ExplainRecord {
     /// Parent class name the candidates were drawn from.
     pub parent: String,
-    /// The predicate, rendered.
+    /// The predicate, rendered with attribute and entity names like each
+    /// [`AtomPlan::atom`].
     pub predicate: String,
     /// `"dnf"` or `"cnf"`.
     pub form: &'static str,
@@ -79,7 +87,8 @@ pub struct ExplainRecord {
     /// Largest candidate list the cache will pin (the planner's
     /// `MAX_PLAN_CANDIDATES`).
     pub pin_limit: usize,
-    /// Pruned pool size (`None` = no prunable atom; sequential scan).
+    /// Pruned pool size (`None` = sequential scan: no prunable atom, or a
+    /// service behind its database).
     pub pool_len: Option<usize>,
     /// Extent-ordered candidates the program actually ran over: none when
     /// the walk was the answer (`eval_mode` `"walk"`).
@@ -120,51 +129,6 @@ pub struct ExplainRecord {
 }
 
 impl ExplainRecord {
-    /// A degenerate record for the session's unassisted-scan fallback
-    /// (Manual refresh policy with pending changes): no service planning
-    /// happened, and the compiled program ran serially over the whole
-    /// parent extent, in column batches when `batch` is set. The `cache`
-    /// field carries the marker `"unassisted"` so both renderings make the
-    /// fallback unmistakable.
-    pub fn unassisted(
-        db: &Database,
-        parent: ClassId,
-        pred: &Predicate,
-        scanned: usize,
-        returned: usize,
-        total_ns: u64,
-        batch: bool,
-    ) -> ExplainRecord {
-        ExplainRecord {
-            parent: db
-                .class(parent)
-                .map(|r| r.name.clone())
-                .unwrap_or_else(|_| format!("class#{}", parent.raw())),
-            predicate: pred.to_string(),
-            form: match pred.form {
-                NormalForm::Dnf => "dnf",
-                NormalForm::Cnf => "cnf",
-            },
-            cache: "unassisted",
-            plan_reused: false,
-            pinned: false,
-            pin_limit: MAX_PLAN_CANDIDATES,
-            pool_len: None,
-            candidates: scanned,
-            atoms: Vec::new(),
-            threads: 1,
-            chunks: None,
-            scanned: scanned as u64,
-            returned: returned as u64,
-            plan_ns: 0,
-            eval_ns: total_ns,
-            total_ns,
-            eval_mode: if batch { "batch" } else { "scalar" },
-            batch_rows: if batch { crate::program::BATCH_ROWS } else { 0 },
-            columns: Vec::new(),
-        }
-    }
-
     /// The machine-readable form (schema `isis-query/explain/2`; version 2
     /// added `eval_mode` (`walk`, `batch` or `scalar`), `batch_rows`, and
     /// `columns`).
@@ -273,7 +237,7 @@ impl ExplainRecord {
                 self.candidates
             )),
             None => out.push_str(&format!(
-                "├─ pool: no prunable atom — sequential scan of {} candidate(s)\n",
+                "├─ pool: none pruned — sequential scan of {} candidate(s)\n",
                 self.candidates
             )),
         }
@@ -297,9 +261,13 @@ impl ExplainRecord {
                 "├─ parallel: {n} chunk(s) of ≤{sz} over {} worker(s)\n",
                 self.threads
             )),
+            None if self.threads <= 1 => {
+                out.push_str("├─ parallel: serial (1 worker configured)\n")
+            }
             None => out.push_str(&format!(
-                "├─ parallel: serial ({} worker(s) configured; extent below chunking floor)\n",
-                self.threads
+                "├─ parallel: serial ({} workers configured; {} candidate(s) below the \
+                 chunking floor)\n",
+                self.threads, self.candidates
             )),
         }
         match self.eval_mode {
@@ -341,15 +309,70 @@ fn attr_label(db: &Database, attr: isis_core::AttrId) -> String {
         .unwrap_or_else(|_| format!("attr#{}", attr.raw()))
 }
 
-/// A map's steps by name, in the paper's `members·plays` notation.
-fn map_label(db: &Database, map: &isis_core::Map) -> String {
+/// A map's steps by name, in the paper's `members·plays` notation (`·`
+/// alone for the identity map).
+fn map_label(db: &Database, map: &Map) -> String {
+    if map.is_identity() {
+        return "·".into();
+    }
     let names: Vec<String> = map.steps().iter().map(|&a| attr_label(db, a)).collect();
     names.join("·")
 }
 
+/// An atom as its `Display` renders it, with attribute and entity names in
+/// place of raw ids: `size(e) = {4}`, `members·plays(e) ⊇ {piano}`.
+fn atom_label(db: &Database, atom: &Atom) -> String {
+    let rhs = match &atom.rhs {
+        Rhs::SelfMap(m) => format!("{}(e)", map_label(db, m)),
+        Rhs::SourceMap(m) => format!("{}(x)", map_label(db, m)),
+        Rhs::Constant { anchors, map, .. } => {
+            let names: Vec<String> = anchors
+                .iter()
+                .map(|e| {
+                    db.entity_name(e)
+                        .map_or_else(|_| format!("entity#{}", e.raw()), str::to_string)
+                })
+                .collect();
+            let set = format!("{{{}}}", names.join(", "));
+            if map.is_identity() {
+                set
+            } else {
+                format!("{}({set})", map_label(db, map))
+            }
+        }
+    };
+    format!("{}(e) {} {rhs}", map_label(db, &atom.lhs), atom.op)
+}
+
+/// A predicate as its `Display` renders it, each atom by [`atom_label`].
+fn predicate_label(db: &Database, pred: &Predicate) -> String {
+    // An empty disjunction is false and an empty conjunction true.
+    let (outer, inner, no_clause, empty_clause) = match pred.form {
+        NormalForm::Dnf => (" OR ", " AND ", "FALSE", "TRUE"),
+        NormalForm::Cnf => (" AND ", " OR ", "TRUE", "FALSE"),
+    };
+    if pred.clauses.is_empty() {
+        return no_clause.into();
+    }
+    let clauses: Vec<String> = pred
+        .clauses
+        .iter()
+        .map(|clause| {
+            let atoms: Vec<String> = clause.atoms.iter().map(|a| atom_label(db, a)).collect();
+            if atoms.is_empty() {
+                format!("({empty_clause})")
+            } else {
+                format!("({})", atoms.join(inner))
+            }
+        })
+        .collect();
+    clauses.join(outer)
+}
+
 /// The per-clause atom report, in the order the compiled program runs the
 /// clause ([`crate::program::reorder_clause`]), with each atom's access
-/// path and the estimates that ordered it.
+/// path and the estimates that ordered it. On a service behind its
+/// database no atom prunes, and each row says so.
 fn clause_plans(
     svc: &IndexService,
     db: &Database,
@@ -359,9 +382,15 @@ fn clause_plans(
     form: NormalForm,
     out: &mut Vec<AtomPlan>,
 ) {
+    let behind = svc.cursor() != db.delta_epoch();
     let ordered = reorder_clause(db, parent, form, atoms, Some(svc));
     for (order, (atom, estimate)) in ordered.into_iter().enumerate() {
-        let (path, why) = match svc.peek_atom_path(db, atom) {
+        let path = if behind {
+            AccessPath::SeqScan
+        } else {
+            svc.peek_atom_path(db, atom)
+        };
+        let (path, why) = match path {
             AccessPath::IndexProbe(_) => (
                 format!("index probe on {}", map_label(db, &atom.lhs)),
                 if atom.lhs.len() == 1 {
@@ -382,7 +411,11 @@ fn clause_plans(
             ),
             AccessPath::SeqScan => (
                 "seq scan".to_string(),
-                if !IndexService::atom_shape(atom) {
+                if behind {
+                    "the service is behind its database (a refresh is pending), so no \
+                     posting may prune"
+                        .to_string()
+                } else if !IndexService::atom_shape(atom) {
                     "atom shape not indexable (negated, identity map, other operator, \
                      or non-constant rhs)"
                         .to_string()
@@ -396,7 +429,7 @@ fn clause_plans(
         out.push(AtomPlan {
             clause: clause_idx,
             order,
-            atom: atom.to_string(),
+            atom: atom_label(db, atom),
             path,
             why,
             cost: estimate.cost,
@@ -472,7 +505,7 @@ impl IndexService {
                 .class(parent)
                 .map(|r| r.name.clone())
                 .unwrap_or_else(|_| format!("class#{}", parent.raw())),
-            predicate: pred.to_string(),
+            predicate: predicate_label(db, pred),
             form: match pred.form {
                 NormalForm::Dnf => "dnf",
                 NormalForm::Cnf => "cnf",
@@ -508,7 +541,7 @@ impl IndexService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isis_core::{Clause, CompareOp, Map, Rhs};
+    use isis_core::{Clause, CompareOp};
     use isis_sample::instrumental_music;
 
     #[test]
@@ -584,12 +617,13 @@ mod tests {
         let pred = Predicate::dnf(vec![Clause::new(atoms.clone())]);
         let (_, record) = svc.explain(&im.db, im.music_groups, &pred).unwrap();
         let ordered = reorder_clause(&im.db, im.music_groups, NormalForm::Dnf, &atoms, Some(&svc));
-        let want: Vec<String> = ordered.iter().map(|(a, _)| a.to_string()).collect();
+        let label = |a: &Atom| atom_label(&im.db, a);
+        let want: Vec<String> = ordered.iter().map(|(a, _)| label(a)).collect();
         let got: Vec<String> = record.atoms.iter().map(|a| a.atom.clone()).collect();
         assert_eq!(got, want);
-        assert_eq!(want[0], atoms[1].to_string(), "cheap atom runs first");
-        assert_eq!(want[2], barrier.to_string(), "the barrier keeps its place");
-        assert_eq!(want[3], atoms[4].to_string());
+        assert_eq!(want[0], label(&atoms[1]), "cheap atom runs first");
+        assert_eq!(want[2], label(&barrier), "the barrier keeps its place");
+        assert_eq!(want[3], label(&atoms[4]));
         for (plan, (_, e)) in record.atoms.iter().zip(&ordered) {
             assert_eq!((plan.cost, plan.selectivity), (e.cost, e.selectivity));
         }
@@ -653,8 +687,8 @@ mod tests {
         let want = im.db.evaluate_derived_members(im.music_groups, &small);
         assert_eq!(Ok(got), want);
         assert_eq!(record.eval_mode, "batch");
-        // Behind its database the service re-checks the walk's pool with
-        // the program, which does not stream a two-step map.
+        // Behind its database the service runs the program over the
+        // extent, and the program does not stream a two-step map.
         im.db
             .assign_single(im.flute, im.family, im.woodwind)
             .unwrap();

@@ -12,7 +12,10 @@
 //! [`DerivedState`] is the one refresh path: it owns the [`IndexService`],
 //! whose cursor is the delta epoch the derived state is synchronised to,
 //! and one [`DerivedMaintainer`] per derived subclass. A maintainer owns no
-//! postings; it walks the service's.
+//! postings; it walks the service's. Queries read the same service between
+//! refreshes, also while edits are pending: a service behind its database
+//! prunes nothing, so no query needs the state advanced before a refresh
+//! takes the window.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -478,7 +481,7 @@ impl DerivedState {
 
     /// `true` when nothing was recorded in `db` since the last refresh (the
     /// service's cursor is the log's current epoch), so the service's
-    /// postings describe it as it is now.
+    /// postings describe it as it is now and may prune its queries.
     pub fn in_sync(&self, db: &Database) -> bool {
         self.service.cursor() == db.delta_epoch()
     }

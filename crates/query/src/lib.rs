@@ -37,7 +37,6 @@ pub mod error;
 pub mod explain;
 pub mod incremental;
 pub mod index;
-mod manager;
 pub mod optimizer;
 pub mod parallel;
 pub mod program;
@@ -46,7 +45,7 @@ pub mod relmodel;
 pub mod service;
 
 pub use algebra::{eval_cached, Condition, Operand, RaExpr, ScalarOracle};
-pub use cache::{predicate_fingerprint, CacheOutcome, CachedPlan, ProgramCache, ProgramCacheStats};
+pub use cache::{predicate_fingerprint, CacheOutcome, ProgramCache, ProgramCacheStats};
 pub use compile::{
     compile_and_eval, compile_attr_derivation, compile_map, compile_subclass_predicate, eval_plan,
 };
@@ -54,10 +53,9 @@ pub use error::QueryError;
 pub use explain::{AtomPlan, ColumnStat, ExplainRecord};
 pub use incremental::{DerivedMaintainer, DerivedState, ExtentChange};
 pub use index::AttrIndex;
-pub use manager::IndexStats;
 pub use optimizer::{estimate_atom, AtomEstimate};
 pub use parallel::{chunk_decision, EvalPool};
 pub use program::{MemoTable, PredicateProgram, BATCH_ROWS};
 pub use qbe::{Cell, ConditionEntry, QbeQuery, TemplateRow};
 pub use relmodel::{encode_database, Relation, RelationalDb};
-pub use service::{AccessPath, IndexService, QueryStats};
+pub use service::{AccessPath, IndexService, IndexStats, QueryStats};

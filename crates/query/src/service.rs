@@ -12,6 +12,20 @@
 //! * [`crate::DerivedMaintainer`]s, which walk the same indexes backwards
 //!   to find the candidates a change can affect.
 //!
+//! The service is the only owner and writer of its postings. It remembers
+//! the delta epoch they describe (its cursor), and [`IndexService::refresh`]
+//! and [`IndexService::apply`] patch them from the `(entity, attr, old,
+//! new)` transitions the log recorded since. It rebuilds an index only when
+//! the log window is gone (or the database was swapped for another line),
+//! on a schema edit, and for a grouping-ranged attribute, whose expanded
+//! postings a raw transition cannot patch. Each patch and rebuild counts
+//! once in the service's scope (`query.index.*`, read as [`IndexStats`]).
+//!
+//! A query prunes through the postings only while they describe the
+//! database: at any other epoch [`IndexService::evaluate`] plans no pool
+//! and runs its program over the whole parent extent, so its answer never
+//! depends on whether a refresh is pending.
+//!
 //! It owns the [`EvalPool`] that runs every compiled program over its
 //! candidates; the pool's width is the service's only thread count.
 //!
@@ -51,16 +65,27 @@ use std::time::Instant;
 use isis_obs::{Counter, Registry};
 
 use isis_core::{
-    Atom, AttrId, ChangeSet, ClassId, CompareOp, Database, EntityId, GroupingId, NormalForm,
-    OrderedSet, Predicate, Result, Rhs,
+    Atom, AttrId, AttrValue, Change, ChangeSet, ClassId, CompareOp, Database, EntityId, GroupingId,
+    NormalForm, OrderedSet, Predicate, Result, Rhs, SchemaEdit, ValueClass,
 };
 
 use crate::cache::{CachedPlan, ProgramCache, DEFAULT_PROGRAM_CACHE_CAPACITY};
 use crate::error::QueryError;
 use crate::index::{walk_back, AttrIndex};
-use crate::manager::{IndexManager, IndexStats};
 use crate::parallel::EvalPool;
 use crate::program::PredicateProgram;
+
+/// How index maintenance kept a service's postings current, counted in
+/// its registry scope and read by [`IndexService::index_stats`]: a
+/// snapshot of `query.index.{patches,rebuilds}`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexStats {
+    /// Individual posting-list patches applied from deltas.
+    pub incremental_updates: usize,
+    /// Full single-index rebuilds (schema edits, grouping expansion,
+    /// evicted log windows).
+    pub rebuilds: usize,
+}
 
 /// The access-path decisions counted in a service's registry scope, read
 /// by [`IndexService::query_stats`]: a snapshot of `query.service.*`.
@@ -100,9 +125,20 @@ pub enum AccessPath {
 /// documents the staleness contract.
 #[derive(Debug, Default)]
 pub struct IndexService {
-    manager: IndexManager,
-    /// The planner's counters, resolved once from the service's scope so
-    /// a bump is one relaxed atomic add.
+    indexes: HashMap<AttrId, AttrIndex>,
+    /// Owner class of each indexed attribute (membership changes there
+    /// add/remove whole owner rows).
+    owners: HashMap<AttrId, ClassId>,
+    /// For a grouping-ranged indexed attribute, the attribute the grouping
+    /// is defined on: transitions of that attribute change the expansion of
+    /// every stored index value, forcing a rebuild.
+    grouping_bases: HashMap<AttrId, AttrId>,
+    /// The delta epoch the postings describe.
+    cursor: u64,
+    /// Maintenance and planner counters, resolved once from the service's
+    /// scope so a bump is one relaxed atomic add.
+    patches: Arc<Counter>,
+    rebuilds: Arc<Counter>,
     queries: Arc<Counter>,
     index_probes: Arc<Counter>,
     grouping_scans: Arc<Counter>,
@@ -156,7 +192,8 @@ pub(crate) struct EvalCapture {
     pub(crate) plan_reused: bool,
     /// The (re)computed plan qualified for pinning in the cache.
     pub(crate) pinned: bool,
-    /// Pruned pool size (`None` = no prunable atom; sequential scan).
+    /// Pruned pool size (`None` = sequential scan: no prunable atom, or a
+    /// service behind its database).
     pub(crate) pool_len: Option<usize>,
     /// Extent-ordered candidates the program evaluated: 0 when the walk
     /// was the answer.
@@ -184,7 +221,9 @@ impl IndexService {
     /// the services its refreshes build.
     pub fn in_scope(db: &Database, scope: &Registry) -> IndexService {
         IndexService {
-            manager: IndexManager::new(db, scope),
+            cursor: db.delta_epoch(),
+            patches: scope.counter("query.index.patches"),
+            rebuilds: scope.counter("query.index.rebuilds"),
             queries: scope.counter("query.service.queries"),
             index_probes: scope.counter("query.service.index_probes"),
             grouping_scans: scope.counter("query.service.grouping_scans"),
@@ -200,26 +239,31 @@ impl IndexService {
     /// Builds and registers an index for `attr` unless one already exists.
     /// Returns `true` if an index was built.
     pub fn ensure_index(&mut self, db: &Database, attr: AttrId) -> Result<bool> {
-        if self.manager.index(attr).is_some() {
+        if self.indexes.contains_key(&attr) {
             return Ok(false);
         }
-        self.manager.add_index(db, attr)?;
+        let rec = db.attr(attr)?;
+        self.owners.insert(attr, rec.owner);
+        if let ValueClass::Grouping(g) = rec.value_class {
+            self.grouping_bases.insert(attr, db.grouping(g)?.on_attr);
+        }
+        self.indexes.insert(attr, AttrIndex::build(db, attr)?);
         Ok(true)
     }
 
     /// Access a registered index.
     pub fn index(&self, attr: AttrId) -> Option<&AttrIndex> {
-        self.manager.index(attr)
+        self.indexes.get(&attr)
     }
 
     /// The attributes currently indexed.
     pub fn indexed_attrs(&self) -> impl Iterator<Item = AttrId> + '_ {
-        self.manager.indexed_attrs()
+        self.indexes.keys().copied()
     }
 
     /// The delta epoch the indexes are synchronised to.
     pub fn cursor(&self) -> u64 {
-        self.manager.cursor()
+        self.cursor
     }
 
     /// The size of the spawned persistent pool, or `None` while no
@@ -278,27 +322,37 @@ impl IndexService {
         Ok(picked.into_iter().map(|(_, e)| e).collect())
     }
 
-    /// Produces (pool size, extent-ordered candidate list) for `pred` over
-    /// `parent`, reusing the [`CachedPlan`] in `plan` when it is still
-    /// valid — the delta epoch guards the data and the index cursor guards
-    /// index synchronisation, so a repeat navigation query re-pays neither
-    /// the posting-list intersections nor the ordering. An unprunable
-    /// predicate borrows the parent's extent; an oversized pool is never
-    /// pinned, but recomputed and returned owned.
+    /// Produces (pool size, extent-ordered candidate list, plan reused) for
+    /// `pred` over `parent`, reusing the [`CachedPlan`] in `plan` when it
+    /// was pinned at `db`'s epoch, so a repeat navigation query re-pays
+    /// neither the posting-list intersections nor the ordering. It plans
+    /// only while the postings describe `db`: behind its database the
+    /// service plans no pool, pins no plan and reuses none, and hands back
+    /// the borrowed parent extent, as it does for an unprunable predicate.
+    /// An oversized pool is never pinned, but recomputed and returned
+    /// owned.
     pub(crate) fn plan_candidates<'a>(
         &self,
         db: &'a Database,
         parent: ClassId,
         pred: &Predicate,
         plan: &'a mut Option<CachedPlan>,
-    ) -> Result<(Option<usize>, Cow<'a, [EntityId]>)> {
+    ) -> Result<(Option<usize>, Cow<'a, [EntityId]>, bool)> {
         let epoch = db.delta_epoch();
-        let cursor = self.manager.cursor();
-        if !matches!(plan, Some(p) if p.epoch == epoch && p.cursor == cursor) {
-            let Some(pool) = self.candidate_pool(db, pred)? else {
-                // An unprunable predicate has no plan worth pinning.
+        // Postings behind the database may miss a member that now
+        // qualifies: there only the whole extent is a safe candidate list.
+        let in_sync = self.cursor == epoch;
+        let reused = in_sync && matches!(plan, Some(p) if p.epoch == epoch);
+        if !reused {
+            let pool = if in_sync {
+                self.candidate_pool(db, pred)?
+            } else {
+                None
+            };
+            let Some(pool) = pool else {
+                // A scan of the borrowed extent has no plan worth pinning.
                 *plan = None;
-                return Ok((None, Cow::Borrowed(db.members(parent)?.as_slice())));
+                return Ok((None, Cow::Borrowed(db.members(parent)?.as_slice()), false));
             };
             let candidates = self.ordered_candidates(db, parent, Some(&pool))?;
             if candidates.len() > MAX_PLAN_CANDIDATES {
@@ -306,24 +360,31 @@ impl IndexService {
                 // cliff worth counting (the plan is recomputed per query).
                 isis_obs::global().count("query.service.plan_pin_rejections", 1);
                 *plan = None;
-                return Ok((Some(pool.len()), Cow::Owned(candidates)));
+                return Ok((Some(pool.len()), Cow::Owned(candidates), false));
             }
             *plan = Some(CachedPlan {
                 epoch,
-                cursor,
                 pool_len: Some(pool.len()),
                 candidates,
             });
         }
         let p = plan.as_ref().expect("plan was just installed or validated");
-        Ok((p.pool_len, Cow::Borrowed(p.candidates.as_slice())))
+        Ok((p.pool_len, Cow::Borrowed(p.candidates.as_slice()), reused))
     }
 
     /// Brings every index up to date with `db` by consuming the delta log
-    /// from the service's cursor (rebuilding when the window is gone).
+    /// from the service's cursor. Falls back to full rebuilds when the
+    /// window is gone (or the cursor is from another database line).
     pub fn refresh(&mut self, db: &Database) -> Result<()> {
         let _span = isis_obs::global().span("query.index.refresh");
-        self.manager.refresh(db)
+        match db.changes_since(self.cursor) {
+            Some(changes) => self.patch(db, &changes),
+            None => {
+                self.rebuild_all(db)?;
+                self.cursor = db.delta_epoch();
+                Ok(())
+            }
+        }
     }
 
     /// Applies one explicit [`ChangeSet`] window and moves the cursor to
@@ -333,13 +394,165 @@ impl IndexService {
     /// consumer the same window.
     pub fn apply(&mut self, db: &Database, changes: &ChangeSet) -> Result<()> {
         let _span = isis_obs::global().span("query.index.apply");
-        self.manager.apply(db, changes)
+        self.patch(db, changes)
+    }
+
+    /// The body of [`IndexService::refresh`] and [`IndexService::apply`]:
+    /// patches the postings through `changes` (rebuilding wholesale on a
+    /// schema edit) and moves the cursor to `db`'s epoch.
+    fn patch(&mut self, db: &Database, changes: &ChangeSet) -> Result<()> {
+        if changes.has_schema_changes() {
+            // Schema edits can delete indexed attributes, retarget value
+            // classes, or reshape groupings; rebuild wholesale.
+            for change in changes.iter() {
+                if let Change::Schema(
+                    SchemaEdit::AttrDeleted(a) | SchemaEdit::ValueClassChanged(a),
+                ) = change
+                {
+                    self.drop_index(*a);
+                }
+            }
+            self.rebuild_all(db)?;
+        } else {
+            for change in changes.iter() {
+                match change {
+                    Change::AttrAssigned {
+                        entity,
+                        attr,
+                        old,
+                        new,
+                    } => self.apply_transition(db, *entity, *attr, old, new)?,
+                    Change::MembershipAdded { entity, class } => {
+                        self.apply_owner_joined(db, *entity, *class)?;
+                    }
+                    Change::MembershipRemoved { entity, class } => {
+                        self.apply_owner_left(*entity, *class);
+                    }
+                    Change::EntityInserted { .. }
+                    | Change::EntityDeleted { .. }
+                    | Change::EntityRenamed { .. }
+                    | Change::Schema(_) => {}
+                }
+            }
+        }
+        self.cursor = db.delta_epoch();
+        Ok(())
+    }
+
+    /// Rebuilds every grouping-ranged index whose grouping is keyed by
+    /// `attr`: a transition of the base attribute re-partitions the
+    /// grouping, changing the expansion of every stored index value.
+    fn rebuild_dependents(&mut self, db: &Database, attr: AttrId) -> Result<()> {
+        let dependents: Vec<AttrId> = self
+            .grouping_bases
+            .iter()
+            .filter(|(_, &base)| base == attr)
+            .map(|(&a, _)| a)
+            .collect();
+        for a in dependents {
+            self.indexes.insert(a, AttrIndex::build(db, a)?);
+            self.rebuilds.inc();
+        }
+        Ok(())
+    }
+
+    fn apply_transition(
+        &mut self,
+        db: &Database,
+        entity: EntityId,
+        attr: AttrId,
+        old: &AttrValue,
+        new: &AttrValue,
+    ) -> Result<()> {
+        self.rebuild_dependents(db, attr)?;
+        if let Some(idx) = self.indexes.get_mut(&attr) {
+            if self.grouping_bases.contains_key(&attr) {
+                // Grouping-ranged: the stored transition is in index
+                // entities, but postings hold expanded members.
+                *idx = AttrIndex::build(db, attr)?;
+                self.rebuilds.inc();
+            } else {
+                idx.update(entity, &old.as_set(), &new.as_set());
+                self.patches.inc();
+            }
+        }
+        Ok(())
+    }
+
+    /// The indexed attributes owned by `class`.
+    fn owned_by(&self, class: ClassId) -> Vec<AttrId> {
+        self.owners
+            .iter()
+            .filter(|(_, &o)| o == class)
+            .map(|(&a, _)| a)
+            .collect()
+    }
+
+    fn apply_owner_joined(
+        &mut self,
+        db: &Database,
+        entity: EntityId,
+        class: ClassId,
+    ) -> Result<()> {
+        if db.entity(entity).is_err() {
+            // The entity was deleted later in the same window; the deletion's
+            // own MembershipRemoved/AttrAssigned entries settle the index.
+            return Ok(());
+        }
+        for attr in self.owned_by(class) {
+            // (Re)credit any values the entity already carries — it may
+            // have kept them across an earlier membership removal.
+            let new = db.attr_value_set(entity, attr)?;
+            if let Some(idx) = self.indexes.get_mut(&attr) {
+                let old = idx.owned_values(entity);
+                idx.update(entity, &old, &new);
+                self.patches.inc();
+            }
+        }
+        Ok(())
+    }
+
+    fn apply_owner_left(&mut self, entity: EntityId, class: ClassId) {
+        for attr in self.owned_by(class) {
+            if let Some(idx) = self.indexes.get_mut(&attr) {
+                let old = idx.owned_values(entity);
+                if !old.is_empty() {
+                    idx.update(entity, &old, &OrderedSet::new());
+                    self.patches.inc();
+                }
+            }
+        }
+    }
+
+    /// Forgets the index of `attr` and what the service knew about it.
+    fn drop_index(&mut self, attr: AttrId) {
+        self.indexes.remove(&attr);
+        self.owners.remove(&attr);
+        self.grouping_bases.remove(&attr);
+    }
+
+    /// Rebuilds every registered index from `db`'s current state, dropping
+    /// those whose attribute no longer exists. Leaves the cursor alone.
+    fn rebuild_all(&mut self, db: &Database) -> Result<()> {
+        let attrs: Vec<AttrId> = self.indexes.keys().copied().collect();
+        for attr in attrs {
+            if db.attr(attr).is_err() {
+                self.drop_index(attr);
+                continue;
+            }
+            self.indexes.insert(attr, AttrIndex::build(db, attr)?);
+            self.rebuilds.inc();
+        }
+        Ok(())
     }
 
     /// Maintenance counters (posting patches, rebuilds) of the service's
     /// scope.
     pub fn index_stats(&self) -> IndexStats {
-        self.manager.stats()
+        IndexStats {
+            incremental_updates: self.patches.get() as usize,
+            rebuilds: self.rebuilds.get() as usize,
+        }
     }
 
     /// Planner counters (probes, grouping scans, seq scans, misses) of the
@@ -375,7 +588,7 @@ impl IndexService {
                 .lhs
                 .steps()
                 .iter()
-                .all(|&a| self.manager.index(a).is_some())
+                .all(|&a| self.indexes.contains_key(&a))
     }
 
     /// Chooses the access path for one atom: maintained indexes on every
@@ -468,8 +681,8 @@ impl IndexService {
     /// reads, `~` unions the per-anchor walks and `⊇` intersects them, and
     /// such an atom cannot fail for a member of the parent, so the walk
     /// restricted to the parent extent is exact. The cursor guard keeps
-    /// the program wherever the postings may be stale: in a full refresh
-    /// after an install, or on a service behind its database.
+    /// the program where the postings may be stale-wide: in a full refresh
+    /// after an install (a query behind its database pools nothing).
     fn walk_is_answer(&self, db: &Database, pred: &Predicate, pooled: bool) -> bool {
         if !pooled {
             return false;
@@ -482,7 +695,7 @@ impl IndexService {
         };
         matches!(atom.op.op, CompareOp::Match | CompareOp::Superset)
             && self.indexable(atom)
-            && self.manager.cursor() == db.delta_epoch()
+            && self.cursor == db.delta_epoch()
     }
 
     /// Combines per-anchor owner sets, one per anchor in anchor order,
@@ -612,7 +825,10 @@ impl IndexService {
 
     /// Evaluates a whole DNF/CNF predicate over `parent`, pruning the
     /// candidate pool through the planned access paths. Semantically
-    /// identical to [`Database::evaluate_derived_members`].
+    /// identical to [`Database::evaluate_derived_members`] at any epoch:
+    /// while the postings are behind `db` (a refresh is pending), the
+    /// program runs over the whole parent extent, counted as one
+    /// sequential scan.
     ///
     /// When observability is enabled and the evaluation runs at least the
     /// slow-query threshold ([`isis_obs::Obs::slow_threshold_ns`]), its
@@ -664,13 +880,10 @@ impl IndexService {
             .with_plan(db, parent, None, pred, Some(self), |prog, plan| {
                 self.queries.inc();
                 let timed = cap.is_some();
-                let plan_reused = matches!(
-                    plan,
-                    Some(p) if p.epoch == db.delta_epoch() && p.cursor == self.manager.cursor()
-                );
                 let batch = prog.batch_compatible();
                 let t_plan = if timed { Some(Instant::now()) } else { None };
-                let (pool_len, candidates) = self.plan_candidates(db, parent, pred, plan)?;
+                let (pool_len, candidates, plan_reused) =
+                    self.plan_candidates(db, parent, pred, plan)?;
                 let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if pool_len.is_none() {
                     self.seq_scans.inc();
@@ -715,10 +928,13 @@ impl IndexService {
     }
 
     /// Evaluates `prog`, compiled from `pred` over `parent`, through the
-    /// planner and the pool exactly as [`IndexService::evaluate`] would,
-    /// an exact walk included, but records nothing: no [`QueryStats`], no
-    /// program-cache entry, no slow-query event. The derived-class refresh
-    /// settles through this ([`crate::DerivedMaintainer::recompute`]).
+    /// planner and the pool, an exact walk included, but records nothing:
+    /// no [`QueryStats`], no program-cache entry, no slow-query event. The
+    /// derived-class refresh settles through this
+    /// ([`crate::DerivedMaintainer::recompute`]). Unlike a query it prunes
+    /// behind its database too: the full refresh drains only after its
+    /// last install, and an install leaves postings that hold a superset
+    /// of the true ones (DESIGN.md §4c), which the program re-checks.
     pub(crate) fn evaluate_program(
         &self,
         db: &Database,
@@ -738,22 +954,6 @@ impl IndexService {
         }
         self.eval_pool.evaluate(db, prog, &candidates, None)
     }
-
-    /// Records in `scope` a query that no service answered: the session's
-    /// Manual-policy fallback scans the extent directly when the indexes
-    /// are behind the database, or before its first refresh. It counts as
-    /// one query and one sequential scan, which keeps `stats` honest
-    /// instead of silently dropping the most expensive path, and as one
-    /// `session.query.unassisted`.
-    pub fn note_unassisted_scan(scope: &Registry) {
-        for name in [
-            "query.service.queries",
-            "query.service.seq_scans",
-            "session.query.unassisted",
-        ] {
-            scope.counter(name).inc();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -768,6 +968,184 @@ mod tests {
             CompareOp::Match,
             Rhs::constant(class, [anchor]),
         )
+    }
+
+    /// The service's postings match a fresh build of `attr`'s index.
+    fn assert_index_fresh(svc: &IndexService, db: &Database, attr: AttrId) {
+        let live = AttrIndex::build(db, attr).unwrap();
+        let idx = svc.index(attr).unwrap();
+        assert_eq!(idx.distinct_values(), live.distinct_values());
+        for v in live.values() {
+            let a = idx.owners_of(v).unwrap();
+            let b = live.owners_of(v).unwrap();
+            assert!(a.set_eq(b), "postings diverge for value {v:?}");
+        }
+    }
+
+    #[test]
+    fn refresh_applies_value_transitions() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        svc.ensure_index(&im.db, im.family).unwrap();
+        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
+        im.db.add_value(gil, im.plays, im.piano).unwrap();
+        im.db
+            .assign_single(im.flute, im.family, im.woodwind)
+            .unwrap();
+        svc.refresh(&im.db).unwrap();
+        assert_index_fresh(&svc, &im.db, im.plays);
+        assert_index_fresh(&svc, &im.db, im.family);
+        assert!(svc.index_stats().incremental_updates >= 2);
+        assert_eq!(svc.index_stats().rebuilds, 0);
+    }
+
+    #[test]
+    fn refresh_handles_inserts_and_deletes() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let newbie = im.db.insert_entity(im.musicians, "Newbie").unwrap();
+        im.db.add_value(newbie, im.plays, im.viola).unwrap();
+        let dave = im.db.entity_by_name(im.musicians, "Dave").unwrap();
+        im.db.delete_entity(dave).unwrap();
+        svc.refresh(&im.db).unwrap();
+        assert_index_fresh(&svc, &im.db, im.plays);
+    }
+
+    #[test]
+    fn schema_change_triggers_rebuild() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        im.db.create_baseclass("venues").unwrap();
+        svc.refresh(&im.db).unwrap();
+        assert!(svc.index_stats().rebuilds >= 1);
+        assert_index_fresh(&svc, &im.db, im.plays);
+    }
+
+    #[test]
+    fn stale_cursor_falls_back_to_rebuild() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        // Simulate an undo: replace the database with an older clone whose
+        // delta log is behind the cursor.
+        let old = im.db.clone();
+        im.db.add_value(im.edith, im.plays, im.piano).unwrap();
+        svc.refresh(&im.db).unwrap();
+        let restored = old;
+        // cursor is now ahead of restored's epoch → None → rebuild.
+        svc.refresh(&restored).unwrap();
+        assert_index_fresh(&svc, &restored, im.plays);
+    }
+
+    #[test]
+    fn grouping_rekeyed_mid_drain_keeps_ranged_index_fresh() {
+        use isis_core::Multiplicity;
+        let mut im = instrumental_music().unwrap();
+        // sections: music_groups → by_family sets; its index postings hold
+        // the *expanded* members of each named family set.
+        let sections = im
+            .db
+            .create_attribute(
+                im.music_groups,
+                "sections",
+                im.by_family,
+                Multiplicity::Multi,
+            )
+            .unwrap();
+        im.db
+            .assign_multi(im.labelle, sections, [im.stringed, im.keyboard])
+            .unwrap();
+        let fling = im
+            .db
+            .entity_by_name(im.music_groups, "String Fling")
+            .unwrap();
+        im.db.assign_multi(fling, sections, [im.brass]).unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, sections).unwrap();
+        svc.ensure_index(&im.db, im.family).unwrap();
+        // One window interleaving a sections edit, the grouping re-key
+        // (flute leaves brass for woodwind, re-partitioning by_family and
+        // thus the expansion of every sections value), and another edit.
+        im.db
+            .assign_multi(fling, sections, [im.percussion])
+            .unwrap();
+        im.db
+            .assign_single(im.flute, im.family, im.woodwind)
+            .unwrap();
+        im.db
+            .assign_multi(im.labelle, sections, [im.brass, im.keyboard])
+            .unwrap();
+        svc.refresh(&im.db).unwrap();
+        assert_index_fresh(&svc, &im.db, sections);
+        assert_index_fresh(&svc, &im.db, im.family);
+        assert!(
+            svc.index_stats().rebuilds >= 1,
+            "base-attr move must rebuild the dependent ranged index"
+        );
+        // The stale-range smoking gun: flute must no longer be credited to
+        // owners whose sections still name brass.
+        let idx = svc.index(sections).unwrap();
+        if let Some(owners) = idx.owners_of(im.flute) {
+            assert!(!owners.is_empty())
+        }
+        let live = AttrIndex::build(&im.db, sections).unwrap();
+        assert_eq!(
+            idx.owners_of(im.flute).map(|s| s.len()),
+            live.owners_of(im.flute).map(|s| s.len())
+        );
+    }
+
+    #[test]
+    fn deleted_attr_index_is_dropped() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.popular).unwrap();
+        im.db.delete_attr(im.popular).unwrap();
+        svc.refresh(&im.db).unwrap();
+        assert!(svc.index(im.popular).is_none());
+    }
+
+    /// One edit behind its database, the service's postings miss Gil, the
+    /// new pianist: it plans no pool, scans the extent and answers as the
+    /// oracle, and EXPLAIN says why on every row. A refresh brings the
+    /// probe back.
+    #[test]
+    fn a_service_behind_its_database_answers_as_the_oracle() {
+        let mut im = instrumental_music().unwrap();
+        let mut svc = IndexService::new(&im.db);
+        svc.ensure_index(&im.db, im.plays).unwrap();
+        let gil = im.db.entity_by_name(im.musicians, "Gil").unwrap();
+        im.db.add_value(gil, im.plays, im.piano).unwrap();
+        let pred = Predicate::dnf(vec![Clause::new(vec![match_atom(
+            im.plays,
+            im.instruments,
+            im.piano,
+        )])]);
+        let want = im.db.evaluate_derived_members(im.musicians, &pred).unwrap();
+        assert_eq!(want.len(), 4);
+        assert!(want.contains(gil));
+        let got = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        let (got, record) = svc.explain(&im.db, im.musicians, &pred).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(record.pool_len, None);
+        assert!(!record.atoms.is_empty());
+        for row in &record.atoms {
+            assert_eq!(row.path, "seq scan");
+            assert!(row.why.contains("behind its database"), "{}", row.why);
+        }
+        let stats = svc.query_stats();
+        assert_eq!(
+            (stats.queries, stats.seq_scans, stats.index_probes),
+            (2, 2, 0)
+        );
+        svc.refresh(&im.db).unwrap();
+        let got = svc.evaluate(&im.db, im.musicians, &pred).unwrap();
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(svc.query_stats().index_probes, stats.index_probes + 1);
     }
 
     #[test]
@@ -886,6 +1264,7 @@ mod tests {
             .unwrap()
             .contains(im.edith));
         im.db.unassign(brass, im.size).unwrap();
+        svc.refresh(&im.db).unwrap();
         let five = im.db.int(5);
         let ints = im.db.predefined(isis_core::BaseKind::Integers);
         let barrier = Atom::new(
@@ -929,6 +1308,7 @@ mod tests {
             .entity_by_name(im.music_groups, "Brass Attack")
             .unwrap();
         im.db.unassign(brass, im.size).unwrap();
+        svc.refresh(&im.db).unwrap();
         let five = im.db.int(5);
         let ints = im.db.predefined(isis_core::BaseKind::Integers);
         let barrier = Atom::new(

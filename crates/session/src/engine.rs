@@ -7,14 +7,14 @@
 //! (load, save, doctor, fsck, undo, redo, refresh, commit, pull, refresh
 //! policy, stop). This module keeps what the groups share: the session's
 //! state, the schema-selection checks, the undo point every edit takes, the
-//! refresh pipeline, the refresh-and-fallback step of [`Session::query`] and
-//! [`Session::explain`], and the scene of the current view.
+//! refresh pipeline, the one answer step of [`Session::query`] and
+//! [`Session::explain`] (every answer goes through an index service, in
+//! sync, behind, or fresh before the first refresh), and the scene of the
+//! current view.
 
-use isis_core::{ClassId, Database, EntityId, OrderedSet, Predicate, SchemaNode, SharedDatabase};
+use isis_core::{ClassId, Database, OrderedSet, Predicate, SchemaNode, SharedDatabase};
 use isis_obs::Registry;
-use isis_query::{
-    DerivedState, EvalPool, ExplainRecord, ExtentChange, IndexService, PredicateProgram, QueryError,
-};
+use isis_query::{DerivedState, ExplainRecord, ExtentChange, IndexService, QueryError};
 use isis_store::{RecoveryReport, StoreDir};
 use isis_views::{
     data_view, forest_view, network_view, worksheet_view, DataViewInput, ForestViewOptions,
@@ -130,10 +130,10 @@ pub struct Session {
     /// here too because the service is rebuilt on every line switch, and
     /// each new service's pool is sized from it.
     eval_threads: usize,
-    /// The registry scope every service the refreshes build counts into
-    /// (planner, program cache, index maintenance), and where the
-    /// unassisted scans are counted: the session's query counters, which
-    /// outlive each service rebuild.
+    /// The registry scope every service the session queries through
+    /// counts into (planner, program cache, index maintenance), and where
+    /// the unassisted answers are counted: the session's query counters,
+    /// which outlive each service rebuild.
     query_scope: Registry,
 }
 
@@ -436,106 +436,82 @@ impl Session {
         Ok(())
     }
 
-    /// The shared index service, once a refresh has built it.
+    /// The shared index service, once a refresh has built it. Under
+    /// [`RefreshPolicy::Manual`] it may be behind the pinned snapshot
+    /// until the next refresh; its answers stay exact, because a service
+    /// behind its database prunes nothing.
     pub fn index_service(&self) -> Option<&IndexService> {
         self.derived.as_ref().map(DerivedState::service)
     }
 
     /// The registry scope the session's query counters live in: the
     /// planner, program-cache and index-maintenance counts of every
-    /// service its refreshes build, and its unassisted scans. The current
-    /// service reads it back as [`isis_query::QueryStats`] and its
+    /// service it queries through, and its unassisted answers. The
+    /// current service reads it back as [`isis_query::QueryStats`] and its
     /// siblings; the REPL's `stats`, `health` and `metrics` read it by
     /// name, so the counts show even while no service exists.
     pub fn query_scope(&self) -> &Registry {
         &self.query_scope
     }
 
-    /// Answers `{ e ∈ parent | P(e) }` through the shared index service.
+    /// Answers `{ e ∈ parent | P(e) }` through the index service.
     ///
     /// Under [`RefreshPolicy::OnCommit`] / [`RefreshPolicy::Immediate`] the
-    /// refresh pipeline is synchronised first, so the answer always comes
-    /// from index-pruned evaluation. Under [`RefreshPolicy::Manual`] the
-    /// session refuses to advance the shared indexes out from under the
-    /// maintainers: if un-drained changes are pending, it runs the compiled
-    /// program over the whole extent instead (correct, just unassisted)
-    /// until the next refresh.
+    /// refresh pipeline is synchronised first, so the service's postings
+    /// describe the snapshot and prune the candidates. Under
+    /// [`RefreshPolicy::Manual`] the session does not advance the shared
+    /// indexes out from under the maintainers: with changes pending, the
+    /// service behind the snapshot runs the compiled program over the
+    /// whole extent (correct, just unassisted) until the next refresh.
+    /// Before the first refresh a fresh service with no index answers.
     pub fn query(&mut self, parent: ClassId, pred: &Predicate) -> Result<OrderedSet, SessionError> {
-        let mut span = isis_obs::global().span("session.query.answer");
-        self.answer(
-            parent,
-            pred,
-            |svc, db| svc.evaluate(db, parent, pred),
-            |_, out, _, _| {
-                span.field("fallback", || {
-                    "pending changes under Manual policy; compiled extent scan".into()
-                });
-                out
-            },
-        )
+        self.answer("session.query.answer", |svc, db| {
+            svc.evaluate(db, parent, pred)
+        })
     }
 
     /// Answers the query exactly like [`Session::query`] and additionally
     /// returns the full [`ExplainRecord`] — the access path chosen per
     /// atom and why, the program-cache outcome, plan reuse and pinning, the
     /// parallel chunking decision, and per-phase timings. Counters advance
-    /// identically to a plain query.
-    ///
-    /// On the unassisted fallback (Manual policy with pending changes)
-    /// the record is marked `cache: "unassisted"` with an empty plan, and
-    /// reports the compiled program's eval mode.
+    /// identically to a plain query, and the record has the same shape in
+    /// every state: behind the snapshot, each atom is a sequential scan
+    /// whose reason says a refresh is pending.
     pub fn explain(
         &mut self,
         parent: ClassId,
         pred: &Predicate,
     ) -> Result<(OrderedSet, ExplainRecord), SessionError> {
-        let obs = isis_obs::global();
-        let _span = obs.span("session.query.explain");
-        self.answer(
-            parent,
-            pred,
-            |svc, db| svc.explain(db, parent, pred),
-            |db, out, batch, total_ns| {
-                let scanned = db.class(parent).map(|r| r.members.len()).unwrap_or(0);
-                let record = ExplainRecord::unassisted(
-                    db,
-                    parent,
-                    pred,
-                    scanned,
-                    out.len(),
-                    total_ns,
-                    batch,
-                );
-                obs.event("query.service.explain", || record.to_json());
-                (out, record)
-            },
-        )
+        self.answer("session.query.explain", |svc, db| {
+            svc.explain(db, parent, pred)
+        })
     }
 
-    /// The step [`Session::query`] and [`Session::explain`] share: refresh
-    /// under the policy, then answer through the index service when it
-    /// describes the pinned snapshot as it is now. Otherwise record the
-    /// unassisted scan, compile `pred` (validating it), run the program
-    /// over the whole extent in extent order, and hand `unassisted` the
-    /// answer, whether the program streamed in batches, and the time taken.
+    /// The step [`Session::query`] and [`Session::explain`] share, under
+    /// the span `name`: refresh under the policy, then hand `ask` the
+    /// derived state's service. An answer without an in-sync derived state
+    /// counts one `session.query.unassisted` and notes the fallback on the
+    /// span; before the first refresh, `ask` gets a fresh service with no
+    /// index, at width 1, counting into the session's scope.
     fn answer<R>(
         &mut self,
-        parent: ClassId,
-        pred: &Predicate,
-        indexed: impl FnOnce(&IndexService, &Database) -> Result<R, QueryError>,
-        unassisted: impl FnOnce(&Database, OrderedSet, bool, u64) -> R,
+        name: &'static str,
+        ask: impl FnOnce(&IndexService, &Database) -> Result<R, QueryError>,
     ) -> Result<R, SessionError> {
+        let mut span = isis_obs::global().span(name);
         self.refresh_at(RefreshPolicy::OnCommit)?;
-        if let Some(state) = self.derived.as_ref().filter(|d| d.in_sync(&self.db)) {
-            return Ok(indexed(state.service(), &self.db)?);
-        }
-        IndexService::note_unassisted_scan(&self.query_scope);
-        let t = std::time::Instant::now();
-        let prog = PredicateProgram::compile(&self.db, parent, pred)?;
-        let extent: Vec<EntityId> = self.db.members(parent)?.iter().collect();
-        let out = EvalPool::new(1).evaluate(&self.db, &prog, &extent, None)?;
-        let total_ns = t.elapsed().as_nanos() as u64;
-        Ok(unassisted(&self.db, out, prog.batch_compatible(), total_ns))
+        let fresh;
+        let (service, fallback) = match &self.derived {
+            Some(state) if state.in_sync(&self.db) => return Ok(ask(state.service(), &self.db)?),
+            Some(state) => (state.service(), "a refresh is pending; the service scans"),
+            None => {
+                fresh = IndexService::in_scope(&self.db, &self.query_scope);
+                (&fresh, "no refresh yet; a service with no index answers")
+            }
+        };
+        self.query_scope.counter("session.query.unassisted").inc();
+        span.field("fallback", || fallback.into());
+        Ok(ask(service, &self.db)?)
     }
 
     fn say(&mut self, msg: impl Into<String>) {

@@ -828,8 +828,8 @@ fn a_worksheet_tags_atoms_a_to_z_and_refuses_a_27th() {
 }
 
 /// Under the Manual policy with changes pending, query and EXPLAIN run the
-/// compiled program over the extent: the answers match the interpreted
-/// oracle and the record reports the program's eval mode.
+/// compiled program: the answers match the interpreted oracle and the
+/// record reports the program's eval mode and the planner's reasons.
 #[test]
 fn the_unassisted_scan_runs_the_compiled_program() {
     let (mut s, im) = session();
@@ -845,19 +845,126 @@ fn the_unassisted_scan_runs_the_compiled_program() {
         CompareOp::Superset,
         Rhs::constant(im.instruments, [im.piano]),
     )])]);
-    for (parent, pred, mode) in [
-        (im.musicians, &streams, "batch"),
-        (im.music_groups, &walks, "scalar"),
+    // With no index, `plays` still prunes through the `by_instrument`
+    // grouping; the two-step map has nothing to prune with.
+    for (parent, pred, mode, pooled, why) in [
+        (
+            im.musicians,
+            &streams,
+            "batch",
+            true,
+            "a grouping on the attribute",
+        ),
+        (
+            im.music_groups,
+            &walks,
+            "scalar",
+            false,
+            "a step of the map has no index",
+        ),
     ] {
         let want = s.database().evaluate_derived_members(parent, pred).unwrap();
         assert_eq!(s.query(parent, pred).unwrap().as_slice(), want.as_slice());
         let (got, record) = s.explain(parent, pred).unwrap();
         assert_eq!(got.as_slice(), want.as_slice());
-        assert_eq!(record.cache, "unassisted");
+        assert_eq!(record.pool_len.is_some(), pooled, "{pred}");
+        assert_eq!(record.atoms.len(), 1, "{pred}");
+        assert!(record.atoms[0].why.contains(why), "{pred}");
         assert_eq!(record.eval_mode, mode, "{pred}");
         assert_eq!(record.returned as usize, want.len());
     }
     assert!(s.index_service().is_none(), "nothing was refreshed");
+}
+
+/// The session-scope counts an answer moves: unassisted answers, queries,
+/// sequential scans and index probes.
+fn answer_counts(s: &Session) -> [u64; 4] {
+    [
+        "session.query.unassisted",
+        "query.service.queries",
+        "query.service.seq_scans",
+        "query.service.index_probes",
+    ]
+    .map(|name| s.query_scope().counter(name).get())
+}
+
+/// Asks `pred` over `parent` by query and by EXPLAIN; each answer equals
+/// the interpreted oracle. Returns each answer's counter deltas and the
+/// record.
+fn ask_both(
+    s: &mut Session,
+    parent: isis_core::ClassId,
+    pred: &Predicate,
+) -> ([[u64; 4]; 2], isis_query::ExplainRecord) {
+    let want = s.database().evaluate_derived_members(parent, pred).unwrap();
+    let before = answer_counts(s);
+    assert_eq!(s.query(parent, pred).unwrap().as_slice(), want.as_slice());
+    let mid = answer_counts(s);
+    let (got, record) = s.explain(parent, pred).unwrap();
+    assert_eq!(got.as_slice(), want.as_slice());
+    let after = answer_counts(s);
+    let delta = |a: [u64; 4], b: [u64; 4]| std::array::from_fn(|i| b[i] - a[i]);
+    ([delta(before, mid), delta(mid, after)], record)
+}
+
+/// Under the Manual policy every answer goes through an index service:
+/// before the first refresh a fresh one with no index, after it the
+/// derived state's, which scans the extent while an edit that makes Gil a
+/// pianist waits for the next refresh. Each such answer counts one query
+/// and one unassisted answer; once refreshed, the service probes again.
+#[test]
+fn manual_answers_match_the_oracle_before_a_refresh_and_while_one_is_pending() {
+    let mut im = instrumental_music().unwrap();
+    let pianists = Predicate::dnf(vec![Clause::new(vec![Atom::new(
+        Map::single(im.plays),
+        CompareOp::Match,
+        Rhs::constant(im.instruments, [im.piano]),
+    )])]);
+    // A derived class over `plays`, so a refresh indexes it.
+    let class = im
+        .db
+        .create_derived_subclass(im.musicians, "pianists")
+        .unwrap();
+    im.db.commit_membership(class, pianists.clone()).unwrap();
+    let mut s = Session::builder(im.db.clone()).build();
+    assert_eq!(s.refresh_policy(), RefreshPolicy::Manual);
+
+    // (a) Before the first refresh.
+    let (deltas, _) = ask_both(&mut s, im.musicians, &pianists);
+    for d in deltas {
+        assert_eq!((d[0], d[1]), (1, 1), "{d:?}");
+    }
+    assert!(s.index_service().is_none(), "answering refreshes nothing");
+
+    // (b) After a refresh, with an edit pending that makes Gil qualify.
+    s.apply(Command::Refresh).unwrap();
+    let gil = s.database().entity_by_name(im.musicians, "Gil").unwrap();
+    s.transact(|db| db.add_value(gil, im.plays, im.piano))
+        .unwrap();
+    let svc = s.index_service().unwrap();
+    assert_ne!(
+        svc.cursor(),
+        s.database().delta_epoch(),
+        "a refresh is pending"
+    );
+    let want = s
+        .database()
+        .evaluate_derived_members(im.musicians, &pianists)
+        .unwrap();
+    assert!(want.len() == 4 && want.contains(gil));
+    let (deltas, record) = ask_both(&mut s, im.musicians, &pianists);
+    assert_eq!(deltas, [[1, 1, 1, 0]; 2]);
+    assert_eq!(record.pool_len, None);
+    assert!(record
+        .atoms
+        .iter()
+        .all(|a| a.why.contains("behind its database")));
+
+    // (c) Refreshed, the service probes and nothing is unassisted.
+    s.apply(Command::Refresh).unwrap();
+    let (deltas, record) = ask_both(&mut s, im.musicians, &pianists);
+    assert_eq!(deltas[0], [0, 1, 0, 1]);
+    assert_eq!(record.eval_mode, "walk");
 }
 
 /// The session's query counters live in its registry scope, not on the

@@ -92,6 +92,23 @@ pub enum Shipment {
     },
 }
 
+/// What [`ReplicationLog::standing`] found for one cursor.
+enum Standing {
+    /// The cursor's segment is the live one: its frames, of which the
+    /// replica has `applied` the first.
+    Live { ops: Vec<LogOp>, applied: usize },
+    /// The cursor sits at the start of the newest sealed generation, whose
+    /// segment is not live: nothing to ship.
+    Sealed,
+    /// A newer sealed generation superseded the cursor's: the replica
+    /// resyncs from `newest`, then takes the `segment` frames its live
+    /// segment holds.
+    Superseded {
+        newest: NewestSnapshot<()>,
+        segment: u64,
+    },
+}
+
 /// The primary side of log shipping: a read-only view over a database's
 /// directory that serves commit frames and resync checkpoints to any
 /// number of replicas. Opening one is cheap; it holds no file handles and
@@ -131,6 +148,46 @@ impl ReplicationLog {
     pub fn ship(&self, cursor: &ShipCursor, max_frames: usize) -> Result<Shipment, StoreError> {
         let obs = isis_obs::global();
         let _span = obs.span("store.replication.ship");
+        Ok(match self.standing(cursor)? {
+            Standing::Live { ops, applied } if applied < ops.len() => {
+                let frames: Vec<LogOp> = ops
+                    .into_iter()
+                    .skip(applied)
+                    .take(max_frames.max(1))
+                    .collect();
+                obs.count("store.replication.frames_shipped", frames.len() as u64);
+                Shipment::Frames(frames)
+            }
+            Standing::Live { .. } | Standing::Sealed => Shipment::UpToDate,
+            // The replica decodes the snapshot when it applies it.
+            Standing::Superseded { newest, .. } => {
+                obs.count("store.replication.checkpoints_shipped", 1);
+                Shipment::Checkpoint {
+                    generation: newest.generation,
+                    snapshot: newest.bytes,
+                }
+            }
+        })
+    }
+
+    /// Commit frames the primary holds beyond `cursor` — the replica's
+    /// lag in ship ordinals. A pending checkpoint resync counts as one,
+    /// plus whatever frames follow it in the new segment.
+    pub fn outstanding(&self, cursor: &ShipCursor) -> Result<u64, StoreError> {
+        Ok(match self.standing(cursor)? {
+            Standing::Live { ops, applied } => (ops.len() - applied) as u64,
+            Standing::Sealed => 0,
+            Standing::Superseded { segment, .. } => 1 + segment,
+        })
+    }
+
+    /// Where a replica at `cursor` stands against the primary's durable
+    /// state, the one decision behind [`ReplicationLog::ship`] and
+    /// [`ReplicationLog::outstanding`]. Reads the WAL segment once, and the
+    /// newest sealed snapshot only when the cursor's segment is gone
+    /// (schema checkpoint, primary restart, or a never-bootstrapped
+    /// replica). A cursor ahead of the primary is an error.
+    fn standing(&self, cursor: &ShipCursor) -> Result<Standing, StoreError> {
         let replay = replay_with(
             self.dir.vfs().as_ref(),
             &self.dir.wal_path(&self.name),
@@ -142,62 +199,22 @@ impl ReplicationLog {
             if cursor.frames > have {
                 return Err(self.ahead_error(cursor, have));
             }
-            if cursor.frames == have {
-                return Ok(Shipment::UpToDate);
-            }
-            let frames: Vec<LogOp> = replay
-                .ops
-                .into_iter()
-                .skip(cursor.frames as usize)
-                .take(max_frames.max(1))
-                .collect();
-            obs.count("store.replication.frames_shipped", frames.len() as u64);
-            return Ok(Shipment::Frames(frames));
+            return Ok(Standing::Live {
+                ops: replay.ops,
+                applied: cursor.frames as usize,
+            });
         }
-        // The cursor's segment is gone (schema checkpoint, primary
-        // restart, or a never-bootstrapped replica): resync from the
-        // newest snapshot, which the replica decodes when it applies it.
         let newest = self.dir.newest_sealed_snapshot(&self.name)?;
         match newest.generation.cmp(&cursor.generation) {
             std::cmp::Ordering::Greater => {
-                obs.count("store.replication.checkpoints_shipped", 1);
-                Ok(Shipment::Checkpoint {
-                    generation: newest.generation,
-                    snapshot: newest.bytes,
-                })
-            }
-            std::cmp::Ordering::Equal if cursor.frames == 0 => Ok(Shipment::UpToDate),
-            _ => Err(self.ahead_error(cursor, 0)),
-        }
-    }
-
-    /// Commit frames the primary holds beyond `cursor` — the replica's
-    /// lag in ship ordinals. A pending checkpoint resync counts as one,
-    /// plus whatever frames follow it in the new segment.
-    pub fn outstanding(&self, cursor: &ShipCursor) -> Result<u64, StoreError> {
-        let replay = replay_with(
-            self.dir.vfs().as_ref(),
-            &self.dir.wal_path(&self.name),
-            false,
-        )?;
-        if replay.snapshot_gen == Some(cursor.generation) && cursor.generation != 0 {
-            let have = replay.ops.len() as u64;
-            if cursor.frames > have {
-                return Err(self.ahead_error(cursor, have));
-            }
-            return Ok(have - cursor.frames);
-        }
-        let generation = self.dir.newest_sealed_snapshot(&self.name)?.generation;
-        match generation.cmp(&cursor.generation) {
-            std::cmp::Ordering::Greater => {
-                let new_segment = if replay.snapshot_gen == Some(generation) {
+                let segment = if replay.snapshot_gen == Some(newest.generation) {
                     replay.ops.len() as u64
                 } else {
                     0
                 };
-                Ok(1 + new_segment)
+                Ok(Standing::Superseded { newest, segment })
             }
-            std::cmp::Ordering::Equal if cursor.frames == 0 => Ok(0),
+            std::cmp::Ordering::Equal if cursor.frames == 0 => Ok(Standing::Sealed),
             _ => Err(self.ahead_error(cursor, 0)),
         }
     }

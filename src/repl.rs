@@ -1461,6 +1461,39 @@ mod tests {
         isis_obs::global().set_enabled(false);
     }
 
+    /// `explain` names what it explains: the predicate and its atoms read
+    /// with attribute and entity names, as the worksheet built them.
+    #[test]
+    fn explain_names_attributes_and_constants() {
+        let _obs = obs_switch();
+        let mut r = repl();
+        for line in [
+            "pick music_groups",
+            "subclass quartets",
+            "define",
+            "atom",
+            "clause 1",
+            "push size",
+            "op =",
+            "const",
+            "toggle 4",
+            "done",
+            "commit",
+            "refresh",
+        ] {
+            r.exec(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let plan = r.exec("explain quartets").unwrap();
+        assert!(plan.contains("size") && plan.contains("{4}"), "{plan}");
+        assert!(plan.contains("WHERE (size(e) = {4})"), "{plan}");
+        assert!(plan.contains("clause 0.0: size(e) = {4} →"), "{plan}");
+        assert!(!plan.contains("a13("), "{plan}");
+        assert!(
+            plan.contains("parallel: serial (1 worker configured)"),
+            "{plan}"
+        );
+    }
+
     /// A lone `~` over an indexed attribute is answered by its exact walk,
     /// and `explain` says so in both renderings.
     #[test]
